@@ -11,19 +11,69 @@ by a fixed safety factor of 10; they are conservative, not rigorous bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, QuadratureError
 from .result import EvalResult
 
-_GL_LO = tuple(np.polynomial.legendre.leggauss(10))
-_GL_HI = tuple(np.polynomial.legendre.leggauss(21))
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (|x| < 1)."""
+    p0, p1 = 1.0, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as ascending (node, weight) pairs.
+
+    Newton iteration on P_n from the Tricomi initial guesses (the classic
+    ``gauleg``); the weight 2 / ((1 - x^2) P_n'(x)^2) is taken at the converged
+    node, and the rule is mirrored so it is exactly symmetric.
+    """
+    upper = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        dx = 1.0
+        while abs(dx) > 1e-15:
+            p, dp = _legendre(n, x)
+            dx = p / dp
+            x -= dx
+        dp = _legendre(n, x)[1]
+        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
+    return tuple([(-x, w) for x, w in upper] + middle + upper[::-1])
+
+
+_GL_LO = _gauss_legendre(10)
+_GL_HI = _gauss_legendre(21)
 
 _SAFETY = 10.0
+
+
+@functools.cache
+def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
+    """(1 + exp(2q), pi/2 cosh t sech^2 q), q = pi/2 sinh t, for the tanh-sinh
+    nodes t = k 2^-level <= 6.1 new at ``level`` (k odd above level 0).
+
+    Cached, so each level is built once, the first time a panel refines to it.
+    """
+    step = 0.5**level
+    k, stride = (0, 1) if level == 0 else (1, 2)
+    nodes = []
+    while k * step <= 6.1:
+        t = k * step
+        ch = math.cosh(t)
+        q = 0.5 * math.pi * math.sinh(t)
+        if q > 350.0:
+            break
+        nodes.append((1.0 + math.exp(2.0 * q), 0.5 * math.pi * ch * (1.0 / math.cosh(q) ** 2)))
+        k += stride
+    return tuple(nodes)
 
 
 @dataclass(frozen=True)
@@ -65,48 +115,38 @@ def _tanh_sinh_panel(
     f: Callable[[float], float], a: float, b: float, tol: float, budget: _Budget
 ) -> tuple[float, float, int]:
     """Integrate f over the open panel (a, b) by the double-exponential rule."""
-    c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    t_max = 6.1
 
-    def node(q: float) -> tuple[float, float]:
-        # abscissa via distance to the nearer endpoint for endpoint precision
-        if q >= 0.0:
-            x = b - 2.0 * h / (1.0 + math.exp(2.0 * q))
-        else:
-            x = a + 2.0 * h / (1.0 + math.exp(-2.0 * q))
-        return x, 1.0 / (math.cosh(q) ** 2)
-
-    def level_sum(step: float, stride_new_only: bool) -> float:
+    def level_sum(level: int) -> float:
+        # abscissae via distance to the nearer endpoint for endpoint precision;
+        # the pair is unrolled because this loop dominates the quadrature time
         total = 0.0
-        k = 1 if stride_new_only else 0
-        stride = 2 if stride_new_only else 1
-        while k * step <= t_max:
-            t = k * step
-            ch = math.cosh(t)
-            q = 0.5 * math.pi * math.sinh(t)
-            if q > 350.0:
-                break
-            for tt, qq in ((t, q),) if k == 0 else ((t, q), (-t, -q)):
-                x, sech2 = node(qq)
-                if x <= a or x >= b:
-                    continue
-                w = 0.5 * math.pi * ch * sech2
+        for d, w in _tanh_sinh_level(level):
+            r = 2.0 * h / d
+            x = b - r
+            if not (x <= a or x >= b):
                 fx = f(x)
                 if not math.isfinite(fx):
                     raise QuadratureError(f"integrand not finite at x = {x!r}")
                 total += w * fx
-            k += stride
+            if d == 2.0:  # the centre node t = 0 has no mirror image
+                continue
+            x = a + r
+            if not (x <= a or x >= b):
+                fx = f(x)
+                if not math.isfinite(fx):
+                    raise QuadratureError(f"integrand not finite at x = {x!r}")
+                total += w * fx
         return total
 
     step = 1.0
-    s_prev = h * step * level_sum(step, False)
+    s_prev = h * step * level_sum(0)
     err_prev = math.inf
     grew = 0
     for level in range(1, 11):
         budget.spend()
         step *= 0.5
-        s_cur = 0.5 * s_prev + h * step * level_sum(step, True)
+        s_cur = 0.5 * s_prev + h * step * level_sum(level)
         err = _SAFETY * abs(s_cur - s_prev)
         if err <= tol:
             return s_cur, max(err, 1e-18 * abs(s_cur)), level
@@ -126,10 +166,10 @@ def _gl_once(f: Callable[[float], float], a: float, b: float) -> tuple[float, fl
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     lo = 0.0
-    for x, w in zip(*_GL_LO):
+    for x, w in _GL_LO:
         lo += w * f(c + h * x)
     hi = 0.0
-    for x, w in zip(*_GL_HI):
+    for x, w in _GL_HI:
         hi += w * f(c + h * x)
     return h * hi, _SAFETY * abs(h * (hi - lo))
 

@@ -1,9 +1,16 @@
 """Unit tests for the adaptive quadrature engine."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
+import tetralog
+from tetralog import quad
 from tetralog.errors import DomainError, QuadratureError
 from tetralog.quad import QuadProblem, integrate
 
@@ -20,6 +27,12 @@ class TestSmoothIntegrands:
     def test_oscillatory(self):
         r = integrate(QuadProblem(math.sin, 0.0, PI, tol=1e-12))
         assert abs(r.value - 2.0) < 1e-12
+
+    def test_value_is_builtin_float(self):
+        r = integrate(QuadProblem(math.cos, 0.0, 1.0))
+        assert r.method == "gauss-legendre"
+        assert type(r.value) is float
+        assert type(r.err_bound) is float
 
     def test_error_bound_honest(self):
         r = integrate(QuadProblem(lambda x: math.exp(-x * x), 0.0, 2.0))
@@ -128,3 +141,65 @@ class TestValidation:
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             integrate(QuadProblem(lambda x: float("nan"), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("rule", [quad._GL_LO, quad._GL_HI], ids=["n10", "n21"])
+class TestGaussLegendreTables:
+    def test_nodes_and_weights_match_mpmath(self, rule):
+        with mpmath.workdps(30):
+            xs, ws = mpmath.gauss_quadrature(len(rule), "legendre")
+            for (x, w), xr, wr in zip(rule, xs, ws):
+                assert type(x) is float and type(w) is float
+                assert abs(x - xr) <= 4e-16
+                assert abs(w - wr) <= 4e-16
+
+    def test_weights_sum_to_two(self, rule):
+        assert math.fsum(w for _, w in rule) == pytest.approx(2.0, abs=1e-15)
+
+    def test_exact_on_monomials(self, rule):
+        for k in range(2 * len(rule)):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(w * x**k for x, w in rule) == pytest.approx(exact, abs=2e-15)
+
+
+def _tanh_sinh_reference(f, a, b, level):
+    """Per-node tanh-sinh sum of one refinement level, nodes computed afresh."""
+    step = 0.5**level
+    total = 0.0
+    k = 0 if level == 0 else 1
+    while k * step <= 6.1:
+        t = k * step
+        ch = math.cosh(t)
+        q = 0.5 * math.pi * math.sinh(t)
+        if q > 350.0:
+            break
+        for qq in (q,) if k == 0 else (q, -q):
+            d = 1.0 + math.exp(2.0 * abs(qq))
+            x = b - 2.0 * (0.5 * (b - a)) / d if qq >= 0.0 else a + 2.0 * (0.5 * (b - a)) / d
+            if a < x < b:
+                total += 0.5 * math.pi * ch * (1.0 / math.cosh(qq) ** 2) * f(x)
+        k += 1 if level == 0 else 2
+    return total
+
+
+def test_tanh_sinh_tables_reproduce_per_node_sums():
+    f = lambda x: math.log(x) / (x * x + 0.4 * x + 1.0)  # noqa: E731
+    for a, b in ((0.0, 1.0), (0.25, 3.5)):
+        v, _, levels = quad._tanh_sinh_panel(f, a, b, 1e-12, quad._Budget(10))
+        h = 0.5 * (b - a)
+        step = 1.0
+        s_ref = h * step * _tanh_sinh_reference(f, a, b, 0)
+        for level in range(1, levels + 1):
+            step *= 0.5
+            s_ref = 0.5 * s_ref + h * step * _tanh_sinh_reference(f, a, b, level)
+        assert v == s_ref
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(tetralog.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tetralog; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
