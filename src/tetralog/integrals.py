@@ -365,7 +365,7 @@ def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, floa
             lambda x: math.log(x) / (x * x + 2.0 * x * c * ct + c * c),
             0.0,
             math.inf,
-            (0.0,),
+            (0.0, c),
             tol,
         )
     )

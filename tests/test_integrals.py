@@ -136,6 +136,19 @@ class TestLogTangentCorollary:
             lhs, rhs = corollary3(c, t)
             assert abs(lhs.value - rhs) < 1e-10
 
+    @pytest.mark.parametrize(
+        "c, t",
+        [
+            (0.12946811722728552, 3.0878797212997737),
+            (0.1298427672939307, 3.091305233251941),
+            (0.1041169508778581, 3.087947159877866),
+        ],
+    )
+    def test_sharp_peak_at_small_c_near_pi(self, c, t):
+        # the integrand peaks sharply at x = c when t is near pi
+        lhs, rhs = corollary3(c, t)
+        assert abs(lhs.value - rhs) <= 1e-9 * abs(rhs)
+
     def test_rhs_formula(self):
         c, t = 2.0, 1.0
         _, rhs = corollary3(c, t)
