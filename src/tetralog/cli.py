@@ -2,7 +2,8 @@
 hexadecimal digit extraction, with machine-readable reports.
 
 Exit codes are exactly: 0 success / all checks pass, 1 check failure or
-precision abort, 2 usage error.
+precision abort, 2 usage error (including an eval argument too extreme for
+double-precision arithmetic).
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except TetralogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, ValueError) as exc:
+        # float arithmetic gave out on an argument the evaluator cannot represent
+        print(f"error: eval {t}: argument out of range ({exc})", file=sys.stderr)
+        return 2
     _print_eval(r.value, r.err_bound, r.method)
     return 0
 

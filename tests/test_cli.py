@@ -61,6 +61,22 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "cl2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cl2", "--theta", "inf"),
+            ("hurwitz", "--s", "1e308", "--a", "1e-300"),
+            ("hurwitz", "--s", "2", "--a", "inf"),
+            ("cln", "--order", "400", "--theta", "1"),
+            ("trigamma", "--x", "1e-320"),
+        ],
+    )
+    def test_extreme_argument_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_all_passes(self, capsys):
