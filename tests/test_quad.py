@@ -187,11 +187,9 @@ def test_tanh_sinh_tables_reproduce_per_node_sums():
     for a, b in ((0.0, 1.0), (0.25, 3.5)):
         v, _, levels = quad._tanh_sinh_panel(f, a, b, 1e-12, quad._Budget(10))
         h = 0.5 * (b - a)
-        step = 1.0
-        s_ref = h * step * _tanh_sinh_reference(f, a, b, 0)
+        s_ref = h * _tanh_sinh_reference(f, a, b, 0)
         for level in range(1, levels + 1):
-            step *= 0.5
-            s_ref = 0.5 * s_ref + h * step * _tanh_sinh_reference(f, a, b, level)
+            s_ref = 0.5 * s_ref + h * 0.5**level * _tanh_sinh_reference(f, a, b, level)
         assert v == s_ref
 
 
