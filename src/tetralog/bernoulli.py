@@ -1,12 +1,14 @@
 """Bernoulli numbers, Bernoulli polynomials, and the integer zeta table.
 
 Bernoulli numbers are generated exactly as fractions (B_1 = -1/2 convention)
-and cached; everything downstream consumes double-precision projections.
+and cached; everything downstream consumes double-precision projections,
+tabulated in ``LazyTable`` objects that fill entry by entry as sums reach them.
 """
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .constants import PI
 from .errors import DomainError
@@ -30,12 +32,26 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+class LazyTable(dict):
+    """Doubles indexed by int, each computed by ``entry`` the first time it is read."""
+
+    def __init__(self, entry: Callable[[int], float]) -> None:
+        super().__init__()
+        self._entry = entry
+
+    def __missing__(self, k: int) -> float:
+        v = self[k] = self._entry(k)
+        return v
+
+
+@cache
+def _bernoulli_poly_coeffs(n: int) -> tuple[float, ...]:
+    return tuple(math.comb(n, k) * float(bernoulli_number(k)) for k in range(n + 1))
+
+
 def bernoulli_poly(n: int, x: complex) -> complex:
     """Bernoulli polynomial B_n(x) for complex x."""
-    return sum(
-        math.comb(n, k) * float(bernoulli_number(k)) * x ** (n - k)
-        for k in range(n + 1)
-    )
+    return sum(c * x ** (n - k) for k, c in enumerate(_bernoulli_poly_coeffs(n)))
 
 
 @lru_cache(maxsize=None)
@@ -76,3 +92,17 @@ def zeta_int(n: int) -> float:
         )
         poch *= (n + 2 * j - 1) * (n + 2 * j)
     return s
+
+
+TAYLOR_K_MAX = 170  # largest k with k! representable as a double
+
+
+@cache
+def zeta_taylor(s: int) -> LazyTable:
+    """Coefficients c_k = zeta(s - k)/k! of Li_s(e^w) about w = 0, with c_{s-1} = 0.
+
+    ``Li_s(e^w) = w^{s-1}/(s-1)! (H_{s-1} - ln(-w)) + sum_k c_k w^k`` for
+    integer s >= 2 and |w| < 2 pi (Lewin 1981).  For k > s, c_k vanishes
+    unless k - s is odd.  Entries exist for k <= TAYLOR_K_MAX.
+    """
+    return LazyTable(lambda k: 0.0 if k == s - 1 else zeta_int(s - k) / math.factorial(k))

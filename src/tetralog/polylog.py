@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .bernoulli import bernoulli_poly, zeta_int
+from .bernoulli import TAYLOR_K_MAX, bernoulli_poly, zeta_int, zeta_taylor
 from .constants import PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import EvalResult
@@ -37,24 +37,21 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
     """Li_s(e^w) for |w| < 2 pi, s >= 2 integer, via the ln(-w) expansion."""
+    c = zeta_taylor(s)
     total = w ** (s - 1) / math.factorial(s - 1) * (harmonic(s - 1) - cmath.log(-w))
     wk = 1.0 + 0.0j
     scale = abs(total)
     term_mag = 0.0
     k = 0
-    for k in range(0, 300):
-        if k != s - 1:
-            zv = zeta_int(s - k)
-            if zv != 0.0:
-                if k < 170:
-                    term = zv * wk / math.factorial(k)
-                else:
-                    term = zv * cmath.exp(k * cmath.log(w) - math.lgamma(k + 1))
-                total += term
-                term_mag = abs(term)
-                scale = max(scale, abs(total))
-                if k > s + 6 and term_mag < 0.25 * _EPS * scale:
-                    break
+    for k in range(0, TAYLOR_K_MAX + 1):
+        ck = c[k]
+        if ck != 0.0:
+            term = ck * wk
+            total += term
+            term_mag = abs(term)
+            scale = max(scale, abs(total))
+            if k > s + 6 and term_mag < 0.25 * _EPS * scale:
+                break
         wk *= w
     ratio = abs(w) / TWO_PI
     err = max(term_mag * ratio / (1.0 - ratio) * 2.0, 8.0 * _EPS * scale)

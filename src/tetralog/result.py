@@ -44,10 +44,15 @@ class Angle:
     reduced: float = field(init=False)
 
     def __post_init__(self) -> None:
-        r = math.remainder(self.raw, TWO_PI)
-        if r <= -PI:
-            r += TWO_PI
-        object.__setattr__(self, "reduced", r)
+        object.__setattr__(self, "reduced", reduce_angle(self.raw))
+
+
+def reduce_angle(theta: Angle | float) -> float:
+    """theta reduced modulo 2 pi to (-pi, pi], without building an Angle."""
+    if isinstance(theta, Angle):
+        return theta.reduced
+    r = math.remainder(float(theta), TWO_PI)
+    return r + TWO_PI if r <= -PI else r
 
 
 def as_angle(theta: Angle | float) -> Angle:

@@ -9,13 +9,12 @@ iterates reports an error bound and raises on non-convergence.
 
 from __future__ import annotations
 
-import cmath
 import math
 
-from .bernoulli import bernoulli_number, zeta_int
+from .bernoulli import TAYLOR_K_MAX, LazyTable, bernoulli_number, zeta_int, zeta_taylor
 from .constants import GAMMA, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
-from .result import Angle, EvalResult, PolarPoint, RationalAngle, as_angle
+from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
 
 _EPS = 2.220446049250313e-16
 
@@ -104,6 +103,10 @@ def polygamma(n: int, x: float) -> EvalResult:
 # Hurwitz zeta
 
 
+# B_{2j}/(2j)!, the Euler-Maclaurin correction coefficients
+_EM_COEFFS = LazyTable(lambda j: float(bernoulli_number(2 * j)) / math.factorial(2 * j))
+
+
 def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^-s by Euler-Maclaurin with remainder bound."""
     if s <= 1.0:
@@ -114,27 +117,21 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
         raise DomainError("tol must be positive")
     M = 10
     N = max(0, int(math.ceil(10.0 - a)))
+    b = _EM_COEFFS
+    # remainder bounded by the magnitude of the first omitted term
+    poch_rem = 1.0
+    for i in range(2 * M + 1):
+        poch_rem *= s + i
     for _ in range(60):
         z = a + N
-        # remainder bounded by the magnitude of the first omitted term
-        poch = 1.0
-        for i in range(2 * M + 1):
-            poch *= s + i
-        rem = abs(float(bernoulli_number(2 * M + 2)) / math.factorial(2 * M + 2) * poch) * z ** (
-            -(s + 2 * M + 1)
-        )
+        rem = abs(b[M + 1] * poch_rem) * z ** (-(s + 2 * M + 1))
         head = math.fsum((a + k) ** (-s) for k in range(N))
         floor = 4.0 * _EPS * (abs(head) + z ** (1.0 - s) / (s - 1.0))
         if rem <= max(tol / 2.0, floor) or N > 100000:
             total = head + z ** (1.0 - s) / (s - 1.0) + 0.5 * z ** (-s)
             poch = s
             for j in range(1, M + 1):
-                total += (
-                    float(bernoulli_number(2 * j))
-                    / math.factorial(2 * j)
-                    * poch
-                    * z ** (-(s + 2 * j - 1))
-                )
+                total += b[j] * poch * z ** (-(s + 2 * j - 1))
                 poch *= (s + 2 * j - 1) * (s + 2 * j)
             err = rem + floor
             # only the truncation remainder is negotiable; the roundoff floor
@@ -160,6 +157,10 @@ def harmonic(j: int) -> float:
 # Clausen functions
 
 
+# zeta(2n)/(n(2n+1)), the coefficients of cl2's Bernoulli-accelerated series
+_CL2_COEFFS = LazyTable(lambda n: zeta_int(2 * n) / (n * (2 * n + 1)))
+
+
 def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     """Cl_2(theta) = sum sin(n theta)/n^2.
 
@@ -169,81 +170,92 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th = as_angle(theta).reduced
+    th = reduce_angle(theta)
     sign = 1.0
     if th < 0.0:
         th, sign = -th, -1.0
-    if th == 0.0 or th == PI:
+    if th == 0.0:
         return EvalResult(0.0, 0.0, 0, "bernoulli-series")
-    total = th - th * math.log(th)
+    if th == PI:
+        # the double PI falls 1.2e-16 short of pi, where Cl_2' = -ln 2
+        return EvalResult(0.0, _EPS, 0, "bernoulli-series")
+    c = _CL2_COEFFS
+    lg = th * math.log(th)
+    total = th - lg
+    mag = th + abs(lg)
     ratio = (th / TWO_PI) ** 2
     power = th * ratio
     term = 0.0
     n = 0
     for n in range(1, 200):
-        term = zeta_int(2 * n) * power / (n * (2 * n + 1))
+        term = c[n] * power
         total += term
-        power *= ratio
-        if term < 0.25 * _EPS * total:
+        mag += term
+        if term < 0.25 * _EPS * mag:
             break
-    err = max(term * ratio / (1.0 - ratio) * 2.0, 4.0 * _EPS * abs(total))
+        power *= ratio
+    # the positive terms fall at least by ratio, which bounds the tail; the
+    # roundoff floor scales with the magnitudes summed, since near pi they cancel
+    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * _EPS * mag
     if err > tol:
         raise ConvergenceError(f"cl2: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(sign * total, err, n, "bernoulli-series")
 
 
-def _li_unit_circle(s: int, th: float) -> tuple[complex, float, int]:
-    """Li_s(e^{i theta}) for integer s >= 2 and theta in (0, pi].
+def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
+    """Im (odd) or Re (not odd) of Li_s(e^{i theta}) for integer s >= 2, theta in (0, pi].
 
-    Uses the expansion around theta = 0:
-    ``Li_s(e^w) = w^{s-1}/(s-1)! (H_{s-1} - ln(-w)) + sum_{k != s-1} zeta(s-k) w^k/k!``
-    with w = i*theta, valid for |w| < 2*pi.
+    With w = i theta the expansion of ``bernoulli.zeta_taylor`` has real terms
+    at even k and imaginary terms at odd k, so each part is a real series of
+    one parity, ``sum_j c_{2j+p} (-theta^2)^j theta^p``.  When k - s is even,
+    every coefficient past k = s vanishes and the sum is a polynomial.
     """
-    w = complex(0.0, th)
-    log_neg_w = complex(math.log(th), -PI / 2.0)  # ln(-i*theta), principal
-    total = w ** (s - 1) / math.factorial(s - 1) * (harmonic(s - 1) - log_neg_w)
-    wk = complex(1.0, 0.0)
-    scale = abs(total)
-    term_mag = 0.0
-    k = 0
-    for k in range(0, 300):
-        if k != s - 1:
-            zv = zeta_int(s - k)
-            if zv != 0.0:
-                if k < 170:
-                    term = zv * wk / math.factorial(k)
-                else:
-                    # factorials overflow long before this; work in log space
-                    term = zv * cmath.exp(k * cmath.log(w) - math.lgamma(k + 1))
-                total += term
-                term_mag = abs(term)
-                scale = max(scale, abs(total))
-                if k > s + 6 and term_mag < 0.25 * _EPS * scale:
-                    break
-        wk *= w
-    ratio = th / TWO_PI
-    err = max(term_mag * ratio / (1.0 - ratio) * 2.0, 6.0 * _EPS * scale)
-    return total, err, k
+    c = zeta_taylor(s)
+    # head w^{s-1}/(s-1)! (H_{s-1} - ln(-w)), with ln(-w) = ln theta - i pi/2
+    q = th ** (s - 1) / math.factorial(s - 1)
+    a = harmonic(s - 1) - math.log(th)
+    head = q * complex(a, PI / 2.0) * 1j ** (s - 1)  # i^(s-1) is exact
+    total = head.imag if odd else head.real
+    mag = q * (abs(a) + PI / 2.0)
+    finite = (s % 2 == 1) == odd
+    p = th if odd else 1.0
+    step = -th * th
+    term = 0.0
+    n = 0
+    for k in range(1 if odd else 0, (s if finite else TAYLOR_K_MAX) + 1, 2):
+        term = c[k] * p
+        total += term
+        mag += abs(term)
+        n += 1
+        if k > s and abs(term) < 0.25 * _EPS * mag:
+            break
+        p *= step
+    # past k = s, |c_{k+2}| theta^2 <= |c_k| r2, which bounds the tail; the
+    # roundoff floor scales with the magnitudes summed, since near pi they cancel
+    r2 = (th / TWO_PI) ** 2
+    trunc = 0.0 if finite else 2.0 * abs(term) * r2 / (1.0 - r2)
+    # effort: the head and every nonzero term (an infinite sum passes c_{s-1} = 0)
+    return total, trunc + 6.0 * _EPS * mag, n + finite
 
 
 def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th = as_angle(theta).reduced
+    th = reduce_angle(theta)
+    odd = kind == "sin"
     sign = 1.0
     if th < 0.0:
         th = -th
-        if kind == "sin":
+        if odd:
             sign = -1.0
     if th == 0.0:
-        if kind == "sin":
+        if odd:
             return EvalResult(0.0, 0.0, 0, "log-expansion")
         if s < 2:
             raise DomainError("cosine Clausen series diverges at theta = 0 for s < 2")
         v = zeta_int(s)
         return EvalResult(v, 4.0 * _EPS * abs(v), 0, "log-expansion")
-    li, err, effort = _li_unit_circle(s, th)
-    v = li.imag if kind == "sin" else li.real
+    v, err, effort = _clausen_series(s, odd, th)
     if err > tol:
         raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(sign * v, err, effort, "log-expansion")

@@ -1,11 +1,20 @@
-"""Property-based tests for the special-function invariants."""
+"""Property-based tests for the special-function invariants, and for the
+honesty of every reported error bound against a 30-digit mpmath oracle."""
 
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from hypothesis import given, settings
+import mpmath
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tetralog.specfun import cl2, hurwitz_zeta, trigamma
+import tetralog
+from tetralog.polylog import polylog_complex
+from tetralog.specfun import cl2, clausen_cos, clausen_sin, hurwitz_zeta, trigamma
 
 PI = math.pi
 
@@ -65,3 +74,108 @@ def test_trigamma_multiplication(m, x):
     lhs = trigamma(m * x).value
     rhs = math.fsum(trigamma(x + k / m).value for k in range(m)) / (m * m)
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+
+# ---------------------------------------------------------------------------
+# error bounds against the oracle: |value - exact| <= err_bound
+
+
+def _oracle(fn, *args, extra_digits=0):
+    with mpmath.workdps(30 + extra_digits):
+        return complex(fn(*args))
+
+
+def _clausen_oracle(fn, s, theta):
+    # mpmath sums through Li_s(e^{i theta}) and loses about -log10|theta|
+    # digits to cancellation, so a tiny theta gets that many more
+    lost = max(0, math.ceil(-math.log10(abs(theta)))) if theta else 0
+    return _oracle(fn, s, theta, extra_digits=lost)
+
+
+def _assert_honest(r, exact):
+    assert abs(r.value - exact) <= r.err_bound, (r, exact)
+
+
+# theta anywhere on (-pi, pi], or within 1e-3 of 0, pi or -pi
+thetas = st.one_of(
+    st.floats(min_value=-PI, max_value=PI).filter(lambda t: t > -PI),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1e-3).map(lambda d: PI - d),
+    st.floats(min_value=0.0, max_value=1e-3).map(lambda d: d - PI).filter(lambda t: t > -PI),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=8), thetas)
+def test_clausen_sin_bound_is_honest(s, theta):
+    _assert_honest(clausen_sin(s, theta), _clausen_oracle(mpmath.clsin, s, theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=8), thetas)
+def test_clausen_cos_bound_is_honest(s, theta):
+    _assert_honest(clausen_cos(s, theta), _clausen_oracle(mpmath.clcos, s, theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thetas)
+def test_cl2_bound_is_honest(theta):
+    _assert_honest(cl2(theta), _clausen_oracle(mpmath.clsin, 2, theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=1.5, max_value=6.0),
+    st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)),
+)
+def test_hurwitz_zeta_bound_is_honest(s, log_a):
+    a = math.exp(log_a)
+    _assert_honest(hurwitz_zeta(s, a), _oracle(mpmath.zeta, s, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=0.8, max_value=1.25, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_polylog_log_expansion_bound_is_honest(s, r, phi):
+    z = cmath.rect(r, phi)
+    assume(0.8 < abs(z) < 1.25 and z != 1.0)
+    res = polylog_complex(s, z)
+    assert res.method == "log-expansion"
+    exact = _oracle(mpmath.polylog, s, z)
+    if z.real > 1.0 and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
+        # on the cut, +0j takes the limit from above; mpmath's real z, from below
+        exact = exact.conjugate()
+    _assert_honest(res, exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0 * PI))
+def test_finite_clausen_kinds_match_closed_forms(theta):
+    # the polynomials cancel to ~1e-15 in doubles, so they are evaluated in mpmath
+    with mpmath.workdps(30):
+        t, pi = mpmath.mpf(theta), mpmath.pi
+        cos2 = float(pi**2 / 6 - pi * t / 2 + t**2 / 4)
+        sin3 = float(pi**2 * t / 6 - pi * t**2 / 4 + t**3 / 12)
+    assert abs(clausen_cos(2, theta).value - cos2) <= 4e-15
+    assert abs(clausen_sin(3, theta).value - sin3) <= 4e-15
+
+
+def test_import_builds_no_table():
+    src = str(Path(tetralog.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import tetralog\n"
+        "from tetralog import bernoulli, specfun\n"
+        "print(bernoulli.bernoulli_number.cache_info().currsize,"
+        " bernoulli.zeta_int.cache_info().currsize,"
+        " bernoulli.zeta_taylor.cache_info().currsize,"
+        " bernoulli._bernoulli_poly_coeffs.cache_info().currsize,"
+        " len(specfun._EM_COEFFS), len(specfun._CL2_COEFFS))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0"] * 6
