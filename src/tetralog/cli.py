@@ -26,6 +26,9 @@ SCHEMA_VERSION = "1"
 
 EVAL_TARGETS = ("cl2", "cln", "trigamma", "hurwitz", "catalan", "l7", "i7", "iab", "li3")
 
+# extraction time grows linearly with the position; the cap keeps a request to seconds
+MAX_POSITION = 10**6
+
 
 @dataclass(frozen=True)
 class Report:
@@ -96,9 +99,19 @@ def _print_eval(value, err_bound: float, method: str) -> None:
     print(f"method     {method}")
 
 
+def _bad_tolerance(flag: str, v: float | None) -> bool:
+    """Report on stderr, and return True, if a tolerance flag is not finite and positive."""
+    if v is None or (math.isfinite(v) and v > 0.0):
+        return False
+    print(f"error: {flag} must be finite and positive, got {v!r}", file=sys.stderr)
+    return True
+
+
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t = args.target
     tol = args.tol
+    if _bad_tolerance("--tol", tol):
+        return 2
 
     def need(name: str):
         v = getattr(args, name, None)
@@ -152,6 +165,8 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if _bad_tolerance("--tol", args.tol) or _bad_tolerance("--tol-scale", args.tol_scale):
+        return 2
     try:
         if args.check is not None:
             records = [verify.run_check(args.check, tol_override=args.tol)]
@@ -170,6 +185,9 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_digits(args: argparse.Namespace) -> int:
+    if args.position > MAX_POSITION:
+        print(f"error: --position must be at most {MAX_POSITION}", file=sys.stderr)
+        return 2
     try:
         formula = bbp.REGISTRY[args.formula]
     except KeyError:
@@ -207,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--route", choices=("series", "trigamma", "hurwitz"), default="trigamma"
     )
     p_eval.add_argument("--tol", type=float)
-    p_eval.add_argument("--max-terms", type=int, dest="max_terms")
 
     p_verify = sub.add_parser("verify", help="run the identity check ledger")
     p_verify.add_argument("--all", action="store_true", help="run every check")
@@ -221,7 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_digits = sub.add_parser("digits", help="extract fractional hex digits")
     p_digits.add_argument("--formula", required=True)
-    p_digits.add_argument("--position", type=int, required=True)
+    p_digits.add_argument(
+        "--position",
+        type=int,
+        required=True,
+        help=f"hex digit position, at most {MAX_POSITION}",
+    )
     p_digits.add_argument("--count", type=int, required=True)
 
     return parser

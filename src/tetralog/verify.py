@@ -30,7 +30,6 @@ from .specfun import (
     digamma,
     harmonic,
     hurwitz_zeta,
-    polygamma,
     trigamma,
 )
 
@@ -1029,8 +1028,8 @@ def run_all(
     if tag is not None and tag not in TAGS:
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
-    if scale <= 0.0:
-        raise DomainError("tol_scale must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError("tol_scale must be finite and positive")
     out = []
     for cid in check_ids():
         d = _REGISTRY[cid]

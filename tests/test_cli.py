@@ -1,10 +1,11 @@
 """Unit tests for the command-line interface: exit codes, output formats."""
 
 import json
+import time
 
 import pytest
 
-from tetralog.cli import build_report, main, report_to_json
+from tetralog.cli import MAX_POSITION, build_report, main, report_to_json
 from tetralog.verify import run_all
 
 
@@ -77,6 +78,17 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "eval", "cl2", "--theta", "1", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_max_terms_is_gone(self, capsys):
+        code, _, _ = run_cli(capsys, "eval", "cl2", "--theta", "1", "--max-terms", "5")
+        assert code == 2
+
 
 class TestVerify:
     def test_all_passes(self, capsys):
@@ -116,6 +128,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--check", "sine7", "--tol", "1e-20")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--check", "P1", "--tol", "nan"),
+            ("--check", "P1", "--tol", "-1"),
+            ("--check", "P1", "--tol", "0"),
+            ("--check", "P1", "--tol", "inf"),
+            ("--all", "--tol-scale", "nan"),
+            ("--all", "--tol-scale", "-1"),
+            ("--all", "--tol-scale", "0"),
+            ("--all", "--tol-scale", "inf"),
+        ],
+    )
+    def test_bad_tolerance_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_text_has_fixed_columns(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--tag", "sine")
         rows = [ln for ln in out.splitlines() if ln and not ln.startswith("total")]
@@ -150,6 +181,28 @@ class TestDigits:
             capsys, "digits", "--formula", "pi-degree1", "--position", "0", "--count", "99"
         )
         assert code == 1
+
+    def test_position_above_cap_usage_error(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "digits", "--formula", "pi-degree1", "--position", str(10**20), "--count", "4"
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_position_below_cap_succeeds(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "digits", "--formula", "pi-degree1", "--position", "50000", "--count", "4"
+        )
+        assert code == 0
+        assert len(out.strip()) == 4
+
+    def test_help_states_position_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "digits", "--help")
+        assert code == 0
+        assert str(MAX_POSITION) in out
 
 
 def test_version_flag(capsys):

@@ -96,6 +96,11 @@ class TestRunAll:
         with pytest.raises(DomainError):
             run_all(tol_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_tol_scale_rejected(self, scale):
+        with pytest.raises(DomainError):
+            run_all(tol_scale=scale)
+
     def test_failures_recorded_not_raised(self):
         recs = run_all(tag="catalan", tol_scale=1e-10)
         assert isinstance(recs, list) and recs
