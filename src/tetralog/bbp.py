@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import CATALAN, LN2, PI, ZETA3
+from .constants import CATALAN, EPS, LN2, PI, ZETA3
 from .errors import DomainError, PrecisionError
 from .polylog import polylog_complex
 from .result import EvalResult
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -34,16 +32,12 @@ class BBPFormula:
     coeffs: tuple[int, ...]
     scale: Fraction
     affine_terms: tuple[tuple[str, Fraction], ...] = ()
-    base: int = 16
-    modulus: int = 8
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise DomainError("BBP degree must be >= 1")
-        if len(self.coeffs) != self.modulus:
-            raise DomainError("coeffs must have one entry per residue class")
-        if self.base != 16 or self.modulus != 8:
-            raise DomainError("only base-16 / modulus-8 formulas are supported")
+        if len(self.coeffs) != 8:
+            raise DomainError("coeffs must have one entry per residue class mod 8")
 
 
 _PATTERN = (4, 0, 0, -2, -1, -1, 0, 0)
@@ -90,7 +84,7 @@ def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
     v = float(f.scale) * s.value + math.fsum(
         float(c) * constant_value(name) for name, c in f.affine_terms
     )
-    return EvalResult(v, float(f.scale) * s.err_bound + 8.0 * _EPS, s.effort, "bbp+affine")
+    return EvalResult(v, float(f.scale) * s.err_bound + 8.0 * EPS, s.effort, "bbp+affine")
 
 
 def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
@@ -111,7 +105,7 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
         tail = amax / (8 * (j + 1)) ** f.degree / 16.0**j / 15.0
         if tail <= tol / 4.0:
             break
-    err = tail + 4.0 * _EPS * abs(total) * (j + 1)
+    err = tail + 4.0 * EPS * abs(total) * (j + 1)
     if err > tol:
         raise DomainError(f"cannot reach tol {tol:g} in double precision")
     return EvalResult(total, err, j + 1, "bbp-sum")
@@ -201,7 +195,7 @@ def li3_binomial_sums(tol: float = 1e-12) -> tuple[EvalResult, EvalResult]:
         tail = 8.0 * 2.0 ** (-n / 2.0) / n**3
         if tail <= tol / 4.0:
             break
-    err = tail + 4.0 * _EPS * n_used
+    err = tail + 4.0 * EPS * n_used
     return (
         EvalResult(re_total, err, n_used, "binomial-double-sum"),
         EvalResult(im_total, err, n_used, "binomial-double-sum"),

@@ -3,7 +3,7 @@ hexadecimal digit extraction, with machine-readable reports.
 
 Exit codes are exactly: 0 success / all checks pass, 1 check failure or
 precision abort, 2 usage error (including an eval argument too extreme for
-double-precision arithmetic).
+double-precision arithmetic, and a verify flag the others would leave unused).
 """
 
 from __future__ import annotations
@@ -134,9 +134,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         elif t == "hurwitz":
             r = hurwitz_zeta(need("s"), need("a"), tol=tol or 1e-13)
         elif t == "catalan":
-            v = verify.catalan_value(args.method)
-            _print_eval(v, 1e-12, args.method)
-            return 0
+            r = verify.catalan_result(args.method)
         elif t == "l7":
             route = {
                 "series": dirichlet.l7_series,
@@ -164,8 +162,23 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _ignored_flag(args: argparse.Namespace) -> str | None:
+    """The verify flag that the other flags given would leave unused, if any."""
+    if args.check is None:
+        return "--tol needs --check" if args.tol is not None else None
+    if args.tol_scale is not None:
+        return "--tol-scale does not apply to --check; use --tol"
+    if args.tag is not None:
+        return "--tag does not apply to --check"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if _bad_tolerance("--tol", args.tol) or _bad_tolerance("--tol-scale", args.tol_scale):
+        return 2
+    conflict = _ignored_flag(args)
+    if conflict is not None:
+        print(f"error: {conflict}", file=sys.stderr)
         return 2
     try:
         if args.check is not None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .constants import EPS
 from .errors import DomainError
 from .result import EvalResult
 from .specfun import hurwitz_zeta, trigamma
@@ -28,7 +29,7 @@ def l7_series(tol: float = 1e-13) -> EvalResult:
         hz = hurwitz_zeta(2.0, J + p / 7.0, tol=tol / 12.0)
         tail += CHI7[p] * hz.value / 49.0
         tail_err += hz.err_bound / 49.0
-    err = tail_err + 8.0 * 2.220446049250313e-16
+    err = tail_err + 8.0 * EPS
     return EvalResult(head + tail, err, 7 * J + 6, "series+hurwitz-tail")
 
 

@@ -15,15 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bernoulli import bernoulli_poly
-from .constants import PI, SQRT3, SQRT7, TWO_PI
+from .constants import EPS, PI, SQRT3, SQRT7
 from .errors import DomainError, QuadratureError
-from .polylog import polylog_complex
+from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
 from .result import Angle, EvalResult
 from .specfun import cl2, incomplete_gamma_upper_int
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -223,12 +220,6 @@ def i7_closed_form() -> EvalResult:
     )
 
 
-def _inversion_remainder(s: int, z: complex) -> complex:
-    """P_s(z) = -(2 pi i)^s / s! * B_s(1/2 + ln(-z)/(2 pi i)), principal branch."""
-    twopii = complex(0.0, TWO_PI)
-    return -(twopii**s) / math.factorial(s) * bernoulli_poly(s, 0.5 + cmath.log(-z) / twopii)
-
-
 def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
     """Closed polylogarithmic form of I1(n) for n in {1, 2}.
 
@@ -258,7 +249,7 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
         q = _inversion_remainder(s, zm) - _inversion_remainder(s, zp)
         coeff = math.factorial(n) / math.factorial(j) * lam**j
         acc += coeff * (lp.value - lm.value + q)
-        err += abs(coeff) * (lp.err_bound + lm.err_bound + 64.0 * _EPS * abs(q))
+        err += abs(coeff) * (lp.err_bound + lm.err_bound + 64.0 * EPS * abs(q))
         effort += lp.effort + lm.effort
     dlog = cmath.log(1.0 - CONSTANTS.v_plus / r73) - cmath.log(1.0 - CONSTANTS.v_minus / r73)
     acc += lam**n * dlog

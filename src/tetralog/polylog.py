@@ -12,12 +12,10 @@ import cmath
 import math
 
 from .bernoulli import TAYLOR_K_MAX, bernoulli_poly, zeta_int, zeta_taylor
-from .constants import PI, TWO_PI
+from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import EvalResult
 from .specfun import harmonic
-
-_EPS = 2.220446049250313e-16
 
 
 def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
@@ -28,10 +26,10 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
         term = zk / k**s
         total += term
         zk *= z
-        if abs(term) < 0.25 * _EPS * abs(total):
+        if abs(term) < 0.25 * EPS * abs(total):
             break
     r = abs(z)
-    err = max(abs(zk) / (k + 1) ** s * 2.0 / (1.0 - r), 4.0 * _EPS * abs(total))
+    err = max(abs(zk) / (k + 1) ** s * 2.0 / (1.0 - r), 4.0 * EPS * abs(total))
     return total, err, k
 
 
@@ -50,12 +48,19 @@ def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
             total += term
             term_mag = abs(term)
             scale = max(scale, abs(total))
-            if k > s + 6 and term_mag < 0.25 * _EPS * scale:
+            if k > s + 6 and term_mag < 0.25 * EPS * scale:
                 break
         wk *= w
     ratio = abs(w) / TWO_PI
-    err = max(term_mag * ratio / (1.0 - ratio) * 2.0, 8.0 * _EPS * scale)
+    err = max(term_mag * ratio / (1.0 - ratio) * 2.0, 8.0 * EPS * scale)
     return total, err, k
+
+
+def _inversion_remainder(s: int, z: complex) -> complex:
+    """P_s(z) = -(2 pi i)^s / s! * B_s(1/2 + ln(-z)/(2 pi i)), principal branch,
+    so that Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z)."""
+    twopii = complex(0.0, TWO_PI)
+    return -(twopii**s) / math.factorial(s) * bernoulli_poly(s, 0.5 + cmath.log(-z) / twopii)
 
 
 def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
@@ -74,7 +79,7 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
         return EvalResult(0.0 + 0.0j, 0.0, 0, "series")
     if z == 1.0:
         v = complex(zeta_int(s), 0.0)
-        return EvalResult(v, 4.0 * _EPS * abs(v), 0, "zeta")
+        return EvalResult(v, 4.0 * EPS * abs(v), 0, "zeta")
     if r <= 0.8:
         v, err, n = _li_series(s, z)
         method = "series"
@@ -82,15 +87,12 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
         v, err, n = _li_log_expansion(s, cmath.log(z))
         method = "log-expansion"
     else:
-        # Li_s(z) = (-1)^{s+1} Li_s(1/z) - (2 pi i)^s / s! * B_s(1/2 + ln(-z)/(2 pi i))
         sub = polylog_complex(s, 1.0 / z, tol=tol)
         inner, ierr, n = sub.value, sub.err_bound, sub.effort
-        twopii = complex(0.0, TWO_PI)
-        arg = 0.5 + cmath.log(-z) / twopii
-        corr = -(twopii**s) / math.factorial(s) * bernoulli_poly(s, arg)
+        corr = _inversion_remainder(s, z)
         sign = -1.0 if s % 2 == 0 else 1.0
         v = sign * inner + corr
-        err = ierr + 16.0 * _EPS * abs(corr)
+        err = ierr + 16.0 * EPS * abs(corr)
         method = "inversion"
     if err > tol:
         raise ConvergenceError(f"polylog_complex: error bound {err:g} exceeds tol {tol:g}")

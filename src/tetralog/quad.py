@@ -54,6 +54,9 @@ _GL_HI = _gauss_legendre(21)
 
 _SAFETY = 10.0
 
+# panel refinements one integrate() call may spend before it gives up
+_MAX_SUBDIVISIONS = 4000
+
 
 @functools.cache
 def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
@@ -85,15 +88,12 @@ class QuadProblem:
     upper: float
     singular_points: tuple[float, ...] = ()
     tol: float = 1e-10
-    max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise DomainError("QuadProblem needs lower < upper")
         if not self.tol > 0.0:
             raise DomainError("QuadProblem needs tol > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadProblem needs max_subdivisions >= 1")
         pts = tuple(sorted(float(x) for x in self.singular_points))
         for x in pts:
             if not (self.lower <= x <= self.upper):
@@ -231,7 +231,7 @@ def integrate(problem: QuadProblem) -> EvalResult:
             return _f(_c + s / om) / (om * om)
 
 
-    budget = _Budget(problem.max_subdivisions)
+    budget = _Budget(_MAX_SUBDIVISIONS)
     n_panels = len(panels) + (1 if tail_base is not None else 0)
     per_panel = problem.tol / n_panels
     total = 0.0

@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 
 from .bernoulli import TAYLOR_K_MAX, LazyTable, bernoulli_number, zeta_int, zeta_taylor
-from .constants import GAMMA, PI, TWO_PI
+from .constants import EPS, GAMMA, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
-
-_EPS = 2.220446049250313e-16
 
 # ---------------------------------------------------------------------------
 # digamma / trigamma / polygamma
@@ -47,7 +45,7 @@ def _digamma(x: float) -> float:
 def digamma(x: float) -> EvalResult:
     """psi(x) by recurrence shift and the Bernoulli asymptotic series."""
     v = _digamma(float(x))
-    return EvalResult(v, 4.0 * _EPS * max(1.0, abs(v)), 0, "asymptotic")
+    return EvalResult(v, 4.0 * EPS * max(1.0, abs(v)), 0, "asymptotic")
 
 
 def _trigamma(x: float) -> float:
@@ -82,7 +80,7 @@ def _trigamma(x: float) -> float:
 def trigamma(x: float) -> EvalResult:
     """psi'(x) by recurrence shift and the Bernoulli asymptotic series."""
     v = _trigamma(float(x))
-    return EvalResult(v, 4.0 * _EPS * abs(v), 0, "asymptotic")
+    return EvalResult(v, 4.0 * EPS * abs(v), 0, "asymptotic")
 
 
 def polygamma(n: int, x: float) -> EvalResult:
@@ -126,7 +124,7 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
         z = a + N
         rem = abs(b[M + 1] * poch_rem) * z ** (-(s + 2 * M + 1))
         head = math.fsum((a + k) ** (-s) for k in range(N))
-        floor = 4.0 * _EPS * (abs(head) + z ** (1.0 - s) / (s - 1.0))
+        floor = 4.0 * EPS * (abs(head) + z ** (1.0 - s) / (s - 1.0))
         if rem <= max(tol / 2.0, floor) or N > 100000:
             total = head + z ** (1.0 - s) / (s - 1.0) + 0.5 * z ** (-s)
             poch = s
@@ -178,7 +176,7 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
         return EvalResult(0.0, 0.0, 0, "bernoulli-series")
     if th == PI:
         # the double PI falls 1.2e-16 short of pi, where Cl_2' = -ln 2
-        return EvalResult(0.0, _EPS, 0, "bernoulli-series")
+        return EvalResult(0.0, EPS, 0, "bernoulli-series")
     c = _CL2_COEFFS
     lg = th * math.log(th)
     total = th - lg
@@ -191,12 +189,12 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
         term = c[n] * power
         total += term
         mag += term
-        if term < 0.25 * _EPS * mag:
+        if term < 0.25 * EPS * mag:
             break
         power *= ratio
     # the positive terms fall at least by ratio, which bounds the tail; the
     # roundoff floor scales with the magnitudes summed, since near pi they cancel
-    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * _EPS * mag
+    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * EPS * mag
     if err > tol:
         raise ConvergenceError(f"cl2: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(sign * total, err, n, "bernoulli-series")
@@ -227,7 +225,7 @@ def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
         total += term
         mag += abs(term)
         n += 1
-        if k > s and abs(term) < 0.25 * _EPS * mag:
+        if k > s and abs(term) < 0.25 * EPS * mag:
             break
         p *= step
     # past k = s, |c_{k+2}| theta^2 <= |c_k| r2, which bounds the tail; the
@@ -235,7 +233,7 @@ def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
     r2 = (th / TWO_PI) ** 2
     trunc = 0.0 if finite else 2.0 * abs(term) * r2 / (1.0 - r2)
     # effort: the head and every nonzero term (an infinite sum passes c_{s-1} = 0)
-    return total, trunc + 6.0 * _EPS * mag, n + finite
+    return total, trunc + 6.0 * EPS * mag, n + finite
 
 
 def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
@@ -254,7 +252,7 @@ def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
         if s < 2:
             raise DomainError("cosine Clausen series diverges at theta = 0 for s < 2")
         v = zeta_int(s)
-        return EvalResult(v, 4.0 * _EPS * abs(v), 0, "log-expansion")
+        return EvalResult(v, 4.0 * EPS * abs(v), 0, "log-expansion")
     v, err, effort = _clausen_series(s, odd, th)
     if err > tol:
         raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
@@ -307,7 +305,7 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
         total += term
         mag += abs(term)
     v = -total / (4.0 * q * q)
-    err = 8.0 * _EPS * mag / (4.0 * q * q)
+    err = 8.0 * EPS * mag / (4.0 * q * q)
     if err > tol:
         raise ConvergenceError(f"cl2_rational: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(v, err, q - 1, "trigamma-sum")
@@ -343,7 +341,7 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
         cl2(2.0 * th, tol),
     ]
     v = omega * math.log(r) + 0.5 * (parts[0].value - parts[1].value + parts[2].value)
-    err = 0.5 * sum(p.err_bound for p in parts) + 4.0 * _EPS * abs(omega * math.log(r))
+    err = 0.5 * sum(p.err_bound for p in parts) + 4.0 * EPS * abs(omega * math.log(r))
     return EvalResult(v, err, sum(p.effort for p in parts), "clausen-decomposition")
 
 

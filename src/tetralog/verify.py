@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from . import bbp as _bbp
 from . import dirichlet, integrals
 from .accel import alternating_sum
-from .constants import CATALAN, GAMMA, LN2, PI, SQRT7, ZETA3
+from .constants import CATALAN, EPS, GAMMA, LN2, PI, SQRT7, ZETA3
 from .errors import DomainError, UnknownCheckError
 from .quad import QuadProblem, integrate
-from .result import RationalAngle
+from .result import EvalResult, RationalAngle
 from .specfun import (
     cl2,
     cl2_rational,
@@ -79,19 +79,42 @@ def _tri(x: float) -> float:
     return trigamma(x).value
 
 
+def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[float, float]:
+    """The (lhs, rhs) pair with the largest |lhs - rhs|, relative to |rhs| when
+    ``rel`` is set.  The first pair wins a tie; the first NaN difference wins
+    outright and is kept, so the check reports it instead of skipping it."""
+    worst, worst_d = (0.0, 0.0), -1.0
+    for lhs, rhs in pairs:
+        d = abs(lhs - rhs)
+        if rel:
+            d /= abs(rhs)
+        if d > worst_d or (math.isnan(d) and not math.isnan(worst_d)):
+            worst, worst_d = (lhs, rhs), d
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Catalan constant routes
 
 
-def catalan_value(method: str) -> float:
-    """The Catalan constant by one of the nine independent routes."""
+def _affine(c: float, k: float, r: EvalResult, method: str) -> EvalResult:
+    """c + k * r, with r's bound scaled by |k| plus the rounding of the sum."""
+    v = c + k * r.value
+    err = abs(k) * r.err_bound + 4.0 * EPS * (abs(c) + abs(k * r.value))
+    return EvalResult(v, err, r.effort, method)
+
+
+def catalan_result(method: str) -> EvalResult:
+    """The Catalan constant by one of the nine independent routes, with the
+    route's own error bound."""
     if method == "series":
         # G = sum (-1)^j / (2j+1)^2
-        return alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13).value
+        s = alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13)
+        return _affine(0.0, 1.0, s, method)
     if method == "eq1.11":
         # G = (pi/2) ln 2 + sum_{j>=1} (-1)^j H_j/(2j+1)
-        s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13).value
-        return PI / 2.0 * LN2 - s
+        s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13)
+        return _affine(PI / 2.0 * LN2, -1.0, s, method)
     if method == "eq2.22":
         q = integrate(
             QuadProblem(
@@ -102,14 +125,14 @@ def catalan_value(method: str) -> float:
                 1e-11,
             )
         )
-        return PI / 2.0 * LN2 - 0.5 * q.value
+        return _affine(PI / 2.0 * LN2, -0.5, q, method)
     if method == "eq2.25":
         def term(k: int) -> float:
             return (
                 digamma(k / 2.0 + 0.75).value - digamma(k / 2.0 + 0.25).value
             ) / (2 * k + 1)
 
-        return -PI / 4.0 * LN2 + 0.5 * alternating_sum(term, tol=1e-13).value
+        return _affine(-PI / 4.0 * LN2, 0.5, alternating_sum(term, tol=1e-13), method)
     if method == "eq2.27":
         q = integrate(
             QuadProblem(
@@ -120,7 +143,7 @@ def catalan_value(method: str) -> float:
                 1e-11,
             )
         )
-        return 2.0 * q.value
+        return _affine(0.0, 2.0, q, method)
     if method == "eq2.28a":
         # corrected display (the printed form misses the series' odd powers):
         # G = -int_0^1 x ln(x/sqrt2) / ((1 - x^2/2) sqrt(1-x^2)) dx,
@@ -130,7 +153,7 @@ def catalan_value(method: str) -> float:
             return s * math.log(s / math.sqrt(2.0)) / (1.0 - 0.5 * s * s)
 
         q = integrate(QuadProblem(g, 0.0, PI / 2.0, (0.0,), 1e-11))
-        return -q.value
+        return _affine(0.0, -1.0, q, method)
     if method == "eq2.28c":
         q = integrate(
             QuadProblem(
@@ -142,7 +165,7 @@ def catalan_value(method: str) -> float:
                 1e-11,
             )
         )
-        return PI / 4.0 * LN2 + 2.0 * q.value
+        return _affine(PI / 4.0 * LN2, 2.0, q, method)
     if method == "eq2.33":
         q = integrate(
             QuadProblem(
@@ -153,10 +176,16 @@ def catalan_value(method: str) -> float:
                 1e-11,
             )
         )
-        return PI / 4.0 * LN2 - q.value
+        return _affine(PI / 4.0 * LN2, -1.0, q, method)
     if method == "eq2.35":
-        return _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value
+        r = _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"])
+        return EvalResult(r.value, r.err_bound, r.effort, method)
     raise DomainError(f"unknown Catalan route {method!r}")
+
+
+def catalan_value(method: str) -> float:
+    """The Catalan constant by one of the nine independent routes."""
+    return catalan_result(method).value
 
 
 CATALAN_METHODS = (
@@ -321,49 +350,39 @@ def _theta_of_a(a: float) -> float:
 
 
 def _chk_l2a() -> tuple[float, float]:
-    worst_l = 0.0
-    worst_r = 0.0
-    worst = -1.0
-    for a in (0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0):
+    def pair(a: float) -> tuple[float, float]:
         q = integrate(
             QuadProblem(
-                lambda u, _a=a: math.log((u + _a) / (u - _a)) / (1.0 + u * u),
+                lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u),
                 a,
                 math.inf,
                 (a,),
                 1e-11,
             )
         )
-        c = cl2(_theta_of_a(a)).value
-        if abs(q.value - c) > worst:
-            worst = abs(q.value - c)
-            worst_l, worst_r = q.value, c
-    return worst_l, worst_r
+        return q.value, cl2(_theta_of_a(a)).value
+
+    return _worst(pair(a) for a in (0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0))
 
 
-def _l2b_points() -> tuple[float, ...]:
-    return (1.5, 2.0, 3.0)
+_L2B_POINTS = (1.5, 2.0, 3.0)
 
 
 def _chk_l2b1() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for a in _l2b_points():
+    def pair(a: float) -> tuple[float, float]:
         s = alternating_sum(
-            lambda k, _a=a: harmonic(k + 1) / (_a ** (2 * (k + 1)) * (2 * k + 3)),
+            lambda k: harmonic(k + 1) / (a ** (2 * (k + 1)) * (2 * k + 3)),
             tol=1e-13,
         ).value
-        lhs = 2.0 * math.atan(1.0 / a) * LN2 - s / a
-        rhs = cl2(_theta_of_a(a)).value
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+        return 2.0 * math.atan(1.0 / a) * LN2 - s / a, cl2(_theta_of_a(a)).value
+
+    return _worst(pair(a) for a in _L2B_POINTS)
 
 
 def _chk_l2b2() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for a in _l2b_points():
+    def pair(a: float) -> tuple[float, float]:
         s = alternating_sum(
-            lambda k, _a=a: digamma(k + 1.0).value / (_a ** (2 * (k + 1)) * (2 * k + 3)),
+            lambda k: digamma(k + 1.0).value / (a ** (2 * (k + 1)) * (2 * k + 3)),
             tol=1e-13,
         ).value
         cot = math.atan(1.0 / a)
@@ -373,10 +392,9 @@ def _chk_l2b2() -> tuple[float, float]:
             - math.log(1.0 + 1.0 / (a * a)) / a
             - s / a
         )
-        rhs = cl2(_theta_of_a(a)).value
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+        return lhs, cl2(_theta_of_a(a)).value
+
+    return _worst(pair(a) for a in _L2B_POINTS)
 
 
 def _chk_l2c() -> tuple[float, float]:
@@ -402,10 +420,6 @@ def _chk_l2c() -> tuple[float, float]:
 # Catalan checks
 
 
-def _chk_c1() -> tuple[float, float]:
-    return catalan_value("eq1.11"), CATALAN
-
-
 def _mk_catalan(method: str) -> Callable[[], tuple[float, float]]:
     def run() -> tuple[float, float]:
         return catalan_value(method), CATALAN
@@ -417,11 +431,10 @@ def _chk_cat_2_32() -> tuple[float, float]:
     # corrected display: no cot^-1(a) ln(a) term, and the integral carries a
     # factor a.  Derivation: expand 2 acoth(u/a) under Eq. (1.8) by the
     # rational integral representation and do the u integral exactly
-    worst = (-1.0, 0.0, 0.0)
-    for a in (0.7, 1.0, 2.0):
+    def pair(a: float) -> tuple[float, float]:
         q = integrate(
             QuadProblem(
-                lambda t, _a=a: math.log(1.0 - t * t) / (1.0 + _a * _a * t * t),
+                lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t),
                 0.0,
                 1.0,
                 (1.0,),
@@ -429,10 +442,9 @@ def _chk_cat_2_32() -> tuple[float, float]:
             )
         )
         lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q.value
-        rhs = cl2(_theta_of_a(a)).value
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+        return lhs, cl2(_theta_of_a(a)).value
+
+    return _worst(pair(a) for a in (0.7, 1.0, 2.0))
 
 
 def _chk_cat_2_34() -> tuple[float, float]:
@@ -534,12 +546,10 @@ def _mk_sine(check_id: str) -> Callable[[], tuple[float, float]]:
     expected = _SINE_VALUES[check_id]
 
     def run() -> tuple[float, float]:
-        worst = (-1.0, 0.0, 0.0)
-        for x, want in enumerate(expected, start=1):
-            got = math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms)
-            if abs(got - want) > worst[0]:
-                worst = (abs(got - want), got, want)
-        return worst[1], worst[2]
+        return _worst(
+            (math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms), want)
+            for x, want in enumerate(expected, start=1)
+        )
 
     return run
 
@@ -562,17 +572,12 @@ def _chk_cheb7() -> tuple[float, float]:
     def t7_over(x: float) -> float:
         return (64.0 * x**7 - 112.0 * x**5 + 56.0 * x**3 - 7.0 * x) / (64.0 * x)
 
-    worst = (-1.0, 0.0, 0.0)
-    for i in range(10):
-        x = -0.9 + 0.2 * i
-        for lhs, rhs in (
-            (p1(x), p1c(x)),
-            (p2(x), p2c(x)),
-            (p1(x) * p2(x), t7_over(x)),
-        ):
-            if abs(lhs - rhs) > worst[0]:
-                worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+    xs = [-0.9 + 0.2 * i for i in range(10)]
+    return _worst(
+        pair
+        for x in xs
+        for pair in ((p1(x), p1c(x)), (p2(x), p2c(x)), (p1(x) * p2(x), t7_over(x)))
+    )
 
 
 def _csc_sum(n: int) -> float:
@@ -588,13 +593,9 @@ def _chk_csc14() -> tuple[float, float]:
 
 
 def _chk_cscN() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for n in range(3, 21):
-        lhs = _csc_sum(n)
-        rhs = (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+    return _worst(
+        (_csc_sum(n), (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0) for n in range(3, 21)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,38 +603,23 @@ def _chk_cscN() -> tuple[float, float]:
 
 
 def _chk_refl() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for i in range(1, 10):
-        x = i / 10.0
-        lhs = _tri(1.0 - x)
-        rhs = -_tri(x) + PI * PI * _csc2(PI * x)
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+    xs = [i / 10.0 for i in range(1, 10)]
+    return _worst((_tri(1.0 - x), -_tri(x) + PI * PI * _csc2(PI * x)) for x in xs)
 
 
 def _chk_dup() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for i in range(1, 31):
-        x = i / 10.0
-        lhs = 2.0 * _tri(2.0 * x)
-        rhs = 0.5 * (_tri(x) + _tri(x + 0.5))
-        rel = abs(lhs - rhs) / abs(rhs)
-        if rel > worst[0]:
-            worst = (rel, lhs, rhs)
-    return worst[1], worst[2]
+    xs = [i / 10.0 for i in range(1, 31)]
+    return _worst(
+        ((2.0 * _tri(2.0 * x), 0.5 * (_tri(x) + _tri(x + 0.5))) for x in xs), rel=True
+    )
 
 
 def _chk_mult() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for m in range(2, 8):
+    def pair(m: int) -> tuple[float, float]:
         x = 1.0 / m
-        lhs = _tri(m * x)
-        rhs = math.fsum(_tri(x + k / m) for k in range(m)) / (m * m)
-        rel = abs(lhs - rhs) / abs(rhs)
-        if rel > worst[0]:
-            worst = (rel, lhs, rhs)
-    return worst[1], worst[2]
+        return _tri(m * x), math.fsum(_tri(x + k / m) for k in range(m)) / (m * m)
+
+    return _worst((pair(m) for m in range(2, 8)), rel=True)
 
 
 def _chk_zeta2() -> tuple[float, float]:
@@ -671,9 +657,9 @@ def _chk_eq4_1() -> tuple[float, float]:
 
 
 def _chk_eq4_3() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
     chi = dirichlet.CHI7
-    for q in (2, 3, 4):
+
+    def sides(q: int) -> tuple[float, float]:
         lhs = (
             clausen_sin(q, 2.0 * PI / 7.0).value
             + clausen_sin(q, 4.0 * PI / 7.0).value
@@ -688,13 +674,11 @@ def _chk_eq4_3() -> tuple[float, float]:
                 for p in range(1, 7)
             )
         )
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-        if q == 2:
-            alt = SQRT7 / 2.0 * dirichlet.l7_trigamma().value
-            if abs(lhs - alt) > worst[0]:
-                worst = (abs(lhs - alt), lhs, alt)
-    return worst[1], worst[2]
+        return lhs, rhs
+
+    lhs2, rhs2 = sides(2)
+    alt = SQRT7 / 2.0 * dirichlet.l7_trigamma().value
+    return _worst([(lhs2, rhs2), (lhs2, alt), sides(3), sides(4)])
 
 
 def _chk_conj_l7() -> tuple[float, float]:
@@ -751,45 +735,41 @@ def _residue_sum(k: int, s: int) -> float:
 
 
 def _chk_eq2_39() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for k in (1, 4, 5, 6):
+    def pair(k: int) -> tuple[float, float]:
         lhs = _residue_sum(k, 2) + LN2 / 2.0 * _residue_sum(k, 1)
         q = integrate(
             QuadProblem(
-                lambda x, _k=k: x ** (_k - 1) * math.log(x) / (1.0 - x**8),
+                lambda x: x ** (k - 1) * math.log(x) / (1.0 - x**8),
                 0.0,
                 1.0 / math.sqrt(2.0),
                 (0.0,),
                 1e-11,
             )
         )
-        rhs = -(2.0 ** (k / 2.0)) * q.value
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+        return lhs, -(2.0 ** (k / 2.0)) * q.value
+
+    return _worst(pair(k) for k in (1, 4, 5, 6))
 
 
 def _chk_eq2_40() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for k in (1, 4, 5, 6):
+    def pair(k: int) -> tuple[float, float]:
         q = integrate(
             QuadProblem(
-                lambda x, _k=k: x ** (_k - 1) * math.log(x) ** 2 / (1.0 - x**8),
+                lambda x: x ** (k - 1) * math.log(x) ** 2 / (1.0 - x**8),
                 0.0,
                 1.0 / math.sqrt(2.0),
                 (0.0,),
                 1e-11,
             )
         )
-        lhs = 2.0 ** (k / 2.0) * q.value
         rhs = 0.25 * (
             LN2 * LN2 * _residue_sum(k, 1)
             + 4.0 * LN2 * _residue_sum(k, 2)
             + 8.0 * _residue_sum(k, 3)
         )
-        if abs(lhs - rhs) > worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-    return worst[1], worst[2]
+        return 2.0 ** (k / 2.0) * q.value, rhs
+
+    return _worst(pair(k) for k in (1, 4, 5, 6))
 
 
 def _chk_eq2_41() -> tuple[float, float]:
@@ -814,13 +794,7 @@ def _chk_eq2_41() -> tuple[float, float]:
             1e-11,
         )
     )
-    candidates = [
-        (abs(lhs - re_rhs), lhs, re_rhs),
-        (abs(im_rhs), im_rhs, 0.0),
-        (abs(lhs - 64.0 * q.value), lhs, 64.0 * q.value),
-    ]
-    worst = max(candidates, key=lambda c: c[0])
-    return worst[1], worst[2]
+    return _worst([(lhs, re_rhs), (im_rhs, 0.0), (lhs, 64.0 * q.value)])
 
 
 def _chk_li3_binom() -> tuple[float, float]:
@@ -828,11 +802,7 @@ def _chk_li3_binom() -> tuple[float, float]:
 
     re_sum, im_sum = _bbp.li3_binomial_sums(tol=1e-12)
     li = polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value
-    d_re = abs(re_sum.value - _re_li3_closed())
-    d_im = abs(im_sum.value - li.imag)
-    if d_re >= d_im:
-        return re_sum.value, _re_li3_closed()
-    return im_sum.value, li.imag
+    return _worst([(re_sum.value, _re_li3_closed()), (im_sum.value, li.imag)])
 
 
 # ---------------------------------------------------------------------------
@@ -872,40 +842,33 @@ def _p2_grid() -> list[tuple[float, float]]:
 
 
 def _chk_p2() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for a, b in _p2_grid():
+    def pairs(a: float, b: float) -> tuple[tuple[float, float], ...]:
         q = integrals.integral_I_ab(a, b, 1e-10).value
         f1 = integrals.i_ab_closed_omega(a, b).value
         f2 = integrals.i_ab_closed_theta12(a, b).value
-        d = max(abs(q - f1), abs(q - f2), abs(f1 - f2))
-        if d > worst[0]:
-            if abs(q - f1) == d:
-                worst = (d, q, f1)
-            elif abs(q - f2) == d:
-                worst = (d, q, f2)
-            else:
-                worst = (d, f1, f2)
-    return worst[1], worst[2]
+        return (q, f1), (q, f2), (f1, f2)
+
+    return _worst(pair for a, b in _p2_grid() for pair in pairs(a, b))
 
 
 def _chk_c2() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for a, b in _p2_grid():
+    def pair(a: float, b: float) -> tuple[float, float]:
         scale = 2.0 * math.sqrt(1.0 - b * b)
-        f1 = integrals.i_ab_closed_omega(a, b).value * scale
-        f2 = integrals.i_ab_closed_theta12(a, b).value * scale
-        if abs(f1 - f2) > worst[0]:
-            worst = (abs(f1 - f2), f1, f2)
-    return worst[1], worst[2]
+        return (
+            integrals.i_ab_closed_omega(a, b).value * scale,
+            integrals.i_ab_closed_theta12(a, b).value * scale,
+        )
+
+    return _worst(pair(a, b) for a, b in _p2_grid())
 
 
 def _chk_c3() -> tuple[float, float]:
-    worst = (-1.0, 0.0, 0.0)
-    for c, t in ((1.0, PI / 3.0), (2.0, PI / 2.0), (math.e, 0.1), (0.5, 2.5)):
+    def pair(c: float, t: float) -> tuple[float, float]:
         lhs, rhs = integrals.corollary3(c, t, 1e-10)
-        if abs(lhs.value - rhs) > worst[0]:
-            worst = (abs(lhs.value - rhs), lhs.value, rhs)
-    return worst[1], worst[2]
+        return lhs.value, rhs
+
+    points = ((1.0, PI / 3.0), (2.0, PI / 2.0), (math.e, 0.1), (0.5, 2.5))
+    return _worst(pair(c, t) for c, t in points)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +904,7 @@ def _build_registry() -> dict[str, _CheckDef]:
         ),
         _CheckDef("cat-2.28b", "lemma3", "Eq. (2.28b)", 1e-10, _chk_cat_2_28b),
         _CheckDef("cat-2.28c", "lemma3", "Eq. (2.28c)", _QUAD, _mk_catalan("eq2.28c")),
-        _CheckDef("C1", "catalan", "Eq. (1.11)", 1e-10, _chk_c1),
+        _CheckDef("C1", "catalan", "Eq. (1.11)", 1e-10, _mk_catalan("eq1.11")),
         _CheckDef("cat-2.22", "catalan", "Eq. (2.22)", _QUAD, _mk_catalan("eq2.22")),
         _CheckDef("cat-2.25", "catalan", "Eq. (2.25)", 1e-10, _mk_catalan("eq2.25")),
         _CheckDef("cat-2.27", "catalan", "Eq. (2.27)", _QUAD, _mk_catalan("eq2.27")),

@@ -123,5 +123,6 @@ class TestFormulaValidation:
             BBPFormula(degree=1, coeffs=(1, 2), scale=Fraction(1))
 
     def test_unsupported_base_rejected(self):
-        with pytest.raises(DomainError):
+        # base 16 is built in: there is no parameter to ask for another base
+        with pytest.raises(TypeError):
             BBPFormula(degree=1, coeffs=(0,) * 8, scale=Fraction(1), base=10)

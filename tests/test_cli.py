@@ -3,10 +3,11 @@
 import json
 import time
 
+import mpmath
 import pytest
 
 from tetralog.cli import MAX_POSITION, build_report, main, report_to_json
-from tetralog.verify import run_all
+from tetralog.verify import CATALAN_METHODS, catalan_result, run_all
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +29,21 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "catalan", "--method", "eq2.35")
         assert code == 0
         assert "9.15965594177e-01" in out
+
+    @pytest.mark.parametrize("method", CATALAN_METHODS)
+    def test_catalan_bound_is_computed_and_honest(self, capsys, method):
+        code, out, _ = run_cli(capsys, "eval", "catalan", "--method", method)
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        assert fields["method"] == method
+        assert fields["err_bound"] != "1.000e-12"
+        # the printed value has 12 digits, too few to show a 1e-15 error: take
+        # the route's own double, which the printed line must match
+        r = catalan_result(method)
+        assert f"{r.value:.11e}" == fields["value"]
+        with mpmath.workdps(30):
+            error = abs(mpmath.mpf(r.value) - mpmath.catalan)
+        assert error <= float(fields["err_bound"])
 
     def test_cl2_zero(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "cl2", "--theta", "0")
@@ -142,6 +158,22 @@ class TestVerify:
         ],
     )
     def test_bad_tolerance_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--tol", "1e-8"),
+            ("--all", "--tol", "1e-8"),
+            ("--tag", "sine", "--tol", "1e-8"),
+            ("--check", "P1", "--tol-scale", "10"),
+            ("--check", "P1", "--tag", "sine"),
+        ],
+    )
+    def test_ignored_flag_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""

@@ -8,6 +8,7 @@ from tetralog.errors import DomainError, UnknownCheckError
 from tetralog.verify import (
     CATALAN_METHODS,
     TAGS,
+    _worst,
     aggregate_pass,
     catalan_value,
     check_ids,
@@ -34,6 +35,35 @@ class TestRegistry:
     def test_ids_sorted_in_run_all(self):
         recs = run_all()
         assert [r.id for r in recs] == sorted(r.id for r in recs)
+
+
+class TestWorst:
+    def test_largest_difference_wins(self):
+        assert _worst([(1.0, 1.5), (2.0, 4.0), (0.0, 0.1)]) == (2.0, 4.0)
+
+    def test_first_pair_wins_a_tie(self):
+        assert _worst([(1.0, 2.0), (5.0, 4.0), (0.0, 1.0)]) == (1.0, 2.0)
+
+    def test_relative(self):
+        pairs = [(11.0, 10.0), (1.5, 1.0)]
+        assert _worst(pairs) == (11.0, 10.0)
+        assert _worst(pairs, rel=True) == (1.5, 1.0)
+
+    def test_nan_difference_wins_and_is_kept(self):
+        lhs, rhs = _worst([(1.0, 1.0), (math.nan, 2.0), (0.0, 1e9), (3.0, math.nan)])
+        assert math.isnan(lhs) and rhs == 2.0
+        lhs, rhs = _worst([(1.0, 1.0), (math.inf, math.inf), (5.0, 1.0)], rel=True)
+        assert lhs == math.inf and rhs == math.inf
+
+    def test_nan_pair_makes_the_check_fail(self, monkeypatch):
+        from tetralog import verify
+
+        exact = verify._csc_sum
+
+        monkeypatch.setattr(verify, "_csc_sum", lambda n: math.nan if n == 9 else exact(n))
+        r = run_check("cscN")
+        assert r.status == "fail"
+        assert math.isnan(r.lhs) and math.isnan(r.residual)
 
 
 class TestRunCheck:
