@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .constants import CATALAN, EPS, LN2, PI, ZETA3
 from .errors import DomainError, PrecisionError
-from .polylog import polylog_complex
 from .result import EvalResult
 
 
@@ -74,6 +73,8 @@ def constant_value(name: str) -> float:
     if name == "zeta3":
         return ZETA3
     if name == "im-li3-half-plus-half-i":
+        from .polylog import polylog_complex  # only this constant needs it; digits never does
+
         return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value.imag
     raise DomainError(f"unknown constant id {name!r}")
 

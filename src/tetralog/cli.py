@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from . import __version__, bbp, dirichlet, integrals, verify
+from . import __version__
 from .errors import TetralogError, UnknownCheckError
-from .polylog import polylog_complex
-from .specfun import clausen_cos, clausen_sin, hurwitz_zeta, trigamma
-from .verify import CheckRecord
+from .names import CATALAN_METHODS, TAGS
+
+if TYPE_CHECKING:
+    from .verify import CheckRecord
 
 SCHEMA_VERSION = "1"
 
@@ -39,6 +39,8 @@ class Report:
 
 
 def build_report(records: list[CheckRecord]) -> Report:
+    from datetime import datetime, timezone
+
     summary = {
         "total": len(records),
         "passed": sum(r.status == "pass" for r in records),
@@ -55,6 +57,8 @@ def build_report(records: list[CheckRecord]) -> Report:
 
 
 def report_to_json(report: Report) -> str:
+    import json
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,
@@ -119,23 +123,34 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error(f"eval {t} requires --{name.replace('_', '-')}")
         return v
 
+    # each target imports only the module that computes it
     try:
         if t == "cl2":
             from .specfun import cl2
 
             r = cl2(need("theta"), tol=tol or 1e-13)
         elif t == "cln":
+            from .specfun import clausen_cos, clausen_sin
+
             order = int(need("order"))
             theta = need("theta")
             fn = clausen_sin if order % 2 == 0 else clausen_cos
             r = fn(order, theta, tol=tol or 1e-12)
         elif t == "trigamma":
+            from .specfun import trigamma
+
             r = trigamma(need("x"))
         elif t == "hurwitz":
+            from .specfun import hurwitz_zeta
+
             r = hurwitz_zeta(need("s"), need("a"), tol=tol or 1e-13)
         elif t == "catalan":
-            r = verify.catalan_result(args.method)
+            from .verify import catalan_result
+
+            r = catalan_result(args.method)
         elif t == "l7":
+            from . import dirichlet
+
             route = {
                 "series": dirichlet.l7_series,
                 "trigamma": dirichlet.l7_trigamma,
@@ -143,11 +158,17 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             }[args.route]
             r = route()
         elif t == "i7":
-            r = integrals.integral_I7(tol or 1e-10)
+            from .integrals import integral_I7
+
+            r = integral_I7(tol or 1e-10)
         elif t == "iab":
+            from .integrals import integral_I_ab
+
             a, b = need("a"), need("b")
-            r = integrals.integral_I_ab(a, b, tol or 1e-10)
+            r = integral_I_ab(a, b, tol or 1e-10)
         elif t == "li3":
+            from .polylog import polylog_complex
+
             r = polylog_complex(3, complex(args.re, args.im), tol=tol or 1e-12)
         else:  # pragma: no cover - argparse choices guard this
             parser.error(f"unknown eval target {t!r}")
@@ -166,6 +187,8 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     """The verify flag that the other flags given would leave unused, if any."""
     if args.check is None:
         return "--tol needs --check" if args.tol is not None else None
+    if args.all:
+        return "--all does not apply to --check"
     if args.tol_scale is not None:
         return "--tol-scale does not apply to --check; use --tol"
     if args.tag is not None:
@@ -180,6 +203,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if conflict is not None:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
+    from . import verify
+
     try:
         if args.check is not None:
             records = [verify.run_check(args.check, tol_override=args.tol)]
@@ -201,6 +226,8 @@ def cmd_digits(args: argparse.Namespace) -> int:
     if args.position > MAX_POSITION:
         print(f"error: --position must be at most {MAX_POSITION}", file=sys.stderr)
         return 2
+    from . import bbp
+
     try:
         formula = bbp.REGISTRY[args.formula]
     except KeyError:
@@ -233,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--b", type=float)
     p_eval.add_argument("--re", type=float, default=0.5)
     p_eval.add_argument("--im", type=float, default=0.5)
-    p_eval.add_argument("--method", choices=verify.CATALAN_METHODS, default="series")
+    p_eval.add_argument("--method", choices=CATALAN_METHODS, default="series")
     p_eval.add_argument(
         "--route", choices=("series", "trigamma", "hurwitz"), default="trigamma"
     )
@@ -241,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity check ledger")
     p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument("--tag", choices=verify.TAGS)
+    p_verify.add_argument("--tag", choices=TAGS)
     p_verify.add_argument("--check", metavar="ID", help="run a single check by id")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--tol", type=float, help="tolerance override for --check")

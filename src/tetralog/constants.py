@@ -17,6 +17,9 @@ CATALAN_STR = "0.915965594177219015054603514932384110"
 
 PI = float(PI_STR)
 TWO_PI = 2.0 * PI
+# the double nearest 2 pi - TWO_PI: the low part of a Cody-Waite split of 2 pi,
+# which leaves 2 pi - TWO_PI - TWO_PI_LO = -6.0e-33, below 2^-106 in size
+TWO_PI_LO = 2.4492935982947064e-16
 LN2 = float(LN2_STR)
 GAMMA = float(GAMMA_STR)
 ZETA3 = float(ZETA3_STR)

@@ -87,6 +87,8 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
         v, err, n = _li_log_expansion(s, cmath.log(z))
         method = "log-expansion"
     else:
+        if not math.isfinite(r):  # a nan lands here too, and would recurse without end
+            raise DomainError(f"polylog_complex needs a finite z, got {z!r}")
         sub = polylog_complex(s, 1.0 / z, tol=tol)
         inner, ierr, n = sub.value, sub.err_bound, sub.effort
         corr = _inversion_remainder(s, z)

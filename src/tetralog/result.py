@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import PI, TWO_PI
+from .constants import EPS, PI, TWO_PI, TWO_PI_LO
 from .errors import DomainError
 
 
@@ -44,15 +44,36 @@ class Angle:
     reduced: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reduced", reduce_angle(self.raw))
+        object.__setattr__(self, "reduced", reduce_angle(self.raw)[0])
 
 
-def reduce_angle(theta: Angle | float) -> float:
-    """theta reduced modulo 2 pi to (-pi, pi], without building an Angle."""
+def reduce_angle(theta: Angle | float) -> tuple[float, float]:
+    """theta reduced modulo 2 pi to (-pi, pi], and a bound on the absolute
+    error of that reduction.
+
+    |theta| <= pi is returned as is (-PI as PI), with no error.  Beyond, 2 pi is
+    split Cody-Waite fashion as TWO_PI + TWO_PI_LO: the IEEE remainder by TWO_PI
+    is exact, so what remains is the low part's rounding and the split's rest.
+    """
     if isinstance(theta, Angle):
-        return theta.reduced
-    r = math.remainder(float(theta), TWO_PI)
-    return r + TWO_PI if r <= -PI else r
+        theta = theta.raw
+    r = math.remainder(theta, TWO_PI)  # exact: theta - n TWO_PI
+    if not abs(theta) > PI:  # a nan passes through here too
+        return (r + TWO_PI if r <= -PI else r), 0.0
+    n = round((theta - r) / TWO_PI)
+    # the low part can carry r past -+PI: then step r and n by one turn (exact)
+    if r - n * TWO_PI_LO > PI:
+        r, n = r - TWO_PI, n + 1
+    elif r - n * TWO_PI_LO <= -PI:
+        r, n = r + TWO_PI, n - 1
+    low = n * TWO_PI_LO
+    r -= low
+    # rounding of the product and the difference, the split's rest, and, once
+    # the quotient exceeds 2^50, n itself (off by at most 1 + 4 ulp(n))
+    err = EPS * (abs(r) + abs(low)) + abs(n) * 2.0**-106
+    if abs(n) >= 2**50:
+        err += (1.0 + 2.0 * EPS * abs(n)) * TWO_PI_LO
+    return r, err
 
 
 def as_angle(theta: Angle | float) -> Angle:

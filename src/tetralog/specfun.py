@@ -155,6 +155,32 @@ def harmonic(j: int) -> float:
 # Clausen functions
 
 
+def _reduce(theta: Angle | float, tol: float) -> tuple[float, float]:
+    """theta reduced to (-pi, pi], and a bound on what the reduction's error
+    can move a Clausen value of order >= 2.
+
+    Their derivatives are Clausen values of one order less: at most pi^2/6,
+    or -ln|2 sin(t/2)|, which stays below ln(pi/(2|t|)) for 0 < |t| <= pi/4.
+    """
+    if type(theta) is float and -PI < theta <= PI:
+        return theta, 0.0  # the common case, as reduce_angle returns it
+    th, d = reduce_angle(theta)
+    if not d:
+        return th, 0.0
+    m = abs(th) - d
+    if d >= 1.0:
+        slack = math.inf
+    elif m > 0.0:
+        slack = d * max(1.65, math.log(PI / (2.0 * m)))
+    else:
+        # the interval reaches 0: integrate 1.65 + ln(pi/(2|t|)) over the
+        # worst stretch of length d, the one centred on 0
+        slack = d * (2.65 + math.log(PI / d))
+    if slack > tol:
+        raise ConvergenceError(f"angle reduction error {slack:g} exceeds tol {tol:g}")
+    return th, slack
+
+
 # zeta(2n)/(n(2n+1)), the coefficients of cl2's Bernoulli-accelerated series
 _CL2_COEFFS = LazyTable(lambda n: zeta_int(2 * n) / (n * (2 * n + 1)))
 
@@ -168,15 +194,15 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th = reduce_angle(theta)
+    th, slack = _reduce(theta, tol)
     sign = 1.0
     if th < 0.0:
         th, sign = -th, -1.0
     if th == 0.0:
-        return EvalResult(0.0, 0.0, 0, "bernoulli-series")
+        return EvalResult(0.0, slack, 0, "bernoulli-series")
     if th == PI:
         # the double PI falls 1.2e-16 short of pi, where Cl_2' = -ln 2
-        return EvalResult(0.0, EPS, 0, "bernoulli-series")
+        return EvalResult(0.0, EPS + slack, 0, "bernoulli-series")
     c = _CL2_COEFFS
     lg = th * math.log(th)
     total = th - lg
@@ -194,7 +220,7 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
         power *= ratio
     # the positive terms fall at least by ratio, which bounds the tail; the
     # roundoff floor scales with the magnitudes summed, since near pi they cancel
-    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * EPS * mag
+    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * EPS * mag + slack
     if err > tol:
         raise ConvergenceError(f"cl2: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(sign * total, err, n, "bernoulli-series")
@@ -239,7 +265,7 @@ def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
 def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th = reduce_angle(theta)
+    th, slack = _reduce(theta, tol)
     odd = kind == "sin"
     sign = 1.0
     if th < 0.0:
@@ -248,12 +274,17 @@ def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
             sign = -1.0
     if th == 0.0:
         if odd:
-            return EvalResult(0.0, 0.0, 0, "log-expansion")
+            return EvalResult(0.0, slack, 0, "log-expansion")
         if s < 2:
             raise DomainError("cosine Clausen series diverges at theta = 0 for s < 2")
         v = zeta_int(s)
-        return EvalResult(v, 4.0 * EPS * abs(v), 0, "log-expansion")
+        return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, "log-expansion")
+    if s > 171:
+        # the head's 1/(s-1)! is below the double range; (s-1)! alone would take
+        # unbounded time to form for a huge s
+        raise OverflowError(f"Cl_{s}: order too large for double precision")
     v, err, effort = _clausen_series(s, odd, th)
+    err += slack
     if err > tol:
         raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(sign * v, err, effort, "log-expansion")

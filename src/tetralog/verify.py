@@ -21,6 +21,7 @@ from . import dirichlet, integrals
 from .accel import alternating_sum
 from .constants import CATALAN, EPS, GAMMA, LN2, PI, SQRT7, ZETA3
 from .errors import DomainError, UnknownCheckError
+from .names import CATALAN_METHODS, TAGS
 from .quad import QuadProblem, integrate
 from .result import EvalResult, RationalAngle
 from .specfun import (
@@ -31,18 +32,6 @@ from .specfun import (
     harmonic,
     hurwitz_zeta,
     trigamma,
-)
-
-TAGS = (
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "prop1",
-    "prop2",
-    "sine",
-    "catalan",
-    "misc",
 )
 
 
@@ -186,19 +175,6 @@ def catalan_result(method: str) -> EvalResult:
 def catalan_value(method: str) -> float:
     """The Catalan constant by one of the nine independent routes."""
     return catalan_result(method).value
-
-
-CATALAN_METHODS = (
-    "series",
-    "eq1.11",
-    "eq2.22",
-    "eq2.25",
-    "eq2.27",
-    "eq2.28a",
-    "eq2.28c",
-    "eq2.33",
-    "eq2.35",
-)
 
 
 # ---------------------------------------------------------------------------

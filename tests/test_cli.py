@@ -85,14 +85,32 @@ class TestEval:
             ("hurwitz", "--s", "1e308", "--a", "1e-300"),
             ("hurwitz", "--s", "2", "--a", "inf"),
             ("cln", "--order", "400", "--theta", "1"),
+            ("cln", "--order", str(10**9), "--theta", "1"),
             ("trigamma", "--x", "1e-320"),
         ],
     )
     def test_extreme_argument_usage_error(self, capsys, argv):
+        t0 = time.perf_counter()
         code, out, err = run_cli(capsys, "eval", *argv)
+        assert time.perf_counter() - t0 < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("re_part", ["nan", "inf"])
+    def test_li3_non_finite_argument(self, capsys, re_part):
+        code, out, err = run_cli(capsys, "eval", "li3", "--re", re_part)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cl2_far_angle_carries_reduction_error(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "cl2", "--theta", "1e10")
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        with mpmath.workdps(40):
+            exact = float(mpmath.clsin(2, mpmath.mpf(1e10)))
+        assert abs(float(fields["value"]) - exact) < 1e-11
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_usage_error(self, capsys, tol):
@@ -112,6 +130,19 @@ class TestVerify:
         assert code == 0
         assert "supports-conjecture" in out
         assert "failed 0" in out
+
+    def test_all_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--format", "json")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary == {
+            "total": 64, "passed": 63, "failed": 0, "conjecture": 1, "errored": 0,
+        }
+
+    def test_no_flag_runs_all(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["summary"]["total"] == 64
 
     def test_tag_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tag", "sine", "--format", "json")
@@ -171,6 +202,8 @@ class TestVerify:
             ("--tag", "sine", "--tol", "1e-8"),
             ("--check", "P1", "--tol-scale", "10"),
             ("--check", "P1", "--tag", "sine"),
+            ("--check", "P1", "--all"),
+            ("--all", "--check", "P1", "--format", "json"),
         ],
     )
     def test_ignored_flag_usage_error(self, capsys, argv):

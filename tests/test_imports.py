@@ -1,0 +1,86 @@
+"""Import budget: each command loads only the modules it runs, and the lazy
+package namespace still binds every public name to its home module's object."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tetralog
+
+SRC = str(Path(tetralog.__file__).resolve().parents[1])
+
+_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tetralog.'))))"
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The tetralog submodules a fresh interpreter holds after running ``code``."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{_LOADED}"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {m.removeprefix("tetralog.") for m in out.stdout.split()}
+
+
+def _after_cli(*argv: str) -> set[str]:
+    code = (
+        "import contextlib, io\n"
+        "from tetralog.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0"
+    )
+    return _loaded_after(code)
+
+
+def test_import_tetralog_loads_no_submodule():
+    assert _loaded_after("import tetralog") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "cl2", "--theta", "1"),
+        ("eval", "cln", "--order", "3", "--theta", "1"),
+        ("eval", "trigamma", "--x", "0.3"),
+        ("eval", "hurwitz", "--s", "2", "--a", "0.3"),
+    ],
+)
+def test_specfun_targets_load_no_ledger_or_quadrature(argv):
+    loaded = _after_cli(*argv)
+    assert "specfun" in loaded
+    assert not loaded & {"verify", "integrals", "quad", "bbp", "dirichlet"}
+
+
+def test_digits_loads_no_ledger_or_special_functions():
+    loaded = _after_cli("digits", "--formula", "eq2.37-sum", "--position", "10", "--count", "4")
+    assert "bbp" in loaded
+    assert not loaded & {"verify", "integrals", "quad", "specfun", "polylog"}
+
+
+def test_star_import_binds_every_public_name_to_its_home_object():
+    namespace: dict = {}
+    exec("from tetralog import *", namespace)
+    for name in tetralog.__all__:
+        assert name in namespace, name
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"tetralog.{tetralog._HOME[name]}")
+        assert namespace[name] is getattr(home, name), name
+
+
+def test_tags_are_one_object():
+    from tetralog import verify
+
+    assert tetralog.TAGS is verify.TAGS
+
+
+def test_dir_and_unknown_attribute():
+    assert set(tetralog.__all__) <= set(dir(tetralog))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tetralog.no_such_name  # noqa: B018

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tetralog
+from tetralog.constants import TWO_PI, TWO_PI_LO
 from tetralog.polylog import polylog_complex
 from tetralog.specfun import cl2, clausen_cos, clausen_sin, hurwitz_zeta, trigamma
 
@@ -179,3 +180,34 @@ def test_import_builds_no_table():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["0"] * 6
+
+
+# theta log-uniform on [pi, 1e12], either sign: reduced by the split 2 pi
+far_thetas = st.tuples(
+    st.floats(min_value=math.log(PI), max_value=math.log(1e12)), st.sampled_from([1.0, -1.0])
+).map(lambda t: t[1] * math.exp(t[0]))
+
+
+def _far_oracle(fn, s, theta):
+    # mpmath reduces the exact double theta itself; 40 digits leave room for it
+    with mpmath.workdps(40):
+        return complex(fn(s, mpmath.mpf(theta)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(far_thetas)
+def test_cl2_bound_is_honest_beyond_pi(theta):
+    _assert_honest(cl2(theta), _far_oracle(mpmath.clsin, 2, theta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.booleans(), far_thetas)
+def test_clausen_bound_is_honest_beyond_pi(s, sine, theta):
+    fn, ref = (clausen_sin, mpmath.clsin) if sine else (clausen_cos, mpmath.clcos)
+    _assert_honest(fn(s, theta), _far_oracle(ref, s, theta))
+
+
+def test_split_two_pi():
+    with mpmath.workdps(60):
+        rest = 2 * mpmath.pi - mpmath.mpf(TWO_PI) - mpmath.mpf(TWO_PI_LO)
+    assert abs(rest) < 2.0**-106
