@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import EPS, PI, TWO_PI, TWO_PI_LO
+from .constants import EPS, PI, PI_DIGITS
 from .errors import DomainError
 
 
@@ -47,32 +47,38 @@ class Angle:
         object.__setattr__(self, "reduced", reduce_angle(self.raw)[0])
 
 
+# 2 pi as _TWO_PI_NUM / 2^_TWO_PI_BITS, within 2^-1129: a double angle has fewer
+# than 2^1022 turns, so its reduction by this value is off by under 2^-107
+_TWO_PI_BITS = 1130
+_TWO_PI_NUM = (int(PI_DIGITS) << (_TWO_PI_BITS + 1)) // 10 ** (len(PI_DIGITS) - 1)
+
+
 def reduce_angle(theta: Angle | float) -> tuple[float, float]:
     """theta reduced modulo 2 pi to (-pi, pi], and a bound on the absolute
     error of that reduction.
 
-    |theta| <= pi is returned as is (-PI as PI), with no error.  Beyond, 2 pi is
-    split Cody-Waite fashion as TWO_PI + TWO_PI_LO: the IEEE remainder by TWO_PI
-    is exact, so what remains is the low part's rounding and the split's rest.
+    |theta| <= pi is returned as is, with no error, but -PI as PI.  Beyond, the
+    turn count and the remainder are exact integer arithmetic on the double
+    theta and a 1129-bit 2 pi, so the one rounding is to the result.
     """
     if isinstance(theta, Angle):
         theta = theta.raw
-    r = math.remainder(theta, TWO_PI)  # exact: theta - n TWO_PI
     if not abs(theta) > PI:  # a nan passes through here too
-        return (r + TWO_PI if r <= -PI else r), 0.0
-    n = round((theta - r) / TWO_PI)
-    # the low part can carry r past -+PI: then step r and n by one turn (exact)
-    if r - n * TWO_PI_LO > PI:
-        r, n = r - TWO_PI, n + 1
-    elif r - n * TWO_PI_LO <= -PI:
-        r, n = r + TWO_PI, n - 1
-    low = n * TWO_PI_LO
-    r -= low
-    # rounding of the product and the difference, the split's rest, and, once
-    # the quotient exceeds 2^50, n itself (off by at most 1 + 4 ulp(n))
-    err = EPS * (abs(r) + abs(low)) + abs(n) * 2.0**-106
-    if abs(n) >= 2**50:
-        err += (1.0 + 2.0 * EPS * abs(n)) * TWO_PI_LO
+        # -PI and PI, each 1.2e-16 inside pi, are 2.4e-16 apart modulo 2 pi
+        return (theta, 0.0) if theta > -PI else (PI, 2.0 * EPS)
+    if math.isinf(theta):
+        raise ValueError("an infinite angle has no reduction")
+    num, den = theta.as_integer_ratio()
+    scaled = num << _TWO_PI_BITS
+    turn = _TWO_PI_NUM * den
+    n = (2 * scaled + turn) // (2 * turn)  # nearest to theta / 2 pi
+    r = (scaled - n * turn) / (den << _TWO_PI_BITS)
+    # the rounding to r, and 2^-107 for the truncated 2 pi
+    err = EPS * abs(r) + 2.0**-106
+    if not -PI < r <= PI:
+        # the exact remainder can fall between PI (1.2e-16 short of pi) and
+        # pi, or their negatives, 2.4e-16 from PI modulo 2 pi
+        r, err = PI, err + 2.0 * EPS
     return r, err
 
 

@@ -155,22 +155,15 @@ def harmonic(j: int) -> float:
 # Clausen functions
 
 
-def _reduce(theta: Angle | float, tol: float) -> tuple[float, float]:
-    """theta reduced to (-pi, pi], and a bound on what the reduction's error
-    can move a Clausen value of order >= 2.
+def _reduction_slack(th: float, d: float, tol: float) -> float:
+    """A bound on what an error d in the reduced angle th can move a Clausen
+    value of order >= 2.
 
     Their derivatives are Clausen values of one order less: at most pi^2/6,
     or -ln|2 sin(t/2)|, which stays below ln(pi/(2|t|)) for 0 < |t| <= pi/4.
     """
-    if type(theta) is float and -PI < theta <= PI:
-        return theta, 0.0  # the common case, as reduce_angle returns it
-    th, d = reduce_angle(theta)
-    if not d:
-        return th, 0.0
     m = abs(th) - d
-    if d >= 1.0:
-        slack = math.inf
-    elif m > 0.0:
+    if m > 0.0:
         slack = d * max(1.65, math.log(PI / (2.0 * m)))
     else:
         # the interval reaches 0: integrate 1.65 + ln(pi/(2|t|)) over the
@@ -178,7 +171,7 @@ def _reduce(theta: Angle | float, tol: float) -> tuple[float, float]:
         slack = d * (2.65 + math.log(PI / d))
     if slack > tol:
         raise ConvergenceError(f"angle reduction error {slack:g} exceeds tol {tol:g}")
-    return th, slack
+    return slack
 
 
 # zeta(2n)/(n(2n+1)), the coefficients of cl2's Bernoulli-accelerated series
@@ -194,7 +187,8 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th, slack = _reduce(theta, tol)
+    th, d = reduce_angle(theta)
+    slack = _reduction_slack(th, d, tol) if d else 0.0
     sign = 1.0
     if th < 0.0:
         th, sign = -th, -1.0
@@ -265,7 +259,8 @@ def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
 def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    th, slack = _reduce(theta, tol)
+    th, d = reduce_angle(theta)
+    slack = _reduction_slack(th, d, tol) if d else 0.0
     odd = kind == "sin"
     sign = 1.0
     if th < 0.0:

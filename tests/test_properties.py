@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tetralog
-from tetralog.constants import TWO_PI, TWO_PI_LO
+from tetralog.constants import PI_DIGITS
 from tetralog.polylog import polylog_complex
+from tetralog.result import reduce_angle
 from tetralog.specfun import cl2, clausen_cos, clausen_sin, hurwitz_zeta, trigamma
 
 PI = math.pi
@@ -182,16 +183,39 @@ def test_import_builds_no_table():
     assert out.stdout.split() == ["0"] * 6
 
 
-# theta log-uniform on [pi, 1e12], either sign: reduced by the split 2 pi
+# theta log-uniform on [pi, 1e300], either sign
 far_thetas = st.tuples(
-    st.floats(min_value=math.log(PI), max_value=math.log(1e12)), st.sampled_from([1.0, -1.0])
+    st.floats(min_value=math.log(PI), max_value=math.log(1e300)), st.sampled_from([1.0, -1.0])
 ).map(lambda t: t[1] * math.exp(t[0]))
 
 
+def _reduced_exactly(theta):
+    # a double has at most 309 integer digits, so 360 digits leave 50 after them
+    with mpmath.workdps(360):
+        t = mpmath.mpf(theta)
+        return t - 2 * mpmath.pi * mpmath.nint(t / (2 * mpmath.pi))
+
+
 def _far_oracle(fn, s, theta):
-    # mpmath reduces the exact double theta itself; 40 digits leave room for it
+    t = _reduced_exactly(theta)
     with mpmath.workdps(40):
-        return complex(fn(s, mpmath.mpf(theta)))
+        return complex(fn(s, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_reduce_angle_is_within_its_bound(theta):
+    r, err = reduce_angle(theta)
+    assert -PI < r <= PI
+    with mpmath.workdps(360):
+        d = abs(_reduced_exactly(theta) - r)
+        d = min(d, 2 * mpmath.pi - d)
+    assert d <= err
+
+
+def test_pi_digits():
+    with mpmath.workdps(len(PI_DIGITS) + 10):
+        assert mpmath.nstr(mpmath.pi, len(PI_DIGITS) + 5).replace(".", "").startswith(PI_DIGITS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,9 +229,3 @@ def test_cl2_bound_is_honest_beyond_pi(theta):
 def test_clausen_bound_is_honest_beyond_pi(s, sine, theta):
     fn, ref = (clausen_sin, mpmath.clsin) if sine else (clausen_cos, mpmath.clcos)
     _assert_honest(fn(s, theta), _far_oracle(ref, s, theta))
-
-
-def test_split_two_pi():
-    with mpmath.workdps(60):
-        rest = 2 * mpmath.pi - mpmath.mpf(TWO_PI) - mpmath.mpf(TWO_PI_LO)
-    assert abs(rest) < 2.0**-106
