@@ -1,4 +1,4 @@
-"""Bernoulli numbers, Bernoulli polynomials, and the integer zeta table.
+"""Bernoulli numbers, Bernoulli polynomials about 1/2, and the integer zeta table.
 
 Bernoulli numbers are generated exactly as fractions (B_1 = -1/2 convention)
 and cached; everything downstream consumes double-precision projections,
@@ -44,14 +44,16 @@ class LazyTable(dict):
         return v
 
 
-@cache
-def _bernoulli_poly_coeffs(n: int) -> tuple[float, ...]:
-    return tuple(math.comb(n, k) * float(bernoulli_number(k)) for k in range(n + 1))
+def bernoulli_poly_central(n: int) -> tuple[Fraction, ...]:
+    """Exact b_i, i = 0 .. n//2, with B_n(1/2 + y) = sum_i b_i y^{n-2i}.
 
-
-def bernoulli_poly(n: int, x: complex) -> complex:
-    """Bernoulli polynomial B_n(x) for complex x."""
-    return sum(c * x ** (n - k) for k, c in enumerate(_bernoulli_poly_coeffs(n)))
+    B_n(1/2 + y) = sum_j C(n, j) B_j(1/2) y^{n-j}, and B_j(1/2) = (2^{1-j} - 1) B_j
+    vanishes for odd j, so only the even indices survive.
+    """
+    return tuple(
+        math.comb(n, 2 * i) * (Fraction(2) ** (1 - 2 * i) - 1) * bernoulli_number(2 * i)
+        for i in range(n // 2 + 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import EPS, PI, SQRT3, SQRT7
+from .constants import PI, SQRT3, SQRT7
 from .errors import DomainError, QuadratureError
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
@@ -246,11 +246,12 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
         s = n + 1 - j
         lp = polylog_complex(s, zp, tol=1e-13)
         lm = polylog_complex(s, zm, tol=1e-13)
-        q = _inversion_remainder(s, zm) - _inversion_remainder(s, zp)
+        pm, pm_err, pm_n = _inversion_remainder(s, zm)
+        pp, pp_err, pp_n = _inversion_remainder(s, zp)
         coeff = math.factorial(n) / math.factorial(j) * lam**j
-        acc += coeff * (lp.value - lm.value + q)
-        err += abs(coeff) * (lp.err_bound + lm.err_bound + 64.0 * EPS * abs(q))
-        effort += lp.effort + lm.effort
+        acc += coeff * (lp.value - lm.value + pm - pp)
+        err += abs(coeff) * (lp.err_bound + lm.err_bound + pm_err + pp_err)
+        effort += lp.effort + lm.effort + pm_n + pp_n
     dlog = cmath.log(1.0 - CONSTANTS.v_plus / r73) - cmath.log(1.0 - CONSTANTS.v_minus / r73)
     acc += lam**n * dlog
     total = (-1.0) ** n * 0.5j * acc

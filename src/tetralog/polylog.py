@@ -1,73 +1,165 @@
 """Integer-order polylogarithms on the complex plane.
 
-Three regimes stitched together: the defining power series inside |z| <= 0.8,
-a logarithmic expansion around z = 1 on the annulus 0.8 < |z| < 1.25, and the
-Bernoulli-polynomial inversion formula outside.  The principal branch is used
-throughout (cut along [1, infinity)).
+Three regimes, each a polynomial summed by Horner's rule (the layout of
+Crandall, "Note on fast polylogarithm computation", 2006):
+
+* ``|z| <= RHO``: the power series sum_k z^k / k^s, its coefficients read from
+  a per-order table of 1/k^s;
+* ``RHO < |z| < 1/RHO``: the expansion of Li_s(e^w) about w = ln z = 0, on the
+  ``zeta_taylor(s)`` table: a head of s + 1 terms in w, one of which carries
+  H_{s-1} - ln(-w), and a tail in w^2, whose terms shrink at least by
+  (|w|/2 pi)^2 from one to the next;
+* ``|z| >= 1/RHO``: inversion, Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z), with
+  the series kernel on 1/z and the remainder P_s a polynomial in
+  L = ln(-z) of floor(s/2) + 1 real coefficients, summed in L^2.
+
+Each series fixes its term count before summing: a real loop over the term
+magnitudes stops at the first term below EPS/4 of their running sum, and that
+sum of |terms| bounds the roundoff.  The principal branch is used throughout
+(cut along [1, infinity)).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
+from itertools import count
 
-from .bernoulli import TAYLOR_K_MAX, bernoulli_poly, zeta_int, zeta_taylor
+from .bernoulli import bernoulli_poly_central, zeta_int, zeta_taylor
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import EvalResult
 from .specfun import harmonic
 
+RHO = 0.5  # the series runs for |z| <= RHO, the inversion for |z| >= 1/RHO
+_STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a sum
+
+
+@cache
+def _inv_powers(s: int) -> list[float]:
+    """[0, 1, 1/2^s, 1/3^s, ...], each correctly rounded, through the first k
+    with RHO^{k-1}/k^s <= _STOP.  A series on |z| <= RHO stops by then, as
+    its first term is |z|; one on a rounded 1/z, a hair outside, may reach the
+    end, and the tail from there is in its bound."""
+    a = [0.0]
+    for k in count(1):
+        a.append(1 / k**s)
+        if RHO ** (k - 1) * a[k] <= _STOP:
+            return a
+
 
 def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
-    total = 0.0j
-    zk = z
-    k = 1
-    for k in range(1, 800):
-        term = zk / k**s
-        total += term
-        zk *= z
-        if abs(term) < 0.25 * EPS * abs(total):
-            break
+    """Li_s(z) = sum_k z^k/k^s for |z| < 1, as (value, err_bound, terms)."""
+    a = _inv_powers(s)
     r = abs(z)
-    err = max(abs(zk) / (k + 1) ** s * 2.0 / (1.0 - r), 4.0 * EPS * abs(total))
-    return total, err, k
+    rk, mag = 1.0, 0.0
+    for n in range(1, len(a)):
+        rk *= r
+        t = rk * a[n]
+        if t <= _STOP * mag:
+            break
+        mag += t
+    acc = 0j
+    for ak in a[n - 1 : 0 : -1]:
+        acc = acc * z + ak
+    # The terms shrink at least by r, so t/(1 - r) bounds the tail, and
+    # sum k |term_k| <= mag/(1 - r) bounds both Horner's carried roundoff and
+    # the effect of a rounded z (as 1/z is), |Li_{s-1}(z)| times its error.
+    return acc * z, (t + 4.0 * EPS * mag) / (1.0 - r), n - 1
+
+
+@cache
+def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
+    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor(s)`` with
+    H_{s-1}/(s-1)! in place of c_{s-1} = 0, with its |c_k|; and its tail
+    d_m = c_{s+1+2m} with |d_m|, through the first m with
+    |d_m| W^{s+1+2m} <= _STOP, W the largest |ln z| in the annulus.  The
+    sum of |terms| is at least c_0 = zeta(s) > 1, so every tail stops by then."""
+    c = zeta_taylor(s)
+    head = [c[k] for k in range(s, -1, -1)]
+    head[1] = harmonic(s - 1) / math.factorial(s - 1)
+    W = math.hypot(math.log(RHO), PI)
+    tail = []
+    for m in count():
+        tail.append(c[s + 1 + 2 * m])
+        if abs(tail[m]) * W ** (s + 1 + 2 * m) <= _STOP:
+            return tuple(head), tuple(map(abs, head)), tail, [abs(d) for d in tail]
 
 
 def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
-    """Li_s(e^w) for |w| < 2 pi, s >= 2 integer, via the ln(-w) expansion."""
-    c = zeta_taylor(s)
-    total = w ** (s - 1) / math.factorial(s - 1) * (harmonic(s - 1) - cmath.log(-w))
-    wk = 1.0 + 0.0j
-    scale = abs(total)
-    term_mag = 0.0
-    k = 0
-    for k in range(0, TAYLOR_K_MAX + 1):
-        ck = c[k]
-        if ck != 0.0:
-            term = ck * wk
-            total += term
-            term_mag = abs(term)
-            scale = max(scale, abs(total))
-            if k > s + 6 and term_mag < 0.25 * EPS * scale:
-                break
-        wk *= w
-    ratio = abs(w) / TWO_PI
-    err = max(term_mag * ratio / (1.0 - ratio) * 2.0, 8.0 * EPS * scale)
-    return total, err, k
+    """Li_s(z) at w = ln z, RHO < |z| < 1/RHO, as (value, err_bound, terms):
+    sum_{k<=s} c_k w^k - ln(-w) w^{s-1}/(s-1)! + w^{s+1} sum_m d_m w^{2m}."""
+    head, head_abs, tail, tail_abs = _log_tables(s)
+    lc = cmath.log(-w) / math.factorial(s - 1)
+    aw = abs(w)
+    mag = 0.0
+    for a in head_abs:
+        mag = mag * aw + a
+    wk = aw ** (s - 1)
+    mag += abs(lc) * wk
+    aw2 = aw * aw
+    wk *= aw2
+    for m in range(len(tail)):
+        t = tail_abs[m] * wk
+        if t <= _STOP * mag:
+            break
+        mag += t
+        wk *= aw2
+    w2 = w * w
+    acc = 0j
+    for d in reversed(tail[:m]):
+        acc = acc * w2 + d
+    for a in head:
+        acc = acc * w + a
+    # The tail's terms shrink at least by q, as |d_{m+1}/d_m| <= 1/(2 pi)^2,
+    # and (s + 4) EPS mag covers the rounding of w and of the Horner steps.
+    q = (aw / TWO_PI) ** 2
+    err = t / (1.0 - q) + (s + 4) * EPS * mag
+    return acc - lc * w ** (s - 1), err, m + s + 1
 
 
-def _inversion_remainder(s: int, z: complex) -> complex:
+@cache
+def _remainder_coeffs(s: int) -> tuple[float, ...]:
+    """a_i of P_s(z) = sum_i a_i L^{s-2i}, i = 0 .. s//2, L = ln(-z).
+
+    P_s(z) = -(2 pi i)^s/s! B_s(1/2 + L/(2 pi i)), and B_s(1/2 + y) =
+    sum_i b_i y^{s-2i}, so a_i = -(2 pi i)^{2i} b_i/s! = -(-4)^i b_i pi^{2i}/s!.
+    """
+    return tuple(
+        float(-((-4) ** i) * b / math.factorial(s)) * PI ** (2 * i)
+        for i, b in enumerate(bernoulli_poly_central(s))
+    )
+
+
+def _inversion_remainder(s: int, z: complex) -> tuple[complex, float, int]:
     """P_s(z) = -(2 pi i)^s / s! * B_s(1/2 + ln(-z)/(2 pi i)), principal branch,
-    so that Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z)."""
-    twopii = complex(0.0, TWO_PI)
-    return -(twopii**s) / math.factorial(s) * bernoulli_poly(s, 0.5 + cmath.log(-z) / twopii)
+    so that Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z); as (value, err_bound, terms).
+
+    Horner runs in L^2 over the s//2 + 1 coefficients; the bound is a multiple
+    of sum_i |a_i| |L|^{s-2i}, which also covers the rounding of L itself."""
+    L = cmath.log(-z)
+    L2 = L * L
+    aL2 = abs(L2)
+    acc = 0j
+    mag = 0.0
+    for a in _remainder_coeffs(s):
+        acc = acc * L2 + a
+        mag = mag * aL2 + abs(a)
+    if s % 2:
+        acc *= L
+        mag *= abs(L)
+    return acc, (s + 4) * EPS * mag, s // 2 + 1
 
 
 def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     """Li_s(z) for integer s >= 2, principal branch.
 
-    Points on the cut z in [1, inf) take the limit from below the cut for
-    the imaginary part of the inversion formula, matching cmath.log.
+    ``effort`` counts every term summed: the series terms, the log
+    expansion's head and tail, or the series on 1/z plus the s//2 + 1 terms
+    of the inversion remainder.  Points on the cut z in [1, inf) take the
+    limit from below the cut for the imaginary part of the inversion formula,
+    matching cmath.log.
     """
     if s < 2:
         raise DomainError("polylog_complex requires integer order >= 2")
@@ -80,21 +172,20 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     if z == 1.0:
         v = complex(zeta_int(s), 0.0)
         return EvalResult(v, 4.0 * EPS * abs(v), 0, "zeta")
-    if r <= 0.8:
+    if r <= RHO:
         v, err, n = _li_series(s, z)
         method = "series"
-    elif r < 1.25:
+    elif r * RHO < 1.0:
         v, err, n = _li_log_expansion(s, cmath.log(z))
         method = "log-expansion"
     else:
-        if not math.isfinite(r):  # a nan lands here too, and would recurse without end
+        if not math.isfinite(r):  # a nan lands here too
             raise DomainError(f"polylog_complex needs a finite z, got {z!r}")
-        sub = polylog_complex(s, 1.0 / z, tol=tol)
-        inner, ierr, n = sub.value, sub.err_bound, sub.effort
-        corr = _inversion_remainder(s, z)
-        sign = -1.0 if s % 2 == 0 else 1.0
-        v = sign * inner + corr
-        err = ierr + 16.0 * EPS * abs(corr)
+        inner, err, n = _li_series(s, 1.0 / z)
+        corr, cerr, cn = _inversion_remainder(s, z)
+        v = corr - inner if s % 2 == 0 else corr + inner
+        err += cerr + EPS * abs(v)
+        n += cn
         method = "inversion"
     if err > tol:
         raise ConvergenceError(f"polylog_complex: error bound {err:g} exceeds tol {tol:g}")

@@ -16,16 +16,21 @@ SRC = str(Path(tetralog.__file__).resolve().parents[1])
 _LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tetralog.'))))"
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The tetralog submodules a fresh interpreter holds after running ``code``."""
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{_LOADED}"],
+def _printed_by(code: str) -> str:
+    """What a fresh interpreter prints running ``code``."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,
-    )
-    return {m.removeprefix("tetralog.") for m in out.stdout.split()}
+    ).stdout
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The tetralog submodules a fresh interpreter holds after running ``code``."""
+    out = _printed_by(f"import sys\n{code}\n{_LOADED}")
+    return {m.removeprefix("tetralog.") for m in out.split()}
 
 
 def _after_cli(*argv: str) -> set[str]:
@@ -61,6 +66,15 @@ def test_digits_loads_no_ledger_or_special_functions():
     loaded = _after_cli("digits", "--formula", "eq2.37-sum", "--position", "10", "--count", "4")
     assert "bbp" in loaded
     assert not loaded & {"verify", "integrals", "quad", "specfun", "polylog"}
+
+
+def test_import_polylog_builds_no_table():
+    code = (
+        "import tetralog.polylog as p\n"
+        "print(p._inv_powers.cache_info().currsize, p._log_tables.cache_info().currsize,"
+        " p._remainder_coeffs.cache_info().currsize)"
+    )
+    assert _printed_by(code).split() == ["0", "0", "0"]
 
 
 def test_star_import_binds_every_public_name_to_its_home_object():

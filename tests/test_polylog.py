@@ -71,6 +71,16 @@ class TestRegions:
             assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("s", [2, 3, 6])
+@pytest.mark.parametrize("r", [1e-320, 1e-200])
+@pytest.mark.parametrize("theta", [0.0, 1.0, -2.0, math.pi / 2, math.pi])
+def test_tiny_z_stops_once_terms_underflow(s, r, theta):
+    z = cmath.rect(r, theta)
+    res = polylog_complex(s, z)
+    assert res.value == z
+    assert res.effort <= 2
+
+
 class TestValidation:
     def test_order_below_two_rejected(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tetralog
 from tetralog.constants import PI_DIGITS
-from tetralog.polylog import polylog_complex
+from tetralog.polylog import RHO, _inversion_remainder, polylog_complex
 from tetralog.result import reduce_angle
 from tetralog.specfun import cl2, clausen_cos, clausen_sin, hurwitz_zeta, trigamma
 
@@ -153,6 +153,80 @@ def test_polylog_log_expansion_bound_is_honest(s, r, phi):
     _assert_honest(res, exact)
 
 
+def _li_oracle(s, z):
+    exact = _oracle(mpmath.polylog, s, z)
+    if z.real > 1.0 and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
+        exact = exact.conjugate()  # as in the log-expansion test above
+    return exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=RHO, exclude_min=True),
+        st.floats(min_value=math.log(1e-300), max_value=math.log(RHO)).map(math.exp),
+    ),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_polylog_series_bound_is_honest(s, r, phi):
+    z = cmath.rect(r, phi)
+    assume(0.0 < abs(z) <= RHO)
+    res = polylog_complex(s, z)
+    assert res.method == "series"
+    _assert_honest(res, _li_oracle(s, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=math.log(1.0 / RHO), max_value=math.log(100.0)),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_polylog_inversion_bound_is_honest(s, log_r, phi):
+    z = cmath.rect(math.exp(log_r), phi)
+    assume(abs(z) * RHO >= 1.0)
+    res = polylog_complex(s, z)
+    assert res.method == "inversion"
+    _assert_honest(res, _li_oracle(s, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=0.0, max_value=math.log(100.0)),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_inversion_remainder_bound_is_honest(s, log_r, phi):
+    z = cmath.rect(math.exp(log_r), phi)
+    value, err, _ = _inversion_remainder(s, z)
+    with mpmath.workdps(30):
+        L = mpmath.log(-z)
+        if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
+            L = mpmath.conj(L)  # cmath.log(-z) sits below its cut at -0.0j; mpmath, above
+        y = L / (2j * mpmath.pi)
+        exact = complex(-((2j * mpmath.pi) ** s) / mpmath.factorial(s) * mpmath.bernpoly(s, 0.5 + y))
+    assert abs(value - exact) <= err, (value, err, exact)
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([RHO, 1.0 / RHO]),
+    st.integers(min_value=-4, max_value=4),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_polylog_bound_is_honest_at_the_seams(s, seam, ulps, phi):
+    z = cmath.rect(_ulps_from(seam, ulps), phi)
+    _assert_honest(polylog_complex(s, z), _li_oracle(s, z))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2.0 * PI))
 def test_finite_clausen_kinds_match_closed_forms(theta):
@@ -174,13 +248,12 @@ def test_import_builds_no_table():
         "print(bernoulli.bernoulli_number.cache_info().currsize,"
         " bernoulli.zeta_int.cache_info().currsize,"
         " bernoulli.zeta_taylor.cache_info().currsize,"
-        " bernoulli._bernoulli_poly_coeffs.cache_info().currsize,"
         " len(specfun._EM_COEFFS), len(specfun._CL2_COEFFS))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["0"] * 6
+    assert out.stdout.split() == ["0"] * 5
 
 
 # theta log-uniform on [pi, 1e300], either sign
