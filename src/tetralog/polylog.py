@@ -63,10 +63,11 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
     acc = 0j
     for ak in a[n - 1 : 0 : -1]:
         acc = acc * z + ak
-    # The terms shrink at least by r, so t/(1 - r) bounds the tail, and
-    # sum k |term_k| <= mag/(1 - r) bounds both Horner's carried roundoff and
-    # the effect of a rounded z (as 1/z is), |Li_{s-1}(z)| times its error.
-    return acc * z, (t + 4.0 * EPS * mag) / (1.0 - r), n - 1
+    # The terms shrink at least by r, so t/(1 - r) bounds the tail.  Horner
+    # carries a rounding made at term k through k steps, and a rounded z (as
+    # 1/z is) moves term k by k times its relative error: both are multiples
+    # of sum k |term_k| <= mag/(1 - r).
+    return acc * z, (t + 5.0 * EPS * mag) / (1.0 - r), n - 1
 
 
 @cache
@@ -132,8 +133,9 @@ def _inversion_remainder(s: int, z: complex) -> tuple[complex, float, int]:
     """P_s(z) = -(2 pi i)^s / s! * B_s(1/2 + ln(-z)/(2 pi i)), principal branch,
     so that Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z); as (value, err_bound, terms).
 
-    Horner runs in L^2 over the s//2 + 1 coefficients; the bound is a multiple
-    of sum_i |a_i| |L|^{s-2i}, which also covers the rounding of L itself."""
+    Horner runs in L^2 over the s//2 + 1 coefficients.  The bound is (s + 4) EPS
+    times sum_i |a_i| |L|^{s-2i}: the rounding of L moves the term of power p
+    by p times itself, and pi^{2i} carries up to 2i + 1 roundings into a_i."""
     L = cmath.log(-z)
     L2 = L * L
     aL2 = abs(L2)
