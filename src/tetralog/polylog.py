@@ -26,7 +26,7 @@ import math
 from functools import cache
 from itertools import count
 
-from .bernoulli import TAYLOR_K_MAX, LazyTable, bernoulli_poly_central, zeta_int, zeta_taylor
+from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, zeta_int, zeta_taylor
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import EvalResult
@@ -71,16 +71,15 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 
 @cache
-def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], LazyTable, LazyTable]:
+def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
     """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor(s)`` with
     H_{s-1}/(s-1)! in place of c_{s-1} = 0, with its |c_k|; and its tail
-    d_m = c_{s+1+2m} with |d_m|, filled as sums reach them.  Past
-    k = TAYLOR_K_MAX a tail term is below 1e-40 for |w| < 3.3, and reads 0."""
+    d_m = c_{s+1+2m} with |d_m|, which ``_li_log_expansion`` extends as its
+    sums reach them."""
     c = zeta_taylor(s)
     head = [c[k] for k in range(s, -1, -1)]
     head[1] = harmonic(s - 1) / math.factorial(s - 1)
-    tail = LazyTable(lambda m: c[s + 1 + 2 * m] if s + 1 + 2 * m <= TAYLOR_K_MAX else 0.0)
-    return tuple(head), tuple(map(abs, head)), tail, LazyTable(lambda m: abs(tail[m]))
+    return tuple(head), tuple(map(abs, head)), [], []
 
 
 def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
@@ -98,6 +97,11 @@ def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
     wk *= aw2
     # mag >= c_0 = zeta(s) > 1 and the terms shrink by (|w|/2 pi)^2 < 0.3: this ends
     for m in count():
+        if m == len(tail):
+            # past k = TAYLOR_K_MAX a term is below 1e-40 for |w| < 3.3: it reads 0
+            k = s + 1 + 2 * m
+            tail.append(zeta_taylor(s)[k] if k <= TAYLOR_K_MAX else 0.0)
+            tail_abs.append(abs(tail[m]))
         t = tail_abs[m] * wk
         if t <= _STOP * mag:
             break
@@ -105,8 +109,8 @@ def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
         wk *= aw2
     w2 = w * w
     acc = 0j
-    for j in range(m - 1, -1, -1):
-        acc = acc * w2 + tail[j]
+    for d in reversed(tail[:m]):
+        acc = acc * w2 + d
     for a in head:
         acc = acc * w + a
     # The tail's terms shrink at least by q, as |d_{m+1}/d_m| <= 1/(2 pi)^2,
