@@ -1,8 +1,9 @@
 """Bernoulli numbers, Bernoulli polynomials about 1/2, and the integer zeta table.
 
 Bernoulli numbers are generated exactly as fractions (B_1 = -1/2 convention)
-and cached; everything downstream consumes double-precision projections,
-tabulated in ``LazyTable`` objects that fill entry by entry as sums reach them.
+from the integer tangent-number triangle, and cached; everything downstream
+consumes double-precision projections, tabulated in ``LazyTable`` objects that
+fill entry by entry as sums reach them.
 """
 
 import math
@@ -14,22 +15,46 @@ from .constants import PI
 from .errors import DomainError
 
 
+# The Brent-Harvey tangent-number triangle (Brent and Harvey, "Fast computation
+# of Bernoulli, Tangent and Secant numbers", 2011), kept as its last column so
+# that it grows by one row per new number: after n rows, _TANGENT_COLUMN[i] is
+# entry n of the triangle's row i + 1, and _B_EVEN holds B_0, B_2, ..., B_2n.
+_TANGENT_COLUMN: list[int] = []
+_B_EVEN: list[Fraction] = [Fraction(1)]
+
+
+def _grow_b_even() -> None:
+    """Append the next even-index Bernoulli number to _B_EVEN.
+
+    Row 1 of the triangle holds (j - 1)! at entry j, and row k >= 2 holds
+    (j - k) R_k(j - 1) + (j - k + 2) R_{k-1}(j) at entries j >= k; entry k of
+    row k is the tangent number T_k, with tan x = sum_k T_k x^(2k-1)/(2k-1)!,
+    and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  All of it is integer.
+    """
+    col = _TANGENT_COLUMN
+    n = len(col)
+    new = [col[0] * n if n else 1]
+    col.append(0)  # row n + 1 has no entry n
+    for i in range(1, n + 1):
+        new.append((n - i) * col[i] + (n + 2 - i) * new[i - 1])
+    col[:] = new
+    k = n + 1
+    b = Fraction(2 * k * new[-1], 4**k * (4**k - 1))
+    _B_EVEN.append(b if k % 2 else -b)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
     if n < 0:
         raise DomainError("Bernoulli numbers need n >= 0")
-    if n == 0:
-        return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
+    while len(_B_EVEN) <= n // 2:
+        _grow_b_even()
+    return _B_EVEN[n // 2]
 
 
 class LazyTable(dict):
@@ -101,10 +126,19 @@ TAYLOR_K_MAX = 170  # largest k with k! representable as a double
 
 @cache
 def zeta_taylor(s: int) -> LazyTable:
-    """Coefficients c_k = zeta(s - k)/k! of Li_s(e^w) about w = 0, with c_{s-1} = 0.
+    """Coefficients c_k of Li_s(e^w) about w = 0: c_k = zeta(s - k)/k!, save
+    c_{s-1} = H_{s-1}/(s-1)!.
 
-    ``Li_s(e^w) = w^{s-1}/(s-1)! (H_{s-1} - ln(-w)) + sum_k c_k w^k`` for
-    integer s >= 2 and |w| < 2 pi (Lewin 1981).  For k > s, c_k vanishes
-    unless k - s is odd.  Entries exist for k <= TAYLOR_K_MAX.
+    ``Li_s(e^w) = sum_k c_k w^k - ln(-w) w^{s-1}/(s-1)!`` for integer s >= 2
+    and |w| < 2 pi (Lewin 1981).  For k > s, c_k vanishes unless k - s is odd.
+    Entries exist for k <= TAYLOR_K_MAX.  The polylog and Clausen kernels both
+    read their coefficients here.
     """
-    return LazyTable(lambda k: 0.0 if k == s - 1 else zeta_int(s - k) / math.factorial(k))
+
+    def entry(k: int) -> float:
+        if k == s - 1:
+            # H_{s-1}/(s-1)!, exact until this one rounding
+            return float(sum(Fraction(1, j) for j in range(1, s)) / math.factorial(s - 1))
+        return zeta_int(s - k) / math.factorial(k)
+
+    return LazyTable(entry)

@@ -30,7 +30,6 @@ from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, zeta_int, zeta_tayl
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError
 from .result import EvalResult
-from .specfun import harmonic
 
 RHO = 0.5  # the series runs for |z| <= RHO, the inversion for |z| >= 1/RHO
 _STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a sum
@@ -72,14 +71,12 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 @cache
 def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
-    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor(s)`` with
-    H_{s-1}/(s-1)! in place of c_{s-1} = 0, with its |c_k|; and its tail
-    d_m = c_{s+1+2m} with |d_m|, which ``_li_log_expansion`` extends as its
-    sums reach them."""
+    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor(s)`` (where
+    c_{s-1} = H_{s-1}/(s-1)!), with its |c_k|; and its tail d_m = c_{s+1+2m}
+    with |d_m|, which ``_li_log_expansion`` extends as its sums reach them."""
     c = zeta_taylor(s)
-    head = [c[k] for k in range(s, -1, -1)]
-    head[1] = harmonic(s - 1) / math.factorial(s - 1)
-    return tuple(head), tuple(map(abs, head)), [], []
+    head = tuple(c[k] for k in range(s, -1, -1))
+    return head, tuple(map(abs, head)), [], []
 
 
 def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:

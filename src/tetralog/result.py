@@ -9,7 +9,7 @@ from .constants import EPS, PI, PI_DIGITS
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     """A computed value with an estimated absolute error bound.
 
@@ -23,17 +23,20 @@ class EvalResult:
     effort: int
     method: str
 
-    def __post_init__(self) -> None:
-        if isinstance(self.value, complex):
-            ok = math.isfinite(self.value.real) and math.isfinite(self.value.imag)
-        else:
-            ok = math.isfinite(self.value)
-        if not ok:
+    def __init__(self, value: float | complex, err_bound: float, effort: int, method: str) -> None:
+        # every kernel call builds one, so the checks read the arguments and
+        # the fields go straight into __dict__, past the frozen __setattr__
+        if value - value != 0:  # 0 exactly when every part, real or complex, is finite
             raise DomainError("EvalResult value must be finite")
-        if not (math.isfinite(self.err_bound) and self.err_bound >= 0.0):
+        if not 0.0 <= err_bound < math.inf:  # a nan fails too
             raise DomainError("EvalResult err_bound must be finite and >= 0")
-        if self.effort < 0:
+        if effort < 0:
             raise DomainError("EvalResult effort must be >= 0")
+        fields = self.__dict__
+        fields["value"] = value
+        fields["err_bound"] = err_bound
+        fields["effort"] = effort
+        fields["method"] = method
 
 
 @dataclass(frozen=True)

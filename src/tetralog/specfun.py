@@ -1,86 +1,125 @@
 """Core special functions.
 
-Clausen functions of even and odd order, digamma/trigamma/polygamma, the
-Hurwitz zeta function, harmonic numbers, the imaginary part of the
-dilogarithm in polar form, and the integer-order upper incomplete gamma
-function.  All evaluations are pure double precision; every routine that
-iterates reports an error bound and raises on non-convergence.
+Clausen functions of every order, digamma/trigamma/polygamma, the Hurwitz
+zeta function, harmonic numbers, the imaginary part of the dilogarithm in
+polar form, and the integer-order upper incomplete gamma function.  All
+evaluations are pure double precision; every routine that iterates reports an
+error bound and raises on non-convergence.
+
+Every Clausen value, ``cl2`` included, comes from one kernel: the real or
+imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0.  A
+table cached per order and parity holds its coefficients with the sign of
+(-theta^2)^j folded in, H_{s-1}/(s-1)! in the theta^{s-1} term, and the
+coefficient of theta^{s-1} ln theta (or of theta^{s-1}, for the polynomial
+kinds).  The head, up to theta^s, is summed by Horner's rule in theta^2, the
+tail in one pass until its terms are negligible.  psi and psi' shift x up to
+10, then sum their asymptotic series through B_18; a negative x reflects
+through sin or tan of the exact x - round(x).  Each bound adds the first term
+left out to a roundoff term proportional to the sum of |terms|.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
-from .bernoulli import TAYLOR_K_MAX, LazyTable, bernoulli_number, zeta_int, zeta_taylor
-from .constants import EPS, GAMMA, PI, TWO_PI
+from .bernoulli import TAYLOR_K_MAX, bernoulli_number, zeta_int, zeta_taylor
+from .constants import EPS, GAMMA, PI
 from .errors import ConvergenceError, DomainError
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
 
 # ---------------------------------------------------------------------------
 # digamma / trigamma / polygamma
 
+# The asymptotic series of psi and psi' sum through B_18 at x >= 10.  There
+# the B_20 term, the first left out, is below _TRUNC = |B_20|/10^20 of
+# psi'(x) > 1/x, and of |terms| > ln 10 > 1 for psi; for real x > 0 the
+# remainder is smaller than that term and has its sign.  The roundoff bounds
+# count in u = EPS/2, the unit roundoff.
+_TRUNC = 174611 / 330 / 1e20
 
-def _digamma(x: float) -> float:
+
+def _digamma(x: float) -> tuple[float, float]:
+    """psi(x) and a bound on its error."""
     if x <= 0.0:
-        if x == math.floor(x):
+        # x - round(x) is exact, so tan(pi x) = tan(pi r) keeps its digits at
+        # the poles' sides, where tan(PI * x) would not
+        r = x - round(x)
+        if r == 0.0:
             raise DomainError(f"digamma pole at {x}")
-        return _digamma(1.0 - x) - PI / math.tan(PI * x)
+        c = PI / math.tan(PI * r)
+        b, err = _digamma(1.0 - x)
+        # PI * r is within 1.4u of pi r, which moves c by
+        # 1.4u pi |pi r| / sin^2(pi r) <= 2.2u (pi + |c|); tan, PI and the
+        # division add 3.4u of c.  Rounding 1 - x moves psi(1 - x) by at most
+        # u (1 - x) psi'(1 - x) <= 2u, and the subtraction adds u (|b| + |c|).
+        return b - c, err + EPS * (3.5 * abs(c) + abs(b) + 5.0)
     acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    # psi(x) ~ ln x - 1/(2x) - sum B_{2n}/(2n x^{2n})
-    inv2 = 1.0 / (x * x)
-    s = -inv2 * (
-        1.0 / 12
-        + inv2
-        * (
-            -1.0 / 120
-            + inv2 * (1.0 / 252 + inv2 * (-1.0 / 240 + inv2 * (1.0 / 132 - inv2 * 691.0 / 32760)))
-        )
-    )
-    return acc + math.log(x) - 0.5 / x + s
+    n = 0.0
+    y = x
+    while y < 10.0:  # a nan ends here too
+        acc += 1.0 / y
+        n += 1.0
+        y = x + n  # one rounding, not n
+    # psi(y) ~ ln y - 1/(2y) - sum B_2n/(2n y^2n)
+    inv = 1.0 / y
+    i2 = inv * inv
+    tail = inv * (0.5 + inv * (1 / 12 + i2 * (-1 / 120 + i2 * (1 / 252 + i2 * (-1 / 240 + i2 * (
+        1 / 132 + i2 * (-691 / 32760 + i2 * (1 / 12 + i2 * (-3617 / 8160 + i2 * 43867 / 14364)))))))))
+    lg = math.log(y)
+    mag = acc + lg + tail
+    # each 1/(x+k) and ln y carries 2u of rounding (u of it from the rounded
+    # y), and each of the n + 2 additions u of mag
+    return lg - acc - tail, ((n + 5.0) * 0.5 * EPS + _TRUNC) * mag
 
 
 def digamma(x: float) -> EvalResult:
     """psi(x) by recurrence shift and the Bernoulli asymptotic series."""
-    v = _digamma(float(x))
-    return EvalResult(v, 4.0 * EPS * max(1.0, abs(v)), 0, "asymptotic")
+    v, err = _digamma(float(x))
+    if math.isinf(v):
+        raise OverflowError(f"digamma({x}) overflows double precision")
+    return EvalResult(v, err, 0, "asymptotic")
 
 
-def _trigamma(x: float) -> float:
+def _trigamma(x: float) -> tuple[float, float]:
+    """psi'(x) and a bound on its error."""
     if x <= 0.0:
-        if x == math.floor(x):
+        r = x - round(x)  # exact: see _digamma
+        if r == 0.0:
             raise DomainError(f"trigamma pole at {x}")
-        s = math.sin(PI * x)
-        return PI * PI / (s * s) - _trigamma(1.0 - x)
+        a = PI / math.sin(PI * r)
+        a *= a
+        b, err = _trigamma(1.0 - x)
+        # PI * r, sin, the division and the square leave a within 5.2 EPS
+        # relative; rounding 1 - x moves psi'(1 - x) by at most EPS of itself,
+        # and the subtraction adds EPS/2 of a + b
+        return a - b, err + EPS * (6.0 * a + 2.0 * b)
     acc = 0.0
-    while x < 10.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    # psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} x^{-2n-1}
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = inv * (
-        1.0
-        + inv * 0.5
-        + inv2
-        * (
-            1.0 / 6
-            + inv2
-            * (
-                -1.0 / 30
-                + inv2 * (1.0 / 42 + inv2 * (-1.0 / 30 + inv2 * (5.0 / 66 - inv2 * 691.0 / 2730)))
-            )
-        )
-    )
-    return acc + s
+    n = 0.0
+    y = x
+    while y < 10.0:  # a nan ends here too
+        t = 1.0 / y  # squared after the division, so that a tiny x overflows to inf
+        acc += t * t
+        n += 1.0
+        y = x + n
+    # psi'(y) ~ 1/y + 1/(2y^2) + sum B_2n / y^(2n+1)
+    inv = 1.0 / y
+    i2 = inv * inv
+    v = acc + inv * (1.0 + inv * (0.5 + inv * (1 / 6 + i2 * (-1 / 30 + i2 * (1 / 42 + i2 * (
+        -1 / 30 + i2 * (5 / 66 + i2 * (-691 / 2730 + i2 * (7 / 6 + i2 * (
+            -3617 / 510 + i2 * 43867 / 798))))))))))
+    # every term is positive save the small Bernoulli ones, so v stands in for
+    # the sum of |terms|: each 1/(x+k)^2 carries 5u of rounding (2u of it
+    # from the rounded x + k), the series 4u, and the n additions u of v each
+    return v, ((n + 6.0) * 0.5 * EPS + _TRUNC) * v
 
 
 def trigamma(x: float) -> EvalResult:
     """psi'(x) by recurrence shift and the Bernoulli asymptotic series."""
-    v = _trigamma(float(x))
-    return EvalResult(v, 4.0 * EPS * abs(v), 0, "asymptotic")
+    v, err = _trigamma(float(x))
+    if math.isinf(v):
+        raise OverflowError(f"trigamma({x}) overflows double precision")
+    return EvalResult(v, err, 0, "asymptotic")
 
 
 def polygamma(n: int, x: float) -> EvalResult:
@@ -101,8 +140,15 @@ def polygamma(n: int, x: float) -> EvalResult:
 # Hurwitz zeta
 
 
-# B_{2j}/(2j)!, the Euler-Maclaurin correction coefficients
-_EM_COEFFS = LazyTable(lambda j: float(bernoulli_number(2 * j)) / math.factorial(2 * j))
+_EM_TERMS = 10  # Euler-Maclaurin corrections summed; one more bounds the rest
+
+
+@cache
+def _em_coeffs() -> tuple[tuple[float, ...], float]:
+    """The Euler-Maclaurin coefficients B_2j/(2j)! for j = 1 .. _EM_TERMS, and
+    the next one, which bounds the remainder."""
+    b = [float(bernoulli_number(2 * j)) / math.factorial(2 * j) for j in range(1, _EM_TERMS + 2)]
+    return tuple(b[:-1]), b[-1]
 
 
 def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
@@ -113,24 +159,31 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
         raise DomainError("hurwitz_zeta requires a > 0")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    M = 10
+    b, b_rem = _em_coeffs()
     N = max(0, int(math.ceil(10.0 - a)))
-    b = _EM_COEFFS
-    # remainder bounded by the magnitude of the first omitted term
-    poch_rem = 1.0
-    for i in range(2 * M + 1):
-        poch_rem *= s + i
     for _ in range(60):
         z = a + N
-        rem = abs(b[M + 1] * poch_rem) * z ** (-(s + 2 * M + 1))
-        head = math.fsum((a + k) ** (-s) for k in range(N))
-        floor = 4.0 * EPS * (abs(head) + z ** (1.0 - s) / (s - 1.0))
+        zs = z**-s
+        inv2 = 1.0 / (z * z)
+        # the corrections b_j s (s+1) ... (s+2j-2) z^{-(s+2j-1)}, j = 1 .. _EM_TERMS,
+        # with the power carried along by z^-2, which adds (j + 1) EPS/2 of
+        # rounding to correction j; for s <= 6 and z >= 10 they sum to under
+        # 3 % of z^{1-s}/(s-1), so this stays inside the floor below
+        corr = 0.0
+        poch = u = s
+        zp = zs / z
+        for bj in b:
+            corr += bj * poch * zp
+            poch *= (u + 1.0) * (u + 2.0)
+            u += 2.0
+            zp *= inv2
+        # remainder bounded by the magnitude of the first omitted term
+        rem = abs(b_rem * poch) * zp
+        head = math.fsum([(a + k) ** -s for k in range(N)])
+        integral = z * zs / (s - 1.0)
+        floor = 4.0 * EPS * (abs(head) + integral)
         if rem <= max(tol / 2.0, floor) or N > 100000:
-            total = head + z ** (1.0 - s) / (s - 1.0) + 0.5 * z ** (-s)
-            poch = s
-            for j in range(1, M + 1):
-                total += b[j] * poch * z ** (-(s + 2 * j - 1))
-                poch *= (s + 2 * j - 1) * (s + 2 * j)
+            total = head + integral + 0.5 * zs + corr
             err = rem + floor
             # only the truncation remainder is negotiable; the roundoff floor
             # is intrinsic to double precision, so a floor-dominated result is
@@ -139,7 +192,7 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
                 raise ConvergenceError(
                     f"hurwitz_zeta({s}, {a}): error bound {err:g} exceeds tol {tol:g}"
                 )
-            return EvalResult(total, err, N + M, "euler-maclaurin")
+            return EvalResult(total, err, N + _EM_TERMS, "euler-maclaurin")
         N = max(N + 8, 2 * N)
     raise ConvergenceError("hurwitz_zeta failed to converge")
 
@@ -174,129 +227,146 @@ def _reduction_slack(th: float, d: float, tol: float) -> float:
     return slack
 
 
-# zeta(2n)/(n(2n+1)), the coefficients of cl2's Bernoulli-accelerated series
-_CL2_COEFFS = LazyTable(lambda n: zeta_int(2 * n) / (n * (2 * n + 1)))
+# a tail term below _STOP times the sum of |terms| before the tail ends it
+_STOP = 0.25 * EPS
+
+
+@cache
+def _clausen_table(
+    s: int, odd: bool
+) -> tuple[tuple[tuple[float, float], ...], float, bool, tuple[float, ...], float]:
+    """The coefficients of the Clausen kernel for order s and one parity.
+
+    ``bernoulli.zeta_taylor`` gives Li_s(e^{i theta}) = sum_k c_k (i theta)^k
+    - ln(-i theta) (i theta)^{s-1}/(s-1)!, with real terms at even k and
+    imaginary ones at odd k.  So the sine (odd, p = 1) or cosine (p = 0) part
+    is sum_j c_{2j+p} (-theta^2)^j theta^p + g theta^{s-1} L, where g is the
+    part of -(i)^{s-1}/(s-1)! or of (i pi/2)(i)^{s-1}/(s-1)! that the parity
+    picks.  When s - 1 has parity p, L = ln theta and the first holds;
+    otherwise L = 1, the second holds, and c_k vanishes past k = s, so the
+    sum is a polynomial.
+
+    Returned: the c_{2j+p} (-1)^j for 2j + p <= s, highest first, for
+    Horner's rule in theta^2, each with its magnitude; g; whether
+    L = ln theta; and the magnitudes of the tail's c_{2j+p} (-1)^j for
+    2j + p > s, which share one sign, with that sign.  The tail runs until its
+    term at theta = pi is below _STOP times the head's theta^p term there, so
+    a sum on (0, pi] stops by its end.  Past TAYLOR_K_MAX a term reads 0: the
+    tail gets there only for s >= 168, where the first term left out is below
+    1e-220 at theta = pi.
+    """
+    c = zeta_taylor(s)
+    p = 1 if odd else 0
+    head = [(-1) ** (k // 2) * c[k] for k in range(s - (s - p) % 2, p - 1, -2)]
+    log = (s - p) % 2 == 1
+    rot = (-1.0 if log else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
+    g = rot.imag if odd else rot.real
+    tail: list[float] = []
+    if log:
+        last = abs(head[-1]) * PI**p
+        for k in range(s + 1, TAYLOR_K_MAX + 1, 2):
+            tail.append((-1) ** (k // 2) * c[k])
+            if abs(tail[-1]) * PI**k < _STOP * last:
+                break
+    sign = math.copysign(1.0, tail[0]) if tail else 1.0
+    return tuple((a, abs(a)) for a in head), g, log, tuple(sign * d for d in tail), sign
+
+
+def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -> EvalResult:
+    """Im (odd) or Re (not odd) of Li_s(e^{i theta}) for integer s >= 2, from
+    the expansion about theta = 0 that ``_clausen_table`` describes.
+
+    The head, up to theta^s, is summed by Horner's rule in theta^2.  The tail
+    is summed in one pass that stops at its first term below _STOP times the
+    head's sum of |terms|.
+    """
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    th, d = reduce_angle(theta)
+    slack = _reduction_slack(th, d, tol) if d else 0.0
+    flip = False
+    if th < 0.0:
+        th = -th
+        flip = odd
+    if odd and (th == 0.0 or th == PI):
+        # a sine sum vanishes at 0 and pi; the double PI falls 1.2e-16 short
+        # of pi, where its slope, sum (-1)^n / n^(s-1), is at most ln 2
+        return EvalResult(0.0, slack if th == 0.0 else EPS + slack, 0, method)
+    if th == 0.0:
+        v = zeta_int(s)
+        return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, method)
+    if s > 171:
+        # the head's 1/(s-1)! is below the double range; (s-1)! alone would take
+        # unbounded time to form for a huge s
+        raise OverflowError(f"Cl_{s}: order too large for double precision")
+    head, g, log, tail, sign = _clausen_table(s, odd)
+    x2 = th * th
+    acc = mag = 0.0
+    for a, b in head:
+        acc = acc * x2 + a
+        mag = mag * x2 + b
+    if odd:
+        acc *= th
+        mag *= th
+    pw = th ** (s - 1)
+    gt = g * pw
+    if log:
+        gt *= math.log(th)
+    acc += gt
+    mag += abs(gt)
+    limit = _STOP * mag
+    pw *= x2
+    t = rest = 0.0
+    m = 0
+    for d in tail:
+        t = d * pw
+        rest += t
+        m += 1
+        if t <= limit:
+            break
+        pw *= x2
+    mag += rest
+    # Truncation: past k = s, |c_{k+2}| theta^2 <= |c_k| (theta/2 pi)^2 =
+    # |c_k| r2, so the terms left out sum to at most t r2/(1 - r2).
+    # Roundoff: a head term of power k takes at most 1.5k + 1 roundings from
+    # Horner's steps and the rounded theta^2, and its coefficient up to
+    # (0.18 (s - k) + 2) EPS from zeta(s - k), whose pi^(s-k) carries that;
+    # the g and tail terms, a few powers and products, take fewer.  All stay
+    # below (s + 4) EPS of the sum of |terms|, which near pi is several times
+    # |value|, as the terms cancel there.
+    r2 = x2 / (4.0 * PI * PI)
+    err = t * r2 / (1.0 - r2) + (s + 4) * EPS * mag + slack
+    if err > tol:
+        raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
+    v = acc + sign * rest
+    # effort: the head's terms, the g term unless it shares theta^{s-1} with
+    # the folded c_{s-1}, and the tail's
+    return EvalResult(-v if flip else v, err, len(head) + (not log) + m, method)
 
 
 def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     """Cl_2(theta) = sum sin(n theta)/n^2.
 
-    Evaluated through the Bernoulli-accelerated expansion
-    ``theta - theta ln theta + sum zeta(2n) theta^(2n+1) / (n (2n+1) (2pi)^2n)``
-    after reduction to [0, pi]; the defining series is kept as a test oracle.
+    The Clausen kernel at order 2, after reduction to [0, pi]: there its
+    series is the Bernoulli-accelerated expansion
+    ``theta - theta ln theta + sum_n zeta(2n) theta^(2n+1) / (n (2n+1) (2pi)^2n)``.
+    The defining series is kept as a test oracle.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    th, d = reduce_angle(theta)
-    slack = _reduction_slack(th, d, tol) if d else 0.0
-    sign = 1.0
-    if th < 0.0:
-        th, sign = -th, -1.0
-    if th == 0.0:
-        return EvalResult(0.0, slack, 0, "bernoulli-series")
-    if th == PI:
-        # the double PI falls 1.2e-16 short of pi, where Cl_2' = -ln 2
-        return EvalResult(0.0, EPS + slack, 0, "bernoulli-series")
-    c = _CL2_COEFFS
-    lg = th * math.log(th)
-    total = th - lg
-    mag = th + abs(lg)
-    ratio = (th / TWO_PI) ** 2
-    power = th * ratio
-    term = 0.0
-    n = 0
-    for n in range(1, 200):
-        term = c[n] * power
-        total += term
-        mag += term
-        if term < 0.25 * EPS * mag:
-            break
-        power *= ratio
-    # the positive terms fall at least by ratio, which bounds the tail; the
-    # roundoff floor scales with the magnitudes summed, since near pi they cancel
-    err = 2.0 * term * ratio / (1.0 - ratio) + 4.0 * EPS * mag + slack
-    if err > tol:
-        raise ConvergenceError(f"cl2: error bound {err:g} exceeds tol {tol:g}")
-    return EvalResult(sign * total, err, n, "bernoulli-series")
-
-
-def _clausen_series(s: int, odd: bool, th: float) -> tuple[float, float, int]:
-    """Im (odd) or Re (not odd) of Li_s(e^{i theta}) for integer s >= 2, theta in (0, pi].
-
-    With w = i theta the expansion of ``bernoulli.zeta_taylor`` has real terms
-    at even k and imaginary terms at odd k, so each part is a real series of
-    one parity, ``sum_j c_{2j+p} (-theta^2)^j theta^p``.  When k - s is even,
-    every coefficient past k = s vanishes and the sum is a polynomial.
-    """
-    c = zeta_taylor(s)
-    # head w^{s-1}/(s-1)! (H_{s-1} - ln(-w)), with ln(-w) = ln theta - i pi/2
-    q = th ** (s - 1) / math.factorial(s - 1)
-    a = harmonic(s - 1) - math.log(th)
-    head = q * complex(a, PI / 2.0) * 1j ** (s - 1)  # i^(s-1) is exact
-    total = head.imag if odd else head.real
-    mag = q * (abs(a) + PI / 2.0)
-    finite = (s % 2 == 1) == odd
-    p = th if odd else 1.0
-    step = -th * th
-    term = 0.0
-    n = 0
-    for k in range(1 if odd else 0, (s if finite else TAYLOR_K_MAX) + 1, 2):
-        term = c[k] * p
-        total += term
-        mag += abs(term)
-        n += 1
-        if k > s and abs(term) < 0.25 * EPS * mag:
-            break
-        p *= step
-    # past k = s, |c_{k+2}| theta^2 <= |c_k| r2, which bounds the tail; the
-    # roundoff floor scales with the magnitudes summed, since near pi they cancel
-    r2 = (th / TWO_PI) ** 2
-    trunc = 0.0 if finite else 2.0 * abs(term) * r2 / (1.0 - r2)
-    # effort: the head and every nonzero term (an infinite sum passes c_{s-1} = 0)
-    return total, trunc + 6.0 * EPS * mag, n + finite
-
-
-def _clausen(s: int, kind: str, theta: Angle | float, tol: float) -> EvalResult:
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    th, d = reduce_angle(theta)
-    slack = _reduction_slack(th, d, tol) if d else 0.0
-    odd = kind == "sin"
-    sign = 1.0
-    if th < 0.0:
-        th = -th
-        if odd:
-            sign = -1.0
-    if th == 0.0:
-        if odd:
-            return EvalResult(0.0, slack, 0, "log-expansion")
-        if s < 2:
-            raise DomainError("cosine Clausen series diverges at theta = 0 for s < 2")
-        v = zeta_int(s)
-        return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, "log-expansion")
-    if s > 171:
-        # the head's 1/(s-1)! is below the double range; (s-1)! alone would take
-        # unbounded time to form for a huge s
-        raise OverflowError(f"Cl_{s}: order too large for double precision")
-    v, err, effort = _clausen_series(s, odd, th)
-    err += slack
-    if err > tol:
-        raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
-    return EvalResult(sign * v, err, effort, "log-expansion")
+    return _clausen(2, True, theta, tol, "bernoulli-series")
 
 
 def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized sine Clausen value sum_{n>=1} sin(n theta)/n^s, s >= 2."""
     if s < 2:
         raise DomainError("clausen_sin requires order >= 2")
-    return _clausen(s, "sin", theta, tol)
+    return _clausen(s, True, theta, tol, "log-expansion")
 
 
 def clausen_cos(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized cosine Clausen value sum_{n>=1} cos(n theta)/n^s, s >= 2."""
     if s < 2:
         raise DomainError("clausen_cos requires order >= 2")
-    return _clausen(s, "cos", theta, tol)
+    return _clausen(s, False, theta, tol, "log-expansion")
 
 
 def cl_even(q: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
@@ -323,15 +393,17 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
     p, q = angle.p, angle.q
     if q < 3 or q % 2 == 0 or p % 2 != 0:
         raise DomainError("cl2_rational requires p even and q odd with q >= 3")
-    total = 0.0
-    mag = 0.0
+    total = mag = err = 0.0
     for k in range(1, q):
-        t = _trigamma(1.0 - k / (2.0 * q)) + _trigamma(0.5 - k / (2.0 * q))
-        term = t * math.sin(k * p * PI / q)
+        a, ea = _trigamma(1.0 - k / (2.0 * q))
+        b, eb = _trigamma(0.5 - k / (2.0 * q))
+        sn = math.sin(k * p * PI / q)
+        term = (a + b) * sn
         total += term
         mag += abs(term)
+        err += (ea + eb) * abs(sn)
     v = -total / (4.0 * q * q)
-    err = 8.0 * EPS * mag / (4.0 * q * q)
+    err = (err + 8.0 * EPS * mag) / (4.0 * q * q)
     if err > tol:
         raise ConvergenceError(f"cl2_rational: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(v, err, q - 1, "trigamma-sum")

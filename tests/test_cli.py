@@ -86,6 +86,9 @@ class TestEval:
             ("hurwitz", "--s", "2", "--a", "inf"),
             ("cln", "--order", "400", "--theta", "1"),
             ("trigamma", "--x", "1e-320"),
+            ("trigamma", "--x", "1e-200"),
+            ("trigamma", "--x", "1e-155"),
+            ("trigamma", "--x=-1e-200"),
         ],
     )
     def test_extreme_argument_usage_error(self, capsys, argv):

@@ -77,6 +77,16 @@ def test_import_polylog_builds_no_table():
     assert _printed_by(code).split() == ["0", "0", "0"]
 
 
+def test_import_specfun_builds_no_table():
+    code = (
+        "import tetralog.specfun as s, tetralog.bernoulli as b\n"
+        "print(s._clausen_table.cache_info().currsize, s._em_coeffs.cache_info().currsize,"
+        " b.zeta_taylor.cache_info().currsize, b.bernoulli_number.cache_info().currsize,"
+        " len(b._B_EVEN))"
+    )
+    assert _printed_by(code).split() == ["0", "0", "0", "0", "1"]
+
+
 def test_star_import_binds_every_public_name_to_its_home_object():
     namespace: dict = {}
     exec("from tetralog import *", namespace)

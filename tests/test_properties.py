@@ -16,7 +16,7 @@ import tetralog
 from tetralog.constants import PI_DIGITS
 from tetralog.polylog import RHO, _inversion_remainder, polylog_complex
 from tetralog.result import reduce_angle
-from tetralog.specfun import cl2, clausen_cos, clausen_sin, hurwitz_zeta, trigamma
+from tetralog.specfun import cl2, clausen_cos, clausen_sin, digamma, hurwitz_zeta, trigamma
 
 PI = math.pi
 
@@ -135,6 +135,46 @@ def test_hurwitz_zeta_bound_is_honest(s, log_a):
     _assert_honest(hurwitz_zeta(s, a), _oracle(mpmath.zeta, s, a))
 
 
+def _psi_oracle(m, x):
+    with mpmath.workdps(40):
+        return float(mpmath.psi(m, x))
+
+
+# x log-uniform on [1e-2, 1e2], as the benchmark draws it; on (-20, 0), short
+# of where 1/x^2 overflows; and within 1e-12 .. 1e-1 of a negative integer,
+# where sin(pi x) and tan(pi x) need the exact x - round(x)
+psi_positive = st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)).map(math.exp)
+psi_negative = st.one_of(
+    st.floats(min_value=-20.0, max_value=-1e-100),
+    st.tuples(
+        st.integers(min_value=-20, max_value=-1),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=math.log(1e-12), max_value=math.log(1e-1)),
+    ).map(lambda t: t[0] + t[1] * math.exp(t[2])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(psi_positive, psi_negative))
+def test_trigamma_bound_is_honest(x):
+    assume(x != math.floor(x))
+    _assert_honest(trigamma(x), _psi_oracle(1, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        psi_positive,
+        psi_negative,
+        # about the root of psi at 1.4616, where |psi| is far below its terms
+        st.floats(min_value=1.4606, max_value=1.4626),
+    )
+)
+def test_digamma_bound_is_honest(x):
+    assume(x != math.floor(x))
+    _assert_honest(digamma(x), _psi_oracle(0, x))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
@@ -248,7 +288,7 @@ def test_import_builds_no_table():
         "print(bernoulli.bernoulli_number.cache_info().currsize,"
         " bernoulli.zeta_int.cache_info().currsize,"
         " bernoulli.zeta_taylor.cache_info().currsize,"
-        " len(specfun._EM_COEFFS), len(specfun._CL2_COEFFS))"
+        " specfun._em_coeffs.cache_info().currsize, specfun._clausen_table.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

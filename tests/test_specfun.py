@@ -6,9 +6,11 @@ bounds.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from tetralog.constants import EPS
 from tetralog.errors import DomainError
 from tetralog.result import PolarPoint, RationalAngle
 from tetralog.specfun import (
@@ -220,3 +222,128 @@ class TestIncompleteGamma:
 def test_harmonic_numbers():
     assert harmonic(1) == 1.0
     assert abs(harmonic(4) - 25.0 / 12.0) < 1e-15
+
+
+class TestClausenKernel:
+    """cl2 and clausen_* share one table-driven kernel."""
+
+    ANGLES = [
+        -PI + 1e-15, -3.0, -2.0, -1.0, -0.3, -1e-8, -1e-300, 0.0,
+        1e-300, 1e-8, 0.3, PI / 3.0, 1.0, 2.0, 3.0, PI - 1e-12, PI, -PI,
+    ]
+
+    def test_cl2_is_clausen_sin_order_two(self):
+        grid = self.ANGLES + [-PI + 2.0 * PI * i / 997.0 for i in range(1, 998)]
+        for th in grid:
+            a, b = cl2(th), clausen_sin(2, th)
+            assert abs(a.value - b.value) <= a.err_bound + b.err_bound, th
+            assert a.effort == b.effort
+
+    def test_methods(self):
+        assert cl2(1.0).method == "bernoulli-series"
+        assert cl2(0.0).method == "bernoulli-series"
+        assert cl2(PI).method == "bernoulli-series"
+        assert clausen_sin(2, 1.0).method == "log-expansion"
+        assert clausen_cos(3, 1.0).method == "log-expansion"
+
+    def test_sine_kinds_vanish_at_zero_and_pi(self):
+        for s in (2, 3, 4, 7):
+            for th in (0.0, PI, -PI):
+                r = clausen_sin(s, th)
+                assert r.value == 0.0 and r.effort == 0
+                assert r.err_bound <= 8.0 * EPS  # -PI adds the reduction slack
+
+    @pytest.mark.parametrize(
+        ("fn", "s", "effort"),
+        # a polynomial: its terms of one parity up to theta^s, and the head's
+        # monomial theta^(s-1)
+        [(clausen_cos, 2, 3), (clausen_sin, 3, 3), (clausen_cos, 4, 4), (clausen_sin, 5, 4),
+         (clausen_sin, 7, 5), (clausen_cos, 8, 6)],
+    )
+    def test_effort_of_a_polynomial(self, fn, s, effort):
+        for th in (1e-8, 0.5, 2.0, 3.1):
+            assert fn(s, th).effort == effort
+
+    @pytest.mark.parametrize(
+        ("fn", "s", "head"),
+        # the head (folded into the theta^(s-1) term) and the terms below it
+        [(clausen_sin, 2, 1), (clausen_cos, 3, 2), (clausen_sin, 4, 2), (clausen_cos, 5, 3),
+         (clausen_sin, 8, 4)],
+    )
+    def test_effort_of_an_infinite_sum(self, fn, s, head):
+        # a tiny angle stops at the first tail term; larger ones need more
+        assert fn(s, 1e-8).effort == head + 1
+        efforts = [fn(s, th).effort for th in (1e-8, 0.1, 0.5, 1.0, 2.0, 3.0, PI - 1e-9)]
+        assert efforts == sorted(efforts)
+        assert efforts[-1] > head + 10
+
+    def test_cl2_effort_counts_head_and_terms(self):
+        assert cl2(1e-8).effort == 2
+        assert cl2(0.0).effort == 0
+        # theta - theta ln theta, then zeta(2n) theta^(2n+1)/(n (2n+1) (2 pi)^2n),
+        # which falls by (theta/2 pi)^2 = 1/16 a term at theta = pi/2: 2^-54
+        # of the head takes about 13
+        assert 11 <= cl2(PI / 2.0).effort <= 15
+
+    @pytest.mark.parametrize("s", range(2, 21))
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_tail_premises(self, s, odd):
+        from tetralog.bernoulli import zeta_taylor
+        from tetralog.specfun import _clausen_table
+
+        head, g, log, tail, sign = _clausen_table(s, odd)
+        assert log == ((s % 2 == 0) == odd)
+        assert all(b == abs(a) for a, b in head)
+        if not log:
+            assert tail == ()
+            return
+        # the signed tail c_k (-1)^(k//2), k = s+1, s+3, ..., shares one sign ...
+        c = zeta_taylor(s)
+        signed = [(-1) ** (k // 2) * c[k] for k in range(s + 1, s + 2 * len(tail), 2)]
+        assert all(math.copysign(1.0, v) == sign for v in signed)
+        assert list(tail) == [abs(v) for v in signed]
+        # ... and falls at least by (2 pi)^2 a step, which bounds the truncation
+        for lo, hi in zip(tail, tail[1:]):
+            assert hi * (2.0 * PI) ** 2 <= lo * (1.0 + 1e-12)
+
+
+class TestPsiEdges:
+    @pytest.mark.parametrize("x", [1e-155, 1e-200, 5e-324, -1e-200, -5e-324])
+    def test_trigamma_overflow(self, x):
+        with pytest.raises(OverflowError, match=r"trigamma\(.*\) overflows double precision"):
+            trigamma(x)
+
+    def test_digamma_overflow(self):
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            digamma(5e-324)
+
+    def test_tiny_but_finite(self):
+        assert trigamma(1e-150).value == pytest.approx(1e300, rel=1e-15)
+        assert digamma(1e-300).value == pytest.approx(-1e300, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [10.0, 10.5, 12.0, 15.0, 20.0])
+    def test_asymptotic_series_to_an_ulp(self, x):
+        # no shift here: the B_16 term alone is 6.7e-16 of psi'(10), so a
+        # wrong coefficient up to there shows
+        import mpmath
+
+        for m, fn in ((1, trigamma), (0, digamma)):
+            with mpmath.workdps(40):
+                exact = float(mpmath.psi(m, x))
+            assert abs(fn(x).value - exact) <= 2.5e-16 * abs(exact)
+
+    def test_poles(self):
+        for x in (0.0, -0.0, -1.0, -7.0, -2.0**52, -1e300):
+            with pytest.raises(DomainError):
+                trigamma(x)
+            with pytest.raises(DomainError):
+                digamma(x)
+
+
+def test_bernoulli_numbers_match_mpmath():
+    import mpmath
+
+    from tetralog.bernoulli import bernoulli_number
+
+    for n in range(201):
+        assert bernoulli_number(n) == Fraction(*mpmath.bernfrac(n)), n
