@@ -3,8 +3,11 @@
 A registry holds the degree-2 and degree-3 binary formulas built on the
 coefficient pattern (4, 0, 0, -2, -1, -1, 0, 0) over residues mod 8, plus
 the classical degree-1 formula for pi.  Digit extraction works in exact
-integer fixed point with modular exponentiation and aborts on carry
-ambiguity rather than ever emitting a wrong digit.
+integer fixed point and aborts on carry ambiguity rather than ever emitting
+a wrong digit.  Its head takes one modular power per batch of consecutive
+denominators, modulo their product; each term then exceeds its per-term
+value by a multiple of the fixed point's one, which vanishes when the sum
+is reduced mod one, so the digits are those of one modular power per term.
 """
 
 from __future__ import annotations
@@ -113,15 +116,26 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
 
 
 _GUARD_HEX = 12
+# The head takes one modular power per batch of consecutive denominators whose
+# product is about this many bits wide; the largest denominator, at
+# j = position, sets the batch width.  At positions 3e3 and 3e4, 256-512 bits
+# timed alike within noise, and 768 or more ran slower.
+_BATCH_BITS = 512
 
 
 def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """Hex digits of frac(16^position * pure sum), ``count`` digits.
 
-    Exact integer fixed point with ``_GUARD_HEX`` guard digits; modular
-    exponentiation handles the j <= position head.  If the guard bits sit
-    within 2^-20 of a digit carry boundary the extraction raises
-    PrecisionError instead of risking an off-by-one digit.
+    Exact integer fixed point with ``_GUARD_HEX`` guard digits.  The
+    j <= position head works in batches of consecutive denominators
+    d_j = (8j + k)^degree: one ``pow(16, position + 1 - j1, prod d_j)`` for
+    the batch j0 .. j1 - 1, whose residue mod each d_j, multiplied by
+    16^(j1 - 1 - j), is congruent to 16^(position - j) mod d_j.  Each term
+    thus exceeds the per-term floor(16^(position - j) mod d_j * 2^bits / d_j)
+    by a multiple of 2^bits, which vanishes mod one: the digits are those of
+    the per-term sum.  If the guard bits sit within 2^-20 of a digit carry
+    boundary the extraction raises PrecisionError instead of risking an
+    off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")
@@ -137,12 +151,19 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        # head: j <= position, 16^(position-j) reduced mod the denominator
-        for j in range(position + 1):
-            d = (8 * j + k) ** s
-            num = pow(16, position - j, d)
-            acc += a * ((num << bits) // d)
-            n_terms += 1
+        # head: j <= position, one pow per batch j0 .. j1 - 1
+        width = max(1, _BATCH_BITS // ((8 * position + k) ** s).bit_length())
+        for j0 in range(0, position + 1, width):
+            j1 = min(j0 + width, position + 1)
+            ds = [m**s for m in range(8 * j0 + k, 8 * j1 + k, 8)]
+            r = pow(16, position + 1 - j1, math.prod(ds))
+            shift = bits + 4 * (j1 - 1 - j0)
+            t = 0
+            for d in ds:
+                t += ((r % d) << shift) // d
+                shift -= 4
+            acc += a * t
+        n_terms += position + 1
         # tail: j > position, exact since terms shrink below the fixed point
         j = position + 1
         while True:

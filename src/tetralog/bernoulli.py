@@ -11,7 +11,6 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .constants import PI
 from .errors import DomainError
 
 
@@ -85,9 +84,10 @@ def bernoulli_poly_central(n: int) -> tuple[Fraction, ...]:
 def zeta_int(n: int) -> float:
     """Riemann zeta at an integer argument n != 1.
 
-    Even n >= 2 via the Bernoulli closed form, odd n >= 3 by direct
-    summation with an Euler-Maclaurin tail, nonpositive n via zeta(-m) =
-    -B_{m+1}/(m+1).
+    n >= 2 by direct summation with an Euler-Maclaurin tail, nonpositive n
+    via zeta(-m) = -B_{m+1}/(m+1).  The direct sum, not the closed form
+    |B_n| (2 pi)^n / (2 n!) at even n, since PI**n would carry n times PI's
+    relative error into the value.
     """
     if n == 1:
         raise DomainError("zeta(1) is a pole")
@@ -98,14 +98,7 @@ def zeta_int(n: int) -> float:
     if n < 0:
         m = -n
         return float(-bernoulli_number(m + 1) / (m + 1))
-    if n % 2 == 0:
-        b = bernoulli_number(n)
-        return float(
-            Fraction(abs(b.numerator), b.denominator)
-            * Fraction(2) ** (n - 1)
-            / math.factorial(n)
-        ) * PI**n
-    # odd n >= 3: direct sum to K, Euler-Maclaurin tail from K
+    # direct sum to K, Euler-Maclaurin tail from K
     K = 50
     s = math.fsum(k ** (-float(n)) for k in range(1, K))
     s += K ** (1.0 - n) / (n - 1) + 0.5 * K ** (-float(n))

@@ -395,15 +395,28 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
         raise DomainError("cl2_rational requires p even and q odd with q >= 3")
     total = mag = err = 0.0
     for k in range(1, q):
-        a, ea = _trigamma(1.0 - k / (2.0 * q))
-        b, eb = _trigamma(0.5 - k / (2.0 * q))
-        sn = math.sin(k * p * PI / q)
+        # each argument is rounded once, which moves psi' by at most EPS of
+        # itself since |x psi''(x)| <= 2 psi'(x)
+        a, ea = _trigamma((2 * q - k) / (2.0 * q))
+        b, eb = _trigamma((q - k) / (2.0 * q))
+        # sin(k p pi / q) = +-sin(m pi / q) with m reduced exactly to [0, q/2],
+        # so the argument is at most pi/2 and its three roundings (PI, the
+        # product, the quotient) move sin by < 2.4 EPS of itself
+        m = k * p % (2 * q)
+        sign = 1.0
+        if m > q:
+            m -= q
+            sign = -1.0
+        sn = sign * math.sin(min(m, q - m) * PI / q)
         term = (a + b) * sn
         total += term
         mag += abs(term)
         err += (ea + eb) * abs(sn)
     v = -total / (4.0 * q * q)
-    err = (err + 8.0 * EPS * mag) / (4.0 * q * q)
+    # the arguments, sin, a + b and the product add < 5 EPS of each term;
+    # summing q - 1 terms adds (q - 2) EPS/2 of their magnitudes, and the
+    # division EPS/2 of the value
+    err = (err + (0.5 * q + 5.0) * EPS * mag) / (4.0 * q * q)
     if err > tol:
         raise ConvergenceError(f"cl2_rational: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(v, err, q - 1, "trigamma-sum")

@@ -5,12 +5,15 @@ only; the library itself never depends on mpmath).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from tetralog.bbp import (
+    _BATCH_BITS,
+    _GUARD_HEX,
     BBPFormula,
     REGISTRY,
     closed_form_value,
@@ -101,6 +104,107 @@ class TestDigitExtraction:
             extract_hex_digits(f, 0, 0)
         with pytest.raises(DomainError):
             extract_hex_digits(f, 0, 17)
+
+
+def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
+    """The extraction with one modular power per head term: the reference that
+    the batched head must reproduce digit for digit, PrecisionError included."""
+    if all(a == 0 for a in f.coeffs):
+        return "0" * count
+    bits = 4 * (count + _GUARD_HEX)
+    one = 1 << bits
+    acc = 0
+    n_terms = 0
+    s = f.degree
+    for k, a in enumerate(f.coeffs, start=1):
+        if not a:
+            continue
+        for j in range(position + 1):
+            d = (8 * j + k) ** s
+            num = pow(16, position - j, d)
+            acc += a * ((num << bits) // d)
+            n_terms += 1
+        j = position + 1
+        while True:
+            d = ((8 * j + k) ** s) << (4 * (j - position))
+            t = one // d
+            if t == 0:
+                break
+            acc += a * t
+            n_terms += 1
+            j += 1
+    acc %= one
+    guard_bits = 4 * _GUARD_HEX
+    unit = 1 << guard_bits
+    slack = n_terms + (unit >> 20)
+    tail = acc & (unit - 1)
+    if tail < slack or unit - tail < slack:
+        raise PrecisionError(
+            f"carry ambiguity at position {position}: guard digits too close to a boundary"
+        )
+    return format(acc >> guard_bits, f"0{count}X")
+
+
+def _outcome(extract, f, position, count):
+    try:
+        return extract(f, position, count)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+def _batch_width(f: BBPFormula, position: int, k: int) -> int:
+    return max(1, _BATCH_BITS // ((8 * position + k) ** f.degree).bit_length())
+
+
+FORMULAS = sorted(REGISTRY)
+# exact at position 0: the only term is 1/1, so the guard digits are all zero
+EXACT_AT_ZERO = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=Fraction(1))
+
+
+class TestBatchedHead:
+    """extract_hex_digits against the per-term reference, output for output."""
+
+    def assert_same(self, f, position, count):
+        want = _outcome(per_term_hex_digits, f, position, count)
+        assert _outcome(extract_hex_digits, f, position, count) == want, (f, position, count)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_seeded_positions(self, name):
+        rng = random.Random(f"batched-head-{name}")
+        for _ in range(8):
+            self.assert_same(REGISTRY[name], rng.randint(0, 6000), rng.randint(1, 16))
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_positions_at_batch_boundaries(self, name):
+        # position + 1 a multiple of the first residue's batch width, or one off
+        f = REGISTRY[name]
+        k = 1 + next(i for i, a in enumerate(f.coeffs) if a)
+        seen = set()
+        for position in range(1, 1500):
+            w = _batch_width(f, position, k)
+            case = (w, (position + 1) % w)
+            if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
+                seen.add(case)
+                self.assert_same(f, position, 8)
+        assert len(seen) >= 6
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_every_count(self, name):
+        for count in range(1, 17):
+            self.assert_same(REGISTRY[name], 0, count)
+            self.assert_same(REGISTRY[name], 333, count)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_deep_position(self, name):
+        self.assert_same(REGISTRY[name], 20011, 8)
+
+    def test_same_precision_error(self):
+        for count in (1, 8, 16):
+            with pytest.raises(PrecisionError):
+                extract_hex_digits(EXACT_AT_ZERO, 0, count)
+            self.assert_same(EXACT_AT_ZERO, 0, count)
+        for position in (1, 7, 64):
+            self.assert_same(EXACT_AT_ZERO, position, 8)
 
 
 class TestBinomialSums:

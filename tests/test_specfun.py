@@ -182,6 +182,16 @@ class TestRationalClausen:
                 r = RationalAngle(p, q)
                 assert abs(cl2_rational(r).value - cl2(p * PI / q).value) < 1e-11
 
+    @pytest.mark.parametrize("q", range(3, 60, 2))
+    def test_bound_is_honest(self, q):
+        import mpmath
+
+        for p in range(2, 2 * q, 2):
+            r = cl2_rational(RationalAngle(p, q))
+            with mpmath.workdps(40):
+                exact = mpmath.clsin(2, mpmath.pi * p / q)
+                assert abs(r.value - exact) <= r.err_bound, (p, q, r)
+
     def test_rejects_odd_numerator(self):
         with pytest.raises(DomainError):
             cl2_rational(RationalAngle(1, 3))
@@ -347,3 +357,18 @@ def test_bernoulli_numbers_match_mpmath():
 
     for n in range(201):
         assert bernoulli_number(n) == Fraction(*mpmath.bernfrac(n)), n
+
+
+def test_zeta_int_matches_mpmath():
+    import mpmath
+
+    from tetralog.bernoulli import zeta_int
+
+    for n in range(2, 171):
+        v = zeta_int(n)
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(n)
+            assert abs(v - exact) <= EPS * exact, n
+        # never below 1, and above it for n <= 53, where zeta(n) - 1 exceeds
+        # half an ulp of 1
+        assert v > 1.0 if n <= 53 else v >= 1.0, n
