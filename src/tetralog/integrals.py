@@ -351,10 +351,12 @@ def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, floa
         raise DomainError("corollary3 requires 0 < t < pi")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    ct = math.cos(t)
+    # x^2 + 2 x c cos t + c^2 = (x - c)^2 + 4 x c cos^2(t/2): two terms >= 0, so
+    # no cancellation as t nears pi, where 1 + cos t would keep few digits
+    k = 4.0 * c * math.cos(0.5 * t) ** 2
     lhs = integrate(
         QuadProblem(
-            lambda x: math.log(x) / (x * x + 2.0 * x * c * ct + c * c),
+            lambda x: math.log(x) / ((x - c) * (x - c) + k * x),
             0.0,
             math.inf,
             (0.0, c),

@@ -5,8 +5,20 @@ singular point are handled with a tanh-sinh (double-exponential) transform,
 which never samples the endpoints; regular panels use adaptive Gauss-Legendre
 bisection.  Semi-infinite ranges are compactified by u = a + s/(1-s).
 
+Each side of a tanh-sinh level (right b - r, left a + r, interleaved node by
+node) stops on its own: at its first abscissa that rounds onto the endpoint,
+or at its first node whose weight is below 1e-12 and whose term w f is at
+most 2^-60 of the level's running sum.  Such a term rounds away when added,
+and the weights fall double-exponentially beyond it, so the level sums the
+same value as a walk over every node, while an endpoint at 0 is sampled only
+as far as its terms still count (not down to x ~ 1e-304).  The weight gate
+keeps a side going while the sum is small, e.g. when the integrand vanishes
+at the centre node.
+
 Error estimates are the difference of successive refinement levels inflated
 by a fixed safety factor of 10; they are conservative, not rigorous bounds.
+Each panel's estimate is at least 4 EPS times its sum of |w f|, the
+rounding of the sum, so agreeing rules never report a zero error.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .constants import EPS
 from .errors import DomainError, QuadratureError
 from .result import EvalResult
 
@@ -53,6 +66,14 @@ _GL_LO = _gauss_legendre(10)
 _GL_HI = _gauss_legendre(21)
 
 _SAFETY = 10.0
+
+# the tanh-sinh stopping rule of the module docstring: 2^-60 of a sum is under
+# 1/64 of half its ulp, so a term that small leaves the sum as it is
+_TAIL_WEIGHT = 1e-12
+_ROUNDS_AWAY = 2.0**-60
+
+# the rounding floor of a panel's error bound, per unit of its sum of |w f|
+_ROUNDING = 4.0 * EPS
 
 # panel refinements one integrate() call may spend before it gives up
 _MAX_SUBDIVISIONS = 4000
@@ -116,40 +137,68 @@ def _tanh_sinh_panel(
 ) -> tuple[float, float, int]:
     """Integrate f over the open panel (a, b) by the double-exponential rule."""
     h = 0.5 * (b - a)
+    h2 = 2.0 * h
+    isfinite = math.isfinite
+    tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
 
-    def level_sum(level: int) -> float:
+    def level_sum(level: int) -> tuple[float, float]:
         # abscissae via distance to the nearer endpoint for endpoint precision;
-        # the pair is unrolled because this loop dominates the quadrature time
+        # the pair is unrolled because this loop dominates the quadrature time.
+        # Each side stops by the rule in the module docstring.  Returns the
+        # sums of w f and of |w f|
         total = 0.0
+        mag = 0.0
+        right = left = True
         for d, w in _tanh_sinh_level(level):
-            r = 2.0 * h / d
-            x = b - r
-            if not (x <= a or x >= b):
-                fx = f(x)
-                if not math.isfinite(fx):
-                    raise QuadratureError(f"integrand not finite at x = {x!r}")
-                total += w * fx
+            r = h2 / d
+            if right:
+                x = b - r
+                if x >= b:
+                    right = False
+                elif x > a:
+                    fx = f(x)
+                    if not isfinite(fx):
+                        raise QuadratureError(f"integrand not finite at x = {x!r}")
+                    t = w * fx
+                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                        right = False
+                    else:
+                        total += t
+                        mag += abs(t)
             if d == 2.0:  # the centre node t = 0 has no mirror image
                 continue
-            x = a + r
-            if not (x <= a or x >= b):
-                fx = f(x)
-                if not math.isfinite(fx):
-                    raise QuadratureError(f"integrand not finite at x = {x!r}")
-                total += w * fx
-        return total
+            if left:
+                x = a + r
+                if x <= a:
+                    left = False
+                elif x < b:
+                    fx = f(x)
+                    if not isfinite(fx):
+                        raise QuadratureError(f"integrand not finite at x = {x!r}")
+                    t = w * fx
+                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                        left = False
+                    else:
+                        total += t
+                        mag += abs(t)
+            elif not right:
+                break
+        return total, mag
 
     step = 1.0
-    s_prev = h * step * level_sum(0)
+    s_prev, m = level_sum(0)
+    s_prev *= h
     err_prev = math.inf
     grew = 0
     for level in range(1, 11):
         budget.spend()
         step *= 0.5
-        s_cur = 0.5 * s_prev + h * step * level_sum(level)
+        s_new, m_new = level_sum(level)
+        s_cur = 0.5 * s_prev + h * step * s_new
+        m = 0.5 * m + step * m_new
         err = _SAFETY * abs(s_cur - s_prev)
         if err <= tol:
-            return s_cur, max(err, 1e-18 * abs(s_cur)), level
+            return s_cur, max(err, _ROUNDING * h * m), level
         if err > 4.0 * err_prev and level >= 4:
             grew += 1
             if grew >= 2:
@@ -162,16 +211,21 @@ def _tanh_sinh_panel(
     raise QuadratureError(f"tanh-sinh panel [{a}, {b}] stalled above tol {tol:g}")
 
 
-def _gl_once(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _gl_once(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+    """The 21-point value on [a, b], its error estimate against the 10-point
+    rule, and its sum of |w f| scaled as the value is."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     lo = 0.0
     for x, w in _GL_LO:
         lo += w * f(c + h * x)
     hi = 0.0
+    mag = 0.0
     for x, w in _GL_HI:
-        hi += w * f(c + h * x)
-    return h * hi, _SAFETY * abs(h * (hi - lo))
+        t = w * f(c + h * x)
+        hi += t
+        mag += abs(t)
+    return h * hi, _SAFETY * abs(h * (hi - lo)), h * mag
 
 
 def _gauss_panel(
@@ -180,23 +234,25 @@ def _gauss_panel(
     """Adaptive Gauss-Legendre bisection on a panel free of declared singularities."""
     total = 0.0
     err_total = 0.0
+    mag_total = 0.0
     effort = 0
     stack = [(a, b, tol)]
     while stack:
         lo, hi, t = stack.pop()
-        v, e = _gl_once(f, lo, hi)
+        v, e, m = _gl_once(f, lo, hi)
         effort += 31
         if not math.isfinite(v):
             raise QuadratureError(f"integrand not finite on [{lo}, {hi}]")
         if e <= t or hi - lo < 1e-14 * max(1.0, abs(lo), abs(hi)):
             total += v
             err_total += e
+            mag_total += m
         else:
             budget.spend()
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid, 0.5 * t))
             stack.append((mid, hi, 0.5 * t))
-    return total, err_total, effort
+    return total, max(err_total, _ROUNDING * mag_total), effort
 
 
 def integrate(problem: QuadProblem) -> EvalResult:

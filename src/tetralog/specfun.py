@@ -433,26 +433,62 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     with omega the *principal* arctangent of r sin(theta) / (1 - r cos(theta)).
     For r > 1 this reproduces the branch used throughout the tetrahedral
     integral chain, which differs from the principal polylogarithm branch.
+
+    The denominator is formed as (1 - r) + 2 r sin^2(theta/2), which keeps its
+    digits where r cos(theta) is near 1.  The bound carries the rounding of
+    omega through each term it enters, the rounding of 2 omega + 2 theta, and
+    the reduction of theta through the slope -ln|1 - z| of the whole value.
+    For r > 1, where the denominator's sign is within its error, it also
+    carries the branch's jump of pi ln r.
     """
     r = z.r
-    th = z.theta.reduced
+    th, d = reduce_angle(z.theta)
     if r == 0.0:
         return EvalResult(0.0, 0.0, 0, "clausen-decomposition")
     num = r * math.sin(th)
-    den = 1.0 - r * math.cos(th)
+    half = 2.0 * r * math.sin(0.5 * th) ** 2
+    den = (1.0 - r) + half
+    # sin and the products put <= 3 EPS on num and on half; 1 - r and the sum
+    # one rounding each
+    d_num = 3.0 * EPS * abs(num)
+    d_den = EPS * (0.5 * abs(1.0 - r) + 3.0 * half + 0.5 * abs(den))
     if den == 0.0:
         if num == 0.0:
             raise DomainError("im_li2_polar: branch-undefined point")
         omega = math.copysign(PI / 2.0, num)
     else:
         omega = math.atan(num / den)
-    parts = [
-        cl2(2.0 * omega, tol),
-        cl2(2.0 * omega + 2.0 * th, tol),
-        cl2(2.0 * th, tol),
-    ]
-    v = omega * math.log(r) + 0.5 * (parts[0].value - parts[1].value + parts[2].value)
-    err = 0.5 * sum(p.err_bound for p in parts) + 4.0 * EPS * abs(omega * math.log(r))
+    # omega moves by the perturbation of (den, num) across its distance m to 0,
+    # plus the quotient's and atan's roundings
+    m = math.hypot(num, den)
+    d_omega = (abs(den) / m) * (d_num / m) + (abs(num) / m) * (d_den / m) + 1.5 * EPS * abs(omega)
+    ln_r = math.log(r)
+    arg = 2.0 * omega + 2.0 * th
+    parts = [cl2(2.0 * omega, tol), cl2(arg, tol), cl2(2.0 * th, tol)]
+    wl = omega * ln_r
+    v = wl + 0.5 * (parts[0].value - parts[1].value + parts[2].value)
+    err = (
+        0.5 * sum(p.err_bound for p in parts)
+        + 4.0 * EPS * (abs(wl) + 0.5 * sum(abs(p.value) for p in parts))
+        + d_omega * abs(ln_r)
+    )
+    # what the errors in the first two Clausen arguments move their values by
+    for x, dx in ((2.0 * omega, 2.0 * d_omega), (arg, 2.0 * d_omega + 0.5 * EPS * abs(arg))):
+        if dx:
+            err += 0.5 * _reduction_slack(reduce_angle(x)[0], dx, tol)
+    if d:
+        # d/dtheta Im Li_2(r e^{i theta}) = -ln|1 - z|, and on the reduction's
+        # interval |1 - z| lies in [near, 1 + r]
+        near = m - 2.0 * (d_num + d_den) - r * d
+        if near > 0.0:
+            err += d * max(math.log1p(r), -math.log(near))
+        else:
+            # the interval reaches z = 1, where |1 - z| >= (2/pi) sqrt(r) |theta|:
+            # integrate -ln of that over the worst stretch, the one centred on 0
+            err += 2.0 * d * (1.0 + math.log(PI / (2.0 * math.sqrt(r) * d)) + math.log1p(r))
+    if r > 1.0 and abs(den) <= d_den + r * d:
+        # the denominator may have the other sign, and omega the other branch
+        err += PI * ln_r
     return EvalResult(v, err, sum(p.effort for p in parts), "clausen-decomposition")
 
 

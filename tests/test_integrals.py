@@ -153,3 +153,45 @@ class TestLogTangentCorollary:
         c, t = 2.0, 1.0
         _, rhs = corollary3(c, t)
         assert abs(rhs - math.log(c) / c * t / math.sin(t)) < 1e-15
+
+
+def _iab_exact(a, b):
+    """I(a, b) by its Clausen closed form at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        root = mpmath.sqrt(1 - b * b)
+        th = -mpmath.atan(root / b) if b else -mpmath.pi / 2
+        om = mpmath.atan(root / (a + b)) if a + b else mpmath.pi / 2
+        cl = lambda x: mpmath.clsin(2, x)  # noqa: E731
+        return (cl(2 * om) - cl(2 * om + 2 * th) + cl(2 * th)) / (2 * root)
+
+
+def test_quadrature_bounds_hold_against_closed_forms():
+    # integral_I_ab and corollary3 over the ranges compute-warm.quad draws
+    # from: a = 0 (a log endpoint) or a in (0, 3], |b| < 0.95, c log-uniform
+    # on [0.1, 10], t in (0.05, pi - 0.05)
+    import random
+
+    import mpmath
+
+    # near t = pi, where x^2 + 2xc cos t + c^2 would keep few digits of 1 + cos t
+    for c, t in ((0.10590372551968084, 3.073692977629021), (0.1554731230632715, 3.075912103534484),
+                 (2.0724583032423616, 3.0737653597429446)):
+        lhs, _ = corollary3(c, t)
+        with mpmath.workdps(30):
+            exact = mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
+        assert abs(lhs.value - exact) <= lhs.err_bound, (c, t)
+    rng = random.Random(9)
+    for i in range(200):
+        a = 0.0 if i % 3 == 0 else 3.0 * (1.0 - rng.random())
+        b = rng.uniform(-0.95, 0.95)
+        r = integral_I_ab(a, b)
+        assert abs(r.value - _iab_exact(a, b)) <= r.err_bound, (a, b)
+        c = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        t = rng.uniform(0.05, PI - 0.05)
+        lhs, _ = corollary3(c, t)
+        with mpmath.workdps(30):
+            exact = mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
+        assert abs(lhs.value - exact) <= lhs.err_bound, (c, t)

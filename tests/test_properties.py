@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import mpmath
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tetralog
@@ -237,10 +237,13 @@ def test_polylog_inversion_bound_is_honest(s, log_r, phi):
     st.floats(min_value=0.0, max_value=math.log(100.0)),
     st.floats(min_value=-PI, max_value=PI),
 )
+@example(3, 0.0, -PI)
 def test_inversion_remainder_bound_is_honest(s, log_r, phi):
     z = cmath.rect(math.exp(log_r), phi)
     value, err, _ = _inversion_remainder(s, z)
-    with mpmath.workdps(30):
+    # B_s(1/2 + y) cancels to ~|y| for small y, and |y| reaches 2e-17 at z = -1
+    # (phi = +-PI), so 60 digits keep 40 after the cancellation
+    with mpmath.workdps(60):
         L = mpmath.log(-z)
         if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
             L = mpmath.conj(L)  # cmath.log(-z) sits below its cut at -0.0j; mpmath, above

@@ -190,6 +190,80 @@ def test_tanh_sinh_tables_reproduce_per_node_sums():
         assert v == s_ref
 
 
+def _counted(f):
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+
+    return g, calls
+
+
+def _tail_mapped(g, c):
+    """g on (c, inf) as integrate() compactifies it, y = c + s/(1 - s)."""
+    return lambda s: g(c + s / (1.0 - s)) / ((1.0 - s) * (1.0 - s))
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (math.log, 0.0, 1.0),
+        (lambda x: math.log(x) ** 2, 0.0, 1.0),
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+        (lambda x: math.log(abs(x - 1.0)), 1.0, 2.5),
+        (lambda x: math.log(abs(x - 1.0)), -0.5, 1.0),
+        (math.exp, 0.0, 1.0),
+        (math.cos, 0.5, 2.0),
+        # corollary3's left panel at c = 2, t = pi/2: f = 0 at the centre node x = 1
+        (lambda x: math.log(x) / (x * x + 4.0), 0.0, 2.0),
+        (_tail_mapped(lambda y: math.log(y) / (y * y + 0.6 * y + 1.0), 1.0), 0.0, 1.0),
+    ],
+    ids=["ln", "ln2", "inv-sqrt", "ln-left-a1", "ln-right-b1", "exp", "cos", "zero-centre", "tail"],
+)
+def test_tanh_sinh_stopped_sides_sum_as_every_node(f, a, b):
+    # the sides stop only where the remaining terms round away, so the panel
+    # equals the per-node sum over every node, bit for bit, with fewer calls
+    g, calls = _counted(f)
+    v, _, levels = quad._tanh_sinh_panel(g, a, b, 1e-12, quad._Budget(10))
+    g_ref, ref_calls = _counted(f)
+    h = 0.5 * (b - a)
+    s_ref = h * _tanh_sinh_reference(g_ref, a, b, 0)
+    for level in range(1, levels + 1):
+        s_ref = 0.5 * s_ref + h * 0.5**level * _tanh_sinh_reference(g_ref, a, b, level)
+    assert v == s_ref
+    assert calls[0] <= ref_calls[0]
+    if a == 0.0:
+        # the left side stops long before x ~ 1e-304
+        assert calls[0] < 0.9 * ref_calls[0]
+
+
+@pytest.mark.parametrize(
+    "f, mf, a, b, sing",
+    [
+        (math.cos, mpmath.cos, 0.0, 1.0, ()),
+        (math.exp, mpmath.exp, 0.0, 1.0, ()),
+        (math.sin, mpmath.sin, 0.0, PI, ()),
+        (math.exp, mpmath.exp, 0.0, 1.0, (0.0,)),
+        (math.log, mpmath.log, 0.0, 1.0, (0.0,)),
+        (lambda x: math.log(x) ** 2, lambda x: mpmath.log(x) ** 2, 0.0, 1.0, (0.0,)),
+        (lambda x: 1.0 / math.sqrt(x), lambda x: 1 / mpmath.sqrt(x), 0.0, 1.0, (0.0,)),
+        (lambda x: math.exp(-x), lambda x: mpmath.exp(-x), 0.0, math.inf, ()),
+        (lambda x: 1.0 / (1.0 + x * x), lambda x: 1 / (1 + x * x), 0.0, math.inf, ()),
+    ],
+    ids=["cos", "exp", "sin", "exp-ts", "ln", "ln2", "inv-sqrt", "exp-tail", "cauchy-tail"],
+)
+def test_error_bound_has_rounding_floor(f, mf, a, b, sing):
+    # when the refinement estimate is ~0 (rules that agree exactly), the
+    # bound still covers the rounding of the sum
+    r = integrate(QuadProblem(f, a, b, sing, 1e-13))
+    with mpmath.workdps(40):
+        exact = mpmath.quad(mf, [a, b if math.isfinite(b) else mpmath.inf])
+        miss = abs(r.value - exact)
+    assert r.err_bound > 0.0
+    assert miss <= r.err_bound
+
+
 def test_import_does_not_load_numpy():
     src = str(Path(tetralog.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

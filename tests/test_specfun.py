@@ -216,6 +216,49 @@ class TestImLi2Polar:
                 assert abs(got - direct) < 1e-10
 
 
+def _im_li2_polar_oracle(r, theta):
+    """The same branch formula at 50 digits, theta reduced exactly."""
+    import mpmath
+
+    with mpmath.workdps(400):  # enough to reduce any double angle
+        t = mpmath.mpf(theta)
+        t -= 2 * mpmath.pi * mpmath.floor((t + mpmath.pi) / (2 * mpmath.pi))
+    with mpmath.workdps(50):
+        r, t = mpmath.mpf(r), +t
+        num, den = r * mpmath.sin(t), 1 - r * mpmath.cos(t)
+        om = mpmath.atan(num / den) if den else mpmath.sign(num) * mpmath.pi / 2
+        cl = lambda x: mpmath.clsin(2, x)  # noqa: E731
+        return om * mpmath.log(r) + (cl(2 * om) - cl(2 * om + 2 * t) + cl(2 * t)) / 2
+
+
+def _ulps_off(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.0, 1.7, 4.0])
+@pytest.mark.parametrize(
+    "theta", [0.7 + 2 * PI * 12345, -7.5, 123.456, 1e6, 1e10, -1e18, 2e300, PI, -PI, 1e-10]
+)
+def test_im_li2_polar_bound_beyond_pi(r, theta):
+    # the reduction of theta and the rounding of omega are in the bound
+    res = im_li2_polar(PolarPoint(r, theta))
+    assert abs(res.value - _im_li2_polar_oracle(r, theta)) <= res.err_bound
+
+
+@pytest.mark.parametrize("r", [1.0000001, 1.2, 2.0, 5.0])
+@pytest.mark.parametrize("ulps", range(-4, 5))
+@pytest.mark.parametrize("turns", [0, 1000])
+def test_im_li2_polar_bound_near_branch_line(r, ulps, turns):
+    # near r cos(theta) = 1 the denominator's sign, and so the branch of
+    # omega, may be wrong by rounding: the bound carries the jump pi ln r
+    t = _ulps_off(math.acos(1.0 / r), ulps)
+    for theta in (t + 2 * PI * turns, -t):
+        res = im_li2_polar(PolarPoint(r, theta))
+        assert abs(res.value - _im_li2_polar_oracle(r, theta)) <= res.err_bound
+
+
 class TestIncompleteGamma:
     def test_recurrence(self):
         # with f(n, x) = Gamma(n+1, x): f(n, x) = n f(n-1, x) + x^n e^-x
