@@ -13,55 +13,65 @@ is reduced mod one, so the digits are those of one modular power per term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
-from .constants import CATALAN, EPS, LN2, PI, ZETA3
+from .constants import EPS, LN2, PI, ZETA3
 from .errors import DomainError, PrecisionError
-from .result import EvalResult
+
+# the functions that build an EvalResult import it themselves, so that digit
+# extraction loads neither ``result`` nor the dataclasses behind it
+if TYPE_CHECKING:
+    from .result import EvalResult
 
 
-@dataclass(frozen=True)
-class BBPFormula:
+class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
     """sum_{j>=0} 16^-j sum_{k=1}^{8} coeffs[k-1]/(8j+k)^degree.
 
     ``scale`` multiplies the pure sum and ``affine_terms`` lists
-    (constant-id, rational coefficient) add-ons such that
+    (constant-id, coefficient) add-ons such that
     scale * sum + sum(coeff * constant) equals the formula's target value.
+    A named tuple, not a dataclass, so that ``digits`` loads no dataclasses:
+    immutable, equal and hashed by value.
     """
 
-    degree: int
-    coeffs: tuple[int, ...]
-    scale: Fraction
-    affine_terms: tuple[tuple[str, Fraction], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __new__(
+        cls,
+        degree: int,
+        coeffs: tuple[int, ...],
+        scale: float,
+        affine_terms: tuple[tuple[str, float], ...] = (),
+    ) -> BBPFormula:
+        if degree < 1:
             raise DomainError("BBP degree must be >= 1")
-        if len(self.coeffs) != 8:
+        if len(coeffs) != 8:
             raise DomainError("coeffs must have one entry per residue class mod 8")
+        return super().__new__(cls, degree, coeffs, scale, affine_terms)
 
 
 _PATTERN = (4, 0, 0, -2, -1, -1, 0, 0)
 
+# every scale and coefficient is a dyadic rational, exact as a float
 REGISTRY: dict[str, BBPFormula] = {
     "eq2.35-sum": BBPFormula(
         degree=2,
         coeffs=_PATTERN,
-        scale=Fraction(1, 4),
-        affine_terms=(("pi^2", Fraction(-1, 32)), ("pi*ln2", Fraction(1, 8))),
+        scale=1 / 4,
+        affine_terms=(("pi^2", -1 / 32), ("pi*ln2", 1 / 8)),
     ),
     "eq2.37-sum": BBPFormula(
         degree=3,
         coeffs=_PATTERN,
-        scale=Fraction(8),
+        scale=8.0,
         affine_terms=(
-            ("pi^2*ln2", Fraction(1, 2)),
-            ("zeta3", Fraction(-14)),
-            ("im-li3-half-plus-half-i", Fraction(-32)),
+            ("pi^2*ln2", 1 / 2),
+            ("zeta3", -14.0),
+            ("im-li3-half-plus-half-i", -32.0),
         ),
     ),
-    "pi-degree1": BBPFormula(degree=1, coeffs=_PATTERN, scale=Fraction(1)),
+    "pi-degree1": BBPFormula(degree=1, coeffs=_PATTERN, scale=1.0),
 }
 
 
@@ -84,15 +94,17 @@ def constant_value(name: str) -> float:
 
 def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
     """scale * pure sum + affine add-ons."""
+    from .result import EvalResult
+
     s = eval_bbp_sum(f, tol)
-    v = float(f.scale) * s.value + math.fsum(
-        float(c) * constant_value(name) for name, c in f.affine_terms
-    )
-    return EvalResult(v, float(f.scale) * s.err_bound + 8.0 * EPS, s.effort, "bbp+affine")
+    v = f.scale * s.value + math.fsum(c * constant_value(name) for name, c in f.affine_terms)
+    return EvalResult(v, f.scale * s.err_bound + 8.0 * EPS, s.effort, "bbp+affine")
 
 
 def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
     """The pure BBP sum with a rigorous geometric tail bound <= tol."""
+    from .result import EvalResult
+
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     amax = sum(abs(a) for a in f.coeffs)
@@ -199,6 +211,8 @@ def li3_binomial_sums(tol: float = 1e-12) -> tuple[EvalResult, EvalResult]:
     (1+i)^n binomially, the k = 0 mod 4 residue class starts at k = 0.
     Dropping it (i.e. starting at C(n, 4)) loses exactly Li_3(1/2).
     """
+    from .result import EvalResult
+
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     re_total = 0.0

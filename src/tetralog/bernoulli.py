@@ -1,25 +1,33 @@
 """Bernoulli numbers, Bernoulli polynomials about 1/2, and the integer zeta table.
 
-Bernoulli numbers are generated exactly as fractions (B_1 = -1/2 convention)
-from the integer tangent-number triangle, and cached; everything downstream
-consumes double-precision projections, tabulated in ``LazyTable`` objects that
-fill entry by entry as sums reach them.
+Bernoulli numbers are generated exactly, as integer (numerator, denominator)
+pairs (B_1 = -1/2 convention), from the integer tangent-number triangle, and
+cached; everything downstream consumes double-precision projections, each
+one correctly rounded int/int division, tabulated in ``LazyTable`` objects
+that fill entry by entry as sums reach them.  ``fractions`` is imported only
+by ``bernoulli_number``, which hands out ``Fraction`` objects.
 """
+
+from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from fractions import Fraction
 from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # The Brent-Harvey tangent-number triangle (Brent and Harvey, "Fast computation
 # of Bernoulli, Tangent and Secant numbers", 2011), kept as its last column so
 # that it grows by one row per new number: after n rows, _TANGENT_COLUMN[i] is
-# entry n of the triangle's row i + 1, and _B_EVEN holds B_0, B_2, ..., B_2n.
+# entry n of the triangle's row i + 1, and _B_EVEN holds B_0, B_2, ..., B_2n
+# as (numerator, denominator) pairs in lowest terms, denominators positive.
 _TANGENT_COLUMN: list[int] = []
-_B_EVEN: list[Fraction] = [Fraction(1)]
+_B_EVEN: list[tuple[int, int]] = [(1, 1)]
 
 
 def _grow_b_even() -> None:
@@ -38,22 +46,31 @@ def _grow_b_even() -> None:
         new.append((n - i) * col[i] + (n + 2 - i) * new[i - 1])
     col[:] = new
     k = n + 1
-    b = Fraction(2 * k * new[-1], 4**k * (4**k - 1))
-    _B_EVEN.append(b if k % 2 else -b)
+    num, den = 2 * k * new[-1], 4**k * (4**k - 1)
+    g = math.gcd(num, den)
+    _B_EVEN.append(((num if k % 2 else -num) // g, den // g))
+
+
+def bernoulli_ratio(n: int) -> tuple[int, int]:
+    """Exact Bernoulli number B_n (B_1 = -1/2) as (numerator, denominator),
+    in lowest terms with the denominator positive."""
+    if n < 0:
+        raise DomainError("Bernoulli numbers need n >= 0")
+    if n == 1:
+        return -1, 2
+    if n % 2 == 1:
+        return 0, 1
+    while len(_B_EVEN) <= n // 2:
+        _grow_b_even()
+    return _B_EVEN[n // 2]
 
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
-    if n < 0:
-        raise DomainError("Bernoulli numbers need n >= 0")
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    while len(_B_EVEN) <= n // 2:
-        _grow_b_even()
-    return _B_EVEN[n // 2]
+    from fractions import Fraction
+
+    return Fraction(*bernoulli_ratio(n))
 
 
 class LazyTable(dict):
@@ -68,15 +85,17 @@ class LazyTable(dict):
         return v
 
 
-def bernoulli_poly_central(n: int) -> tuple[Fraction, ...]:
-    """Exact b_i, i = 0 .. n//2, with B_n(1/2 + y) = sum_i b_i y^{n-2i}.
+def bernoulli_poly_central(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact b_i, i = 0 .. n//2, with B_n(1/2 + y) = sum_i b_i y^{n-2i}, as
+    (numerator, denominator) pairs with positive denominators.
 
     B_n(1/2 + y) = sum_j C(n, j) B_j(1/2) y^{n-j}, and B_j(1/2) = (2^{1-j} - 1) B_j
-    vanishes for odd j, so only the even indices survive.
+    vanishes for odd j, so only the even indices survive; 2^{1-2i} - 1 is
+    (2 - 4^i)/4^i.
     """
     return tuple(
-        math.comb(n, 2 * i) * (Fraction(2) ** (1 - 2 * i) - 1) * bernoulli_number(2 * i)
-        for i in range(n // 2 + 1)
+        (math.comb(n, 2 * i) * (2 - 4**i) * num, 4**i * den)
+        for i, (num, den) in enumerate(map(bernoulli_ratio, range(0, n + 1, 2)))
     )
 
 
@@ -96,20 +115,16 @@ def zeta_int(n: int) -> float:
         # module uses B_1 = -1/2, so the m = 0 case must be pinned by hand
         return -0.5
     if n < 0:
-        m = -n
-        return float(-bernoulli_number(m + 1) / (m + 1))
+        num, den = bernoulli_ratio(1 - n)
+        return -num / (den * (1 - n))
     # direct sum to K, Euler-Maclaurin tail from K
     K = 50
     s = math.fsum(k ** (-float(n)) for k in range(1, K))
     s += K ** (1.0 - n) / (n - 1) + 0.5 * K ** (-float(n))
     poch = float(n)
     for j in (1, 2, 3):
-        s += (
-            float(bernoulli_number(2 * j))
-            / math.factorial(2 * j)
-            * poch
-            * K ** (-(n + 2.0 * j - 1.0))
-        )
+        num, den = bernoulli_ratio(2 * j)
+        s += num / den / math.factorial(2 * j) * poch * K ** (-(n + 2.0 * j - 1.0))
         poch *= (n + 2 * j - 1) * (n + 2 * j)
     return s
 
@@ -131,7 +146,8 @@ def zeta_taylor(s: int) -> LazyTable:
     def entry(k: int) -> float:
         if k == s - 1:
             # H_{s-1}/(s-1)!, exact until this one rounding
-            return float(sum(Fraction(1, j) for j in range(1, s)) / math.factorial(s - 1))
+            f = math.factorial(s - 1)
+            return sum(f // j for j in range(1, s)) / (f * f)
         return zeta_int(s - k) / math.factorial(k)
 
     return LazyTable(entry)

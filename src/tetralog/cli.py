@@ -9,10 +9,9 @@ double-precision arithmetic, and a verify flag the others would leave unused).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -30,12 +29,8 @@ EVAL_TARGETS = ("cl2", "cln", "trigamma", "hurwitz", "catalan", "l7", "i7", "iab
 MAX_POSITION = 10**6
 
 
-@dataclass(frozen=True)
-class Report:
-    tool_version: str
-    timestamp: str
-    records: list[CheckRecord]
-    summary: dict[str, int]
+# a verify run: tool version, ISO timestamp, list[CheckRecord] and the status counts
+Report = namedtuple("Report", "tool_version timestamp records summary")
 
 
 def build_report(records: list[CheckRecord]) -> Report:
@@ -58,12 +53,13 @@ def build_report(records: list[CheckRecord]) -> Report:
 
 def report_to_json(report: Report) -> str:
     import json
+    from dataclasses import asdict  # the records are verify's dataclasses; digits loads none
 
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,
         "timestamp": report.timestamp,
-        "records": [dataclasses.asdict(r) for r in report.records],
+        "records": [asdict(r) for r in report.records],
         "summary": report.summary,
     }
     return json.dumps(payload, indent=2, allow_nan=True)

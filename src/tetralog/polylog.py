@@ -125,8 +125,8 @@ def _remainder_coeffs(s: int) -> tuple[float, ...]:
     sum_i b_i y^{s-2i}, so a_i = -(2 pi i)^{2i} b_i/s! = -(-4)^i b_i pi^{2i}/s!.
     """
     return tuple(
-        float(-((-4) ** i) * b / math.factorial(s)) * PI ** (2 * i)
-        for i, b in enumerate(bernoulli_poly_central(s))
+        -((-4) ** i) * num / (den * math.factorial(s)) * PI ** (2 * i)
+        for i, (num, den) in enumerate(bernoulli_poly_central(s))
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .bernoulli import TAYLOR_K_MAX, bernoulli_number, zeta_int, zeta_taylor
+from .bernoulli import TAYLOR_K_MAX, bernoulli_ratio, zeta_int, zeta_taylor
 from .constants import EPS, GAMMA, PI
 from .errors import ConvergenceError, DomainError
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
@@ -147,7 +147,10 @@ _EM_TERMS = 10  # Euler-Maclaurin corrections summed; one more bounds the rest
 def _em_coeffs() -> tuple[tuple[float, ...], float]:
     """The Euler-Maclaurin coefficients B_2j/(2j)! for j = 1 .. _EM_TERMS, and
     the next one, which bounds the remainder."""
-    b = [float(bernoulli_number(2 * j)) / math.factorial(2 * j) for j in range(1, _EM_TERMS + 2)]
+    b = []
+    for j in range(1, _EM_TERMS + 2):
+        num, den = bernoulli_ratio(2 * j)
+        b.append(num / den / math.factorial(2 * j))
     return tuple(b[:-1]), b[-1]
 
 

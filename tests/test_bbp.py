@@ -6,7 +6,6 @@ only; the library itself never depends on mpmath).
 
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -67,7 +66,7 @@ class TestSums:
         assert abs(closed_form_value(REGISTRY["eq2.37-sum"]).value) < 1e-12
 
     def test_zero_coefficients(self):
-        z = BBPFormula(degree=2, coeffs=(0,) * 8, scale=Fraction(1))
+        z = BBPFormula(degree=2, coeffs=(0,) * 8, scale=1.0)
         assert eval_bbp_sum(z).value == 0.0
 
     def test_unknown_constant_rejected(self):
@@ -93,7 +92,7 @@ class TestDigitExtraction:
         assert block[1:] == shifted
 
     def test_zero_formula(self):
-        z = BBPFormula(degree=2, coeffs=(0,) * 8, scale=Fraction(1))
+        z = BBPFormula(degree=2, coeffs=(0,) * 8, scale=1.0)
         assert extract_hex_digits(z, 0, 6) == "000000"
 
     def test_validation(self):
@@ -158,7 +157,7 @@ def _batch_width(f: BBPFormula, position: int, k: int) -> int:
 
 FORMULAS = sorted(REGISTRY)
 # exact at position 0: the only term is 1/1, so the guard digits are all zero
-EXACT_AT_ZERO = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=Fraction(1))
+EXACT_AT_ZERO = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
 
 
 class TestBatchedHead:
@@ -217,16 +216,75 @@ class TestBinomialSums:
         assert abs(im_sum.value - 0.5700774070887689781956098) < 1e-12
 
 
+PI_FORMULA = REGISTRY["pi-degree1"]
+
+
+class TestFormulaRecord:
+    """BBPFormula keeps what it had as a frozen dataclass."""
+
+    def test_keyword_and_positional_construction(self):
+        terms = (("pi^2", -1 / 32),)
+        kw = BBPFormula(degree=2, coeffs=PI_FORMULA.coeffs, scale=1 / 4, affine_terms=terms)
+        pos = BBPFormula(2, PI_FORMULA.coeffs, 1 / 4, terms)
+        assert kw == pos
+        assert (kw.degree, kw.coeffs, kw.scale, kw.affine_terms) == (
+            2,
+            PI_FORMULA.coeffs,
+            0.25,
+            terms,
+        )
+        assert BBPFormula(1, PI_FORMULA.coeffs, 1.0).affine_terms == ()
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(TypeError):
+            BBPFormula(degree=1, coeffs=PI_FORMULA.coeffs)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PI_FORMULA.degree = 2
+        with pytest.raises(AttributeError):
+            PI_FORMULA.base = 10
+        assert PI_FORMULA.degree == 1
+
+    def test_equality_and_hash_by_value(self):
+        same = BBPFormula(degree=1, coeffs=(4, 0, 0, -2, -1, -1, 0, 0), scale=1.0)
+        assert same == PI_FORMULA
+        assert hash(same) == hash(PI_FORMULA)
+        assert len({same, PI_FORMULA}) == 1
+        assert PI_FORMULA != BBPFormula(2, PI_FORMULA.coeffs, 1.0)
+        assert PI_FORMULA != BBPFormula(1, PI_FORMULA.coeffs, 2.0)
+
+    def test_repr(self):
+        assert repr(PI_FORMULA) == (
+            "BBPFormula(degree=1, coeffs=(4, 0, 0, -2, -1, -1, 0, 0), scale=1.0, affine_terms=())"
+        )
+
+
+@pytest.mark.parametrize(
+    ("name", "value", "err_bound"),
+    [
+        ("eq2.35-sum", "0x1.d4f9713e8135cp-1", "0x1.14fe708f9001ap-46"),
+        ("eq2.37-sum", "-0x1.1800000000000p-43", "0x1.cf7f9d591d2d4p-40"),
+        ("pi-degree1", "0x1.921fb54442d14p+1", "0x1.1d4901f9eb4b3p-43"),
+    ],
+)
+def test_closed_form_values_are_pinned(name, value, err_bound):
+    # the values the registry gave when its scales and coefficients were
+    # Fractions; the floats that replaced them are the same numbers
+    r = closed_form_value(REGISTRY[name])
+    assert (r.value.hex(), r.err_bound.hex()) == (value, err_bound)
+
+
 class TestFormulaValidation:
     def test_degree_zero_rejected(self):
         with pytest.raises(DomainError):
-            BBPFormula(degree=0, coeffs=(0,) * 8, scale=Fraction(1))
+            BBPFormula(degree=0, coeffs=(0,) * 8, scale=1.0)
 
     def test_wrong_coeff_count_rejected(self):
         with pytest.raises(DomainError):
-            BBPFormula(degree=1, coeffs=(1, 2), scale=Fraction(1))
+            BBPFormula(degree=1, coeffs=(1, 2), scale=1.0)
 
     def test_unsupported_base_rejected(self):
         # base 16 is built in: there is no parameter to ask for another base
         with pytest.raises(TypeError):
-            BBPFormula(degree=1, coeffs=(0,) * 8, scale=Fraction(1), base=10)
+            BBPFormula(degree=1, coeffs=(0,) * 8, scale=1.0, base=10)

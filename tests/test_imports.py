@@ -13,8 +13,6 @@ import tetralog
 
 SRC = str(Path(tetralog.__file__).resolve().parents[1])
 
-_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tetralog.'))))"
-
 
 def _printed_by(code: str) -> str:
     """What a fresh interpreter prints running ``code``."""
@@ -27,20 +25,29 @@ def _printed_by(code: str) -> str:
     ).stdout
 
 
+def _modules_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``code``."""
+    return set(_printed_by(f"import sys\n{code}\nprint(' '.join(sys.modules))").split())
+
+
 def _loaded_after(code: str) -> set[str]:
     """The tetralog submodules a fresh interpreter holds after running ``code``."""
-    out = _printed_by(f"import sys\n{code}\n{_LOADED}")
-    return {m.removeprefix("tetralog.") for m in out.split()}
+    return {
+        m.removeprefix("tetralog.") for m in _modules_after(code) if m.startswith("tetralog.")
+    }
 
 
-def _after_cli(*argv: str) -> set[str]:
-    code = (
+def _cli(*argv: str) -> str:
+    return (
         "import contextlib, io\n"
         "from tetralog.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({list(argv)!r}) == 0"
     )
-    return _loaded_after(code)
+
+
+def _after_cli(*argv: str) -> set[str]:
+    return _loaded_after(_cli(*argv))
 
 
 def test_import_tetralog_loads_no_submodule():
@@ -66,6 +73,34 @@ def test_digits_loads_no_ledger_or_special_functions():
     loaded = _after_cli("digits", "--formula", "eq2.37-sum", "--position", "10", "--count", "4")
     assert "bbp" in loaded
     assert not loaded & {"verify", "integrals", "quad", "specfun", "polylog"}
+
+
+def test_digits_loads_only_extraction():
+    loaded = _modules_after(
+        _cli("digits", "--formula", "eq2.37-sum", "--position", "10", "--count", "4")
+    )
+    tetralog_modules = {m for m in loaded if m.startswith("tetralog.")}
+    assert tetralog_modules == {
+        "tetralog.cli",
+        "tetralog.errors",
+        "tetralog.names",
+        "tetralog.bbp",
+        "tetralog.constants",
+    }
+    assert not loaded & {"dataclasses", "fractions", "decimal", "inspect", "tetralog.result"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "cl2", "--theta", "1"),
+        ("eval", "li3"),
+        ("eval", "catalan", "--method", "eq2.35"),
+    ],
+)
+def test_eval_loads_no_fractions(argv):
+    # Bernoulli numbers reach the kernels as integer pairs
+    assert not _modules_after(_cli(*argv)) & {"fractions", "decimal"}
 
 
 def test_import_polylog_builds_no_table():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -134,6 +135,24 @@ class TestValidation:
         # ~16 000 oscillations need more panels than the fixed budget allows
         with pytest.raises(QuadratureError, match="budget exhausted"):
             integrate(QuadProblem(lambda x: math.sin(1000.0 * x), 0.0, 100.0, (), 1e-13))
+
+    def test_gauss_piece_at_its_rounding_floor_is_not_bisected(self):
+        # G10 and G21 differ by one ulp of ~1e6, which halving the interval
+        # never lowers: a tol below that rounding must end at once, not spend
+        # the whole subdivision budget
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return x * x
+
+        with pytest.raises(QuadratureError, match="combined error estimate"):
+            integrate(QuadProblem(f, 1000.0, 1001.0, (), 1e-9))
+        assert calls[0] <= 3 * 31
+        r = integrate(QuadProblem(f, 1000.0, 1001.0, (), 1e-8))
+        assert r.effort <= 3 * 31
+        exact = Fraction(1001**3 - 1000**3, 3)
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.err_bound)
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(QuadratureError):
