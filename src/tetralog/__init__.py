@@ -19,6 +19,7 @@ _HOME = {
     "eval_bbp_sum": "bbp",
     "extract_hex_digits": "bbp",
     "li3_binomial_sums": "bbp",
+    "catalan_value": "dirichlet",
     "l7_hurwitz": "dirichlet",
     "l7_series": "dirichlet",
     "l7_trigamma": "dirichlet",
@@ -55,7 +56,6 @@ _HOME = {
     "CheckRecord": "verify",
     "TAGS": "names",
     "aggregate_pass": "verify",
-    "catalan_value": "verify",
     "check_ids": "verify",
     "run_all": "verify",
     "run_check": "verify",

@@ -141,7 +141,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
             r = hurwitz_zeta(need("s"), need("a"), tol=tol or 1e-13)
         elif t == "catalan":
-            from .verify import catalan_result
+            from .dirichlet import catalan_result
 
             r = catalan_result(args.method)
         elif t == "l7":

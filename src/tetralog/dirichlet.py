@@ -1,18 +1,21 @@
-"""The Dirichlet L-value L(2, chi_-7) by three independent routes.
+"""Dirichlet L-values at s = 2: L(2, chi_-7) by three independent routes, and
+Catalan's constant G = L(2, chi_-4) by nine.
 
 chi_-7 is the quadratic character mod 7 with chi(1, 2, 4) = +1 and
 chi(3, 5, 6) = -1; the value L(2) is the conjectured closed form of the
-tetrahedral integral this library evaluates.
+tetrahedral integral this library evaluates.  The Catalan routes import the
+accelerator, the quadrature or the BBP sums when they run, so the chi_-7
+routes load none of them.
 """
 
 from __future__ import annotations
 
 import math
 
-from .constants import EPS
+from .constants import EPS, LN2, PI
 from .errors import DomainError
 from .result import EvalResult
-from .specfun import hurwitz_zeta, trigamma
+from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
 CHI7 = (0, 1, 1, -1, 1, -1, -1)  # chi_-7(k) for k mod 7
 
@@ -59,4 +62,71 @@ def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     return EvalResult(total, err, effort, "hurwitz-zeta")
 
 
-__all__ = ["CHI7", "l7_series", "l7_trigamma", "l7_hurwitz"]
+# ---------------------------------------------------------------------------
+# Catalan's constant
+
+
+def _affine(c: float, k: float, r: EvalResult, method: str) -> EvalResult:
+    """c + k * r, with r's bound scaled by |k| plus the rounding of the sum."""
+    v = c + k * r.value
+    err = abs(k) * r.err_bound + 4.0 * EPS * (abs(c) + abs(k * r.value))
+    return EvalResult(v, err, r.effort, method)
+
+
+def catalan_result(method: str) -> EvalResult:
+    """The Catalan constant by one of the nine independent routes, with the
+    route's own error bound."""
+    if method == "eq2.35":
+        from .bbp import REGISTRY, closed_form_value
+
+        r = closed_form_value(REGISTRY["eq2.35-sum"])
+        return EvalResult(r.value, r.err_bound, r.effort, method)
+    if method in ("series", "eq1.11", "eq2.25"):
+        from .accel import alternating_sum
+
+        if method == "series":
+            # G = sum (-1)^j / (2j+1)^2
+            s = alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13)
+            return _affine(0.0, 1.0, s, method)
+        if method == "eq1.11":
+            # G = (pi/2) ln 2 + sum_{j>=1} (-1)^j H_j/(2j+1)
+            s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13)
+            return _affine(PI / 2.0 * LN2, -1.0, s, method)
+
+        def term(k: int) -> float:
+            return (digamma(k / 2.0 + 0.75).value - digamma(k / 2.0 + 0.25).value) / (2 * k + 1)
+
+        return _affine(-PI / 4.0 * LN2, 0.5, alternating_sum(term, tol=1e-13), method)
+
+    def eq2_28a(phi: float) -> float:
+        # eq2.28a, corrected (the printed form misses the series' odd powers):
+        # G = -int_0^1 x ln(x/sqrt2) / ((1 - x^2/2) sqrt(1-x^2)) dx, evaluated
+        # after x = sin(phi), which removes the algebraic endpoint
+        s = math.sin(phi)
+        return s * math.log(s / math.sqrt(2.0)) / (1.0 - 0.5 * s * s)
+
+    # G = c + k * the integral of f over [lo, hi], singular at sing
+    routes = {
+        "eq2.22": (lambda u: math.log(1.0 + u) / ((1.0 + u) * math.sqrt(u)),
+                   0.0, 1.0, (0.0,), PI / 2.0 * LN2, -0.5),
+        "eq2.27": (lambda u: math.atanh(1.0 / u) / (1.0 + u * u), 1.0, math.inf, (1.0,), 0.0, 2.0),
+        "eq2.28a": (eq2_28a, 0.0, PI / 2.0, (0.0,), 0.0, -1.0),
+        "eq2.28c": (lambda y: math.asin(y / math.sqrt(2.0)) / ((y + 1.0) * math.sqrt(2.0 - y * y)),
+                    0.0, 1.0, (), PI / 4.0 * LN2, 2.0),
+        "eq2.33": (lambda t: math.log(1.0 - t * t) / (1.0 + t * t),
+                   0.0, 1.0, (1.0,), PI / 4.0 * LN2, -1.0),
+    }
+    if method not in routes:
+        raise DomainError(f"unknown Catalan route {method!r}")
+    from .quad import QuadProblem, integrate
+
+    f, lo, hi, sing, c, k = routes[method]
+    return _affine(c, k, integrate(QuadProblem(f, lo, hi, sing, 1e-11)), method)
+
+
+def catalan_value(method: str) -> float:
+    """The Catalan constant by one of the nine independent routes."""
+    return catalan_result(method).value
+
+
+__all__ = ["CHI7", "l7_series", "l7_trigamma", "l7_hurwitz", "catalan_result", "catalan_value"]

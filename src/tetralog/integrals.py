@@ -15,12 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import PI, SQRT3, SQRT7
+from .constants import EPS, PI, SQRT3, SQRT7
 from .errors import DomainError, QuadratureError
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
 from .result import Angle, EvalResult
-from .specfun import cl2, incomplete_gamma_upper_int
+from .specfun import _clausen_triple, cl2, incomplete_gamma_upper_int
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,13 @@ def i1_clausen_form() -> EvalResult:
     """I1(1) = (1/2)[Cl_2(2 omega_plus) - Cl_2(2 omega_plus + 2 theta_plus) + Cl_2(2 theta_plus)]."""
     w = CONSTANTS.omega_plus.raw
     t = CONSTANTS.theta_plus.raw
-    parts = [cl2(2.0 * w), cl2(2.0 * w + 2.0 * t), cl2(2.0 * t)]
-    v = 0.5 * (parts[0].value - parts[1].value + parts[2].value)
-    return EvalResult(
-        v,
-        0.5 * sum(p.err_bound for p in parts),
-        sum(p.effort for p in parts),
-        "clausen",
+    # w = atan(SQRT7) - 2 PI/3 and t = atan(SQRT7/3) are within 4 EPS and 2 EPS
+    # of omega_plus and theta_plus
+    arg = 2.0 * w + 2.0 * t
+    v, err, effort = _clausen_triple(
+        (2.0 * w, 8.0 * EPS), (arg, (12.0 + 0.5 * abs(arg)) * EPS), (2.0 * t, 4.0 * EPS)
     )
+    return EvalResult(0.5 * v, 0.5 * err, effort, "clausen")
 
 
 def i7_closed_form() -> EvalResult:
@@ -288,13 +287,6 @@ def i1_series_truncated(n: int, terms: int = 60) -> float:
 # the two-parameter family I(a, b)
 
 
-def _iab_angles(a: float, b: float) -> tuple[float, float]:
-    root = math.sqrt(1.0 - b * b)
-    theta = -math.atan(root / b) if b != 0.0 else -PI / 2.0
-    omega = math.atan(root / (a + b)) if a + b != 0.0 else PI / 2.0
-    return theta, omega
-
-
 def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
     """I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1) by quadrature."""
     if not a >= 0.0:
@@ -319,28 +311,54 @@ def i_ab_closed_omega(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through the angles theta_plus(b), omega_plus(a, b)."""
     if not a >= 0.0 or not abs(b) < 1.0:
         raise DomainError("i_ab_closed_omega requires a >= 0 and |b| < 1")
-    theta, omega = _iab_angles(a, b)
-    parts = [cl2(2.0 * omega), cl2(2.0 * omega + 2.0 * theta), cl2(2.0 * theta)]
-    scale = 0.5 / math.sqrt(1.0 - b * b)
-    v = scale * (parts[0].value - parts[1].value + parts[2].value)
-    return EvalResult(
-        v, scale * sum(p.err_bound for p in parts), sum(p.effort for p in parts), "clausen-omega"
+    root = math.sqrt((1.0 - b) * (1.0 + b))
+    theta = -math.atan(root / b) if b != 0.0 else -PI / 2.0
+    omega = math.atan(root / (a + b)) if a + b != 0.0 else PI / 2.0
+    # root is within EPS of itself, root/b within 1.5 EPS and root/(a + b)
+    # within 2 EPS; a relative error e in q moves atan(q) by e q/(1 + q^2) =
+    # e sin(2t)/2, and atan adds an ulp of t
+    d_theta = EPS * (0.75 * abs(math.sin(2.0 * theta)) + abs(theta))
+    d_omega = EPS * (abs(math.sin(2.0 * omega)) + abs(omega))
+    arg = 2.0 * omega + 2.0 * theta
+    cl, err, effort = _clausen_triple(
+        (2.0 * omega, 2.0 * d_omega),
+        (arg, 2.0 * (d_omega + d_theta) + 0.5 * EPS * abs(arg)),
+        (2.0 * theta, 2.0 * d_theta),
     )
+    scale = 0.5 / root
+    v = scale * cl
+    # root, the division and the product put 2 EPS of v on it
+    return EvalResult(v, scale * err + 2.0 * EPS * abs(v), effort, "clausen-omega")
 
 
 def i_ab_closed_theta12(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through theta_1 = asin(b) and theta_2(a, b)."""
     if not a >= 0.0 or not abs(b) < 1.0:
         raise DomainError("i_ab_closed_theta12 requires a >= 0 and |b| < 1")
-    root = math.sqrt(1.0 - b * b)
+    root = math.sqrt((1.0 - b) * (1.0 + b))
     t1 = math.asin(b)
-    t2 = math.atan((1.0 / a + b) / root) if a > 0.0 else PI / 2.0
-    parts = [cl2(2.0 * t2 - 2.0 * t1), cl2(PI - 2.0 * t1), cl2(PI - 2.0 * t2)]
-    scale = 0.5 / root
-    v = scale * (parts[0].value - parts[1].value + parts[2].value)
-    return EvalResult(
-        v, scale * sum(p.err_bound for p in parts), sum(p.effort for p in parts), "clausen-theta12"
+    d1 = EPS * abs(t1)
+    if a > 0.0:
+        n = 1.0 / a + b
+        t2 = math.atan(n / root)
+        # 1/a's rounding moves n by EPS/2a, which reaches t2 through the slope
+        # 1/(1 + q^2) = root^2/(root^2 + n^2) times 1/root
+        d2 = 0.5 * EPS * root / (a * (root * root + n * n))
+    else:
+        t2, d2 = PI / 2.0, 0.0
+    # the sum, root and the quotient leave q = n/root within 2 EPS of itself,
+    # which moves t2 by EPS sin(2 t2), as in i_ab_closed_omega; atan adds an ulp
+    d2 += EPS * (abs(math.sin(2.0 * t2)) + abs(t2))
+    x, y, z = 2.0 * t2 - 2.0 * t1, PI - 2.0 * t1, PI - 2.0 * t2
+    # PI is 0.56 EPS short of pi
+    cl, err, effort = _clausen_triple(
+        (x, 2.0 * (d2 + d1) + 0.5 * EPS * abs(x)),
+        (y, (0.6 + 0.5 * abs(y)) * EPS + 2.0 * d1),
+        (z, (0.6 + 0.5 * abs(z)) * EPS + 2.0 * d2),
     )
+    scale = 0.5 / root
+    v = scale * cl
+    return EvalResult(v, scale * err + 2.0 * EPS * abs(v), effort, "clausen-theta12")
 
 
 def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, float]:

@@ -6,7 +6,7 @@ Crandall, "Note on fast polylogarithm computation", 2006):
 * ``|z| <= RHO``: the power series sum_k z^k / k^s, its coefficients read from
   a per-order table of 1/k^s;
 * ``RHO < |z| < 1/RHO``: the expansion of Li_s(e^w) about w = ln z = 0, on the
-  ``zeta_taylor(s)`` table: a head of s + 1 terms in w, one of which carries
+  ``zeta_taylor`` coefficients: a head of s + 1 terms in w, one of which carries
   H_{s-1} - ln(-w), and a tail in w^2, whose terms shrink at least by
   (|w|/2 pi)^2 from one to the next;
 * ``|z| >= 1/RHO``: inversion, Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z), with
@@ -71,11 +71,10 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 @cache
 def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
-    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor(s)`` (where
+    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
     c_{s-1} = H_{s-1}/(s-1)!), with its |c_k|; and its tail d_m = c_{s+1+2m}
     with |d_m|, which ``_li_log_expansion`` extends as its sums reach them."""
-    c = zeta_taylor(s)
-    head = tuple(c[k] for k in range(s, -1, -1))
+    head = tuple(zeta_taylor(s, k) for k in range(s, -1, -1))
     return head, tuple(map(abs, head)), [], []
 
 
@@ -97,7 +96,7 @@ def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
         if m == len(tail):
             # past k = TAYLOR_K_MAX a term is below 1e-40 for |w| < 3.3: it reads 0
             k = s + 1 + 2 * m
-            tail.append(zeta_taylor(s)[k] if k <= TAYLOR_K_MAX else 0.0)
+            tail.append(zeta_taylor(s, k) if k <= TAYLOR_K_MAX else 0.0)
             tail_abs.append(abs(tail[m]))
         t = tail_abs[m] * wk
         if t <= _STOP * mag:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import EPS, PI, PI_DIGITS
 from .errors import DomainError
@@ -41,13 +41,9 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class Angle:
-    """An angle in radians together with its reduction to (-pi, pi]."""
+    """An angle in radians; ``reduce_angle`` reduces it to (-pi, pi]."""
 
     raw: float
-    reduced: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reduced", reduce_angle(self.raw)[0])
 
 
 # 2 pi as _TWO_PI_NUM / 2^_TWO_PI_BITS, within 2^-1129: a double angle has fewer

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .bernoulli import TAYLOR_K_MAX, bernoulli_ratio, zeta_int, zeta_taylor
+from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, zeta_int, zeta_taylor
 from .constants import EPS, GAMMA, PI
 from .errors import ConvergenceError, DomainError
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
@@ -140,53 +140,24 @@ def polygamma(n: int, x: float) -> EvalResult:
 # Hurwitz zeta
 
 
-_EM_TERMS = 10  # Euler-Maclaurin corrections summed; one more bounds the rest
-
-
-@cache
-def _em_coeffs() -> tuple[tuple[float, ...], float]:
-    """The Euler-Maclaurin coefficients B_2j/(2j)! for j = 1 .. _EM_TERMS, and
-    the next one, which bounds the remainder."""
-    b = []
-    for j in range(1, _EM_TERMS + 2):
-        num, den = bernoulli_ratio(2 * j)
-        b.append(num / den / math.factorial(2 * j))
-    return tuple(b[:-1]), b[-1]
-
-
 def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
-    """zeta(s, a) = sum_{k>=0} (k+a)^-s by Euler-Maclaurin with remainder bound."""
+    """zeta(s, a) = sum_{k>=0} (k+a)^-s by Euler-Maclaurin with remainder bound.
+
+    ``bernoulli._euler_maclaurin`` sums from z = a + N, with N doubling from
+    max(0, 10 - a) until the remainder is below tol/2 or the roundoff floor,
+    4 EPS of the head and the integral.
+    """
     if s <= 1.0:
         raise DomainError("hurwitz_zeta requires s > 1")
     if a <= 0.0:
         raise DomainError("hurwitz_zeta requires a > 0")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    b, b_rem = _em_coeffs()
     N = max(0, int(math.ceil(10.0 - a)))
     for _ in range(60):
-        z = a + N
-        zs = z**-s
-        inv2 = 1.0 / (z * z)
-        # the corrections b_j s (s+1) ... (s+2j-2) z^{-(s+2j-1)}, j = 1 .. _EM_TERMS,
-        # with the power carried along by z^-2, which adds (j + 1) EPS/2 of
-        # rounding to correction j; for s <= 6 and z >= 10 they sum to under
-        # 3 % of z^{1-s}/(s-1), so this stays inside the floor below
-        corr = 0.0
-        poch = u = s
-        zp = zs / z
-        for bj in b:
-            corr += bj * poch * zp
-            poch *= (u + 1.0) * (u + 2.0)
-            u += 2.0
-            zp *= inv2
-        # remainder bounded by the magnitude of the first omitted term
-        rem = abs(b_rem * poch) * zp
-        head = math.fsum([(a + k) ** -s for k in range(N)])
-        integral = z * zs / (s - 1.0)
-        floor = 4.0 * EPS * (abs(head) + integral)
+        total, rem, mag = _euler_maclaurin(s, a, N)
+        floor = 4.0 * EPS * mag
         if rem <= max(tol / 2.0, floor) or N > 100000:
-            total = head + integral + 0.5 * zs + corr
             err = rem + floor
             # only the truncation remainder is negotiable; the roundoff floor
             # is intrinsic to double precision, so a floor-dominated result is
@@ -258,9 +229,8 @@ def _clausen_table(
     tail gets there only for s >= 168, where the first term left out is below
     1e-220 at theta = pi.
     """
-    c = zeta_taylor(s)
     p = 1 if odd else 0
-    head = [(-1) ** (k // 2) * c[k] for k in range(s - (s - p) % 2, p - 1, -2)]
+    head = [(-1) ** (k // 2) * zeta_taylor(s, k) for k in range(s - (s - p) % 2, p - 1, -2)]
     log = (s - p) % 2 == 1
     rot = (-1.0 if log else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
     g = rot.imag if odd else rot.real
@@ -268,7 +238,7 @@ def _clausen_table(
     if log:
         last = abs(head[-1]) * PI**p
         for k in range(s + 1, TAYLOR_K_MAX + 1, 2):
-            tail.append((-1) ** (k // 2) * c[k])
+            tail.append((-1) ** (k // 2) * zeta_taylor(s, k))
             if abs(tail[-1]) * PI**k < _STOP * last:
                 break
     sign = math.copysign(1.0, tail[0]) if tail else 1.0
@@ -356,6 +326,25 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     The defining series is kept as a test oracle.
     """
     return _clausen(2, True, theta, tol, "bernoulli-series")
+
+
+def _clausen_triple(
+    x: tuple[float, float], y: tuple[float, float], z: tuple[float, float], tol: float = math.inf
+) -> tuple[float, float, int]:
+    """Cl_2(x) - Cl_2(y) + Cl_2(z), a bound on its error, and the kernels' effort.
+
+    Each argument comes with a bound on its own absolute error.  The bound adds
+    the three kernels' bounds, the sum's two roundings, and what each
+    argument's error moves its Clausen value by; a kernel bound or a move
+    beyond tol raises.
+    """
+    parts = [cl2(t, tol) for t, _ in (x, y, z)]
+    p, q, r = (c.value for c in parts)
+    err = sum(c.err_bound for c in parts) + EPS * (abs(p) + abs(q) + abs(r))
+    for t, dt in (x, y, z):
+        if dt:
+            err += _reduction_slack(reduce_angle(t)[0], dt, tol)
+    return p - q + r, err, sum(c.effort for c in parts)
 
 
 def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
@@ -467,18 +456,16 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     d_omega = (abs(den) / m) * (d_num / m) + (abs(num) / m) * (d_den / m) + 1.5 * EPS * abs(omega)
     ln_r = math.log(r)
     arg = 2.0 * omega + 2.0 * th
-    parts = [cl2(2.0 * omega, tol), cl2(arg, tol), cl2(2.0 * th, tol)]
-    wl = omega * ln_r
-    v = wl + 0.5 * (parts[0].value - parts[1].value + parts[2].value)
-    err = (
-        0.5 * sum(p.err_bound for p in parts)
-        + 4.0 * EPS * (abs(wl) + 0.5 * sum(abs(p.value) for p in parts))
-        + d_omega * abs(ln_r)
+    cl, cl_err, effort = _clausen_triple(
+        (2.0 * omega, 2.0 * d_omega),
+        (arg, 2.0 * d_omega + 0.5 * EPS * abs(arg)),
+        (2.0 * th, 0.0),
+        tol,
     )
-    # what the errors in the first two Clausen arguments move their values by
-    for x, dx in ((2.0 * omega, 2.0 * d_omega), (arg, 2.0 * d_omega + 0.5 * EPS * abs(arg))):
-        if dx:
-            err += 0.5 * _reduction_slack(reduce_angle(x)[0], dx, tol)
+    wl = omega * ln_r
+    v = wl + 0.5 * cl
+    # the log and the product put 1.5 EPS of wl on it, the sum EPS/2 of v
+    err = 0.5 * cl_err + EPS * (2.0 * abs(wl) + abs(v)) + d_omega * abs(ln_r)
     if d:
         # d/dtheta Im Li_2(r e^{i theta}) = -ln|1 - z|, and on the reduction's
         # interval |1 - z| lies in [near, 1 + r]
@@ -492,7 +479,7 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     if r > 1.0 and abs(den) <= d_den + r * d:
         # the denominator may have the other sign, and omega the other branch
         err += PI * ln_r
-    return EvalResult(v, err, sum(p.effort for p in parts), "clausen-decomposition")
+    return EvalResult(v, err, effort, "clausen-decomposition")
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from . import bbp as _bbp
 from . import dirichlet, integrals
 from .accel import alternating_sum
-from .constants import CATALAN, EPS, GAMMA, LN2, PI, SQRT7, ZETA3
+from .constants import CATALAN, GAMMA, LN2, PI, SQRT7, ZETA3
+from .dirichlet import catalan_value
 from .errors import DomainError, UnknownCheckError
 from .names import CATALAN_METHODS, TAGS
 from .quad import QuadProblem, integrate
-from .result import EvalResult, RationalAngle
+from .result import RationalAngle
 from .specfun import (
     cl2,
     cl2_rational,
@@ -80,101 +81,6 @@ def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[flo
         if d > worst_d or (math.isnan(d) and not math.isnan(worst_d)):
             worst, worst_d = (lhs, rhs), d
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Catalan constant routes
-
-
-def _affine(c: float, k: float, r: EvalResult, method: str) -> EvalResult:
-    """c + k * r, with r's bound scaled by |k| plus the rounding of the sum."""
-    v = c + k * r.value
-    err = abs(k) * r.err_bound + 4.0 * EPS * (abs(c) + abs(k * r.value))
-    return EvalResult(v, err, r.effort, method)
-
-
-def catalan_result(method: str) -> EvalResult:
-    """The Catalan constant by one of the nine independent routes, with the
-    route's own error bound."""
-    if method == "series":
-        # G = sum (-1)^j / (2j+1)^2
-        s = alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13)
-        return _affine(0.0, 1.0, s, method)
-    if method == "eq1.11":
-        # G = (pi/2) ln 2 + sum_{j>=1} (-1)^j H_j/(2j+1)
-        s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13)
-        return _affine(PI / 2.0 * LN2, -1.0, s, method)
-    if method == "eq2.22":
-        q = integrate(
-            QuadProblem(
-                lambda u: math.log(1.0 + u) / ((1.0 + u) * math.sqrt(u)),
-                0.0,
-                1.0,
-                (0.0,),
-                1e-11,
-            )
-        )
-        return _affine(PI / 2.0 * LN2, -0.5, q, method)
-    if method == "eq2.25":
-        def term(k: int) -> float:
-            return (
-                digamma(k / 2.0 + 0.75).value - digamma(k / 2.0 + 0.25).value
-            ) / (2 * k + 1)
-
-        return _affine(-PI / 4.0 * LN2, 0.5, alternating_sum(term, tol=1e-13), method)
-    if method == "eq2.27":
-        q = integrate(
-            QuadProblem(
-                lambda u: math.atanh(1.0 / u) / (1.0 + u * u),
-                1.0,
-                math.inf,
-                (1.0,),
-                1e-11,
-            )
-        )
-        return _affine(0.0, 2.0, q, method)
-    if method == "eq2.28a":
-        # corrected display (the printed form misses the series' odd powers):
-        # G = -int_0^1 x ln(x/sqrt2) / ((1 - x^2/2) sqrt(1-x^2)) dx,
-        # evaluated after x = sin(phi), which removes the algebraic endpoint
-        def g(phi: float) -> float:
-            s = math.sin(phi)
-            return s * math.log(s / math.sqrt(2.0)) / (1.0 - 0.5 * s * s)
-
-        q = integrate(QuadProblem(g, 0.0, PI / 2.0, (0.0,), 1e-11))
-        return _affine(0.0, -1.0, q, method)
-    if method == "eq2.28c":
-        q = integrate(
-            QuadProblem(
-                lambda y: math.asin(y / math.sqrt(2.0))
-                / ((y + 1.0) * math.sqrt(2.0 - y * y)),
-                0.0,
-                1.0,
-                (),
-                1e-11,
-            )
-        )
-        return _affine(PI / 4.0 * LN2, 2.0, q, method)
-    if method == "eq2.33":
-        q = integrate(
-            QuadProblem(
-                lambda t: math.log(1.0 - t * t) / (1.0 + t * t),
-                0.0,
-                1.0,
-                (1.0,),
-                1e-11,
-            )
-        )
-        return _affine(PI / 4.0 * LN2, -1.0, q, method)
-    if method == "eq2.35":
-        r = _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"])
-        return EvalResult(r.value, r.err_bound, r.effort, method)
-    raise DomainError(f"unknown Catalan route {method!r}")
-
-
-def catalan_value(method: str) -> float:
-    """The Catalan constant by one of the nine independent routes."""
-    return catalan_result(method).value
 
 
 # ---------------------------------------------------------------------------

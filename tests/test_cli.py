@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from tetralog.cli import MAX_POSITION, build_report, main, report_to_json
-from tetralog.verify import CATALAN_METHODS, catalan_result, run_all
+from tetralog.dirichlet import catalan_result
+from tetralog.verify import CATALAN_METHODS, run_all
 
 
 def run_cli(capsys, *argv):

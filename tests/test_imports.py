@@ -69,6 +69,25 @@ def test_specfun_targets_load_no_ledger_or_quadrature(argv):
     assert not loaded & {"verify", "integrals", "quad", "bbp", "dirichlet"}
 
 
+def test_catalan_routes_load_no_ledger():
+    # G = L(2, chi_-4) lives beside L(2, chi_-7), apart from the ledger
+    from tetralog.names import CATALAN_METHODS
+
+    loaded = _loaded_after(
+        "\n".join(_cli("eval", "catalan", "--method", m) for m in CATALAN_METHODS)
+    )
+    assert "dirichlet" in loaded
+    assert not loaded & {"verify", "integrals", "polylog"}
+
+
+def test_l7_routes_load_no_catalan_machinery():
+    loaded = _loaded_after(
+        "\n".join(_cli("eval", "l7", "--route", r) for r in ("series", "trigamma", "hurwitz"))
+    )
+    assert "dirichlet" in loaded
+    assert not loaded & {"quad", "bbp", "accel"}
+
+
 def test_digits_loads_no_ledger_or_special_functions():
     loaded = _after_cli("digits", "--formula", "eq2.37-sum", "--position", "10", "--count", "4")
     assert "bbp" in loaded
@@ -115,7 +134,7 @@ def test_import_polylog_builds_no_table():
 def test_import_specfun_builds_no_table():
     code = (
         "import tetralog.specfun as s, tetralog.bernoulli as b\n"
-        "print(s._clausen_table.cache_info().currsize, s._em_coeffs.cache_info().currsize,"
+        "print(s._clausen_table.cache_info().currsize, b._em_coeffs.cache_info().currsize,"
         " b.zeta_taylor.cache_info().currsize, b.bernoulli_number.cache_info().currsize,"
         " len(b._B_EVEN))"
     )

@@ -195,3 +195,25 @@ def test_quadrature_bounds_hold_against_closed_forms():
         with mpmath.workdps(30):
             exact = mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
         assert abs(lhs.value - exact) <= lhs.err_bound, (c, t)
+
+
+def test_closed_form_bounds_hold_near_unit_b():
+    # a in [0, 100], |b| up to 1 - 1e-6, half of it log-uniform in 1 - |b|,
+    # where the closed forms divide by sqrt(1 - b^2) and asin(b) nears pi/2;
+    # at the first point 1 - b*b would keep only 12 of its digits
+    import random
+
+    rng = random.Random(11)
+    points = [(29.69, 0.99993105)]
+    for i in range(400):
+        a = 0.0 if i % 10 == 0 else rng.uniform(0.0, 100.0)
+        if i % 2:
+            b = rng.uniform(-1.0, 1.0) * (1.0 - 1e-6)
+        else:
+            b = math.copysign(1.0 - 10.0 ** rng.uniform(-6.0, -1.0), rng.random() - 0.5)
+        points.append((a, b))
+    for a, b in points:
+        exact = _iab_exact(a, b)
+        for form in (i_ab_closed_omega, i_ab_closed_theta12):
+            r = form(a, b)
+            assert abs(r.value - exact) <= r.err_bound, (form.__name__, a, b)

@@ -291,7 +291,7 @@ def test_import_builds_no_table():
         "print(bernoulli.bernoulli_number.cache_info().currsize,"
         " bernoulli.zeta_int.cache_info().currsize,"
         " bernoulli.zeta_taylor.cache_info().currsize,"
-        " specfun._em_coeffs.cache_info().currsize, specfun._clausen_table.cache_info().currsize)"
+        " bernoulli._em_coeffs.cache_info().currsize, specfun._clausen_table.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
