@@ -3,7 +3,7 @@ hexadecimal digit extraction, with machine-readable reports.
 
 Exit codes are exactly: 0 success / all checks pass, 1 check failure or
 precision abort, 2 usage error (including an eval argument too extreme for
-double-precision arithmetic, and a verify flag the others would leave unused).
+double-precision arithmetic, and a flag the command would leave unused).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 
 EVAL_TARGETS = ("cl2", "cln", "trigamma", "hurwitz", "catalan", "l7", "i7", "iab", "li3")
+# the targets whose evaluators take no tolerance
+_FIXED_TOL = ("trigamma", "catalan", "l7")
 
 # extraction time grows linearly with the position; the cap keeps a request to seconds
 MAX_POSITION = 10**6
@@ -53,13 +55,12 @@ def build_report(records: list[CheckRecord]) -> Report:
 
 def report_to_json(report: Report) -> str:
     import json
-    from dataclasses import asdict  # the records are verify's dataclasses; digits loads none
 
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,
         "timestamp": report.timestamp,
-        "records": [asdict(r) for r in report.records],
+        "records": [r._asdict() for r in report.records],
         "summary": report.summary,
     }
     return json.dumps(payload, indent=2, allow_nan=True)
@@ -111,6 +112,9 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t = args.target
     tol = args.tol
     if _bad_tolerance("--tol", tol):
+        return 2
+    if tol is not None and t in _FIXED_TOL:
+        print(f"error: eval {t} takes no --tol", file=sys.stderr)
         return 2
 
     def need(name: str):

@@ -341,9 +341,10 @@ def i_ab_closed_theta12(a: float, b: float) -> EvalResult:
     if a > 0.0:
         n = 1.0 / a + b
         t2 = math.atan(n / root)
-        # 1/a's rounding moves n by EPS/2a, which reaches t2 through the slope
-        # 1/(1 + q^2) = root^2/(root^2 + n^2) times 1/root
-        d2 = 0.5 * EPS * root / (a * (root * root + n * n))
+        # unless a is a power of two, 1/a's rounding moves n by EPS/2a, which
+        # reaches t2 through the slope 1/(1 + q^2) = root^2/(root^2 + n^2) times 1/root
+        exact = math.frexp(a)[0] == 0.5
+        d2 = 0.0 if exact else 0.5 * EPS * root / (a * (root * root + n * n))
     else:
         t2, d2 = PI / 2.0, 0.0
     # the sum, root and the quotient leave q = n/root within 2 EPS of itself,

@@ -58,15 +58,16 @@ def reduce_angle(theta: Angle | float) -> tuple[float, float]:
 
     |theta| <= pi is returned as is, with no error, but -PI as PI.  Beyond, the
     turn count and the remainder are exact integer arithmetic on the double
-    theta and a 1129-bit 2 pi, so the one rounding is to the result.
+    theta and a 1129-bit 2 pi, so the one rounding is to the result.  A nan or
+    infinite theta raises ValueError.
     """
     if isinstance(theta, Angle):
         theta = theta.raw
-    if not abs(theta) > PI:  # a nan passes through here too
+    if abs(theta) <= PI:
         # -PI and PI, each 1.2e-16 inside pi, are 2.4e-16 apart modulo 2 pi
         return (theta, 0.0) if theta > -PI else (PI, 2.0 * EPS)
-    if math.isinf(theta):
-        raise ValueError("an infinite angle has no reduction")
+    if not math.isfinite(theta):
+        raise ValueError(f"an angle of {theta} has no reduction")
     num, den = theta.as_integer_ratio()
     scaled = num << _TWO_PI_BITS
     turn = _TWO_PI_NUM * den

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 from . import bbp as _bbp
 from . import dirichlet, integrals
@@ -36,29 +36,15 @@ from .specfun import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """Outcome of one ledger check."""
-
-    id: str
-    paper_ref: str
-    lhs: float
-    rhs: float
-    residual: float
-    tol: float
-    status: str  # pass | fail | supports-conjecture | error
-    elapsed_ms: int
-    note: str = ""
+_RECORD_FIELDS = "id paper_ref lhs rhs residual tol status elapsed_ms note"
 
 
-@dataclass(frozen=True)
-class _CheckDef:
-    id: str
-    tag: str
-    paper_ref: str
-    tol: float
-    func: Callable[[], tuple[float, float]]
-    conjecture: bool = False
+class CheckRecord(namedtuple("CheckRecord", _RECORD_FIELDS, defaults=("",))):
+    """Outcome of one ledger check; ``status`` is pass, fail, supports-conjecture
+    or error.  A named tuple, as ``BBPFormula`` is: immutable, equal and hashed
+    by value, and ``_asdict`` gives the JSON report's record."""
+
+    __slots__ = ()
 
 
 def _csc2(x: float) -> float:
@@ -67,6 +53,11 @@ def _csc2(x: float) -> float:
 
 def _tri(x: float) -> float:
     return trigamma(x).value
+
+
+def _quad(f: Callable[[float], float], a: float, b: float, *singular: float) -> float:
+    """The integral of f over [a, b], with its singular points, to 1e-11."""
+    return integrate(QuadProblem(f, a, b, singular, 1e-11)).value
 
 
 def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[float, float]:
@@ -87,27 +78,27 @@ def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[flo
 # Lemma 1 family
 
 
-def _chk_l1a() -> tuple[float, float]:
-    return dirichlet.l7_series().value, dirichlet.l7_trigamma().value
+def _l7() -> float:
+    return dirichlet.l7_trigamma().value
+
+
+def _tri_sum(den: int, signed: tuple[int, ...]) -> float:
+    """sum of sign(p) trigamma(|p| / den) over ``signed``, added left to right."""
+    acc = 0.0
+    for p in signed:
+        t = _tri(abs(p) / den)
+        acc = acc + t if p > 0 else acc - t
+    return acc
+
+
+# signed arguments for _tri_sum: psi'(1/7) + psi'(2/7) - psi'(3/7), and Eq. (2.6)'s twelve
+_TRI7 = (1, 2, -3)
+_TRI14 = (1, 2, -3, 4, -5, -6, 8, 9, -10, 11, -12, -13)
 
 
 def _chk_l1b() -> tuple[float, float]:
-    t = [_tri(p / 7.0) for p in range(1, 7)]
-    rhs = (
-        2.0 * (t[0] + t[1] - t[2])
-        - PI * PI * (_csc2(PI / 7.0) + _csc2(2.0 * PI / 7.0) - _csc2(3.0 * PI / 7.0))
-    ) / 49.0
-    return dirichlet.l7_trigamma().value, rhs
-
-
-def _chk_l1c() -> tuple[float, float]:
-    t = [_tri(p / 7.0) for p in range(1, 7)]
-    rhs = 2.0 / 49.0 * (t[0] + t[1] - t[2] + (_csc2(3.0 * PI / 7.0) - 4.0) * PI * PI)
-    return dirichlet.l7_trigamma().value, rhs
-
-
-def _chk_l1d() -> tuple[float, float]:
-    return dirichlet.l7_hurwitz(tol=1e-12).value, dirichlet.l7_trigamma().value
+    csc = _csc2(PI / 7.0) + _csc2(2.0 * PI / 7.0) - _csc2(3.0 * PI / 7.0)
+    return _l7(), (2.0 * _tri_sum(7, _TRI7) - PI * PI * csc) / 49.0
 
 
 def _poly7(u: float, coeffs: tuple[float, ...]) -> float:
@@ -117,65 +108,24 @@ def _poly7(u: float, coeffs: tuple[float, ...]) -> float:
     return acc
 
 
-def _chk_l1e1() -> tuple[float, float]:
-    q = integrate(
-        QuadProblem(
-            lambda u: _poly7(u, (1, 1, -1, 1, -1, -1)) / (1.0 - u**7) * math.log(u),
-            0.0,
-            1.0,
-            (0.0, 1.0),
-            1e-11,
-        )
-    )
-    return -q.value, dirichlet.l7_trigamma().value
+_ONES7 = (1, 1, 1, 1, 1, 1, 1)  # 1 + u + ... + u^6
 
 
-def _chk_l1e2() -> tuple[float, float]:
-    q = integrate(
-        QuadProblem(
-            lambda u: _poly7(u, (1, 2, 1, 2, 1))
-            / _poly7(u, (1, 1, 1, 1, 1, 1, 1))
-            * math.log(u),
-            0.0,
-            1.0,
-            (0.0,),
-            1e-11,
-        )
-    )
-    return -q.value, dirichlet.l7_trigamma().value
-
-
-def _chk_l1e3() -> tuple[float, float]:
-    # the printed numerator reads u(1 + u - u^4 - u^5); the u term must be
-    # u^2 or the identity fails by 2.7e-2 (see repository notes)
-    q = integrate(
-        QuadProblem(
-            lambda u: u
-            * _poly7(u, (1, 0, 1, 0, -1, -1))
-            / _poly7(u, (1, 1, 1, 1, 1, 1, 1))
-            * math.log(u),
-            0.0,
-            1.0,
-            (0.0,),
-            1e-11,
-        )
-    )
-    return 1.0 - q.value, dirichlet.l7_trigamma().value
+def _l1e(ratio: Callable[[float], float], *singular: float) -> float:
+    """The integral of ratio(u) ln(u) over [0, 1]."""
+    return _quad(lambda u: ratio(u) * math.log(u), 0.0, 1.0, 0.0, *singular)
 
 
 def _cl2_combo7() -> float:
-    return (
-        cl2_rational(RationalAngle(2, 7)).value
-        + cl2_rational(RationalAngle(4, 7)).value
-        - cl2_rational(RationalAngle(6, 7)).value
-    )
+    c2, c4, c6 = (cl2_rational(RationalAngle(k, 7)).value for k in (2, 4, 6))
+    return c2 + c4 - c6
 
 
 def _chk_l1f() -> tuple[float, float]:
     # the printed display has a typographical corruption in the csc^2 group;
     # this is the numerically exact resolution (see repository notes)
     lhs = 56.0 * SQRT7 * _cl2_combo7()
-    rhs = 8.0 * (_tri(1 / 7) + _tri(2 / 7) - _tri(3 / 7)) + PI * PI * (
+    rhs = 8.0 * _tri_sum(7, _TRI7) + PI * PI * (
         _csc2(PI / 7.0)
         - 7.0 * _csc2(2.0 * PI / 7.0)
         - _csc2(3.0 * PI / 7.0)
@@ -186,41 +136,9 @@ def _chk_l1f() -> tuple[float, float]:
     return lhs, rhs
 
 
-def _chk_eq2_6() -> tuple[float, float]:
-    lhs = _cl2_combo7()
-    rhs = (
-        _tri(1 / 14)
-        + _tri(1 / 7)
-        - _tri(3 / 14)
-        + _tri(2 / 7)
-        - _tri(5 / 14)
-        - _tri(3 / 7)
-        + _tri(4 / 7)
-        + _tri(9 / 14)
-        - _tri(5 / 7)
-        + _tri(11 / 14)
-        - _tri(6 / 7)
-        - _tri(13 / 14)
-    ) / (56.0 * SQRT7)
-    return lhs, rhs
-
-
-def _chk_eq2_10a() -> tuple[float, float]:
-    return _tri(1 / 14), 4.0 * _tri(1 / 7) + _tri(3 / 7) - PI * PI * _csc2(4.0 * PI / 7.0)
-
-
-def _chk_eq2_10b() -> tuple[float, float]:
-    return _tri(3 / 14), 4.0 * _tri(3 / 7) + _tri(2 / 7) - PI * PI * _csc2(2.0 * PI / 7.0)
-
-
 def _chk_eq2_10c() -> tuple[float, float]:
-    rhs = (
-        -4.0 * _tri(2 / 7)
-        + _tri(1 / 7)
-        - PI * PI * _csc2(PI / 7.0)
-        + 4.0 * PI * PI * _csc2(2.0 * PI / 7.0)
-    )
-    return _tri(5 / 14), rhs
+    rhs = -4.0 * _tri(2 / 7) + _tri(1 / 7) - PI * PI * _csc2(PI / 7.0)
+    return _tri(5 / 14), rhs + 4.0 * PI * PI * _csc2(2.0 * PI / 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +151,8 @@ def _theta_of_a(a: float) -> float:
 
 def _chk_l2a() -> tuple[float, float]:
     def pair(a: float) -> tuple[float, float]:
-        q = integrate(
-            QuadProblem(
-                lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u),
-                a,
-                math.inf,
-                (a,),
-                1e-11,
-            )
-        )
-        return q.value, cl2(_theta_of_a(a)).value
+        q = _quad(lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u), a, math.inf, a)
+        return q, cl2(_theta_of_a(a)).value
 
     return _worst(pair(a) for a in (0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0))
 
@@ -282,31 +192,17 @@ def _chk_l2b2() -> tuple[float, float]:
 def _chk_l2c() -> tuple[float, float]:
     a = 2.0
     cot = math.atan(1.0 / a)
-    q = integrate(
-        QuadProblem(
-            lambda y: (y * math.atan(1.0 / (a * y)) - cot) / ((1.0 - y * y) * y),
-            1.0,
-            math.inf,
-            (1.0,),
-            1e-11,
-        )
+    q = _quad(
+        lambda y: (y * math.atan(1.0 / (a * y)) - cot) / ((1.0 - y * y) * y), 1.0, math.inf, 1.0
     )
     # prefactor 2, not the printed 2a: the representation follows from the
     # harmonic-number series via H_j = int_0^1 (1-u^j)/(1-u) du with
     # u = 1/y^2, which carries no stray factor of a
-    lhs = 2.0 * cot * LN2 + 2.0 * q.value
-    return lhs, cl2(_theta_of_a(a)).value
+    return 2.0 * cot * LN2 + 2.0 * q, cl2(_theta_of_a(a)).value
 
 
 # ---------------------------------------------------------------------------
 # Catalan checks
-
-
-def _mk_catalan(method: str) -> Callable[[], tuple[float, float]]:
-    def run() -> tuple[float, float]:
-        return catalan_value(method), CATALAN
-
-    return run
 
 
 def _chk_cat_2_32() -> tuple[float, float]:
@@ -314,16 +210,8 @@ def _chk_cat_2_32() -> tuple[float, float]:
     # factor a.  Derivation: expand 2 acoth(u/a) under Eq. (1.8) by the
     # rational integral representation and do the u integral exactly
     def pair(a: float) -> tuple[float, float]:
-        q = integrate(
-            QuadProblem(
-                lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t),
-                0.0,
-                1.0,
-                (1.0,),
-                1e-11,
-            )
-        )
-        lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q.value
+        q = _quad(lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t), 0.0, 1.0, 1.0)
+        lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q
         return lhs, cl2(_theta_of_a(a)).value
 
     return _worst(pair(a) for a in (0.7, 1.0, 2.0))
@@ -378,106 +266,76 @@ _ISQ2 = 1.0 / math.sqrt(2.0)
 
 # frozen numeric sign assignments for the set-membership identities; the
 # source displays give only the value sets, so the per-x choice was resolved
-# once at high precision and is asserted exactly
-_SINE_TABLES: dict[str, tuple[tuple[tuple[int, ...], int], list[float]]] = {
-    # angles given as (multiplier, denominator, sign) triples applied to x*pi
-    "sine7": (((2, 1), (4, 1), (6, -1)), 7),
-    "sine10": (((1, 1), (3, 1), (7, 1), (9, 1)), 10),
-    "sine12": (((1, 1), (5, 1), (7, 1), (11, 1)), 12),
-    "sine11": (((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11),
-    "sine15": (((2, 1), (4, 1), (8, 1), (14, -1)), 15),
-    "sine5a": (((1, 1), (2, 1), (3, 1), (4, 1)), 5),
-    "sine5b": (((1, 1), (2, -1), (3, -1), (4, 1)), 5),
-    "sine8a": (((1, 1), (3, 1), (7, 1)), 8),
-    "sine8b": (((1, 1), (5, 1), (7, 1)), 8),
-}
-
-_SINE_VALUES: dict[str, list[float]] = {
-    "sine7": [SQRT7 / 2.0] * 2 + [-SQRT7 / 2.0, SQRT7 / 2.0] + [-SQRT7 / 2.0] * 2,
-    "sine10": [
+# once at high precision and is asserted exactly.  Each entry is the
+# (multiplier, sign) pairs, the denominator d and the values that
+# sum(sign * sin(multiplier * x * pi / d)) takes at x = 1, 2, ...
+_SINES: dict[str, tuple[tuple[tuple[int, int], ...], int, list[float]]] = {
+    "sine7": (
+        ((2, 1), (4, 1), (6, -1)), 7,
+        [SQRT7 / 2.0] * 2 + [-SQRT7 / 2.0, SQRT7 / 2.0] + [-SQRT7 / 2.0] * 2,
+    ),
+    "sine10": (((1, 1), (3, 1), (7, 1), (9, 1)), 10, [
         _S5, 0.0, _S5, 0.0, 0.0, 0.0, _S5, 0.0, _S5, 0.0,
         -_S5, 0.0, -_S5, 0.0, 0.0, 0.0, -_S5, 0.0, -_S5, 0.0,
-    ],
-    "sine12": [
+    ]),
+    "sine12": (((1, 1), (5, 1), (7, 1), (11, 1)), 12, [
         _S6, 0.0, 0.0, 0.0, _S6, 0.0, _S6, 0.0, 0.0, 0.0, _S6, 0.0,
         -_S6, 0.0, 0.0, 0.0, -_S6, 0.0, -_S6, 0.0, 0.0, 0.0, -_S6, 0.0,
-    ],
-    "sine11": [
+    ]),
+    "sine11": (((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11, [
         _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
         _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
-    ],
-    "sine15": [
+    ]),
+    "sine15": (((2, 1), (4, 1), (8, 1), (14, -1)), 15, [
         _S15H, _S15H, 0.0, _S15H, 0.0, 0.0, -_S15H, _S15H,
         0.0, 0.0, -_S15H, 0.0, -_S15H, -_S15H, 0.0,
-    ],
-    "sine5a": [_PP, 0.0, _PM, 0.0, 0.0, 0.0, -_PM, 0.0, -_PP, 0.0],
-    "sine5b": [-_PM, 0.0, _PP, 0.0, 0.0, 0.0, -_PP, 0.0, _PM, 0.0],
-    "sine8a": [
+    ]),
+    "sine5a": (
+        ((1, 1), (2, 1), (3, 1), (4, 1)), 5,
+        [_PP, 0.0, _PM, 0.0, 0.0, 0.0, -_PM, 0.0, -_PP, 0.0],
+    ),
+    "sine5b": (
+        ((1, 1), (2, -1), (3, -1), (4, 1)), 5,
+        [-_PM, 0.0, _PP, 0.0, 0.0, 0.0, -_PP, 0.0, _PM, 0.0],
+    ),
+    "sine8a": (((1, 1), (3, 1), (7, 1)), 8, [
         _BP, _ISQ2, _BM, -1.0, _BM, _ISQ2, _BP, 0.0,
         -_BP, -_ISQ2, -_BM, 1.0, -_BM, -_ISQ2, -_BP, 0.0,
-    ],
-    "sine8b": [
+    ]),
+    "sine8b": (((1, 1), (5, 1), (7, 1)), 8, [
         _BP, -_ISQ2, _BM, 1.0, _BM, -_ISQ2, _BP, 0.0,
         -_BP, _ISQ2, -_BM, -1.0, -_BM, _ISQ2, -_BP, 0.0,
-    ],
+    ]),
 }
 
 
-def _mk_sine(check_id: str) -> Callable[[], tuple[float, float]]:
-    (terms, den) = _SINE_TABLES[check_id]
-    expected = _SINE_VALUES[check_id]
-
-    def run() -> tuple[float, float]:
-        return _worst(
-            (math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms), want)
-            for x, want in enumerate(expected, start=1)
-        )
-
-    return run
+def _sine(check_id: str) -> tuple[float, float]:
+    terms, den, expected = _SINES[check_id]
+    return _worst(
+        (math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms), want)
+        for x, want in enumerate(expected, start=1)
+    )
 
 
 def _chk_cheb7() -> tuple[float, float]:
     s2, s4, s6 = (math.sin(k * PI / 7.0) for k in (2, 4, 6))
 
-    def p1(x: float) -> float:
-        return (x - s2) * (x - s4) * (x + s6)
+    def pairs(x: float) -> tuple[tuple[float, float], ...]:
+        # the two cubics whose roots are +-sin(2k pi/7), and their product T_7(x)/64x
+        p1 = (x - s2) * (x - s4) * (x + s6)
+        p2 = (x - s6) * (x + s2) * (x + s4)
+        t7 = (64.0 * x**7 - 112.0 * x**5 + 56.0 * x**3 - 7.0 * x) / (64.0 * x)
+        return (
+            (p1, x**3 - SQRT7 / 2.0 * x**2 + SQRT7 / 8.0),
+            (p2, x**3 + SQRT7 / 2.0 * x**2 - SQRT7 / 8.0),
+            (p1 * p2, t7),
+        )
 
-    def p1c(x: float) -> float:
-        return x**3 - SQRT7 / 2.0 * x**2 + SQRT7 / 8.0
-
-    def p2(x: float) -> float:
-        return (x - s6) * (x + s2) * (x + s4)
-
-    def p2c(x: float) -> float:
-        return x**3 + SQRT7 / 2.0 * x**2 - SQRT7 / 8.0
-
-    def t7_over(x: float) -> float:
-        return (64.0 * x**7 - 112.0 * x**5 + 56.0 * x**3 - 7.0 * x) / (64.0 * x)
-
-    xs = [-0.9 + 0.2 * i for i in range(10)]
-    return _worst(
-        pair
-        for x in xs
-        for pair in ((p1(x), p1c(x)), (p2(x), p2c(x)), (p1(x) * p2(x), t7_over(x)))
-    )
+    return _worst(pair for i in range(10) for pair in pairs(-0.9 + 0.2 * i))
 
 
 def _csc_sum(n: int) -> float:
     return math.fsum(_csc2(j * PI / n) for j in range(1, (n - 1) // 2 + 1))
-
-
-def _chk_csc7() -> tuple[float, float]:
-    return _csc_sum(7), 8.0
-
-
-def _chk_csc14() -> tuple[float, float]:
-    return _csc_sum(14), 32.0
-
-
-def _chk_cscN() -> tuple[float, float]:
-    return _worst(
-        (_csc_sum(n), (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0) for n in range(3, 21)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +362,6 @@ def _chk_mult() -> tuple[float, float]:
     return _worst((pair(m) for m in range(2, 8)), rel=True)
 
 
-def _chk_zeta2() -> tuple[float, float]:
-    rhs = math.fsum(_tri((k + 1) / 7.0) for k in range(7)) / 49.0
-    return PI * PI / 6.0, rhs
-
-
 def _chk_eq1_12b() -> tuple[float, float]:
     c = integrals.CONSTANTS
     w_def = math.atan(
@@ -529,13 +382,8 @@ def _chk_eq4_1() -> tuple[float, float]:
     c = integrals.CONSTANTS
     tp = c.theta_plus.raw
     t7 = c.theta7.raw
-    lhs = (
-        2.0 * cl2(2.0 * tp).value
-        - 3.0 * cl2(2.0 * tp - t7).value
-        - cl2(3.0 * t7 - 2.0 * tp).value
-        + 6.0 * cl2(PI + t7).value
-    )
-    return lhs, 0.0
+    lhs = 2.0 * cl2(2.0 * tp).value - 3.0 * cl2(2.0 * tp - t7).value
+    return lhs - cl2(3.0 * t7 - 2.0 * tp).value + 6.0 * cl2(PI + t7).value, 0.0
 
 
 def _chk_eq4_3() -> tuple[float, float]:
@@ -547,166 +395,98 @@ def _chk_eq4_3() -> tuple[float, float]:
             + clausen_sin(q, 4.0 * PI / 7.0).value
             - clausen_sin(q, 6.0 * PI / 7.0).value
         )
-        rhs = (
-            SQRT7
-            / 2.0
-            / 7.0**q
-            * math.fsum(
-                chi[p] * hurwitz_zeta(float(q), p / 7.0, tol=1e-11).value
-                for p in range(1, 7)
-            )
-        )
-        return lhs, rhs
+        terms = (chi[p] * hurwitz_zeta(float(q), p / 7.0, tol=1e-11).value for p in range(1, 7))
+        return lhs, SQRT7 / 2.0 / 7.0**q * math.fsum(terms)
 
     lhs2, rhs2 = sides(2)
-    alt = SQRT7 / 2.0 * dirichlet.l7_trigamma().value
+    alt = SQRT7 / 2.0 * _l7()
     return _worst([(lhs2, rhs2), (lhs2, alt), sides(3), sides(4)])
-
-
-def _chk_conj_l7() -> tuple[float, float]:
-    return integrals.integral_I7(1e-10).value, dirichlet.l7_series().value
 
 
 # ---------------------------------------------------------------------------
 # Lemma 4 / BBP family
 
 
-def _chk_l4a() -> tuple[float, float]:
-    return _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value
-
-
 def _re_li3_closed() -> float:
     return LN2**3 / 48.0 - 5.0 / 192.0 * PI * PI * LN2 + 35.0 / 64.0 * ZETA3
 
 
-def _chk_l4b() -> tuple[float, float]:
+def _li3_half() -> complex:
+    """Li_3((1 + i)/2) by the polylog kernel."""
     from .polylog import polylog_complex
 
-    return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value.real, _re_li3_closed()
+    return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value
 
 
-def _chk_l4c() -> tuple[float, float]:
-    lhs = 8.0 * _bbp.eval_bbp_sum(_bbp.REGISTRY["eq2.37-sum"]).value
-    rhs = (
-        -PI * PI / 2.0 * LN2
-        + 14.0 * ZETA3
-        + 32.0 * _bbp.constant_value("im-li3-half-plus-half-i")
-    )
-    return lhs, rhs
+def _bbp_sum(name: str) -> float:
+    return _bbp.eval_bbp_sum(_bbp.REGISTRY[name]).value
 
 
-def _den_2_38(y: float) -> float:
-    return y**4 - 2.0 * y**3 + 4.0 * y - 4.0
+def _im_li3() -> float:
+    return _bbp.constant_value("im-li3-half-plus-half-i")
 
 
-def _chk_eq2_38() -> tuple[float, float]:
-    q = integrate(
-        QuadProblem(
-            lambda y: (y - 1.0) * math.log(y / math.sqrt(2.0)) / _den_2_38(y),
-            0.0,
-            1.0,
-            (0.0,),
-            1e-11,
-        )
-    )
-    return -4.0 * q.value, CATALAN + PI * PI / 32.0
+def _int_2_38(p: int) -> float:
+    """The integral of (y - 1) ln(y / sqrt 2)^p / (y^4 - 2y^3 + 4y - 4) over [0, 1]."""
+
+    def f(y: float) -> float:
+        return (y - 1.0) * math.log(y / math.sqrt(2.0)) ** p / (y**4 - 2.0 * y**3 + 4.0 * y - 4.0)
+
+    return _quad(f, 0.0, 1.0, 0.0)
 
 
 def _residue_sum(k: int, s: int) -> float:
     return math.fsum(1.0 / (16.0**j * (8 * j + k) ** s) for j in range(0, 30))
 
 
-def _chk_eq2_39() -> tuple[float, float]:
-    def pair(k: int) -> tuple[float, float]:
-        lhs = _residue_sum(k, 2) + LN2 / 2.0 * _residue_sum(k, 1)
-        q = integrate(
-            QuadProblem(
-                lambda x: x ** (k - 1) * math.log(x) / (1.0 - x**8),
-                0.0,
-                1.0 / math.sqrt(2.0),
-                (0.0,),
-                1e-11,
-            )
-        )
-        return lhs, -(2.0 ** (k / 2.0)) * q.value
+def _log_moment(k: int, p: int) -> float:
+    """2^(k/2) times the integral of x^(k-1) ln(x)^p / (1 - x^8) over [0, 1/sqrt 2]."""
+    q = _quad(lambda x: x ** (k - 1) * math.log(x) ** p / (1.0 - x**8), 0.0, _ISQ2, 0.0)
+    return 2.0 ** (k / 2.0) * q
 
-    return _worst(pair(k) for k in (1, 4, 5, 6))
+
+def _chk_eq2_39() -> tuple[float, float]:
+    return _worst(
+        (_residue_sum(k, 2) + LN2 / 2.0 * _residue_sum(k, 1), -_log_moment(k, 1))
+        for k in (1, 4, 5, 6)
+    )
 
 
 def _chk_eq2_40() -> tuple[float, float]:
-    def pair(k: int) -> tuple[float, float]:
-        q = integrate(
-            QuadProblem(
-                lambda x: x ** (k - 1) * math.log(x) ** 2 / (1.0 - x**8),
-                0.0,
-                1.0 / math.sqrt(2.0),
-                (0.0,),
-                1e-11,
-            )
-        )
-        rhs = 0.25 * (
+    def rhs(k: int) -> float:
+        return 0.25 * (
             LN2 * LN2 * _residue_sum(k, 1)
             + 4.0 * LN2 * _residue_sum(k, 2)
             + 8.0 * _residue_sum(k, 3)
         )
-        return 2.0 ** (k / 2.0) * q.value, rhs
 
-    return _worst(pair(k) for k in (1, 4, 5, 6))
+    return _worst((_log_moment(k, 2), rhs(k)) for k in (1, 4, 5, 6))
 
 
 def _chk_eq2_41() -> tuple[float, float]:
-    s1 = _bbp.eval_bbp_sum(_bbp.REGISTRY["pi-degree1"]).value
-    s2 = _bbp.eval_bbp_sum(_bbp.REGISTRY["eq2.35-sum"]).value
-    s3 = _bbp.eval_bbp_sum(_bbp.REGISTRY["eq2.37-sum"]).value
+    s1, s2, s3 = (_bbp_sum(name) for name in ("pi-degree1", "eq2.35-sum", "eq2.37-sum"))
     lhs = 8.0 * s3 + 4.0 * LN2 * s2 + LN2 * LN2 * s1
-    im_li3 = _bbp.constant_value("im-li3-half-plus-half-i")
-    re_rhs = 16.0 * CATALAN * LN2 - PI * LN2 * LN2 + 32.0 * im_li3 + 14.0 * ZETA3
+    re_rhs = 16.0 * CATALAN * LN2 - PI * LN2 * LN2 + 32.0 * _im_li3() + 14.0 * ZETA3
     im_rhs = (
         2.0 / 3.0 * LN2**3
         - 5.0 / 6.0 * PI * PI * LN2
         - 32.0 * _re_li3_closed()
         + 14.0 * 1.25 * ZETA3
     )
-    q = integrate(
-        QuadProblem(
-            lambda y: (y - 1.0) * math.log(y / math.sqrt(2.0)) ** 2 / _den_2_38(y),
-            0.0,
-            1.0,
-            (0.0,),
-            1e-11,
-        )
-    )
-    return _worst([(lhs, re_rhs), (im_rhs, 0.0), (lhs, 64.0 * q.value)])
+    return _worst([(lhs, re_rhs), (im_rhs, 0.0), (lhs, 64.0 * _int_2_38(2))])
 
 
 def _chk_li3_binom() -> tuple[float, float]:
-    from .polylog import polylog_complex
-
     re_sum, im_sum = _bbp.li3_binomial_sums(tol=1e-12)
-    li = polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value
-    return _worst([(re_sum.value, _re_li3_closed()), (im_sum.value, li.imag)])
+    return _worst([(re_sum.value, _re_li3_closed()), (im_sum.value, _li3_half().imag)])
 
 
 # ---------------------------------------------------------------------------
 # Proposition 1 / 2 chains
 
 
-def _chk_p1() -> tuple[float, float]:
-    return integrals.integral_I7(1e-10).value, integrals.i7_closed_form().value
-
-
-def _chk_p1_3_3() -> tuple[float, float]:
-    return integrals.integral_In_vform(1, 1e-10).value, integrals.integral_In(1, 1e-10).value
-
-
-def _chk_p1_3_9() -> tuple[float, float]:
-    i1, _ = integrals.integral_I1_split(1e-10)
-    return integrals.i1_series_truncated(1, 60), i1.value
-
-
-def _chk_p1_3_10() -> tuple[float, float]:
-    i1, _ = integrals.integral_I1_split(1e-10)
-    return integrals.i1_polylog_form(1).value, i1.value
+def _i1() -> float:
+    return integrals.integral_I1_split(1e-10)[0].value
 
 
 def _chk_p1_3_11() -> tuple[float, float]:
@@ -717,10 +497,7 @@ def _chk_p1_3_11() -> tuple[float, float]:
     return abs(val - 2.0j * c.omega_plus.raw), 0.0
 
 
-def _p2_grid() -> list[tuple[float, float]]:
-    a_vals = (0.1, 0.6, 1.2, 2.0, 3.0)
-    b_vals = (-0.9, -0.3, 0.4, 0.9)
-    return [(a, b) for a in a_vals for b in b_vals]
+_P2_GRID = [(a, b) for a in (0.1, 0.6, 1.2, 2.0, 3.0) for b in (-0.9, -0.3, 0.4, 0.9)]
 
 
 def _chk_p2() -> tuple[float, float]:
@@ -730,7 +507,7 @@ def _chk_p2() -> tuple[float, float]:
         f2 = integrals.i_ab_closed_theta12(a, b).value
         return (q, f1), (q, f2), (f1, f2)
 
-    return _worst(pair for a, b in _p2_grid() for pair in pairs(a, b))
+    return _worst(pair for a, b in _P2_GRID for pair in pairs(a, b))
 
 
 def _chk_c2() -> tuple[float, float]:
@@ -741,7 +518,7 @@ def _chk_c2() -> tuple[float, float]:
             integrals.i_ab_closed_theta12(a, b).value * scale,
         )
 
-    return _worst(pair(a, b) for a, b in _p2_grid())
+    return _worst(pair(a, b) for a, b in _P2_GRID)
 
 
 def _chk_c3() -> tuple[float, float]:
@@ -754,88 +531,105 @@ def _chk_c3() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# registry assembly
+# the ledger: one (id, tag, paper_ref, tol, func) row per check; func() returns (lhs, rhs)
 
 _CLOSED = 1e-12
 _QUAD = 1e-10
 _CHAIN = 1e-9
 
+_CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], ...] = (
+    ("L1a", "lemma1", "Eq. (1.2) vs (1.3a)", _CLOSED, lambda: (
+        dirichlet.l7_series().value, _l7())),
+    ("L1b", "lemma1", "Eq. (1.3b)", _CLOSED, _chk_l1b),
+    ("L1c", "lemma1", "Eq. (1.3c)", _CLOSED, lambda: (
+        _l7(), 2.0 / 49.0 * (_tri_sum(7, _TRI7) + (_csc2(3.0 * PI / 7.0) - 4.0) * PI * PI))),
+    ("L1d", "lemma1", "Eq. (1.4)", _CLOSED, lambda: (
+        dirichlet.l7_hurwitz(tol=1e-12).value, _l7())),
+    ("L1e-1", "lemma1", "Eq. (1.5) first integral", _QUAD, lambda: (
+        -_l1e(lambda u: _poly7(u, (1, 1, -1, 1, -1, -1)) / (1.0 - u**7), 1.0), _l7())),
+    ("L1e-2", "lemma1", "Eq. (1.5) second integral", _QUAD, lambda: (
+        -_l1e(lambda u: _poly7(u, (1, 2, 1, 2, 1)) / _poly7(u, _ONES7)), _l7())),
+    # the printed numerator reads u(1 + u - u^4 - u^5); the u term must be
+    # u^2 or the identity fails by 2.7e-2 (see repository notes)
+    ("L1e-3", "lemma1", "Eq. (1.5) third integral, corrected", _QUAD, lambda: (
+        1.0 - _l1e(lambda u: u * _poly7(u, (1, 0, 1, 0, -1, -1)) / _poly7(u, _ONES7)), _l7())),
+    ("L1f", "lemma1", "Eq. (1.6), corrected display", 1e-10, _chk_l1f),
+    ("eq2.6", "lemma1", "Eq. (2.6)", _CLOSED, lambda: (
+        _cl2_combo7(), _tri_sum(14, _TRI14) / (56.0 * SQRT7))),
+    ("eq2.10a", "lemma1", "Eq. (2.10a)", 1e-10, lambda: (
+        _tri(1 / 14), 4.0 * _tri(1 / 7) + _tri(3 / 7) - PI * PI * _csc2(4.0 * PI / 7.0))),
+    ("eq2.10b", "lemma1", "Eq. (2.10b)", 1e-10, lambda: (
+        _tri(3 / 14), 4.0 * _tri(3 / 7) + _tri(2 / 7) - PI * PI * _csc2(2.0 * PI / 7.0))),
+    ("eq2.10c", "lemma1", "Eq. (2.10c)", 1e-10, _chk_eq2_10c),
+    ("L2a", "lemma2", "Eq. (1.8)", _QUAD, _chk_l2a),
+    ("L2b-1", "lemma2", "Eq. (1.9a)", 1e-10, _chk_l2b1),
+    ("L2b-2", "lemma2", "Eq. (1.9b)", 1e-10, _chk_l2b2),
+    ("L2c", "lemma2", "Eq. (1.10), corrected prefactor", _QUAD, _chk_l2c),
+    ("cat-2.28a", "lemma3", "Eq. (2.28a), corrected", _QUAD, lambda: (
+        catalan_value("eq2.28a"), CATALAN)),
+    ("cat-2.28b", "lemma3", "Eq. (2.28b)", 1e-10, _chk_cat_2_28b),
+    ("cat-2.28c", "lemma3", "Eq. (2.28c)", _QUAD, lambda: (catalan_value("eq2.28c"), CATALAN)),
+    ("C1", "catalan", "Eq. (1.11)", 1e-10, lambda: (catalan_value("eq1.11"), CATALAN)),
+    ("cat-2.22", "catalan", "Eq. (2.22)", _QUAD, lambda: (catalan_value("eq2.22"), CATALAN)),
+    ("cat-2.25", "catalan", "Eq. (2.25)", 1e-10, lambda: (catalan_value("eq2.25"), CATALAN)),
+    ("cat-2.27", "catalan", "Eq. (2.27)", _QUAD, lambda: (catalan_value("eq2.27"), CATALAN)),
+    ("cat-2.32", "catalan", "Eq. (2.32), corrected", _QUAD, _chk_cat_2_32),
+    ("cat-2.33", "catalan", "Eq. (2.33)", _QUAD, lambda: (catalan_value("eq2.33"), CATALAN)),
+    ("cat-2.34", "catalan", "Eq. (2.34), corrected", 1e-10, _chk_cat_2_34),
+    ("eq2.30", "catalan", "Eq. (2.30)", _CLOSED, _chk_eq2_30),
+    ("sine7", "sine", "Eq. (2.7)", _CLOSED, lambda: _sine("sine7")),
+    ("cheb7", "sine", "Eqs. (2.8a)-(2.8b)", 1e-13, _chk_cheb7),
+    ("csc7", "sine", "Eq. (2.3)", _CLOSED, lambda: (_csc_sum(7), 8.0)),
+    ("csc14", "sine", "Eq. (2.11)", _CLOSED, lambda: (_csc_sum(14), 32.0)),
+    ("cscN", "sine", "csc^2 sum, n = 3..20", _CLOSED, lambda: _worst(
+        (_csc_sum(n), (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0) for n in range(3, 21))),
+    ("sine10", "sine", "Eq. (2.44)", _CLOSED, lambda: _sine("sine10")),
+    ("sine12", "sine", "Eq. (2.45)", _CLOSED, lambda: _sine("sine12")),
+    ("sine11", "sine", "Eq. (2.46)", _CLOSED, lambda: _sine("sine11")),
+    ("sine15", "sine", "Eq. (2.47), corrected sign", _CLOSED, lambda: _sine("sine15")),
+    ("sine5a", "sine", "Eq. (2.48)", _CLOSED, lambda: _sine("sine5a")),
+    ("sine5b", "sine", "Eq. (2.49)", _CLOSED, lambda: _sine("sine5b")),
+    ("sine8a", "sine", "Eq. (2.50), extended set", _CLOSED, lambda: _sine("sine8a")),
+    ("sine8b", "sine", "Eq. (2.51), extended set", _CLOSED, lambda: _sine("sine8b")),
+    ("refl", "misc", "Eq. (2.2)", 1e-10, _chk_refl),
+    ("dup", "misc", "Eq. (2.9)", 1e-10, _chk_dup),
+    ("mult", "misc", "Eq. (2.12)", 1e-10, _chk_mult),
+    ("zeta2", "misc", "Eq. (2.13)", _CLOSED, lambda: (
+        PI * PI / 6.0, math.fsum(_tri((k + 1) / 7.0) for k in range(7)) / 49.0)),
+    ("eq1.12b", "misc", "Eq. (1.12b), corrected", 1e-14, _chk_eq1_12b),
+    ("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
+    ("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
+    ("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, lambda: (
+        integrals.integral_I7(1e-10).value, dirichlet.l7_series().value)),
+    ("L4a", "lemma4", "Eq. (2.35)", _CLOSED, lambda: (
+        _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value)),
+    ("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
+    ("L4c", "lemma4", "Eq. (2.37)", 1e-10, lambda: (
+        8.0 * _bbp_sum("eq2.37-sum"), -PI * PI / 2.0 * LN2 + 14.0 * ZETA3 + 32.0 * _im_li3())),
+    ("eq2.38", "lemma4", "Eq. (2.38)", _QUAD, lambda: (
+        -4.0 * _int_2_38(1), CATALAN + PI * PI / 32.0)),
+    ("eq2.39", "lemma4", "Eq. (2.39)", _QUAD, _chk_eq2_39),
+    ("eq2.40", "lemma4", "Eq. (2.40)", _QUAD, _chk_eq2_40),
+    ("eq2.41", "lemma4", "Eq. (2.41)", _CHAIN, _chk_eq2_41),
+    ("li3-binom", "lemma4", "binomial double sums", _CLOSED, _chk_li3_binom),
+    ("P1", "prop1", "Eq. (1.13)", _CHAIN, lambda: (
+        integrals.integral_I7(1e-10).value, integrals.i7_closed_form().value)),
+    ("P1-3.3", "prop1", "Eq. (3.3)", _CHAIN, lambda: (
+        integrals.integral_In_vform(1, 1e-10).value, integrals.integral_In(1, 1e-10).value)),
+    ("P1-3.9trunc", "prop1", "Eq. (3.9), L = 60", 1e-8, lambda: (
+        integrals.i1_series_truncated(1, 60), _i1())),
+    ("P1-3.10", "prop1", "Eq. (3.10)", _CHAIN, lambda: (
+        integrals.i1_polylog_form(1).value, _i1())),
+    ("P1-3.11", "prop1", "Eq. (3.11)", _CLOSED, _chk_p1_3_11),
+    ("P2", "prop2", "Eqs. (4.6)-(4.7)", _CHAIN, _chk_p2),
+    ("C2", "prop2", "Eq. (4.10)", _CHAIN, _chk_c2),
+    ("C3", "prop2", "Eq. (4.11)", _QUAD, _chk_c3),
+)
 
-def _build_registry() -> dict[str, _CheckDef]:
-    defs = [
-        _CheckDef("L1a", "lemma1", "Eq. (1.2) vs (1.3a)", _CLOSED, _chk_l1a),
-        _CheckDef("L1b", "lemma1", "Eq. (1.3b)", _CLOSED, _chk_l1b),
-        _CheckDef("L1c", "lemma1", "Eq. (1.3c)", _CLOSED, _chk_l1c),
-        _CheckDef("L1d", "lemma1", "Eq. (1.4)", _CLOSED, _chk_l1d),
-        _CheckDef("L1e-1", "lemma1", "Eq. (1.5) first integral", _QUAD, _chk_l1e1),
-        _CheckDef("L1e-2", "lemma1", "Eq. (1.5) second integral", _QUAD, _chk_l1e2),
-        _CheckDef(
-            "L1e-3", "lemma1", "Eq. (1.5) third integral, corrected", _QUAD, _chk_l1e3
-        ),
-        _CheckDef("L1f", "lemma1", "Eq. (1.6), corrected display", 1e-10, _chk_l1f),
-        _CheckDef("eq2.6", "lemma1", "Eq. (2.6)", _CLOSED, _chk_eq2_6),
-        _CheckDef("eq2.10a", "lemma1", "Eq. (2.10a)", 1e-10, _chk_eq2_10a),
-        _CheckDef("eq2.10b", "lemma1", "Eq. (2.10b)", 1e-10, _chk_eq2_10b),
-        _CheckDef("eq2.10c", "lemma1", "Eq. (2.10c)", 1e-10, _chk_eq2_10c),
-        _CheckDef("L2a", "lemma2", "Eq. (1.8)", _QUAD, _chk_l2a),
-        _CheckDef("L2b-1", "lemma2", "Eq. (1.9a)", 1e-10, _chk_l2b1),
-        _CheckDef("L2b-2", "lemma2", "Eq. (1.9b)", 1e-10, _chk_l2b2),
-        _CheckDef("L2c", "lemma2", "Eq. (1.10), corrected prefactor", _QUAD, _chk_l2c),
-        _CheckDef(
-            "cat-2.28a", "lemma3", "Eq. (2.28a), corrected", _QUAD, _mk_catalan("eq2.28a")
-        ),
-        _CheckDef("cat-2.28b", "lemma3", "Eq. (2.28b)", 1e-10, _chk_cat_2_28b),
-        _CheckDef("cat-2.28c", "lemma3", "Eq. (2.28c)", _QUAD, _mk_catalan("eq2.28c")),
-        _CheckDef("C1", "catalan", "Eq. (1.11)", 1e-10, _mk_catalan("eq1.11")),
-        _CheckDef("cat-2.22", "catalan", "Eq. (2.22)", _QUAD, _mk_catalan("eq2.22")),
-        _CheckDef("cat-2.25", "catalan", "Eq. (2.25)", 1e-10, _mk_catalan("eq2.25")),
-        _CheckDef("cat-2.27", "catalan", "Eq. (2.27)", _QUAD, _mk_catalan("eq2.27")),
-        _CheckDef("cat-2.32", "catalan", "Eq. (2.32), corrected", _QUAD, _chk_cat_2_32),
-        _CheckDef("cat-2.33", "catalan", "Eq. (2.33)", _QUAD, _mk_catalan("eq2.33")),
-        _CheckDef("cat-2.34", "catalan", "Eq. (2.34), corrected", 1e-10, _chk_cat_2_34),
-        _CheckDef("eq2.30", "catalan", "Eq. (2.30)", _CLOSED, _chk_eq2_30),
-        _CheckDef("sine7", "sine", "Eq. (2.7)", _CLOSED, _mk_sine("sine7")),
-        _CheckDef("cheb7", "sine", "Eqs. (2.8a)-(2.8b)", 1e-13, _chk_cheb7),
-        _CheckDef("csc7", "sine", "Eq. (2.3)", _CLOSED, _chk_csc7),
-        _CheckDef("csc14", "sine", "Eq. (2.11)", _CLOSED, _chk_csc14),
-        _CheckDef("cscN", "sine", "csc^2 sum, n = 3..20", _CLOSED, _chk_cscN),
-        _CheckDef("sine10", "sine", "Eq. (2.44)", _CLOSED, _mk_sine("sine10")),
-        _CheckDef("sine12", "sine", "Eq. (2.45)", _CLOSED, _mk_sine("sine12")),
-        _CheckDef("sine11", "sine", "Eq. (2.46)", _CLOSED, _mk_sine("sine11")),
-        _CheckDef("sine15", "sine", "Eq. (2.47), corrected sign", _CLOSED, _mk_sine("sine15")),
-        _CheckDef("sine5a", "sine", "Eq. (2.48)", _CLOSED, _mk_sine("sine5a")),
-        _CheckDef("sine5b", "sine", "Eq. (2.49)", _CLOSED, _mk_sine("sine5b")),
-        _CheckDef("sine8a", "sine", "Eq. (2.50), extended set", _CLOSED, _mk_sine("sine8a")),
-        _CheckDef("sine8b", "sine", "Eq. (2.51), extended set", _CLOSED, _mk_sine("sine8b")),
-        _CheckDef("refl", "misc", "Eq. (2.2)", 1e-10, _chk_refl),
-        _CheckDef("dup", "misc", "Eq. (2.9)", 1e-10, _chk_dup),
-        _CheckDef("mult", "misc", "Eq. (2.12)", 1e-10, _chk_mult),
-        _CheckDef("zeta2", "misc", "Eq. (2.13)", _CLOSED, _chk_zeta2),
-        _CheckDef("eq1.12b", "misc", "Eq. (1.12b), corrected", 1e-14, _chk_eq1_12b),
-        _CheckDef("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
-        _CheckDef("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
-        _CheckDef("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, _chk_conj_l7, True),
-        _CheckDef("L4a", "lemma4", "Eq. (2.35)", _CLOSED, _chk_l4a),
-        _CheckDef("L4b", "lemma4", "Eq. (2.36)", _CLOSED, _chk_l4b),
-        _CheckDef("L4c", "lemma4", "Eq. (2.37)", 1e-10, _chk_l4c),
-        _CheckDef("eq2.38", "lemma4", "Eq. (2.38)", _QUAD, _chk_eq2_38),
-        _CheckDef("eq2.39", "lemma4", "Eq. (2.39)", _QUAD, _chk_eq2_39),
-        _CheckDef("eq2.40", "lemma4", "Eq. (2.40)", _QUAD, _chk_eq2_40),
-        _CheckDef("eq2.41", "lemma4", "Eq. (2.41)", _CHAIN, _chk_eq2_41),
-        _CheckDef("li3-binom", "lemma4", "binomial double sums", _CLOSED, _chk_li3_binom),
-        _CheckDef("P1", "prop1", "Eq. (1.13)", _CHAIN, _chk_p1),
-        _CheckDef("P1-3.3", "prop1", "Eq. (3.3)", _CHAIN, _chk_p1_3_3),
-        _CheckDef("P1-3.9trunc", "prop1", "Eq. (3.9), L = 60", 1e-8, _chk_p1_3_9),
-        _CheckDef("P1-3.10", "prop1", "Eq. (3.10)", _CHAIN, _chk_p1_3_10),
-        _CheckDef("P1-3.11", "prop1", "Eq. (3.11)", _CLOSED, _chk_p1_3_11),
-        _CheckDef("P2", "prop2", "Eqs. (4.6)-(4.7)", _CHAIN, _chk_p2),
-        _CheckDef("C2", "prop2", "Eq. (4.10)", _CHAIN, _chk_c2),
-        _CheckDef("C3", "prop2", "Eq. (4.11)", _QUAD, _chk_c3),
-    ]
-    return {d.id: d for d in defs}
+_REGISTRY = {row[0]: row for row in _CHECKS}
 
-
-_REGISTRY = _build_registry()
+# conjectural identities: they report supports-conjecture or error, never pass or fail
+_CONJECTURES = {"conj-L7"}
 
 
 def check_ids() -> list[str]:
@@ -846,51 +640,45 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
     """Execute one ledger check and report its record."""
     if check_id not in _REGISTRY:
         raise UnknownCheckError(check_id)
-    d = _REGISTRY[check_id]
-    tol = d.tol if tol_override is None else tol_override
+    _, _, paper_ref, tol, func = _REGISTRY[check_id]
+    if tol_override is not None:
+        tol = tol_override
+    note = ""
     start = time.perf_counter()
     try:
-        lhs, rhs = d.func()
+        lhs, rhs = func()
     except Exception as exc:
-        elapsed = int((time.perf_counter() - start) * 1000.0)
-        return CheckRecord(
-            d.id, d.paper_ref, math.nan, math.nan, math.inf, tol, "error", elapsed,
-            note=f"{type(exc).__name__}: {exc}",
-        )
+        lhs = rhs = math.nan
+        note = f"{type(exc).__name__}: {exc}"
     elapsed = int((time.perf_counter() - start) * 1000.0)
-    residual = abs(lhs - rhs)
-    if d.conjecture:
+    residual = math.inf if note else abs(lhs - rhs)
+    if note:
+        status = "error"
+    elif check_id in _CONJECTURES:
         status = "supports-conjecture" if residual <= tol else "error"
     else:
         status = "pass" if residual <= tol else "fail"
-    return CheckRecord(d.id, d.paper_ref, lhs, rhs, residual, tol, status, elapsed)
+    return CheckRecord(check_id, paper_ref, lhs, rhs, residual, tol, status, elapsed, note)
 
 
-def run_all(
-    tag: str | None = None, tol_scale: float | None = None
-) -> list[CheckRecord]:
+def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[CheckRecord]:
     """Run every ledger check, optionally filtered by tag, sorted by id."""
     if tag is not None and tag not in TAGS:
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError("tol_scale must be finite and positive")
-    out = []
-    for cid in check_ids():
-        d = _REGISTRY[cid]
-        if tag is not None and d.tag != tag:
-            continue
-        out.append(run_check(cid, tol_override=d.tol * scale))
-    return out
+    return [
+        run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
+        for cid in check_ids()
+        if tag is None or _REGISTRY[cid][1] == tag
+    ]
 
 
 def aggregate_pass(records: list[CheckRecord]) -> bool:
     """True iff every non-conjecture record passes (conjectures are ignored
     unless they errored)."""
-    for r in records:
-        if r.status in ("fail", "error"):
-            return False
-    return True
+    return not any(r.status in ("fail", "error") for r in records)
 
 
 __all__ = [

@@ -90,6 +90,8 @@ class TestEval:
             ("trigamma", "--x", "1e-200"),
             ("trigamma", "--x", "1e-155"),
             ("trigamma", "--x=-1e-200"),
+            ("cl2", "--theta", "nan"),
+            ("cln", "--order", "3", "--theta", "nan"),
         ],
     )
     def test_extreme_argument_usage_error(self, capsys, argv):
@@ -131,6 +133,20 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("catalan", "--method", "eq2.35"),
+            ("l7", "--route", "series"),
+            ("trigamma", "--x", "1"),
+        ],
+    )
+    def test_unused_tolerance_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv, "--tol", "1e-30")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: eval {argv[0]} takes no --tol\n"
 
     def test_max_terms_is_gone(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "cl2", "--theta", "1", "--max-terms", "5")

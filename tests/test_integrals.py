@@ -217,3 +217,11 @@ def test_closed_form_bounds_hold_near_unit_b():
         for form in (i_ab_closed_omega, i_ab_closed_theta12):
             r = form(a, b)
             assert abs(r.value - exact) <= r.err_bound, (form.__name__, a, b)
+
+
+def test_theta12_bound_next_to_b_minus_one_with_exact_reciprocal():
+    # 1/a + b cancels next to b = -1; at a power of two 1/a is exact, so the
+    # bound charges it no rounding, which would dominate it there (1.65)
+    a, b = 1.0, -(1.0 - 2.0**-53)
+    r = i_ab_closed_theta12(a, b)
+    assert abs(r.value - _iab_exact(a, b)) <= r.err_bound <= 1e-5

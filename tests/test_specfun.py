@@ -259,6 +259,18 @@ def test_im_li2_polar_bound_near_branch_line(r, ulps, turns):
         assert abs(res.value - _im_li2_polar_oracle(r, theta)) <= res.err_bound
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda t: clausen_cos(3, t), cl2, lambda t: im_li2_polar(PolarPoint(0.5, t))],
+    ids=["clausen_cos", "cl2", "im_li2_polar"],
+)
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises(call, theta):
+    # an angle with no reduction has no value, not a certified one
+    with pytest.raises(ValueError, match="has no reduction"):
+        call(theta)
+
+
 class TestIncompleteGamma:
     def test_recurrence(self):
         # with f(n, x) = Gamma(n+1, x): f(n, x) = n f(n-1, x) + x^n e^-x

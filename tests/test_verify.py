@@ -18,6 +18,74 @@ from tetralog.verify import (
 
 CATALAN = 0.91596559417721901505460351493238
 
+# each check's paper anchor and pinned tolerance, as the ledger reports them
+PINNED_METADATA = {
+    "C1": ("Eq. (1.11)", 1e-10),
+    "C2": ("Eq. (4.10)", 1e-9),
+    "C3": ("Eq. (4.11)", 1e-10),
+    "L1a": ("Eq. (1.2) vs (1.3a)", 1e-12),
+    "L1b": ("Eq. (1.3b)", 1e-12),
+    "L1c": ("Eq. (1.3c)", 1e-12),
+    "L1d": ("Eq. (1.4)", 1e-12),
+    "L1e-1": ("Eq. (1.5) first integral", 1e-10),
+    "L1e-2": ("Eq. (1.5) second integral", 1e-10),
+    "L1e-3": ("Eq. (1.5) third integral, corrected", 1e-10),
+    "L1f": ("Eq. (1.6), corrected display", 1e-10),
+    "L2a": ("Eq. (1.8)", 1e-10),
+    "L2b-1": ("Eq. (1.9a)", 1e-10),
+    "L2b-2": ("Eq. (1.9b)", 1e-10),
+    "L2c": ("Eq. (1.10), corrected prefactor", 1e-10),
+    "L4a": ("Eq. (2.35)", 1e-12),
+    "L4b": ("Eq. (2.36)", 1e-12),
+    "L4c": ("Eq. (2.37)", 1e-10),
+    "P1": ("Eq. (1.13)", 1e-9),
+    "P1-3.10": ("Eq. (3.10)", 1e-9),
+    "P1-3.11": ("Eq. (3.11)", 1e-12),
+    "P1-3.3": ("Eq. (3.3)", 1e-9),
+    "P1-3.9trunc": ("Eq. (3.9), L = 60", 1e-8),
+    "P2": ("Eqs. (4.6)-(4.7)", 1e-9),
+    "cat-2.22": ("Eq. (2.22)", 1e-10),
+    "cat-2.25": ("Eq. (2.25)", 1e-10),
+    "cat-2.27": ("Eq. (2.27)", 1e-10),
+    "cat-2.28a": ("Eq. (2.28a), corrected", 1e-10),
+    "cat-2.28b": ("Eq. (2.28b)", 1e-10),
+    "cat-2.28c": ("Eq. (2.28c)", 1e-10),
+    "cat-2.32": ("Eq. (2.32), corrected", 1e-10),
+    "cat-2.33": ("Eq. (2.33)", 1e-10),
+    "cat-2.34": ("Eq. (2.34), corrected", 1e-10),
+    "cheb7": ("Eqs. (2.8a)-(2.8b)", 1e-13),
+    "conj-L7": ("Eq. (1.2), conjectural", 1e-9),
+    "csc14": ("Eq. (2.11)", 1e-12),
+    "csc7": ("Eq. (2.3)", 1e-12),
+    "cscN": ("csc^2 sum, n = 3..20", 1e-12),
+    "dup": ("Eq. (2.9)", 1e-10),
+    "eq1.12b": ("Eq. (1.12b), corrected", 1e-14),
+    "eq2.10a": ("Eq. (2.10a)", 1e-10),
+    "eq2.10b": ("Eq. (2.10b)", 1e-10),
+    "eq2.10c": ("Eq. (2.10c)", 1e-10),
+    "eq2.30": ("Eq. (2.30)", 1e-12),
+    "eq2.38": ("Eq. (2.38)", 1e-10),
+    "eq2.39": ("Eq. (2.39)", 1e-10),
+    "eq2.40": ("Eq. (2.40)", 1e-10),
+    "eq2.41": ("Eq. (2.41)", 1e-9),
+    "eq2.6": ("Eq. (2.6)", 1e-12),
+    "eq4.1": ("Eq. (4.1)", 1e-12),
+    "eq4.3": ("Eq. (4.3), q = 2, 3, 4", 1e-10),
+    "li3-binom": ("binomial double sums", 1e-12),
+    "mult": ("Eq. (2.12)", 1e-10),
+    "refl": ("Eq. (2.2)", 1e-10),
+    "sine10": ("Eq. (2.44)", 1e-12),
+    "sine11": ("Eq. (2.46)", 1e-12),
+    "sine12": ("Eq. (2.45)", 1e-12),
+    "sine15": ("Eq. (2.47), corrected sign", 1e-12),
+    "sine5a": ("Eq. (2.48)", 1e-12),
+    "sine5b": ("Eq. (2.49)", 1e-12),
+    "sine7": ("Eq. (2.7)", 1e-12),
+    "sine8a": ("Eq. (2.50), extended set", 1e-12),
+    "sine8b": ("Eq. (2.51), extended set", 1e-12),
+    "zeta2": ("Eq. (2.13)", 1e-12),
+}
+
 
 class TestRegistry:
     def test_at_least_45_checks(self):
@@ -35,6 +103,11 @@ class TestRegistry:
     def test_ids_sorted_in_run_all(self):
         recs = run_all()
         assert [r.id for r in recs] == sorted(r.id for r in recs)
+
+    def test_paper_refs_and_tolerances_frozen(self):
+        recs = run_all()
+        assert {r.id: (r.paper_ref, r.tol) for r in recs} == PINNED_METADATA
+        assert [r.id for r in recs if r.status == "supports-conjecture"] == ["conj-L7"]
 
 
 class TestWorst:
