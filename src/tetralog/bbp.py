@@ -8,11 +8,18 @@ a wrong digit.  Its head takes one modular power per batch of consecutive
 denominators, modulo their product; each term then exceeds its per-term
 value by a multiple of the fixed point's one, which vanishes when the sum
 is reduced mod one, so the digits are those of one modular power per term.
+Deep in the expansion the head's batches are split into parts summed in
+forked child processes, one per usable processor; integer addition is exact,
+so the split cannot change a digit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -75,34 +82,71 @@ REGISTRY: dict[str, BBPFormula] = {
 }
 
 
-def constant_value(name: str) -> float:
-    """Resolve an affine-term constant id to its double value."""
+def _product(x: float, x_err: float, y: float, y_err: float) -> tuple[float, float]:
+    """x * y and its error bound, given x and y to within x_err and y_err."""
+    v = x * y
+    return v, abs(x) * y_err + abs(y) * x_err + x_err * y_err + math.ulp(v) / 2
+
+
+def _constant(name: str) -> tuple[float, float]:
+    """An affine-term constant's double value and its error bound.  PI, LN2
+    and ZETA3 are the doubles nearest their constants, each within half an
+    ulp; a product adds the rounding of each multiplication."""
+    pi = (PI, math.ulp(PI) / 2)
+    ln2 = (LN2, math.ulp(LN2) / 2)
     if name == "pi^2":
-        return PI * PI
+        return _product(*pi, *pi)
     if name == "pi*ln2":
-        return PI * LN2
+        return _product(*pi, *ln2)
     if name == "pi^2*ln2":
-        return PI * PI * LN2
+        return _product(*_product(*pi, *pi), *ln2)
     if name == "zeta3":
-        return ZETA3
+        return ZETA3, math.ulp(ZETA3) / 2
     if name == "im-li3-half-plus-half-i":
         from .polylog import polylog_complex  # only this constant needs it; digits never does
 
-        return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value.imag
+        r = polylog_complex(3, complex(0.5, 0.5), tol=1e-13)
+        return r.value.imag, r.err_bound
     raise DomainError(f"unknown constant id {name!r}")
 
 
+def constant_value(name: str) -> float:
+    """Resolve an affine-term constant id to its double value."""
+    return _constant(name)[0]
+
+
 def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
-    """scale * pure sum + affine add-ons."""
+    """scale * pure sum + affine add-ons.
+
+    The bound is |scale| times the sum's bound, plus each constant's own
+    bound times |coefficient|, plus half an ulp for each product, for the
+    fsum of the add-ons and for the last addition.
+    """
     from .result import EvalResult
 
     s = eval_bbp_sum(f, tol)
-    v = f.scale * s.value + math.fsum(c * constant_value(name) for name, c in f.affine_terms)
-    return EvalResult(v, f.scale * s.err_bound + 8.0 * EPS, s.effort, "bbp+affine")
+    scaled = f.scale * s.value
+    err = abs(f.scale) * s.err_bound + math.ulp(scaled) / 2
+    addends = []
+    for name, c in f.affine_terms:
+        value, value_err = _constant(name)
+        addends.append(c * value)
+        err += abs(c) * value_err + math.ulp(addends[-1]) / 2
+    affine = math.fsum(addends)
+    v = scaled + affine
+    err += (math.ulp(affine) + math.ulp(v)) / 2
+    return EvalResult(v, err, s.effort, "bbp+affine")
 
 
 def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
-    """The pure BBP sum with a rigorous geometric tail bound <= tol."""
+    """The pure BBP sum with a rigorous geometric tail bound <= tol.
+
+    The rounding bound is a running one: every division and addition rounds
+    by at most half an ulp of its result, and dividing by 16^j is exact, so
+    the bound is the sum of those half ulps, each scaled like its term.  It
+    is at most (j + 4) EPS/2 times the sum of |terms|, and far below that
+    when the terms cancel.
+    """
     from .result import EvalResult
 
     if tol <= 0.0:
@@ -111,17 +155,22 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
     if amax == 0:
         return EvalResult(0.0, 0.0, 0, "bbp-sum")
     total = 0.0
+    rounding = 0.0
     j = 0
     for j in range(0, 200):
         inner = 0.0
+        inner_rounding = 0.0
         for k, a in enumerate(f.coeffs, start=1):
             if a:
-                inner += a / (8 * j + k) ** f.degree
+                q = a / (8 * j + k) ** f.degree
+                inner += q
+                inner_rounding += math.ulp(q) + math.ulp(inner)
         total += inner / 16.0**j
+        rounding += inner_rounding / 2 / 16.0**j + math.ulp(total) / 2
         tail = amax / (8 * (j + 1)) ** f.degree / 16.0**j / 15.0
         if tail <= tol / 4.0:
             break
-    err = tail + 4.0 * EPS * abs(total) * (j + 1)
+    err = tail + rounding
     if err > tol:
         raise DomainError(f"cannot reach tol {tol:g} in double precision")
     return EvalResult(total, err, j + 1, "bbp-sum")
@@ -133,6 +182,132 @@ _GUARD_HEX = 12
 # j = position, sets the batch width.  At positions 3e3 and 3e4, 256-512 bits
 # timed alike within noise, and 768 or more ran slower.
 _BATCH_BITS = 512
+# Head positions per forked part.  A fork with its pipe and reaping cost
+# 2.3-3.3 ms on a 2-core x86 Linux host, and the serial head 4.3-5.5 us per
+# position (the mean over the registry at positions 5e3-1e4), so a part of
+# 6000 positions keeps a fork to ~10 % of its part's work.  Forking broke
+# even near position 1e3-3e3; the head splits from position 1.2e4 on.
+_MIN_PART = 6000
+
+
+def _head_part(f: BBPFormula, position: int, bits: int, part: int, parts: int) -> int:
+    """The head's batches whose running index is part mod parts, summed mod 2^bits.
+
+    The running index counts the batches of every nonzero residue class k in
+    turn.  The batch j0 .. j1 - 1 takes one ``pow(16, position + 1 - j1,
+    prod d_j)`` over d_j = (8j + k)^degree, whose residue mod each d_j, times
+    16^(j1 - 1 - j), is congruent to 16^(position - j) mod d_j.  With
+    ``parts == 1`` this is the whole head; the parts for part = 0 .. parts - 1
+    add up to it mod 2^bits.
+    """
+    s = f.degree
+    acc = 0
+    index = itertools.count()
+    for k, a in enumerate(f.coeffs, start=1):
+        if not a:
+            continue
+        width = max(1, _BATCH_BITS // ((8 * position + k) ** s).bit_length())
+        for j0 in range(0, position + 1, width):
+            if next(index) % parts != part:
+                continue
+            j1 = min(j0 + width, position + 1)
+            ds = [m**s for m in range(8 * j0 + k, 8 * j1 + k, 8)]
+            r = pow(16, position + 1 - j1, math.prod(ds))
+            shift = bits + 4 * (j1 - 1 - j0)
+            t = 0
+            for d in ds:
+                t += ((r % d) << shift) // d
+                shift -= 4
+            acc += a * t
+    return acc % (1 << bits)
+
+
+def _part_count(position: int) -> int:
+    """One head part per usable processor, each of at least ``_MIN_PART``
+    positions; one where there is no fork or another thread is running,
+    since a forked copy of a threaded process may hold a lock forever."""
+    threading = sys.modules.get("threading")
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), position // _MIN_PART))
+
+
+def _fork_part(
+    f: BBPFormula, position: int, bits: int, part: int, parts: int
+) -> tuple[int, int] | None:
+    """(pid, read end) of a child that writes ``_head_part`` to a pipe as
+    little-endian bytes and exits; None if no pipe or process could be made."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child touches nothing else and never returns into the caller
+        code = 1
+        try:
+            value = _head_part(f, position, bits, part, parts)
+            os.write(w, value.to_bytes((bits + 7) // 8, "little"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int) -> int:
+    """Wait for a child: its wait status, or -1 if it was reaped elsewhere
+    (as when the process ignores SIGCHLD)."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
+
+
+def _head(f: BBPFormula, position: int, bits: int) -> int:
+    """The whole head mod 2^bits: part 0 here, parts 1 .. parts - 1 in forked
+    children.  A part whose child could not start, failed or sent the wrong
+    number of bytes is computed here instead.  Any exception, interrupts
+    included, kills and reaps the children still running."""
+    parts = _part_count(position)
+    pids: dict[int, int] = {}  # part -> pid, until reaped
+    pipes: dict[int, int] = {}  # part -> read end of its child's pipe
+    try:
+        for part in range(1, parts):
+            child = _fork_part(f, position, bits, part, parts)
+            if child is not None:
+                pids[part], pipes[part] = child
+        acc = sum(_head_part(f, position, bits, p, parts) for p in range(parts) if p not in pids)
+        for part, r in pipes.items():
+            data = b""
+            while chunk := os.read(r, 64):
+                data += chunk
+            status = _reap(pids[part])
+            del pids[part]
+            if status == 0 and len(data) == (bits + 7) // 8:
+                acc += int.from_bytes(data, "little")
+            else:
+                acc += _head_part(f, position, bits, part, parts)
+        return acc % (1 << bits)
+    finally:
+        if pids:
+            from signal import SIGKILL
+
+            for pid in pids.values():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, SIGKILL)
+                _reap(pid)
+        for r in pipes.values():
+            os.close(r)
 
 
 def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
@@ -145,9 +320,14 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     16^(j1 - 1 - j), is congruent to 16^(position - j) mod d_j.  Each term
     thus exceeds the per-term floor(16^(position - j) mod d_j * 2^bits / d_j)
     by a multiple of 2^bits, which vanishes mod one: the digits are those of
-    the per-term sum.  If the guard bits sit within 2^-20 of a digit carry
-    boundary the extraction raises PrecisionError instead of risking an
-    off-by-one digit.
+    the per-term sum.  From position 2 * ``_MIN_PART`` on, on Linux and with
+    no other thread running, the head's batches are dealt round-robin to one
+    part per usable processor (at most position // ``_MIN_PART``), and all
+    but one part run in forked child processes.  The parts are exact
+    integers summed mod 2^bits, so the digits, the term count and every
+    PrecisionError are those of the serial sum.  The tail stays serial.  If
+    the guard bits sit within 2^-20 of a digit carry boundary the extraction
+    raises PrecisionError instead of risking an off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")
@@ -157,24 +337,12 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
         return "0" * count
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
-    acc = 0
-    n_terms = 0
+    acc = _head(f, position, bits)
     s = f.degree
+    n_terms = 0
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        # head: j <= position, one pow per batch j0 .. j1 - 1
-        width = max(1, _BATCH_BITS // ((8 * position + k) ** s).bit_length())
-        for j0 in range(0, position + 1, width):
-            j1 = min(j0 + width, position + 1)
-            ds = [m**s for m in range(8 * j0 + k, 8 * j1 + k, 8)]
-            r = pow(16, position + 1 - j1, math.prod(ds))
-            shift = bits + 4 * (j1 - 1 - j0)
-            t = 0
-            for d in ds:
-                t += ((r % d) << shift) // d
-                shift -= 4
-            acc += a * t
         n_terms += position + 1
         # tail: j > position, exact since terms shrink below the fixed point
         j = position + 1

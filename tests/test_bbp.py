@@ -5,11 +5,16 @@ only; the library itself never depends on mpmath).
 """
 
 import math
+import os
 import random
+import signal
+import threading
+import time
 
 import mpmath
 import pytest
 
+from tetralog import bbp
 from tetralog.bbp import (
     _BATCH_BITS,
     _GUARD_HEX,
@@ -206,6 +211,216 @@ class TestBatchedHead:
             self.assert_same(EXACT_AT_ZERO, position, 8)
 
 
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(
+    CPUS < 2 or not hasattr(os, "fork"), reason="the head splits only with fork and 2+ CPUs"
+)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks made in this process."""
+    made = []
+    real_fork = os.fork
+
+    def counted():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def split_head_part(monkeypatch, in_parent, in_child):
+    """Make ``_head_part`` run ``in_parent`` in this process and ``in_child``
+    in the forked children."""
+    parent = os.getpid()
+    monkeypatch.setattr(
+        bbp,
+        "_head_part",
+        lambda *args: (in_parent if os.getpid() == parent else in_child)(*args),
+    )
+
+
+class TestForkedHead:
+    """The head split into parts, some summed in forked children, gives the
+    per-term reference's output and leaves no child behind."""
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_parts_recombine(self, name):
+        f = REGISTRY[name]
+        for position in (0, 1, 77, 3001):
+            for bits in (52, 112):
+                whole = bbp._head_part(f, position, bits, 0, 1)
+                for parts in range(1, 5):
+                    split = sum(bbp._head_part(f, position, bits, i, parts) for i in range(parts))
+                    assert split % (1 << bits) == whole, (position, bits, parts)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_either_side_of_the_switch(self, name, forks):
+        f = REGISTRY[name]
+        switch = 2 * bbp._MIN_PART
+        for position in (switch - 1, switch):
+            made = len(forks)
+            assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+            assert len(forks) - made == min(CPUS, position // bbp._MIN_PART) - 1
+            assert_no_children()
+
+    def test_part_count(self):
+        assert bbp._part_count(0) == 1
+        assert bbp._part_count(2 * bbp._MIN_PART - 1) == 1
+        assert bbp._part_count(2 * bbp._MIN_PART) == min(CPUS, 2)
+        assert bbp._part_count(10**9) == CPUS
+
+    @needs_two_cpus
+    def test_forced_split_matches_reference(self, monkeypatch, forks):
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        for f in [REGISTRY[name] for name in FORMULAS] + [EXACT_AT_ZERO]:
+            for position in (1, 7, 64, 333, 2000):
+                for count in (1, 8, 16):
+                    want = _outcome(per_term_hex_digits, f, position, count)
+                    assert _outcome(extract_hex_digits, f, position, count) == want
+                    assert_no_children()
+        assert forks
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("failure", ["raises", "exits-unwritten", "exits-nonzero"])
+    def test_failed_child_part_is_recomputed(self, monkeypatch, forks, failure):
+        def fail(*args):
+            if failure == "raises":
+                raise RuntimeError("child failed")
+            os._exit(0 if failure == "exits-unwritten" else 3)
+
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        split_head_part(monkeypatch, bbp._head_part, fail)
+        f = REGISTRY["eq2.37-sum"]
+        for position in (64, 2000):
+            assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+            assert_no_children()
+        assert forks
+
+    @needs_two_cpus
+    def test_fork_failure_computes_in_process(self, monkeypatch):
+        def no_fork():
+            raise OSError("no process")
+
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        f = REGISTRY["pi-degree1"]
+        assert extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+
+    @needs_two_cpus
+    def test_ignored_sigchld(self, monkeypatch, forks):
+        # the children are reaped by the kernel; their parts are recomputed here
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            f = REGISTRY["eq2.35-sum"]
+            assert extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+        finally:
+            signal.signal(signal.SIGCHLD, before)
+        assert forks
+        assert_no_children()
+
+    def test_running_thread_keeps_it_serial(self, monkeypatch, forks):
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        thread.start()
+        try:
+            f = REGISTRY["eq2.35-sum"]
+            assert extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    @needs_two_cpus
+    def test_interrupt_kills_and_reaps_children(self, monkeypatch, forks):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        split_head_part(monkeypatch, interrupted, lambda *args: time.sleep(60))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            extract_hex_digits(REGISTRY["pi-degree1"], 100, 8)
+        assert time.monotonic() - t0 < 30
+        assert forks
+        assert_no_children()
+
+
+def mp_pure_sum(f: BBPFormula):
+    """The pure BBP sum to 40 digits; 40 blocks leave a tail below 16^-40."""
+    with mpmath.workdps(40):
+        return mpmath.fsum(
+            mpmath.mpf(a) / mpmath.mpf(8 * j + k) ** f.degree / mpmath.mpf(16) ** j
+            for j in range(40)
+            for k, a in enumerate(f.coeffs, start=1)
+            if a
+        )
+
+
+# what each registry formula's closed form equals
+MP_CLOSED_FORMS = {
+    "eq2.35-sum": lambda: mpmath.catalan,
+    "eq2.37-sum": lambda: mpmath.mpf(0),
+    "pi-degree1": lambda: mpmath.pi,
+}
+
+
+def mp_error(value: float, exact) -> float:
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - exact))
+
+
+class TestHonestBounds:
+    """Every err_bound holds against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14])
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_pure_sum(self, name, tol):
+        f = REGISTRY[name]
+        r = eval_bbp_sum(f, tol)
+        assert mp_error(r.value, mp_pure_sum(f)) <= r.err_bound <= tol
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14])
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_closed_form(self, name, tol):
+        r = closed_form_value(REGISTRY[name], tol)
+        with mpmath.workdps(40):
+            assert mp_error(r.value, MP_CLOSED_FORMS[name]()) <= r.err_bound
+
+    def test_eval_catalan_eq2_35(self):
+        from tetralog.dirichlet import catalan_result
+
+        r = catalan_result("eq2.35")
+        with mpmath.workdps(40):
+            assert mp_error(r.value, mpmath.catalan) <= r.err_bound < 1e-14
+
+    @pytest.mark.parametrize(
+        ("name", "exact"),
+        [
+            ("pi^2", lambda: mpmath.pi**2),
+            ("pi*ln2", lambda: mpmath.pi * mpmath.ln2),
+            ("pi^2*ln2", lambda: mpmath.pi**2 * mpmath.ln2),
+            ("zeta3", lambda: mpmath.zeta(3)),
+            ("im-li3-half-plus-half-i", lambda: mpmath.polylog(3, mpmath.mpc(0.5, 0.5)).imag),
+        ],
+    )
+    def test_affine_constants(self, name, exact):
+        value, err = bbp._constant(name)
+        assert value == constant_value(name)
+        with mpmath.workdps(40):
+            assert mp_error(value, exact()) <= err
+
+
 class TestBinomialSums:
     def test_both_parts(self):
         re_sum, im_sum = li3_binomial_sums()
@@ -214,6 +429,13 @@ class TestBinomialSums:
         re_ref = ln2**3 / 48.0 - 5.0 / 192.0 * math.pi**2 * ln2 + 35.0 / 64.0 * zeta3
         assert abs(re_sum.value - re_ref) < 1e-12
         assert abs(im_sum.value - 0.5700774070887689781956098) < 1e-12
+
+    def test_bounds_hold(self):
+        re_sum, im_sum = li3_binomial_sums()
+        with mpmath.workdps(40):
+            exact = mpmath.polylog(3, mpmath.mpc(0.5, 0.5))
+            assert mp_error(re_sum.value, exact.real) <= re_sum.err_bound
+            assert mp_error(im_sum.value, exact.imag) <= im_sum.err_bound
 
 
 PI_FORMULA = REGISTRY["pi-degree1"]
@@ -263,14 +485,16 @@ class TestFormulaRecord:
 @pytest.mark.parametrize(
     ("name", "value", "err_bound"),
     [
-        ("eq2.35-sum", "0x1.d4f9713e8135cp-1", "0x1.14fe708f9001ap-46"),
-        ("eq2.37-sum", "-0x1.1800000000000p-43", "0x1.cf7f9d591d2d4p-40"),
-        ("pi-degree1", "0x1.921fb54442d14p+1", "0x1.1d4901f9eb4b3p-43"),
+        ("eq2.35-sum", "0x1.d4f9713e8135cp-1", "0x1.031c8df5873c0p-47"),
+        ("eq2.37-sum", "-0x1.1800000000000p-43", "0x1.d4a2e27d979fdp-40"),
+        ("pi-degree1", "0x1.921fb54442d14p+1", "0x1.c8526b5592302p-44"),
     ],
+    ids=FORMULAS,
 )
 def test_closed_form_values_are_pinned(name, value, err_bound):
     # the values the registry gave when its scales and coefficients were
-    # Fractions; the floats that replaced them are the same numbers
+    # Fractions; the floats that replaced them are the same numbers.  The
+    # bounds are the running rounding bound's and each constant's own.
     r = closed_form_value(REGISTRY[name])
     assert (r.value.hex(), r.err_bound.hex()) == (value, err_bound)
 

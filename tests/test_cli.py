@@ -187,6 +187,14 @@ class TestVerify:
         assert payload["summary"] == report.summary
         assert [r["id"] for r in payload["records"]] == [r.id for r in report.records]
 
+    def test_timestamp_is_iso_utc(self):
+        from datetime import datetime, timedelta
+
+        before = datetime.now().astimezone()
+        stamp = datetime.fromisoformat(build_report([]).timestamp)
+        assert stamp.utcoffset() == timedelta(0)
+        assert before - timedelta(seconds=1) <= stamp <= datetime.now().astimezone()
+
     def test_single_check(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "P1")
         assert code == 0

@@ -122,6 +122,11 @@ def test_eval_loads_no_fractions(argv):
     assert not _modules_after(_cli(*argv)) & {"fractions", "decimal"}
 
 
+def test_verify_json_loads_no_datetime():
+    # the report's timestamp is formatted by time.strftime
+    assert "datetime" not in _modules_after(_cli("verify", "--all", "--format", "json"))
+
+
 def test_import_polylog_builds_no_table():
     code = (
         "import tetralog.polylog as p\n"
