@@ -15,7 +15,6 @@ so the split cannot change a digit.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -82,32 +81,23 @@ REGISTRY: dict[str, BBPFormula] = {
 }
 
 
-def _product(x: float, x_err: float, y: float, y_err: float) -> tuple[float, float]:
-    """x * y and its error bound, given x and y to within x_err and y_err."""
-    v = x * y
-    return v, abs(x) * y_err + abs(y) * x_err + x_err * y_err + math.ulp(v) / 2
+# the factors of each affine constant but the polylog one: PI, LN2 and ZETA3
+# are the doubles nearest their constants, within EPS/2 relative, and each
+# product rounds once more, so m factors are within (2m - 1) EPS/2 < m EPS
+_FACTORS = {"pi^2": (PI, PI), "pi*ln2": (PI, LN2), "pi^2*ln2": (PI, PI, LN2), "zeta3": (ZETA3,)}
 
 
 def _constant(name: str) -> tuple[float, float]:
-    """An affine-term constant's double value and its error bound.  PI, LN2
-    and ZETA3 are the doubles nearest their constants, each within half an
-    ulp; a product adds the rounding of each multiplication."""
-    pi = (PI, math.ulp(PI) / 2)
-    ln2 = (LN2, math.ulp(LN2) / 2)
-    if name == "pi^2":
-        return _product(*pi, *pi)
-    if name == "pi*ln2":
-        return _product(*pi, *ln2)
-    if name == "pi^2*ln2":
-        return _product(*_product(*pi, *pi), *ln2)
-    if name == "zeta3":
-        return ZETA3, math.ulp(ZETA3) / 2
+    """An affine-term constant's double value and its error bound."""
     if name == "im-li3-half-plus-half-i":
         from .polylog import polylog_complex  # only this constant needs it; digits never does
 
         r = polylog_complex(3, complex(0.5, 0.5), tol=1e-13)
         return r.value.imag, r.err_bound
-    raise DomainError(f"unknown constant id {name!r}")
+    if name not in _FACTORS:
+        raise DomainError(f"unknown constant id {name!r}")
+    v = math.prod(_FACTORS[name])
+    return v, len(_FACTORS[name]) * EPS * abs(v)
 
 
 def constant_value(name: str) -> float:
@@ -236,80 +226,6 @@ def _part_count(position: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), position // _MIN_PART))
 
 
-def _fork_part(
-    f: BBPFormula, position: int, bits: int, part: int, parts: int
-) -> tuple[int, int] | None:
-    """(pid, read end) of a child that writes ``_head_part`` to a pipe as
-    little-endian bytes and exits; None if no pipe or process could be made."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        # the child touches nothing else and never returns into the caller
-        code = 1
-        try:
-            value = _head_part(f, position, bits, part, parts)
-            os.write(w, value.to_bytes((bits + 7) // 8, "little"))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _reap(pid: int) -> int:
-    """Wait for a child: its wait status, or -1 if it was reaped elsewhere
-    (as when the process ignores SIGCHLD)."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return -1
-
-
-def _head(f: BBPFormula, position: int, bits: int) -> int:
-    """The whole head mod 2^bits: part 0 here, parts 1 .. parts - 1 in forked
-    children.  A part whose child could not start, failed or sent the wrong
-    number of bytes is computed here instead.  Any exception, interrupts
-    included, kills and reaps the children still running."""
-    parts = _part_count(position)
-    pids: dict[int, int] = {}  # part -> pid, until reaped
-    pipes: dict[int, int] = {}  # part -> read end of its child's pipe
-    try:
-        for part in range(1, parts):
-            child = _fork_part(f, position, bits, part, parts)
-            if child is not None:
-                pids[part], pipes[part] = child
-        acc = sum(_head_part(f, position, bits, p, parts) for p in range(parts) if p not in pids)
-        for part, r in pipes.items():
-            data = b""
-            while chunk := os.read(r, 64):
-                data += chunk
-            status = _reap(pids[part])
-            del pids[part]
-            if status == 0 and len(data) == (bits + 7) // 8:
-                acc += int.from_bytes(data, "little")
-            else:
-                acc += _head_part(f, position, bits, part, parts)
-        return acc % (1 << bits)
-    finally:
-        if pids:
-            from signal import SIGKILL
-
-            for pid in pids.values():
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, SIGKILL)
-                _reap(pid)
-        for r in pipes.values():
-            os.close(r)
-
-
 def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """Hex digits of frac(16^position * pure sum), ``count`` digits.
 
@@ -323,11 +239,11 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     the per-term sum.  From position 2 * ``_MIN_PART`` on, on Linux and with
     no other thread running, the head's batches are dealt round-robin to one
     part per usable processor (at most position // ``_MIN_PART``), and all
-    but one part run in forked child processes.  The parts are exact
-    integers summed mod 2^bits, so the digits, the term count and every
-    PrecisionError are those of the serial sum.  The tail stays serial.  If
-    the guard bits sit within 2^-20 of a digit carry boundary the extraction
-    raises PrecisionError instead of risking an off-by-one digit.
+    but one part run in forked child processes (``forked.forked_sum``).  The
+    parts are exact integers summed mod 2^bits, so the digits, the term count
+    and every PrecisionError are those of the serial sum.  The tail stays
+    serial.  If the guard bits sit within 2^-20 of a digit carry boundary the
+    extraction raises PrecisionError instead of risking an off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")
@@ -337,7 +253,13 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
         return "0" * count
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
-    acc = _head(f, position, bits)
+    parts = _part_count(position)
+    if parts == 1:
+        acc = _head_part(f, position, bits, 0, 1)
+    else:
+        from .forked import forked_sum  # loaded only for a split head
+
+        acc = forked_sum(lambda i, n: _head_part(f, position, bits, i, n), parts, (bits + 7) // 8)
     s = f.degree
     n_terms = 0
     for k, a in enumerate(f.coeffs, start=1):
