@@ -133,9 +133,9 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
 
     The rounding bound is a running one: every division and addition rounds
     by at most half an ulp of its result, and dividing by 16^j is exact, so
-    the bound is the sum of those half ulps, each scaled like its term.  It
-    is at most (j + 4) EPS/2 times the sum of |terms|, and far below that
-    when the terms cancel.
+    the bound is the sum of those half ulps, each scaled like its term.  With
+    n nonzero coefficients it is at most (j + n + 2) EPS/2 times the sum of
+    |terms|, and below that when the partial sums cancel.
     """
     from .result import EvalResult
 
