@@ -4,11 +4,11 @@ A registry holds the degree-2 and degree-3 binary formulas built on the
 coefficient pattern (4, 0, 0, -2, -1, -1, 0, 0) over residues mod 8, plus
 the classical degree-1 formula for pi.  Digit extraction works in exact
 integer fixed point and aborts on carry ambiguity rather than ever emitting
-a wrong digit.  Its head takes one modular power per batch of consecutive
-denominators, modulo their product; each term then exceeds its per-term
-value by a multiple of the fixed point's one, which vanishes when the sum
-is reduced mod one, so the digits are those of one modular power per term.
-Deep in the expansion the head's batches are split into parts summed in
+a wrong digit.  Its head sums one fraction per batch of consecutive
+denominators, built by Horner's rule over their product: one modular power
+and one floor division per batch, not per term.  The floors lose less than
+|coefficient| units each, which the carry test allows for.  Deep in the
+expansion the head's batches are split into parts summed in
 forked child processes, one per usable processor; integer addition is exact,
 so the split cannot change a digit.
 """
@@ -167,28 +167,39 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
 
 
 _GUARD_HEX = 12
-# The head takes one modular power per batch of consecutive denominators whose
-# product is about this many bits wide; the largest denominator, at
-# j = position, sets the batch width.  At positions 3e3 and 3e4, 256-512 bits
-# timed alike within noise, and 768 or more ran slower.
+# The head takes one fraction, one modular power and one floor per batch of
+# consecutive denominators whose product is about this many bits wide; the
+# largest denominator, at j = position, sets the batch width.  Timed on the
+# three registry formulas in two runs: at position 3e3 (1.7-5.5 us per
+# position at 512 bits) 256 bits ran 9-28 % slower and 384-1024 bits within
+# 10 %; at 3e4 (3.6-9.3 us per position) no width beat 512 on one formula
+# in both runs, and 256 and 1024 bits ran up to 15-18 % slower on some.
 _BATCH_BITS = 512
 # Head positions per forked part.  A fork with its pipe and reaping cost
-# 2.3-3.3 ms on a 2-core x86 Linux host, and the serial head 4.3-5.5 us per
+# 2.2-2.9 ms on a 2-core x86 Linux host, and the serial head 4.3-5.1 us per
 # position (the mean over the registry at positions 5e3-1e4), so a part of
 # 6000 positions keeps a fork to ~10 % of its part's work.  Forking broke
-# even near position 1e3-3e3; the head splits from position 1.2e4 on.
+# even near position 2e3-5e3; the head splits from position 1.2e4 on.
 _MIN_PART = 6000
+
+
+def _batch_width(degree: int, position: int, k: int) -> int:
+    """Head terms per batch in residue class k: as many as fit _BATCH_BITS
+    at the largest denominator, (8 * position + k)^degree."""
+    return max(1, _BATCH_BITS // ((8 * position + k) ** degree).bit_length())
 
 
 def _head_part(f: BBPFormula, position: int, bits: int, part: int, parts: int) -> int:
     """The head's batches whose running index is part mod parts, summed mod 2^bits.
 
     The running index counts the batches of every nonzero residue class k in
-    turn.  The batch j0 .. j1 - 1 takes one ``pow(16, position + 1 - j1,
-    prod d_j)`` over d_j = (8j + k)^degree, whose residue mod each d_j, times
-    16^(j1 - 1 - j), is congruent to 16^(position - j) mod d_j.  With
-    ``parts == 1`` this is the whole head; the parts for part = 0 .. parts - 1
-    add up to it mod 2^bits.
+    turn.  One fraction per batch: for j0 .. j1 - 1, with d_j = (8j + k)^degree,
+    Horner's rule gives num/den = sum_j 16^(j1 - 1 - j)/d_j over den = prod d_j,
+    and r = ``pow(16, position + 1 - j1, den)``.  Each d_j divides den, so
+    r * num/den = sum_j 16^(position - j)/d_j (mod 1), and the batch adds
+    a * floor(2^bits * frac(r * num/den)), within |a| of a times the exact
+    value.  With ``parts == 1`` this is the whole head; the parts for part =
+    0 .. parts - 1 add up to it mod 2^bits.
     """
     s = f.degree
     acc = 0
@@ -196,19 +207,18 @@ def _head_part(f: BBPFormula, position: int, bits: int, part: int, parts: int) -
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        width = max(1, _BATCH_BITS // ((8 * position + k) ** s).bit_length())
+        width = _batch_width(s, position, k)
         for j0 in range(0, position + 1, width):
             if next(index) % parts != part:
                 continue
             j1 = min(j0 + width, position + 1)
-            ds = [m**s for m in range(8 * j0 + k, 8 * j1 + k, 8)]
-            r = pow(16, position + 1 - j1, math.prod(ds))
-            shift = bits + 4 * (j1 - 1 - j0)
-            t = 0
-            for d in ds:
-                t += ((r % d) << shift) // d
-                shift -= 4
-            acc += a * t
+            num, den = 0, 1
+            for m in range(8 * j0 + k, 8 * j1 + k, 8):
+                d = m**s
+                num = (num * d << 4) + den
+                den *= d
+            r = pow(16, position + 1 - j1, den)
+            acc += a * ((r * num % den << bits) // den)
     return acc % (1 << bits)
 
 
@@ -230,20 +240,19 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """Hex digits of frac(16^position * pure sum), ``count`` digits.
 
     Exact integer fixed point with ``_GUARD_HEX`` guard digits.  The
-    j <= position head works in batches of consecutive denominators
-    d_j = (8j + k)^degree: one ``pow(16, position + 1 - j1, prod d_j)`` for
-    the batch j0 .. j1 - 1, whose residue mod each d_j, multiplied by
-    16^(j1 - 1 - j), is congruent to 16^(position - j) mod d_j.  Each term
-    thus exceeds the per-term floor(16^(position - j) mod d_j * 2^bits / d_j)
-    by a multiple of 2^bits, which vanishes mod one: the digits are those of
-    the per-term sum.  From position 2 * ``_MIN_PART`` on, on Linux and with
-    no other thread running, the head's batches are dealt round-robin to one
+    j <= position head takes one fraction per batch of consecutive
+    denominators d_j = (8j + k)^degree (``_head_part``): one modular power
+    modulo their product and one floor division, which drops less than one
+    unit, times the class's coefficient a.  Each tail term j > position takes
+    one floor too.  From position 2 * ``_MIN_PART`` on, on Linux and with no
+    other thread running, the head's batches are dealt round-robin to one
     part per usable processor (at most position // ``_MIN_PART``), and all
     but one part run in forked child processes (``forked.forked_sum``).  The
-    parts are exact integers summed mod 2^bits, so the digits, the term count
-    and every PrecisionError are those of the serial sum.  The tail stays
-    serial.  If the guard bits sit within 2^-20 of a digit carry boundary the
-    extraction raises PrecisionError instead of risking an off-by-one digit.
+    parts are exact integers summed mod 2^bits, so the digits and every
+    PrecisionError are those of the serial sum.  The tail stays serial.  If
+    the guard bits sit within sum |a| * (floors in a's class) units plus
+    2^-20 of a digit carry boundary, the extraction raises PrecisionError
+    instead of risking an off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")
@@ -261,11 +270,11 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
 
         acc = forked_sum(lambda i, n: _head_part(f, position, bits, i, n), parts, (bits + 7) // 8)
     s = f.degree
-    n_terms = 0
+    floors = 0
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        n_terms += position + 1
+        n = len(range(0, position + 1, _batch_width(s, position, k)))  # head batches
         # tail: j > position, exact since terms shrink below the fixed point
         j = position + 1
         while True:
@@ -274,14 +283,17 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
             if t == 0:
                 break
             acc += a * t
-            n_terms += 1
+            n += 1
             j += 1
+        floors += abs(a) * n
     acc %= one
     guard_bits = 4 * _GUARD_HEX
     unit = 1 << guard_bits
-    # each floor division dropped < 1 ulp; carry is ambiguous if the guard
-    # block sits that close to rolling over into the reported digits
-    slack = n_terms + (unit >> 20)
+    # each floor, times its coefficient a, dropped less than |a| ulps, and the
+    # tail past the last term less than 16/15 |a| ulps, well inside the 2^-20
+    # margin; the carry is ambiguous if the guard block sits that close to
+    # rolling over into the reported digits
+    slack = floors + (unit >> 20)
     tail = acc & (unit - 1)
     if tail < slack or unit - tail < slack:
         raise PrecisionError(

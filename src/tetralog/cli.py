@@ -93,13 +93,30 @@ def report_to_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _rounded_up(x: float) -> str:
+    """x >= 0 at four significant digits, rounded up so that it still bounds x."""
+    shown = f"{x:.3e}"
+    if not math.isfinite(x):
+        return shown
+    mantissa, exp = shown.split("e")
+    digits, e = int(mantissa.replace(".", "")), int(exp) - 3  # shown is digits * 10^e
+    p, q = x.as_integer_ratio()
+    if digits * q * 10 ** max(e, 0) < p * 10 ** max(-e, 0):
+        digits += 1
+        if digits == 10_000:
+            digits, e = 1000, e + 1
+        shown = f"{digits // 1000}.{digits % 1000:03d}e{e + 3:+03d}"
+    return shown
+
+
 def _print_eval(value, err_bound: float, method: str) -> None:
+    # 17 significant digits name the computed double exactly
     if isinstance(value, complex):
-        shown = f"{value.real:.11e} {value.imag:+.11e}j"
+        shown = f"{value.real:.16e} {value.imag:+.16e}j"
     else:
-        shown = f"{value:.11e}"
+        shown = f"{value:.16e}"
     print(f"value      {shown}")
-    print(f"err_bound  {err_bound:.3e}")
+    print(f"err_bound  {_rounded_up(err_bound)}")
     print(f"method     {method}")
 
 

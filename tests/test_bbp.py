@@ -10,6 +10,7 @@ import random
 import signal
 import threading
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -110,6 +111,18 @@ class TestDigitExtraction:
             extract_hex_digits(f, 0, 17)
 
 
+def per_term_head(f: BBPFormula, position: int, bits: int) -> int:
+    """The head j <= position with one modular power and one floor per term,
+    summed mod 2^bits."""
+    acc = 0
+    for k, a in enumerate(f.coeffs, start=1):
+        if a:
+            for j in range(position + 1):
+                d = (8 * j + k) ** f.degree
+                acc += a * ((pow(16, position - j, d) << bits) // d)
+    return acc % (1 << bits)
+
+
 def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """The extraction with one modular power per head term: the reference that
     the batched head must reproduce digit for digit, PrecisionError included."""
@@ -117,17 +130,13 @@ def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
         return "0" * count
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
-    acc = 0
-    n_terms = 0
+    acc = per_term_head(f, position, bits)
+    floors = 0
     s = f.degree
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        for j in range(position + 1):
-            d = (8 * j + k) ** s
-            num = pow(16, position - j, d)
-            acc += a * ((num << bits) // d)
-            n_terms += 1
+        n = position + 1
         j = position + 1
         while True:
             d = ((8 * j + k) ** s) << (4 * (j - position))
@@ -135,12 +144,14 @@ def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
             if t == 0:
                 break
             acc += a * t
-            n_terms += 1
+            n += 1
             j += 1
+        # each floor, times a, drops less than |a| units
+        floors += abs(a) * n
     acc %= one
     guard_bits = 4 * _GUARD_HEX
     unit = 1 << guard_bits
-    slack = n_terms + (unit >> 20)
+    slack = floors + (unit >> 20)
     tail = acc & (unit - 1)
     if tail < slack or unit - tail < slack:
         raise PrecisionError(
@@ -209,6 +220,105 @@ class TestBatchedHead:
             self.assert_same(EXACT_AT_ZERO, 0, count)
         for position in (1, 7, 64):
             self.assert_same(EXACT_AT_ZERO, position, 8)
+
+
+def exact_head(f: BBPFormula, position: int, bits: int) -> Fraction:
+    """2^bits times the sum of the head terms' fractional parts, exactly."""
+    total = Fraction(0)
+    for k, a in enumerate(f.coeffs, start=1):
+        if a:
+            ds = [(8 * j + k) ** f.degree for j in range(position + 1)]
+            den = math.prod(ds)
+            num = sum((pow(16, position - j, d) << bits) * (den // d) for j, d in enumerate(ds))
+            total += a * Fraction(num, den)
+    return total
+
+
+def centred(x, bits: int):
+    """x mod 2^bits, taken in [-2^(bits - 1), 2^(bits - 1))."""
+    half = 1 << (bits - 1)
+    return (x + half) % (1 << bits) - half
+
+
+class TestHeadFloors:
+    """One floor per batch: the head is within the |a|-weighted floor count of
+    the per-term sum and of the exact one, mod 2^bits, and the carry test's
+    slack covers the floors."""
+
+    BITS = 4 * (8 + _GUARD_HEX)
+
+    def batches(self, f, position, k):
+        return len(range(0, position + 1, _batch_width(f, position, k)))
+
+    def assert_near_per_term(self, f, position):
+        # per class, the two sums are a times (per-term floor losses) minus a
+        # times (per-batch floor losses), so within |a| (position + 1)
+        bound = sum(abs(a) for a in f.coeffs) * (position + 1)
+        head = bbp._head_part(f, position, self.BITS, 0, 1)
+        assert abs(centred(head - per_term_head(f, position, self.BITS), self.BITS)) < bound
+
+    def assert_near_exact(self, f, position):
+        # each batch's floor loses a fraction in [0, 1), times a: checked for
+        # the whole head and for each residue class alone
+        classes = [
+            tuple(a if i == k else 0 for i in range(8)) for k, a in enumerate(f.coeffs) if a
+        ]
+        for coeffs in [f.coeffs, *classes]:
+            g = BBPFormula(f.degree, coeffs, 1.0)
+            losses = [a * self.batches(g, position, k) for k, a in enumerate(coeffs, 1) if a]
+            lo = sum(x for x in losses if x < 0)
+            hi = sum(x for x in losses if x > 0)
+            head = bbp._head_part(g, position, self.BITS, 0, 1)
+            assert lo <= centred(exact_head(g, position, self.BITS) - head, self.BITS) <= hi
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_seeded_positions(self, name):
+        rng = random.Random(f"head-floors-{name}")
+        for position in [rng.randint(0, 6000) for _ in range(6)]:
+            self.assert_near_per_term(REGISTRY[name], position)
+        for position in [rng.randint(0, 400) for _ in range(4)]:
+            self.assert_near_exact(REGISTRY[name], position)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_positions_at_batch_boundaries(self, name):
+        # position + 1 a multiple of the batch width, or one off
+        f = REGISTRY[name]
+        seen = set()
+        for position in range(1, 1500):
+            w = _batch_width(f, position, 1)
+            case = (w, (position + 1) % w)
+            if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
+                seen.add(case)
+                self.assert_near_per_term(f, position)
+                if position <= 400:
+                    self.assert_near_exact(f, position)
+        assert len(seen) >= 6
+
+    def test_carry_test_is_sound_with_two_guard_digits(self, monkeypatch):
+        # with 2^8 units of guard the slack, sum |a| * floors, decides most
+        # outcomes: whatever digits come back must still be the true ones
+        monkeypatch.setattr(bbp, "_GUARD_HEX", 2)
+        for name in FORMULAS:
+            f = REGISTRY[name]
+            want = oracle_hex_digits(f, 0, 160)
+            returned = 0
+            for position in range(150):
+                try:
+                    got = extract_hex_digits(f, position, 8)
+                except PrecisionError:
+                    continue
+                assert got == want[position : position + 8], (name, position)
+                returned += 1
+            assert returned >= 20, name
+
+    def test_width_one_batches(self):
+        for position in (0, 1, 7, 64, 100, 250):
+            self.assert_near_per_term(EXACT_AT_ZERO, position)
+            self.assert_near_exact(EXACT_AT_ZERO, position)
+        assert _batch_width(EXACT_AT_ZERO, 64, 1) == 1
+        # a single term: its floor is the per-term one
+        head = bbp._head_part(EXACT_AT_ZERO, 250, self.BITS, 0, 1)
+        assert head == per_term_head(EXACT_AT_ZERO, 250, self.BITS)
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -286,6 +396,23 @@ class TestForkedHead:
                     want = _outcome(per_term_hex_digits, f, position, count)
                     assert _outcome(extract_hex_digits, f, position, count) == want
                     assert_no_children()
+        assert forks
+
+    @needs_two_cpus
+    def test_forked_parts_add_up_to_the_serial_head(self, monkeypatch, forks):
+        from tetralog.forked import forked_sum
+
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        bits = 4 * (8 + _GUARD_HEX)
+        for f in [REGISTRY[name] for name in FORMULAS] + [EXACT_AT_ZERO]:
+            for position in (2, 64, 2000):
+                parts = bbp._part_count(position)
+                assert parts == min(CPUS, position)
+                split = forked_sum(
+                    lambda i, n: bbp._head_part(f, position, bits, i, n), parts, (bits + 7) // 8
+                )
+                assert split % (1 << bits) == bbp._head_part(f, position, bits, 0, 1)
+                assert_no_children()
         assert forks
 
     @needs_two_cpus

@@ -1,12 +1,14 @@
 """Unit tests for the command-line interface: exit codes, output formats."""
 
 import json
+import math
+import random
 import time
 
 import mpmath
 import pytest
 
-from tetralog.cli import MAX_POSITION, build_report, main, report_to_json
+from tetralog.cli import MAX_POSITION, _rounded_up, build_report, main, report_to_json
 from tetralog.dirichlet import catalan_result
 from tetralog.verify import CATALAN_METHODS, run_all
 
@@ -20,6 +22,48 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+def assert_honest(out: str, exact) -> None:
+    """The printed value lies within the printed bound of ``exact()``, taken
+    at 40 digits."""
+    fields = dict(line.split(None, 1) for line in out.splitlines())
+    parts = fields["value"].split()
+    # 17 significant digits in every printed part
+    assert all(len(p.lstrip("+-").split("e")[0]) == 18 for p in parts), parts
+    value = float(parts[0]) + (complex(parts[1]) if len(parts) > 1 else 0.0)
+    with mpmath.workdps(40):
+        error = abs(mpmath.mpmathify(value) - exact())
+    assert error <= float(fields["err_bound"])
+
+
+class TestPrintedBound:
+    @pytest.mark.parametrize(
+        ("x", "shown"),
+        [
+            (7.309491174397665e-15, "7.310e-15"),
+            (7.3095e-15, "7.310e-15"),
+            (9.9995e-5, "1.000e-04"),
+            (0.5, "5.000e-01"),
+            (0.001, "1.001e-03"),  # the double 0.001 exceeds 1/1000
+            (123456.0, "1.235e+05"),
+            (2.0**1000, "1.072e+301"),
+            (5e-324, "4.941e-324"),
+            (0.0, "0.000e+00"),
+            (math.inf, "inf"),
+        ],
+    )
+    def test_rounded_up(self, x, shown):
+        assert _rounded_up(x) == shown
+
+    def test_never_below_the_bound(self):
+        rng = random.Random("rounded-up")
+        for _ in range(2000):
+            x = rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 300)
+            shown = _rounded_up(x)
+            assert float(shown) >= x
+            assert float(shown) <= x * (1 + 2e-3)
+            assert shown == f"{float(shown):.3e}"
+
+
 class TestEval:
     def test_i7(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "i7")
@@ -29,7 +73,8 @@ class TestEval:
     def test_catalan_method(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "catalan", "--method", "eq2.35")
         assert code == 0
-        assert "9.15965594177e-01" in out
+        assert "9.1596559417" in out
+        assert_honest(out, lambda: mpmath.catalan)
 
     @pytest.mark.parametrize("method", CATALAN_METHODS)
     def test_catalan_bound_is_computed_and_honest(self, capsys, method):
@@ -38,23 +83,23 @@ class TestEval:
         fields = dict(line.split(None, 1) for line in out.splitlines())
         assert fields["method"] == method
         assert fields["err_bound"] != "1.000e-12"
-        # the printed value has 12 digits, too few to show a 1e-15 error: take
-        # the route's own double, which the printed line must match
+        # the printed value has 17 digits, so it names the route's own double,
+        # and the printed bound is the route's, rounded up
         r = catalan_result(method)
-        assert f"{r.value:.11e}" == fields["value"]
-        with mpmath.workdps(30):
-            error = abs(mpmath.mpf(r.value) - mpmath.catalan)
-        assert error <= float(fields["err_bound"])
+        assert float(fields["value"]) == r.value
+        assert float(fields["err_bound"]) >= r.err_bound
+        assert_honest(out, lambda: mpmath.catalan)
 
     def test_cl2_zero(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "cl2", "--theta", "0")
         assert code == 0
-        assert "0.00000000000e+00" in out
+        assert "value      0.0000000000000000e+00\n" in out
 
     def test_trigamma(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "trigamma", "--x", "1.0")
         assert code == 0
-        assert "1.64493406685e+00" in out
+        assert "1.6449340668" in out
+        assert_honest(out, lambda: mpmath.pi**2 / 6)
 
     def test_generalized_clausen(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "cln", "--order", "3", "--theta", "1.0")
@@ -68,8 +113,9 @@ class TestEval:
     def test_li3_complex_output(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "li3")
         assert code == 0
-        assert "4.86159537086e-01" in out
-        assert "5.70077407089e-01" in out
+        assert "4.8615953708" in out
+        assert "+5.7007740708" in out
+        assert_honest(out, lambda: mpmath.polylog(3, mpmath.mpc(0.5, 0.5)))
 
     def test_unknown_target_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "nope")
