@@ -13,10 +13,14 @@ def alternating_sum(
 ) -> EvalResult:
     """Sum ``sum_{k>=0} (-1)^k term(k)`` with Chebyshev-weighted acceleration.
 
-    ``term(k)`` must be the nonnegative magnitude of the k-th term.  Uses the
-    Cohen-Rodriguez Villegas-Zagier scheme, whose error for well-behaved
-    (totally monotone-ish) terms decays like (3+sqrt(8))^-n; convergence is
-    certified empirically by comparing two acceleration orders.
+    Uses the Cohen-Rodriguez Villegas-Zagier scheme.  Each acceleration is
+    linear in the terms, so ``term(k)`` may take either sign (L2b-2's first
+    term is psi(1)/(3a^2) < 0).  Its error provably decays like
+    (3+sqrt(8))^-n only when the terms are the moments of a positive measure
+    on [0, 1] (CVZ 2000, Prop. 1), and not every caller's terms are: those
+    of eq1.11 and L2b-1 fail the Hausdorff test.  So ``err_bound`` is an
+    empirical estimate, the difference of two acceleration orders ten
+    apart, floored at 1e-16 of the value; it is not a proof.
     """
 
     def cvz(n: int) -> float:

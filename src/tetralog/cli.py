@@ -1,9 +1,16 @@
 """Command-line front end: constant evaluation, identity verification, and
 hexadecimal digit extraction, with machine-readable reports.
 
-Exit codes are exactly: 0 success / all checks pass, 1 check failure or
-precision abort, 2 usage error (including an eval argument too extreme for
-double-precision arithmetic, and a flag the command would leave unused).
+Commands raise, and ``main`` turns the error into one ``error:`` line on
+stderr and an exit code:
+
+- 0: success; for ``verify``, every non-conjecture check passes.
+- 1: a check fails, or a computation cannot certify its result
+  (``ConvergenceError``, including ``QuadratureError``, and ``PrecisionError``).
+- 2: a usage error: argparse's own (with its usage line), a ``DomainError``
+  (an argument out of range, a missing or unused flag, an unknown formula),
+  an ``UnknownCheckError``, or an eval argument too extreme for
+  double-precision arithmetic (a bare ``ArithmeticError`` or ``ValueError``).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import TetralogError, UnknownCheckError
+from .errors import ConvergenceError, DomainError, PrecisionError, TetralogError
 from .names import CATALAN_METHODS, TAGS
 
 if TYPE_CHECKING:
@@ -120,120 +127,94 @@ def _print_eval(value, err_bound: float, method: str) -> None:
     print(f"method     {method}")
 
 
-def _bad_tolerance(flag: str, v: float | None) -> bool:
-    """Report on stderr, and return True, if a tolerance flag is not finite and positive."""
-    if v is None or (math.isfinite(v) and v > 0.0):
-        return False
-    print(f"error: {flag} must be finite and positive, got {v!r}", file=sys.stderr)
-    return True
-
-
-def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     t = args.target
-    tol = args.tol
-    if _bad_tolerance("--tol", tol):
-        return 2
-    if tol is not None and t in _FIXED_TOL:
-        print(f"error: eval {t} takes no --tol", file=sys.stderr)
-        return 2
+    # each evaluator states its own default tolerance
+    tol_kw = {}
+    if args.tol is not None:
+        # the evaluators reject only tol <= 0, so nan and inf would get through
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise DomainError(f"--tol must be finite and positive, got {args.tol!r}")
+        if t in _FIXED_TOL:
+            raise DomainError(f"eval {t} takes no --tol")
+        tol_kw["tol"] = args.tol
 
     def need(name: str):
-        v = getattr(args, name, None)
+        v = getattr(args, name)
         if v is None:
-            parser.error(f"eval {t} requires --{name.replace('_', '-')}")
+            raise DomainError(f"eval {t} requires --{name}")
         return v
 
     # each target imports only the module that computes it
-    try:
-        if t == "cl2":
-            from .specfun import cl2
+    if t == "cl2":
+        from .specfun import cl2
 
-            r = cl2(need("theta"), tol=tol or 1e-13)
-        elif t == "cln":
-            from .specfun import clausen_cos, clausen_sin
+        r = cl2(need("theta"), **tol_kw)
+    elif t == "cln":
+        from .specfun import clausen_cos, clausen_sin
 
-            order = int(need("order"))
-            theta = need("theta")
-            fn = clausen_sin if order % 2 == 0 else clausen_cos
-            r = fn(order, theta, tol=tol or 1e-12)
-        elif t == "trigamma":
-            from .specfun import trigamma
+        order = need("order")
+        theta = need("theta")
+        fn = clausen_sin if order % 2 == 0 else clausen_cos
+        r = fn(order, theta, **tol_kw)
+    elif t == "trigamma":
+        from .specfun import trigamma
 
-            r = trigamma(need("x"))
-        elif t == "hurwitz":
-            from .specfun import hurwitz_zeta
+        r = trigamma(need("x"))
+    elif t == "hurwitz":
+        from .specfun import hurwitz_zeta
 
-            r = hurwitz_zeta(need("s"), need("a"), tol=tol or 1e-13)
-        elif t == "catalan":
-            from .dirichlet import catalan_result
+        r = hurwitz_zeta(need("s"), need("a"), **tol_kw)
+    elif t == "catalan":
+        from .dirichlet import catalan_result
 
-            r = catalan_result(args.method)
-        elif t == "l7":
-            from . import dirichlet
+        r = catalan_result(args.method)
+    elif t == "l7":
+        from . import dirichlet
 
-            route = {
-                "series": dirichlet.l7_series,
-                "trigamma": dirichlet.l7_trigamma,
-                "hurwitz": dirichlet.l7_hurwitz,
-            }[args.route]
-            r = route()
-        elif t == "i7":
-            from .integrals import integral_I7
+        route = {
+            "series": dirichlet.l7_series,
+            "trigamma": dirichlet.l7_trigamma,
+            "hurwitz": dirichlet.l7_hurwitz,
+        }[args.route]
+        r = route()
+    elif t == "i7":
+        from .integrals import integral_I7
 
-            r = integral_I7(tol or 1e-10)
-        elif t == "iab":
-            from .integrals import integral_I_ab
+        r = integral_I7(**tol_kw)
+    elif t == "iab":
+        from .integrals import integral_I_ab
 
-            a, b = need("a"), need("b")
-            r = integral_I_ab(a, b, tol or 1e-10)
-        elif t == "li3":
-            from .polylog import polylog_complex
+        r = integral_I_ab(need("a"), need("b"), **tol_kw)
+    else:  # li3, the last of EVAL_TARGETS
+        from .polylog import polylog_complex
 
-            r = polylog_complex(3, complex(args.re, args.im), tol=tol or 1e-12)
-        else:  # pragma: no cover - argparse choices guard this
-            parser.error(f"unknown eval target {t!r}")
-    except TetralogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ArithmeticError, ValueError) as exc:
-        # float arithmetic gave out on an argument the evaluator cannot represent
-        print(f"error: eval {t}: argument out of range ({exc})", file=sys.stderr)
-        return 2
+        r = polylog_complex(3, complex(args.re, args.im), **tol_kw)
     _print_eval(r.value, r.err_bound, r.method)
     return 0
 
 
-def _ignored_flag(args: argparse.Namespace) -> str | None:
-    """The verify flag that the other flags given would leave unused, if any."""
+def _reject_unused_flags(args: argparse.Namespace) -> None:
+    """Raise DomainError for a verify flag that the other flags given would leave unused."""
     if args.check is None:
-        return "--tol needs --check" if args.tol is not None else None
-    if args.all:
-        return "--all does not apply to --check"
-    if args.tol_scale is not None:
-        return "--tol-scale does not apply to --check; use --tol"
-    if args.tag is not None:
-        return "--tag does not apply to --check"
-    return None
+        if args.tol is not None:
+            raise DomainError("--tol needs --check")
+    elif args.all:
+        raise DomainError("--all does not apply to --check")
+    elif args.tol_scale is not None:
+        raise DomainError("--tol-scale does not apply to --check; use --tol")
+    elif args.tag is not None:
+        raise DomainError("--tag does not apply to --check")
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if _bad_tolerance("--tol", args.tol) or _bad_tolerance("--tol-scale", args.tol_scale):
-        return 2
-    conflict = _ignored_flag(args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
+def cmd_verify(args: argparse.Namespace) -> int:
+    _reject_unused_flags(args)
     from . import verify
 
-    try:
-        if args.check is not None:
-            records = [verify.run_check(args.check, tol_override=args.tol)]
-        else:
-            records = verify.run_all(tag=args.tag, tol_scale=args.tol_scale)
-    except UnknownCheckError as exc:
-        parser.error(f"unknown check id {exc.args[0]!r}")
-    except TetralogError as exc:
-        parser.error(str(exc))
+    if args.check is not None:
+        records = [verify.run_check(args.check, tol_override=args.tol)]
+    else:
+        records = verify.run_all(tag=args.tag, tol_scale=args.tol_scale)
     report = build_report(records)
     if args.format == "json":
         print(report_to_json(report))
@@ -244,20 +225,14 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_digits(args: argparse.Namespace) -> int:
     if args.position > MAX_POSITION:
-        print(f"error: --position must be at most {MAX_POSITION}", file=sys.stderr)
-        return 2
+        raise DomainError(f"--position must be at most {MAX_POSITION}")
     from . import bbp
 
-    try:
-        formula = bbp.REGISTRY[args.formula]
-    except KeyError:
-        print(f"error: unknown formula {args.formula!r}", file=sys.stderr)
-        return 1
-    try:
-        print(bbp.extract_hex_digits(formula, args.position, args.count))
-    except TetralogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.formula not in bbp.REGISTRY:
+        raise DomainError(
+            f"unknown formula {args.formula!r}; valid formulas: {', '.join(bbp.REGISTRY)}"
+        )
+    print(bbp.extract_hex_digits(bbp.REGISTRY[args.formula], args.position, args.count))
     return 0
 
 
@@ -310,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval":
-        return cmd_eval(args, parser)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "digits":
-        return cmd_digits(args)
-    parser.error("no command given")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    command = {"eval": cmd_eval, "verify": cmd_verify, "digits": cmd_digits}[args.command]
+    try:
+        return command(args)
+    except (TetralogError, ArithmeticError, ValueError) as exc:
+        # a bare ArithmeticError or ValueError is float arithmetic giving out
+        # on an argument too extreme for doubles
+        message = exc if isinstance(exc, TetralogError) else f"argument out of range ({exc})"
+        print(f"error: {message}", file=sys.stderr)
+        return 1 if isinstance(exc, (ConvergenceError, PrecisionError)) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

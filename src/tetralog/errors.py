@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line maps each class to an exit code (see ``tetralog.cli``).
+"""
 
 
 class TetralogError(Exception):
@@ -6,20 +9,39 @@ class TetralogError(Exception):
 
 
 class DomainError(TetralogError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    The command line exits 2: a usage error.
+    """
 
 
 class ConvergenceError(TetralogError, ArithmeticError):
-    """An iterative evaluation failed to reach the requested tolerance."""
+    """An iterative evaluation failed to reach the requested tolerance.
+
+    The command line exits 1: the result could not be certified.
+    """
 
 
 class QuadratureError(ConvergenceError):
-    """A quadrature run could not certify the requested error bound."""
+    """A quadrature run could not certify the requested error bound.
+
+    The command line exits 1, as for every ``ConvergenceError``.
+    """
 
 
 class PrecisionError(TetralogError, ArithmeticError):
-    """Digit extraction aborted: a carry could not be resolved safely."""
+    """Digit extraction aborted: a carry could not be resolved safely.
+
+    The command line exits 1: the digits could not be certified.
+    """
 
 
 class UnknownCheckError(TetralogError, KeyError):
-    """A verification check id is not present in the ledger."""
+    """A verification check id is not present in the ledger.
+
+    The command line exits 2: a usage error.
+    """
+
+    def __str__(self) -> str:
+        # KeyError's own text is only the quoted id
+        return f"unknown check id {KeyError.__str__(self)}"

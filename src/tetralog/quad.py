@@ -282,12 +282,9 @@ def integrate(problem: QuadProblem) -> EvalResult:
     tail_base = None
     if math.isinf(b):
         # split in the original variable; compactify only the tail panel,
-        # padding it away from any singular cut so the substitution never
-        # rounds an abscissa back onto the singularity
-        tail_base = max({a} | sing)
-        if tail_base in sing or tail_base == a:
-            tail_base += 1.0
-        b = tail_base
+        # starting it one unit past a and every singular cut so the
+        # substitution never rounds an abscissa back onto the singularity
+        tail_base = b = max({a} | sing) + 1.0
 
     cuts = sorted({a, b} | sing)
     panels: list[tuple[float, float, bool]] = []

@@ -59,7 +59,7 @@ def reduce_angle(theta: Angle | float) -> tuple[float, float]:
     |theta| <= pi is returned as is, with no error, but -PI as PI.  Beyond, the
     turn count and the remainder are exact integer arithmetic on the double
     theta and a 1129-bit 2 pi, so the one rounding is to the result.  A nan or
-    infinite theta raises ValueError.
+    infinite theta raises DomainError.
     """
     if isinstance(theta, Angle):
         theta = theta.raw
@@ -67,7 +67,7 @@ def reduce_angle(theta: Angle | float) -> tuple[float, float]:
         # -PI and PI, each 1.2e-16 inside pi, are 2.4e-16 apart modulo 2 pi
         return (theta, 0.0) if theta > -PI else (PI, 2.0 * EPS)
     if not math.isfinite(theta):
-        raise ValueError(f"an angle of {theta} has no reduction")
+        raise DomainError(f"an angle of {theta} has no reduction")
     num, den = theta.as_integer_ratio()
     scaled = num << _TWO_PI_BITS
     turn = _TWO_PI_NUM * den

@@ -642,6 +642,8 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
         raise UnknownCheckError(check_id)
     _, _, paper_ref, tol, func = _REGISTRY[check_id]
     if tol_override is not None:
+        if not (math.isfinite(tol_override) and tol_override > 0.0):
+            raise DomainError(f"tolerance must be finite and positive, got {tol_override!r}")
         tol = tol_override
     note = ""
     start = time.perf_counter()
@@ -667,7 +669,7 @@ def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[Chec
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
     if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError("tol_scale must be finite and positive")
+        raise DomainError(f"tol_scale must be finite and positive, got {tol_scale!r}")
     return [
         run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
         for cid in check_ids()

@@ -8,8 +8,17 @@ import time
 import mpmath
 import pytest
 
+from tetralog import bbp, cli
+from tetralog.bbp import BBPFormula
 from tetralog.cli import MAX_POSITION, _rounded_up, build_report, main, report_to_json
 from tetralog.dirichlet import catalan_result
+from tetralog.errors import (
+    ConvergenceError,
+    DomainError,
+    PrecisionError,
+    QuadratureError,
+    UnknownCheckError,
+)
 from tetralog.verify import CATALAN_METHODS, run_all
 
 
@@ -156,9 +165,9 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("re_part", ["nan", "inf"])
-    def test_li3_non_finite_argument(self, capsys, re_part):
+    def test_li3_non_finite_argument_usage_error(self, capsys, re_part):
         code, out, err = run_cli(capsys, "eval", "li3", "--re", re_part)
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -249,14 +258,18 @@ class TestVerify:
     def test_unknown_check_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--check", "no-such-id")
         assert code == 2
+        assert err == "error: unknown check id 'no-such-id'\n"
 
     def test_unknown_tag_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--tag", "no-such-tag")
         assert code == 2
 
     def test_failure_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--check", "sine7", "--tol", "1e-20")
+        # a failing check is reported on stdout, with no error line
+        code, out, err = run_cli(capsys, "verify", "--check", "sine7", "--tol", "1e-20")
         assert code == 1
+        assert "fail" in out
+        assert err == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,18 +330,18 @@ class TestDigits:
         assert code == 0
         assert len(out.strip()) == 8
 
-    def test_unknown_formula_exit_1(self, capsys):
+    def test_unknown_formula_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "digits", "--formula", "nope", "--position", "0", "--count", "4"
         )
-        assert code == 1
+        assert code == 2
         assert "unknown formula" in err
 
-    def test_bad_count_exit_1(self, capsys):
+    def test_bad_count_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "digits", "--formula", "pi-degree1", "--position", "0", "--count", "99"
         )
-        assert code == 1
+        assert code == 2
 
     def test_position_above_cap_usage_error(self, capsys):
         t0 = time.perf_counter()
@@ -351,6 +364,46 @@ class TestDigits:
         code, out, _ = run_cli(capsys, "digits", "--help")
         assert code == 0
         assert str(MAX_POSITION) in out
+
+
+class TestErrorPolicy:
+    """One row per error class and command: the command raises that class,
+    and ``main`` turns it into its exit code and a single ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        ("error", "argv", "code"),
+        [
+            (DomainError, ("eval", "hurwitz", "--s", "0.5", "--a", "1"), 2),
+            (DomainError, ("eval", "trigamma", "--x", "0"), 2),
+            (DomainError, ("eval", "iab", "--a", "1", "--b", "1.5"), 2),
+            (DomainError, ("eval", "cl2", "--theta", "nan"), 2),
+            (DomainError, ("eval", "cl2"), 2),
+            (DomainError, ("eval", "cl2", "--theta", "1", "--tol", "nan"), 2),
+            (DomainError, ("digits", "--formula", "pi-degree1", "--position=-1", "--count=4"), 2),
+            (DomainError, ("digits", "--formula", "nope", "--position=0", "--count=4"), 2),
+            (DomainError, ("verify", "--check", "P1", "--tol", "0"), 2),
+            (DomainError, ("verify", "--all", "--tol-scale", "inf"), 2),
+            (DomainError, ("verify", "--tol", "1e-8"), 2),
+            (UnknownCheckError, ("verify", "--check", "nope"), 2),
+            (OverflowError, ("eval", "trigamma", "--x", "1e-200"), 2),
+            (ConvergenceError, ("eval", "cl2", "--theta", "1", "--tol", "1e-30"), 1),
+            (QuadratureError, ("eval", "i7", "--tol", "1e-300"), 1),
+            # the degree-40 formula of tests/test_bbp.py, whose guard digits at
+            # position 0 sit exactly on a carry boundary
+            (PrecisionError, ("digits", "--formula=exact-at-zero", "--position=0", "--count=8"), 1),
+        ],
+    )
+    def test_exit_code(self, capsys, monkeypatch, error, argv, code):
+        exact_at_zero = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
+        monkeypatch.setitem(bbp.REGISTRY, "exact-at-zero", exact_at_zero)
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(error) as raised:
+            getattr(cli, f"cmd_{args.command}")(args)
+        assert raised.type is error
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

@@ -156,6 +156,11 @@ class TestRunCheck:
         assert r.status == "fail"
         assert r.tol == 1e-20
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tolerance_override_rejected(self, tol):
+        with pytest.raises(DomainError):
+            run_check("sine7", tol_override=tol)
+
     def test_conjecture_status(self):
         r = run_check("conj-L7")
         assert r.status == "supports-conjecture"
