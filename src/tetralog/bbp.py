@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .constants import EPS, LN2, PI, ZETA3
-from .errors import DomainError, PrecisionError
+from .errors import ConvergenceError, DomainError, PrecisionError
 
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction loads neither ``result`` nor the dataclasses behind it
@@ -162,7 +162,7 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
             break
     err = tail + rounding
     if err > tol:
-        raise DomainError(f"cannot reach tol {tol:g} in double precision")
+        raise ConvergenceError(f"cannot reach tol {tol:g} in double precision")
     return EvalResult(total, err, j + 1, "bbp-sum")
 
 

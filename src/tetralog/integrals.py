@@ -13,50 +13,32 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .constants import EPS, PI, SQRT3, SQRT7
+from .constants import EPS, PI, SQRT7
 from .errors import DomainError, QuadratureError
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
-from .result import Angle, EvalResult
-from .specfun import _clausen_triple, cl2, incomplete_gamma_upper_int
+from .result import Angle, EvalResult, reduce_angle
+from .specfun import _clausen_triple, _reduction_slack, cl2, incomplete_gamma_upper_int
 
 
-@dataclass(frozen=True)
-class Paper7Constants:
-    """The fixed constants of the I7 evaluation, self-validated on creation.
+class Paper7Constants(
+    namedtuple(
+        "Paper7Constants",
+        "r73 theta_plus theta_minus omega_plus omega_minus v_plus v_minus theta7",
+    )
+):
+    """The fixed constants of the I7 evaluation.
 
     r73 = (sqrt 7 + sqrt 3)/(sqrt 7 - sqrt 3); theta_pm = +-atan(sqrt 7 / 3)
     are the arguments of the unit numbers v_pm = (3 +- i sqrt 7)/4;
     omega_plus = atan(sqrt 7) - 2 pi/3; theta7 = 2 atan(sqrt 7).
+    A named tuple, as ``BBPFormula`` is; tests/test_integrals.py checks the
+    relations among its fields.
     """
 
-    r73: float
-    theta_plus: Angle
-    theta_minus: Angle
-    omega_plus: Angle
-    omega_minus: Angle
-    v_plus: complex
-    v_minus: complex
-    theta7: Angle
-
-    def __post_init__(self) -> None:
-        tol = 1e-14
-        checks = [
-            abs(self.r73 - (SQRT7 + SQRT3) / (SQRT7 - SQRT3)),
-            abs(self.omega_plus.raw - (math.atan(SQRT7) - 2.0 * PI / 3.0)),
-            abs(self.omega_minus.raw + self.omega_plus.raw),
-            abs(self.v_plus * self.v_minus - 1.0),
-            abs(self.v_plus - cmath.exp(1j * self.theta_plus.raw)),
-            abs(self.v_plus - complex(3.0, SQRT7) / 4.0),
-            abs(self.v_minus - complex(3.0, -SQRT7) / 4.0),
-            abs(self.theta7.raw - 2.0 * math.atan(SQRT7)),
-            abs(2.0 * self.omega_plus.raw - (self.theta7.raw - 4.0 * PI / 3.0)),
-        ]
-        worst = max(checks)
-        if worst > tol:
-            raise DomainError(f"Paper7Constants invariant violated by {worst:g}")
+    __slots__ = ()
 
 
 CONSTANTS = Paper7Constants(
@@ -72,92 +54,87 @@ CONSTANTS = Paper7Constants(
 
 _I7_SCALE = 24.0 / (7.0 * SQRT7)
 
+# I(n) = integral_{pi/3}^{pi/2} ln^n|(tan t + sqrt 7)/(tan t - sqrt 7)| dt is
+# singular only at t* = atan sqrt 7.  In the distance x = t - t* the ratio is
+# sin(2 t* + x)/sin x = (sqrt 7 - 3 tan x)/(4 tan x), as sin 2t* = sqrt 7/4 and
+# cos 2t* = -3/4: t* leaves the integrand, whose singularity x = 0 doubles
+# hold exactly, and moves only the limits.  Each limit is an exact difference
+# (Sterbenz), so it carries the roundings of t* (SQRT7's half ulp through
+# atan's slope 1/8, and an ulp of atan: 1.2 EPS) and of PI/3 (0.7 EPS) or
+# PI/2 (0.3 EPS).
+_T_STAR = math.atan(SQRT7)
+_LOWER = (PI / 3.0 - _T_STAR, 1.9 * EPS)
+_UPPER = (PI / 2.0 - _T_STAR, 1.5 * EPS)
+_AT_SINGULARITY = (0.0, 0.0)
 
-def _log_ratio_u(u: float) -> float:
-    return math.log(abs((u + SQRT7) / (u - SQRT7)))
+
+def _integral_x(
+    n: int, lower: tuple[float, float], upper: tuple[float, float], tol: float
+) -> EvalResult:
+    """The integral of ln^n|(sqrt 7 - 3 tan x)/(4 tan x)| between two of the
+    limits above, each given with what its rounding moves it by.
+
+    The bound adds to ``integrate``'s what those moves shift the value by,
+    and what SQRT7's rounding in the integrand does: with sqrt 7 - 3 tan x
+    >= 1.5 it moves the logarithm, which is >= 0 here, by < EPS, so its
+    n-th power by < n EPS times its (n-1)-th, whose integral the power mean
+    bounds by width (I(n)/width)^((n-1)/n).
+    """
+    if n < 0:
+        raise DomainError("I(n) requires n >= 0")
+
+    def f(x: float) -> float:
+        u = math.tan(x)
+        return math.log(abs((SQRT7 - 3.0 * u) / (4.0 * u))) ** n
+
+    a, b = lower[0], upper[0]
+    r = integrate(QuadProblem(f, a, b, (0.0,), tol))
+    err = r.err_bound + sum(d * abs(f(x)) for x, d in (lower, upper) if d)
+    if n:
+        width = b - a
+        err += n * EPS * width * ((abs(r.value) + r.err_bound) / width) ** (1.0 - 1.0 / n)
+    return EvalResult(r.value, err, r.effort, r.method)
+
+
+def _as_i7(value: float, err: float, effort: int, method: str) -> EvalResult:
+    """I7 from I(1) = value +- err.  _I7_SCALE is within 1.5 EPS of 24/(7 sqrt 7),
+    and the product (with a sum before it in i7_closed_form) rounds once more."""
+    v = _I7_SCALE * value
+    return EvalResult(v, _I7_SCALE * err + 2.5 * EPS * abs(v), effort, method)
 
 
 def integral_I7(tol: float = 1e-10) -> EvalResult:
-    """The scaled integral I7 by quadrature in the u = tan t variable."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    inner = integrate(
-        QuadProblem(
-            lambda u: _log_ratio_u(u) / (1.0 + u * u),
-            SQRT3,
-            math.inf,
-            (SQRT7,),
-            tol / _I7_SCALE,
-        )
-    )
-    return EvalResult(
-        _I7_SCALE * inner.value, _I7_SCALE * inner.err_bound, inner.effort, inner.method
-    )
+    """The scaled integral I7 = (24 / 7 sqrt 7) I(1) by quadrature."""
+    r = integral_In(1, tol / _I7_SCALE)
+    return _as_i7(r.value, r.err_bound, r.effort, r.method)
 
 
 def integral_In(n: int, tol: float = 1e-10) -> EvalResult:
-    """I(n): the n-th log power integral, evaluated in both variables.
+    """I(n): the n-th log power integral, by quadrature in the distance to t*.
 
-    The t-form over [pi/3, pi/2] and the u-form over [sqrt 3, inf) are both
-    computed and must agree within their combined error bounds; the u-form
-    value is returned.
+    At the default tol it succeeds for n <= 8; from n = 9 on the rounding of
+    the quadrature sum alone exceeds that tol, so a larger one is needed.
     """
-    if n < 0:
-        raise DomainError("integral_In requires n >= 0")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    t_star = math.atan(SQRT7)
-
-    def f_t(t: float) -> float:
-        s, c = math.sin(t), math.cos(t)
-        return math.log(abs((s + SQRT7 * c) / (s - SQRT7 * c))) ** n
-
-    def f_u(u: float) -> float:
-        return _log_ratio_u(u) ** n / (1.0 + u * u)
-
-    r_t = integrate(QuadProblem(f_t, PI / 3.0, PI / 2.0, (t_star,), tol))
-    r_u = integrate(QuadProblem(f_u, SQRT3, math.inf, (SQRT7,), tol))
-    gap = abs(r_t.value - r_u.value)
-    allowed = r_t.err_bound + r_u.err_bound + 1e-15 * max(1.0, abs(r_u.value))
-    if gap > allowed:
-        raise QuadratureError(
-            f"t-form and u-form of I({n}) disagree by {gap:g} (allowed {allowed:g})"
-        )
-    return r_u
+    return _integral_x(n, _LOWER, _UPPER, tol)
 
 
 def integral_I1_split(tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
     """(I1(1), I2(1)): the integral I(1) split at the interior singularity."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    i1 = integrate(
-        QuadProblem(
-            lambda u: math.log((SQRT7 + u) / (SQRT7 - u)) / (1.0 + u * u),
-            SQRT3,
-            SQRT7,
-            (SQRT7,),
-            tol,
-        )
+    return _integral_x(1, _LOWER, _AT_SINGULARITY, tol), _integral_x(
+        1, _AT_SINGULARITY, _UPPER, tol
     )
-    i2 = integrate(
-        QuadProblem(
-            lambda u: math.log((u + SQRT7) / (u - SQRT7)) / (1.0 + u * u),
-            SQRT7,
-            math.inf,
-            (SQRT7,),
-            tol,
-        )
-    )
-    return i1, i2
 
 
 def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
-    """I(n) in the rational v-variable:
+    """I(n) in the rational v-variable, for n <= 3:
 
     (sqrt 7 / 2) [ int_{r73}^inf ln^n v/(2v^2-3v+2) dv + int_1^inf ln^n v/(2v^2+3v+2) dv ].
+
+    From n = 4 on the bound stops holding (at n = 4 the error is 28 times
+    it), so those powers are refused; ``integral_In`` serves them.
     """
-    if n < 0:
-        raise DomainError("integral_In_vform requires n >= 0")
+    if not 0 <= n <= 3:
+        raise DomainError("integral_In_vform requires 0 <= n <= 3")
     r73 = CONSTANTS.r73
     p1 = integrate(
         QuadProblem(
@@ -188,8 +165,12 @@ def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
 
 def i2_closed_form() -> EvalResult:
     """I2(1) = -Cl_2(pi + theta_plus)."""
-    c = cl2(PI + CONSTANTS.theta_plus.raw)
-    return EvalResult(-c.value, c.err_bound, c.effort, c.method)
+    arg = PI + CONSTANTS.theta_plus.raw
+    c = cl2(arg)
+    # theta_plus is within 2 EPS of its value, PI 0.6 EPS short of pi, and
+    # the sum rounds by an EPS
+    slack = _reduction_slack(reduce_angle(arg)[0], 4.0 * EPS, math.inf)
+    return EvalResult(-c.value, c.err_bound + slack, c.effort, c.method)
 
 
 def i1_clausen_form() -> EvalResult:
@@ -206,16 +187,14 @@ def i1_clausen_form() -> EvalResult:
 
 
 def i7_closed_form() -> EvalResult:
-    """I7 = (24/7 sqrt 7) { Cl_2(theta_plus) + (1/2)[Cl_2(2 omega_plus) - Cl_2(2 omega_plus + 2 theta_plus)] }."""
-    w = CONSTANTS.omega_plus.raw
-    t = CONSTANTS.theta_plus.raw
-    parts = [cl2(t), cl2(2.0 * w), cl2(2.0 * w + 2.0 * t)]
-    v = _I7_SCALE * (parts[0].value + 0.5 * (parts[1].value - parts[2].value))
-    return EvalResult(
-        v,
-        _I7_SCALE * sum(p.err_bound for p in parts),
-        sum(p.effort for p in parts),
-        "clausen",
+    """I7 = (24/7 sqrt 7)(I1(1) + I2(1)) in Clausen values.
+
+    By Cl_2's duplication formula the sum is the paper's Cl_2(theta_plus)
+    + (1/2)[Cl_2(2 omega_plus) - Cl_2(2 omega_plus + 2 theta_plus)].
+    """
+    i1, i2 = i1_clausen_form(), i2_closed_form()
+    return _as_i7(
+        i1.value + i2.value, i1.err_bound + i2.err_bound, i1.effort + i2.effort, "clausen"
     )
 
 

@@ -147,6 +147,8 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
     max(0, 10 - a) until the remainder is below tol/2 or the roundoff floor,
     4 EPS of the head and the integral.
     """
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise DomainError("hurwitz_zeta requires finite s and a")
     if s <= 1.0:
         raise DomainError("hurwitz_zeta requires s > 1")
     if a <= 0.0:

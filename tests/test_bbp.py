@@ -27,7 +27,7 @@ from tetralog.bbp import (
     extract_hex_digits,
     li3_binomial_sums,
 )
-from tetralog.errors import DomainError, PrecisionError
+from tetralog.errors import ConvergenceError, DomainError, PrecisionError
 
 CATALAN = 0.91596559417721901505460351493238
 # frozen sums of the registry formulas
@@ -78,6 +78,11 @@ class TestSums:
     def test_unknown_constant_rejected(self):
         with pytest.raises(DomainError):
             constant_value("no-such-constant")
+
+    def test_tol_below_double_precision_is_a_convergence_failure(self):
+        # the tail meets any tol; the rounding bound of ~1e-16 cannot
+        with pytest.raises(ConvergenceError):
+            eval_bbp_sum(REGISTRY["pi-degree1"], 1e-30)
 
 
 class TestDigitExtraction:

@@ -3,6 +3,7 @@
 Reference values were frozen from independent high-precision evaluation.
 """
 
+import cmath
 import math
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tetralog.errors import DomainError
 from tetralog.integrals import (
     CONSTANTS,
+    Paper7Constants,
     corollary3,
     i1_clausen_form,
     i1_polylog_form,
@@ -35,6 +37,31 @@ I2_SPLIT = 0.4850206705515612178874754243569
 
 
 class TestConstants:
+    def test_invariants(self):
+        s7, s3 = math.sqrt(7.0), math.sqrt(3.0)
+        c = CONSTANTS
+        gaps = [
+            abs(c.r73 - (s7 + s3) / (s7 - s3)),
+            abs(c.omega_plus.raw - (math.atan(s7) - 2.0 * PI / 3.0)),
+            abs(c.omega_minus.raw + c.omega_plus.raw),
+            abs(c.v_plus * c.v_minus - 1.0),
+            abs(c.v_plus - cmath.exp(1j * c.theta_plus.raw)),
+            abs(c.v_plus - complex(3.0, s7) / 4.0),
+            abs(c.v_minus - complex(3.0, -s7) / 4.0),
+            abs(c.theta7.raw - 2.0 * math.atan(s7)),
+            abs(2.0 * c.omega_plus.raw - (c.theta7.raw - 4.0 * PI / 3.0)),
+        ]
+        assert max(gaps) < 1e-14
+
+    def test_named_tuple(self):
+        assert isinstance(CONSTANTS, tuple)
+        assert CONSTANTS._fields == (
+            "r73", "theta_plus", "theta_minus", "omega_plus", "omega_minus",
+            "v_plus", "v_minus", "theta7",
+        )
+        assert CONSTANTS == Paper7Constants(*CONSTANTS)
+        assert CONSTANTS.theta_minus.raw == -CONSTANTS.theta_plus.raw
+
     def test_r73(self):
         s7, s3 = math.sqrt(7.0), math.sqrt(3.0)
         assert abs(CONSTANTS.r73 - (s7 + s3) / (s7 - s3)) < 1e-14
@@ -72,6 +99,11 @@ class TestMainIntegral:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             integral_In(-1)
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_vform_refuses_powers_its_bound_misses(self, n):
+        with pytest.raises(DomainError):
+            integral_In_vform(n)
 
 
 class TestSplitPieces:
@@ -225,3 +257,73 @@ def test_theta12_bound_next_to_b_minus_one_with_exact_reciprocal():
     a, b = 1.0, -(1.0 - 2.0**-53)
     r = i_ab_closed_theta12(a, b)
     assert abs(r.value - _iab_exact(a, b)) <= r.err_bound <= 1e-5
+
+
+def _log_ratio_integral(n, part=None):
+    """I(n) by its t-form at 40 digits, split at t*; part 0 or 1 is the
+    stretch before or after t* alone."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        ts = mpmath.atan(mpmath.sqrt(7))
+        f = lambda t: mpmath.log(abs(mpmath.sin(t + ts) / mpmath.sin(t - ts))) ** n  # noqa: E731
+        points = [mpmath.pi / 3, ts, mpmath.pi / 2]
+        return mpmath.quad(f, points if part is None else points[part : part + 2])
+
+
+def _mp_error(value, exact):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - exact))
+
+
+def _clausen_halves():
+    """(I1(1), I2(1)) by their Clausen closed forms at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        theta = mpmath.atan(mpmath.sqrt(7) / 3)
+        omega = mpmath.atan(mpmath.sqrt(7)) - 2 * mpmath.pi / 3
+        cl = lambda x: mpmath.clsin(2, x)  # noqa: E731
+        return (cl(2 * omega) - cl(2 * omega + 2 * theta) + cl(2 * theta)) / 2, -cl(mpmath.pi + theta)
+
+
+def _i7_exact():
+    import mpmath
+
+    with mpmath.workdps(40):
+        return 24 / (7 * mpmath.sqrt(7)) * sum(_clausen_halves())
+
+
+class TestBoundsAgainstMpmath:
+    """Every err_bound of the I(n) family holds against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_integral_In(self, n):
+        r = integral_In(n)
+        assert _mp_error(r.value, _log_ratio_integral(n)) <= r.err_bound <= 1e-10
+
+    def test_split_halves(self):
+        i1, i2 = integral_I1_split()
+        assert _mp_error(i1.value, _log_ratio_integral(1, 0)) <= i1.err_bound
+        assert _mp_error(i2.value, _log_ratio_integral(1, 1)) <= i2.err_bound
+
+    def test_integral_I7(self):
+        r = integral_I7()
+        assert _mp_error(r.value, _i7_exact()) <= r.err_bound <= 1e-10
+
+    def test_clausen_halves(self):
+        exact1, exact2 = _clausen_halves()
+        for r, exact in ((i1_clausen_form(), exact1), (i2_closed_form(), exact2)):
+            assert _mp_error(r.value, exact) <= r.err_bound
+
+    def test_i7_closed_form(self):
+        # against the Clausen closed form, not L_-7(2): I7 = L_-7(2) is conjectural
+        r = i7_closed_form()
+        assert _mp_error(r.value, _i7_exact()) <= r.err_bound <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vform(self, n):
+        r = integral_In_vform(n)
+        assert _mp_error(r.value, _log_ratio_integral(n)) <= r.err_bound

@@ -174,6 +174,20 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "s, a",
+        [(2.0, math.inf), (2.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+         (2.0, -math.inf), (-math.inf, 1.0)],
+    )
+    def test_non_finite_arguments_rejected(self, s, a):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, a)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_polygamma_of_non_finite_x_rejected(self, x):
+        with pytest.raises(DomainError):
+            polygamma(3, x)
+
 
 class TestRationalClausen:
     def test_matches_cl2_on_valid_grid(self):
