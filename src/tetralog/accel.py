@@ -2,7 +2,7 @@
 
 from collections.abc import Callable
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_tol
 from .result import EvalResult
 
 
@@ -22,6 +22,7 @@ def alternating_sum(
     empirical estimate, the difference of two acceleration orders ten
     apart, floored at 1e-16 of the value; it is not a proof.
     """
+    check_tol(tol)
 
     def cvz(n: int) -> float:
         d = (3.0 + 8.0**0.5) ** n

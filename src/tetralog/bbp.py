@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .constants import EPS, LN2, PI, ZETA3
-from .errors import ConvergenceError, DomainError, PrecisionError
+from .errors import ConvergenceError, DomainError, PrecisionError, check_tol
 
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction loads neither ``result`` nor the dataclasses behind it
@@ -139,8 +139,7 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
     """
     from .result import EvalResult
 
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     amax = sum(abs(a) for a in f.coeffs)
     if amax == 0:
         return EvalResult(0.0, 0.0, 0, "bbp-sum")
@@ -315,8 +314,7 @@ def li3_binomial_sums(tol: float = 1e-12) -> tuple[EvalResult, EvalResult]:
     """
     from .result import EvalResult
 
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     re_total = 0.0
     im_total = 0.0
     n_used = 0

@@ -36,8 +36,8 @@ EVAL_TARGETS = ("cl2", "cln", "trigamma", "hurwitz", "catalan", "l7", "i7", "iab
 _FIXED_TOL = ("trigamma", "catalan", "l7")
 
 # extraction time grows a little faster than linearly with the position; the
-# cap keeps a request to seconds.  Deep positions split the head across
-# forked processes (see bbp._head), which shortens it by up to the core count.
+# cap keeps a request to seconds.  Deep positions split the head across forked
+# processes, up to one per core (bbp._part_count, forked.forked_sum).
 MAX_POSITION = 10**6
 
 
@@ -132,9 +132,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # each evaluator states its own default tolerance
     tol_kw = {}
     if args.tol is not None:
-        # the evaluators reject only tol <= 0, so nan and inf would get through
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise DomainError(f"--tol must be finite and positive, got {args.tol!r}")
         if t in _FIXED_TOL:
             raise DomainError(f"eval {t} takes no --tol")
         tol_kw["tol"] = args.tol

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .constants import EPS, LN2, PI
-from .errors import DomainError
+from .errors import DomainError, check_tol
 from .result import EvalResult
 from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
@@ -22,8 +22,7 @@ CHI7 = (0, 1, 1, -1, 1, -1, -1)  # chi_-7(k) for k mod 7
 
 def l7_series(tol: float = 1e-13) -> EvalResult:
     """Sum chi(k)/k^2 directly over some whole periods, Hurwitz-zeta tail."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     J = 8
     head = math.fsum(CHI7[k % 7] / k**2 for k in range(1, 7 * J + 1))
     tail = 0.0
@@ -49,8 +48,7 @@ def l7_trigamma() -> EvalResult:
 
 def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     """(1/49) sum_p chi(p) zeta(2, p/7)."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     total = 0.0
     err = 0.0
     effort = 0

@@ -3,6 +3,8 @@
 The command line maps each class to an exit code (see ``tetralog.cli``).
 """
 
+_INF = float("inf")
+
 
 class TetralogError(Exception):
     """Base class for all package-specific errors."""
@@ -13,6 +15,14 @@ class DomainError(TetralogError, ValueError):
 
     The command line exits 2: a usage error.
     """
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise DomainError unless 0 < tol < inf: the one rule for every
+    tolerance the package takes, checked before any work, since a nan, an
+    infinite, a zero or a negative tol certifies nothing."""
+    if not 0.0 < tol < _INF:
+        raise DomainError(f"{name} must be finite and positive, got {tol!r}")
 
 
 class ConvergenceError(TetralogError, ArithmeticError):

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .constants import EPS, PI, SQRT7
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, check_tol
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
 from .result import Angle, EvalResult, reduce_angle
@@ -105,6 +105,7 @@ def _as_i7(value: float, err: float, effort: int, method: str) -> EvalResult:
 
 def integral_I7(tol: float = 1e-10) -> EvalResult:
     """The scaled integral I7 = (24 / 7 sqrt 7) I(1) by quadrature."""
+    check_tol(tol)  # before scaling, so that an error names the caller's tol
     r = integral_In(1, tol / _I7_SCALE)
     return _as_i7(r.value, r.err_bound, r.effort, r.method)
 
@@ -211,8 +212,7 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
     """
     if n not in (1, 2):
         raise DomainError("i1_polylog_form supports n in {1, 2}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     r73 = CONSTANTS.r73
     zp = r73 / CONSTANTS.v_minus
     zm = r73 / CONSTANTS.v_plus
@@ -272,8 +272,6 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
         raise DomainError("integral_I_ab requires a >= 0")
     if not abs(b) < 1.0:
         raise DomainError("integral_I_ab requires |b| < 1")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     sing = (0.0,) if a == 0.0 else ()
     return integrate(
         QuadProblem(
@@ -347,8 +345,6 @@ def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, floa
         raise DomainError("corollary3 requires c > 0")
     if not 0.0 < t < PI:
         raise DomainError("corollary3 requires 0 < t < pi")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     # x^2 + 2 x c cos t + c^2 = (x - c)^2 + 4 x c cos^2(t/2): two terms >= 0, so
     # no cancellation as t nears pi, where 1 + cos t would keep few digits
     k = 4.0 * c * math.cos(0.5 * t) ** 2

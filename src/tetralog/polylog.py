@@ -28,7 +28,7 @@ from itertools import count
 
 from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, zeta_int, zeta_taylor
 from .constants import EPS, PI, TWO_PI
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult
 
 RHO = 0.5  # the series runs for |z| <= RHO, the inversion for |z| >= 1/RHO
@@ -161,8 +161,7 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     """
     if s < 2:
         raise DomainError("polylog_complex requires integer order >= 2")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     z = complex(z)
     r = abs(z)
     if r == 0.0:

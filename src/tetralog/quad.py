@@ -33,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .constants import EPS
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, check_tol
 from .result import EvalResult
 
 
@@ -117,8 +117,7 @@ class QuadProblem:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise DomainError("QuadProblem needs lower < upper")
-        if not self.tol > 0.0:
-            raise DomainError("QuadProblem needs tol > 0")
+        check_tol(self.tol)
         pts = tuple(sorted(float(x) for x in self.singular_points))
         for x in pts:
             if not (self.lower <= x <= self.upper):

@@ -25,7 +25,7 @@ from functools import cache
 
 from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, zeta_int, zeta_taylor
 from .constants import EPS, GAMMA, PI
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_tol
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,7 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
         raise DomainError("hurwitz_zeta requires s > 1")
     if a <= 0.0:
         raise DomainError("hurwitz_zeta requires a > 0")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
     N = max(0, int(math.ceil(10.0 - a)))
     for _ in range(60):
         total, rem, mag = _euler_maclaurin(s, a, N)
@@ -253,10 +252,8 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
 
     The head, up to theta^s, is summed by Horner's rule in theta^2.  The tail
     is summed in one pass that stops at its first term below _STOP times the
-    head's sum of |terms|.
+    head's sum of |terms|.  Its callers check tol; ``_clausen_triple`` may pass inf.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     th, d = reduce_angle(theta)
     slack = _reduction_slack(th, d, tol) if d else 0.0
     flip = False
@@ -327,6 +324,7 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     ``theta - theta ln theta + sum_n zeta(2n) theta^(2n+1) / (n (2n+1) (2pi)^2n)``.
     The defining series is kept as a test oracle.
     """
+    check_tol(tol)
     return _clausen(2, True, theta, tol, "bernoulli-series")
 
 
@@ -340,7 +338,7 @@ def _clausen_triple(
     argument's error moves its Clausen value by; a kernel bound or a move
     beyond tol raises.
     """
-    parts = [cl2(t, tol) for t, _ in (x, y, z)]
+    parts = [_clausen(2, True, t, tol, "bernoulli-series") for t, _ in (x, y, z)]
     p, q, r = (c.value for c in parts)
     err = sum(c.err_bound for c in parts) + EPS * (abs(p) + abs(q) + abs(r))
     for t, dt in (x, y, z):
@@ -353,6 +351,7 @@ def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized sine Clausen value sum_{n>=1} sin(n theta)/n^s, s >= 2."""
     if s < 2:
         raise DomainError("clausen_sin requires order >= 2")
+    check_tol(tol)
     return _clausen(s, True, theta, tol, "log-expansion")
 
 
@@ -360,6 +359,7 @@ def clausen_cos(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized cosine Clausen value sum_{n>=1} cos(n theta)/n^s, s >= 2."""
     if s < 2:
         raise DomainError("clausen_cos requires order >= 2")
+    check_tol(tol)
     return _clausen(s, False, theta, tol, "log-expansion")
 
 
@@ -387,6 +387,7 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
     p, q = angle.p, angle.q
     if q < 3 or q % 2 == 0 or p % 2 != 0:
         raise DomainError("cl2_rational requires p even and q odd with q >= 3")
+    check_tol(tol)
     total = mag = err = 0.0
     for k in range(1, q):
         # each argument is rounded once, which moves psi' by at most EPS of
@@ -435,6 +436,7 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     For r > 1, where the denominator's sign is within its error, it also
     carries the branch's jump of pi ln r.
     """
+    check_tol(tol)
     r = z.r
     th, d = reduce_angle(z.theta)
     if r == 0.0:

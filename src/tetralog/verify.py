@@ -21,7 +21,7 @@ from . import dirichlet, integrals
 from .accel import alternating_sum
 from .constants import CATALAN, GAMMA, LN2, PI, SQRT7, ZETA3
 from .dirichlet import catalan_value
-from .errors import DomainError, UnknownCheckError
+from .errors import DomainError, UnknownCheckError, check_tol
 from .names import CATALAN_METHODS, TAGS
 from .quad import QuadProblem, integrate
 from .result import RationalAngle
@@ -642,8 +642,7 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
         raise UnknownCheckError(check_id)
     _, _, paper_ref, tol, func = _REGISTRY[check_id]
     if tol_override is not None:
-        if not (math.isfinite(tol_override) and tol_override > 0.0):
-            raise DomainError(f"tolerance must be finite and positive, got {tol_override!r}")
+        check_tol(tol_override, "tolerance")
         tol = tol_override
     note = ""
     start = time.perf_counter()
@@ -668,8 +667,7 @@ def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[Chec
     if tag is not None and tag not in TAGS:
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"tol_scale must be finite and positive, got {tol_scale!r}")
+    check_tol(scale, "tol_scale")
     return [
         run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
         for cid in check_ids()

@@ -182,12 +182,28 @@ class TestEval:
             exact = float(mpmath.clsin(2, t))
         assert abs(float(fields["value"]) - exact) < 1e-11
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_bad_tolerance_usage_error(self, capsys, tol):
-        code, out, err = run_cli(capsys, "eval", "cl2", "--theta", "1", "--tol", tol)
+    @pytest.mark.parametrize(
+        ("argv", "tol"),
+        [
+            # cl2's cases keep the ids they had when cl2 was the only target
+            pytest.param(argv, tol, id=tol if argv[0] == "cl2" else f"{argv[0]}-{tol}")
+            for argv in [
+                ("cl2", "--theta", "1"),
+                ("cln", "--order", "3", "--theta", "1"),
+                ("hurwitz", "--s", "2", "--a", "0.5"),
+                ("i7",),
+                ("iab", "--a", "0.5", "--b", "0.3"),
+                ("li3",),
+            ]
+            for tol in ["nan", "inf", "0", "-0.0", "-1"]
+        ],
+    )
+    def test_bad_tolerance_usage_error(self, capsys, argv, tol):
+        # the CLI passes --tol on as given; the library's one rule refuses it
+        code, out, err = run_cli(capsys, "eval", *argv, "--tol", tol)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: tol must be finite and positive, got {float(tol)!r}\n"
 
     @pytest.mark.parametrize(
         "argv",
