@@ -3,7 +3,10 @@
 The interval is split at every declared singular point.  Panels that touch a
 singular point are handled with a tanh-sinh (double-exponential) transform,
 which never samples the endpoints; regular panels use adaptive Gauss-Legendre
-bisection.  Semi-infinite ranges are compactified by u = a + s/(1-s).
+bisection.  A semi-infinite range is cut at c, one unit past its lower end and
+every singular point, and its tail (c, inf) is the tanh-sinh panel (0, 1) of
+f(c + s/(1-s)) / (1-s)^2; the level loop applies that map itself, so a tail
+node costs one call of f, as a finite one does.
 
 Each side of a tanh-sinh level (right b - r, left a + r, interleaved node by
 node) stops on its own: at its first abscissa that rounds onto the endpoint,
@@ -13,7 +16,10 @@ and the weights fall double-exponentially beyond it, so the level sums the
 same value as a walk over every node, while an endpoint at 0 is sampled only
 as far as its terms still count (not down to x ~ 1e-304).  The weight gate
 keeps a side going while the sum is small, e.g. when the integrand vanishes
-at the centre node.
+at the centre node.  Finiteness is tested once per level, on its sum of
+|w f|, which any non-finite term makes non-finite; only then is the level
+walked again, each value tested, to name the first abscissa (y, on the
+tail) at which f is not finite.
 
 Error estimates are the difference of successive refinement levels inflated
 by a fixed safety factor of 10; they are conservative, not rigorous bounds.
@@ -125,9 +131,13 @@ class QuadProblem:
         object.__setattr__(self, "singular_points", pts)
 
 
-@dataclass
 class _Budget:
-    left: int
+    """The panel refinements one integrate() call has left."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, left: int) -> None:
+        self.left = left
 
     def spend(self) -> None:
         self.left -= 1
@@ -135,20 +145,41 @@ class _Budget:
             raise QuadratureError("subdivision budget exhausted before reaching tolerance")
 
 
+def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
+    """f, raising QuadratureError at the first abscissa where it is not finite."""
+
+    def g(x: float) -> float:
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise QuadratureError(f"integrand not finite at x = {x!r}")
+        return fx
+
+    return g
+
+
 def _tanh_sinh_panel(
-    f: Callable[[float], float], a: float, b: float, tol: float, budget: _Budget
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float,
+    budget: _Budget,
+    c: float | None = None,
 ) -> tuple[float, float, int]:
-    """Integrate f over the open panel (a, b) by the double-exponential rule."""
+    """Integrate f over the open panel (a, b) by the double-exponential rule.
+
+    With a tail base c the panel is (0, 1) and the integrand is f on (c, inf)
+    compactified, f(c + s/(1 - s)) / (1 - s)^2.
+    """
     h = 0.5 * (b - a)
     h2 = 2.0 * h
-    isfinite = math.isfinite
     tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
 
-    def level_sum(level: int) -> tuple[float, float]:
+    def level_sum(level: int, f: Callable[[float], float]) -> tuple[float, float]:
         # abscissae via distance to the nearer endpoint for endpoint precision;
         # the pair is unrolled because this loop dominates the quadrature time.
-        # Each side stops by the rule in the module docstring.  Returns the
-        # sums of w f and of |w f|
+        # Each side stops by the rule in the module docstring.  On the tail
+        # (c given) x is s and f is taken at c + s/(1 - s).  Returns the sums
+        # of w f and of |w f|
         total = 0.0
         mag = 0.0
         right = left = True
@@ -159,10 +190,11 @@ def _tanh_sinh_panel(
                 if x >= b:
                     right = False
                 elif x > a:
-                    fx = f(x)
-                    if not isfinite(fx):
-                        raise QuadratureError(f"integrand not finite at x = {x!r}")
-                    t = w * fx
+                    if c is None:
+                        t = w * f(x)
+                    else:
+                        om = 1.0 - x
+                        t = w * (f(c + x / om) / (om * om))
                     if w < tail_weight and abs(t) <= rounds_away * abs(total):
                         right = False
                     else:
@@ -175,10 +207,11 @@ def _tanh_sinh_panel(
                 if x <= a:
                     left = False
                 elif x < b:
-                    fx = f(x)
-                    if not isfinite(fx):
-                        raise QuadratureError(f"integrand not finite at x = {x!r}")
-                    t = w * fx
+                    if c is None:
+                        t = w * f(x)
+                    else:
+                        om = 1.0 - x
+                        t = w * (f(c + x / om) / (om * om))
                     if w < tail_weight and abs(t) <= rounds_away * abs(total):
                         left = False
                     else:
@@ -188,15 +221,25 @@ def _tanh_sinh_panel(
                 break
         return total, mag
 
+    def finite_level_sum(level: int) -> tuple[float, float]:
+        # a non-finite f makes the sum of |w f| non-finite; only then is the
+        # level walked again, each value tested, to name the first such
+        # abscissa.  Finite values whose terms overflow keep their sums, which
+        # no level then accepts
+        s, m = level_sum(level, f)
+        if not math.isfinite(m):
+            level_sum(level, _checked(f))
+        return s, m
+
     step = 1.0
-    s_prev, m = level_sum(0)
+    s_prev, m = finite_level_sum(0)
     s_prev *= h
     err_prev = math.inf
     grew = 0
     for level in range(1, 11):
         budget.spend()
         step *= 0.5
-        s_new, m_new = level_sum(level)
+        s_new, m_new = finite_level_sum(level)
         s_cur = 0.5 * s_prev + h * step * s_new
         m = 0.5 * m + step * m_new
         err = _SAFETY * abs(s_cur - s_prev)
@@ -290,13 +333,6 @@ def integrate(problem: QuadProblem) -> EvalResult:
     for lo, hi in zip(cuts, cuts[1:]):
         panels.append((lo, hi, lo in sing or hi in sing))
 
-    if tail_base is not None:
-
-        def f_tail(s: float, _f=f, _c=tail_base) -> float:
-            om = 1.0 - s
-            return _f(_c + s / om) / (om * om)
-
-
     budget = _Budget(_MAX_SUBDIVISIONS)
     n_panels = len(panels) + (1 if tail_base is not None else 0)
     per_panel = problem.tol / n_panels
@@ -315,7 +351,7 @@ def integrate(problem: QuadProblem) -> EvalResult:
         err += e
         effort += n
     if tail_base is not None:
-        v, e, n = _tanh_sinh_panel(f_tail, 0.0, 1.0, per_panel, budget)
+        v, e, n = _tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, tail_base)
         methods.add("tanh-sinh")
         total += v
         err += e

@@ -42,6 +42,8 @@ _TRUNC = 174611 / 330 / 1e20
 def _digamma(x: float) -> tuple[float, float]:
     """psi(x) and a bound on its error."""
     if x <= 0.0:
+        if x == -math.inf:
+            raise DomainError("digamma(-inf) is undefined")
         # x - round(x) is exact, so tan(pi x) = tan(pi r) keeps its digits at
         # the poles' sides, where tan(PI * x) would not
         r = x - round(x)
@@ -76,7 +78,9 @@ def _digamma(x: float) -> tuple[float, float]:
 def digamma(x: float) -> EvalResult:
     """psi(x) by recurrence shift and the Bernoulli asymptotic series."""
     v, err = _digamma(float(x))
-    if math.isinf(v):
+    if not math.isfinite(v):
+        if math.isnan(v):  # only a nan x gives a nan
+            raise DomainError(f"digamma({x}) is undefined")
         raise OverflowError(f"digamma({x}) overflows double precision")
     return EvalResult(v, err, 0, "asymptotic")
 
@@ -84,6 +88,8 @@ def digamma(x: float) -> EvalResult:
 def _trigamma(x: float) -> tuple[float, float]:
     """psi'(x) and a bound on its error."""
     if x <= 0.0:
+        if x == -math.inf:
+            raise DomainError("trigamma(-inf) is undefined")
         r = x - round(x)  # exact: see _digamma
         if r == 0.0:
             raise DomainError(f"trigamma pole at {x}")
@@ -117,7 +123,9 @@ def _trigamma(x: float) -> tuple[float, float]:
 def trigamma(x: float) -> EvalResult:
     """psi'(x) by recurrence shift and the Bernoulli asymptotic series."""
     v, err = _trigamma(float(x))
-    if math.isinf(v):
+    if not math.isfinite(v):
+        if math.isnan(v):  # only a nan x gives a nan
+            raise DomainError(f"trigamma({x}) is undefined")
         raise OverflowError(f"trigamma({x}) overflows double precision")
     return EvalResult(v, err, 0, "asymptotic")
 
@@ -130,7 +138,11 @@ def polygamma(n: int, x: float) -> EvalResult:
         return digamma(x)
     if x <= 0.0:
         raise DomainError("polygamma of order >= 1 requires x > 0")
-    hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * max(1.0, x ** (-n - 1.0)))
+    try:
+        scale = x ** (-n - 1.0)  # the leading term of the sum
+    except OverflowError:
+        raise OverflowError(f"polygamma({n}, {x}) overflows double precision") from None
+    hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * max(1.0, scale))
     sign = -1.0 if n % 2 == 0 else 1.0
     fac = math.factorial(n)
     return EvalResult(sign * fac * hz.value, fac * hz.err_bound, hz.effort, "hurwitz-zeta")
@@ -156,7 +168,12 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
     check_tol(tol)
     N = max(0, int(math.ceil(10.0 - a)))
     for _ in range(60):
-        total, rem, mag = _euler_maclaurin(s, a, N)
+        try:
+            total, rem, mag = _euler_maclaurin(s, a, N)
+        except OverflowError:  # a power (a + k)^-s or their sum
+            raise OverflowError(
+                f"hurwitz_zeta({float(s)}, {float(a)}) overflows double precision"
+            ) from None
         floor = 4.0 * EPS * mag
         if rem <= max(tol / 2.0, floor) or N > 100000:
             err = rem + floor

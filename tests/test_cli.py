@@ -407,6 +407,9 @@ class TestErrorPolicy:
             # the degree-40 formula of tests/test_bbp.py, whose guard digits at
             # position 0 sit exactly on a carry boundary
             (PrecisionError, ("digits", "--formula=exact-at-zero", "--position=0", "--count=8"), 1),
+            (OverflowError, ("eval", "hurwitz", "--s", "2", "--a", "1e-320"), 2),
+            (DomainError, ("eval", "trigamma", "--x=-inf"), 2),
+            (DomainError, ("eval", "trigamma", "--x", "nan"), 2),
         ],
     )
     def test_exit_code(self, capsys, monkeypatch, error, argv, code):

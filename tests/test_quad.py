@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -255,6 +256,105 @@ def test_tanh_sinh_stopped_sides_sum_as_every_node(f, a, b):
     if a == 0.0:
         # the left side stops long before x ~ 1e-304
         assert calls[0] < 0.9 * ref_calls[0]
+
+
+def _half_line_by_panels(f, a, sing, tol):
+    """integrate(QuadProblem(f, a, inf, sing, tol)) rebuilt panel by panel: the
+    finite panels up to c + 1, c the largest of a and the singular points, then
+    the tail (c + 1, inf) as a tanh-sinh panel of the mapped integrand on (0, 1)."""
+    c = max((a, *sing))
+    cuts = sorted({a, c + 1.0, *sing})
+    per_panel = tol / len(cuts)  # len(cuts) - 1 finite panels and the tail
+    budget = quad._Budget(quad._MAX_SUBDIVISIONS)
+    total = err = 0.0
+    effort = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        panel = quad._tanh_sinh_panel if lo in sing or hi in sing else quad._gauss_panel
+        v, e, n = panel(f, lo, hi, per_panel, budget)
+        total += v
+        err += e
+        effort += n
+    v, e, n = quad._tanh_sinh_panel(_tail_mapped(f, c + 1.0), 0.0, 1.0, per_panel, budget)
+    return total + v, err + e, effort + n
+
+
+def _i_ab_integrand(b):
+    return lambda y: math.log(y) / (y * y + 2.0 * b * y + 1.0)
+
+
+def _corollary3_integrand(c, t):
+    k = 4.0 * c * math.cos(0.5 * t) ** 2
+    return lambda x: math.log(x) / ((x - c) * (x - c) + k * x)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize(
+    "f, a, sing",
+    [
+        (_i_ab_integrand(0.3), 0.0, (0.0,)),
+        (_i_ab_integrand(-0.6), 0.5, ()),
+        (_i_ab_integrand(-0.2), 1.0, ()),
+        (_corollary3_integrand(2.0, 1.0), 0.0, (0.0, 2.0)),
+        (_corollary3_integrand(0.3, 2.9), 0.0, (0.0, 0.3)),
+        (lambda y: 1.0 / (1.0 + y * y), 0.0, ()),
+        (lambda y: math.exp(-y), 0.0, ()),
+    ],
+    ids=["iab-a0", "iab-a0.5", "iab-a1", "cor3-c2", "cor3-c0.3", "cauchy", "exp"],
+)
+def test_half_line_is_its_panels_plus_the_mapped_tail(f, a, sing, tol):
+    # integrate() maps the tail inside the tanh-sinh loop, with the same float
+    # operations as the mapped integrand, so the two agree bit for bit
+    r = integrate(QuadProblem(f, a, math.inf, sing, tol))
+    assert (r.value, r.err_bound, r.effort) == _half_line_by_panels(f, a, sing, tol)
+
+
+def _abscissae(problem):
+    """The abscissae at which integrate(problem) calls its integrand, in order."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return problem.integrand(x)
+
+    integrate(QuadProblem(g, problem.lower, problem.upper, problem.singular_points, problem.tol))
+    return seen
+
+
+def _bad_at(f, xs, value):
+    bad = set(xs)
+    return lambda x: value if x in bad else f(x)
+
+
+_LOG_PANEL = QuadProblem(math.log, 0.0, 1.0, (0.0,), 1e-12)
+_CAUCHY_HALF_LINE = QuadProblem(lambda y: 1.0 / (1.0 + y * y), 0.0, math.inf, (0.0,), 1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "problem, where",
+    [
+        (_LOG_PANEL, lambda x: x > 0.5),  # right side, b - r
+        (_LOG_PANEL, lambda x: x < 0.5),  # left side, a + r
+        (_CAUCHY_HALF_LINE, lambda y: y > 1.0),  # the tail (1, inf), in y
+    ],
+    ids=["right", "left", "tail"],
+)
+@pytest.mark.parametrize("pick", [2, -1], ids=["early", "last"])
+def test_non_finite_value_names_its_abscissa(problem, where, value, pick):
+    xs = [x for x in _abscissae(problem) if where(x)]
+    x = xs[pick]
+    f = _bad_at(problem.integrand, [x], value)
+    with pytest.raises(QuadratureError, match=f"^integrand not finite at x = {re.escape(repr(x))}$"):
+        integrate(QuadProblem(f, problem.lower, problem.upper, problem.singular_points, problem.tol))
+
+
+def test_first_non_finite_abscissa_is_named():
+    # two bad abscissae on opposite sides of one level: the one walked first
+    xs = _abscissae(_LOG_PANEL)
+    first, later = xs[3], xs[6]
+    f = _bad_at(math.log, [later, first], math.nan)
+    with pytest.raises(QuadratureError, match=f"x = {re.escape(repr(first))}$"):
+        integrate(QuadProblem(f, 0.0, 1.0, (0.0,), 1e-12))
 
 
 @pytest.mark.parametrize(

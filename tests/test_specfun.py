@@ -6,6 +6,7 @@ bounds.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,31 @@ class TestPsiEdges:
                 trigamma(x)
             with pytest.raises(DomainError):
                 digamma(x)
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma], ids=["digamma", "trigamma"])
+    @pytest.mark.parametrize("x", [-math.inf, math.nan], ids=["-inf", "nan"])
+    def test_non_finite_argument_is_a_domain_error(self, fn, x):
+        with pytest.raises(DomainError, match=rf"^{fn.__name__}\({x}\) is undefined$"):
+            fn(x)
+
+    def test_positive_infinity(self):
+        with pytest.raises(OverflowError, match=r"^digamma\(inf\) overflows double precision$"):
+            digamma(math.inf)
+        assert trigamma(math.inf).value == 0.0
+
+    @pytest.mark.parametrize(
+        "s, a, text",
+        [(2, 1e-320, "2.0, 1e-320"), (2.0, 5e-324, "2.0, 5e-324"), (1e308, 1e-300, "1e+308, 1e-300")],
+    )
+    def test_hurwitz_zeta_overflow(self, s, a, text):
+        message = f"hurwitz_zeta({text}) overflows double precision"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            hurwitz_zeta(s, a)
+
+    @pytest.mark.parametrize("x", [1e-320, 1e-80])
+    def test_polygamma_overflow(self, x):
+        with pytest.raises(OverflowError, match=rf"^polygamma\(3, {x}\) overflows double precision$"):
+            polygamma(3, x)
 
 
 def test_bernoulli_numbers_match_mpmath():
