@@ -5,12 +5,11 @@ from collections.abc import Callable
 from .errors import ConvergenceError, check_tol
 from .result import EvalResult
 
+# the highest acceleration order tried before giving up
+_MAX_ORDER = 120
 
-def alternating_sum(
-    term: Callable[[int], float],
-    tol: float = 1e-12,
-    max_order: int = 120,
-) -> EvalResult:
+
+def alternating_sum(term: Callable[[int], float], tol: float = 1e-12) -> EvalResult:
     """Sum ``sum_{k>=0} (-1)^k term(k)`` with Chebyshev-weighted acceleration.
 
     Uses the Cohen-Rodriguez Villegas-Zagier scheme.  Each acceleration is
@@ -36,7 +35,7 @@ def alternating_sum(
 
     prev = cvz(24)
     n = 34
-    while n <= max_order:
+    while n <= _MAX_ORDER:
         cur = cvz(n)
         err = abs(cur - prev)
         if err <= tol / 4.0:
@@ -44,5 +43,5 @@ def alternating_sum(
         prev = cur
         n += 10
     raise ConvergenceError(
-        f"alternating series did not stabilise to {tol:g} by order {max_order}"
+        f"alternating series did not stabilise to {tol:g} by order {_MAX_ORDER}"
     )

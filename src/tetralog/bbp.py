@@ -2,15 +2,16 @@
 
 A registry holds the degree-2 and degree-3 binary formulas built on the
 coefficient pattern (4, 0, 0, -2, -1, -1, 0, 0) over residues mod 8, plus
-the classical degree-1 formula for pi.  Digit extraction works in exact
-integer fixed point and aborts on carry ambiguity rather than ever emitting
-a wrong digit.  Its head sums one fraction per batch of consecutive
-denominators, built by Horner's rule over their product: one modular power
-and one floor division per batch, not per term.  The floors lose less than
-|coefficient| units each, which the carry test allows for.  Deep in the
-expansion the head's batches are split into parts summed in
-forked child processes, one per usable processor; integer addition is exact,
-so the split cannot change a digit.
+the classical degree-1 formula for pi.  One exact integer fixed-point sum,
+as in Bailey, Borwein and Plouffe (Math. Comp. 66, 1997), is both
+``eval_bbp_sum`` and the digit extraction's tail.  The extraction aborts on
+carry ambiguity rather than ever emitting a wrong digit.  Its head sums one
+fraction per batch of consecutive denominators, built by Horner's rule over
+their product: one modular power and one floor division per batch, not per
+term.  The floors lose less than |coefficient| units each, which the carry
+test allows for.  Deep in the expansion the head's batches are split into
+parts summed in forked child processes, one per usable processor; integer
+addition is exact, so the split cannot change a digit.
 """
 
 from __future__ import annotations
@@ -128,41 +129,47 @@ def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
     return EvalResult(v, err, s.effort, "bbp+affine")
 
 
-def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
-    """The pure BBP sum with a rigorous geometric tail bound <= tol.
+# eval_bbp_sum's fixed point: the sum loses a few hundred units, ~2^-72
+_SUM_BITS = 80
 
-    The rounding bound is a running one: every division and addition rounds
-    by at most half an ulp of its result, and dividing by 16^j is exact, so
-    the bound is the sum of those half ulps, each scaled like its term.  With
-    n nonzero coefficients it is at most (j + n + 2) EPS/2 times the sum of
-    |terms|, and below that when the partial sums cancel.
-    """
+
+def _fixed_sum(f: BBPFormula, position: int, bits: int, start: int) -> tuple[int, int, int]:
+    """sum_{j >= start >= position} sum_k a_k floor(2^bits 16^(position - j) / (8j + k)^degree),
+    each class k stopping at its first zero floor; with the |a_k|-weighted and
+    the plain count of floors.  A floor times a drops less than |a| units, and
+    a class's terms left out less than 16/15 |a|: each is below one unit and
+    they shrink at least 16-fold."""
+    s = f.degree
+    one = 1 << bits
+    acc = floors = terms = 0
+    for k, a in enumerate(f.coeffs, start=1):
+        if not a:
+            continue
+        j = start
+        while t := one // (((8 * j + k) ** s) << (4 * (j - position))):
+            acc += a * t
+            j += 1
+        floors += abs(a) * (j - start)
+        terms += j - start
+    return acc, floors, terms
+
+
+def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
+    """The pure BBP sum: ``_fixed_sum`` from j = 0 at 2^-``_SUM_BITS``, rounded
+    once to a double.  The bound is that sum's loss plus the rounding,
+    |value - sum|, found exactly; ``effort`` counts the (j, k) terms summed."""
     from .result import EvalResult
 
     check_tol(tol)
-    amax = sum(abs(a) for a in f.coeffs)
-    if amax == 0:
-        return EvalResult(0.0, 0.0, 0, "bbp-sum")
-    total = 0.0
-    rounding = 0.0
-    j = 0
-    for j in range(0, 200):
-        inner = 0.0
-        inner_rounding = 0.0
-        for k, a in enumerate(f.coeffs, start=1):
-            if a:
-                q = a / (8 * j + k) ** f.degree
-                inner += q
-                inner_rounding += math.ulp(q) + math.ulp(inner)
-        total += inner / 16.0**j
-        rounding += inner_rounding / 2 / 16.0**j + math.ulp(total) / 2
-        tail = amax / (8 * (j + 1)) ** f.degree / 16.0**j / 15.0
-        if tail <= tol / 4.0:
-            break
-    err = tail + rounding
+    acc, floors, terms = _fixed_sum(f, 0, _SUM_BITS, 0)
+    one = 1 << _SUM_BITS
+    v = acc / one
+    num, den = v.as_integer_ratio()
+    units = floors + 16 * sum(map(abs, f.coeffs)) / 15 + abs(num * one - acc * den) / den
+    err = units / one
     if err > tol:
         raise ConvergenceError(f"cannot reach tol {tol:g} in double precision")
-    return EvalResult(total, err, j + 1, "bbp-sum")
+    return EvalResult(v, err, terms, "bbp-sum")
 
 
 _GUARD_HEX = 12
@@ -238,20 +245,20 @@ def _part_count(position: int) -> int:
 def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """Hex digits of frac(16^position * pure sum), ``count`` digits.
 
-    Exact integer fixed point with ``_GUARD_HEX`` guard digits.  The
-    j <= position head takes one fraction per batch of consecutive
-    denominators d_j = (8j + k)^degree (``_head_part``): one modular power
-    modulo their product and one floor division, which drops less than one
-    unit, times the class's coefficient a.  Each tail term j > position takes
-    one floor too.  From position 2 * ``_MIN_PART`` on, on Linux and with no
-    other thread running, the head's batches are dealt round-robin to one
-    part per usable processor (at most position // ``_MIN_PART``), and all
-    but one part run in forked child processes (``forked.forked_sum``).  The
-    parts are exact integers summed mod 2^bits, so the digits and every
-    PrecisionError are those of the serial sum.  The tail stays serial.  If
-    the guard bits sit within sum |a| * (floors in a's class) units plus
-    2^-20 of a digit carry boundary, the extraction raises PrecisionError
-    instead of risking an off-by-one digit.
+    Exact integer fixed point with ``_GUARD_HEX`` guard digits.  The j <=
+    position head takes one fraction per batch of consecutive denominators
+    d_j = (8j + k)^degree (``_head_part``): one modular power modulo their
+    product and one floor division, which drops less than one unit, times
+    the class's coefficient a.  The tail j > position is ``_fixed_sum``'s,
+    one floor per term.  From position 2 * ``_MIN_PART`` on, on Linux and
+    with no other thread running, the head's batches are dealt round-robin
+    to one part per usable processor (at most position // ``_MIN_PART``),
+    and all but one part run in forked child processes
+    (``forked.forked_sum``).  The parts are exact integers summed mod
+    2^bits, so the digits and every PrecisionError are those of the serial
+    sum.  The tail stays serial.  If the guard bits sit within sum |a| *
+    (floors in a's class) units plus 2^-20 of a digit carry boundary, the
+    extraction raises PrecisionError instead of risking an off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")
@@ -268,23 +275,12 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
         from .forked import forked_sum  # loaded only for a split head
 
         acc = forked_sum(lambda i, n: _head_part(f, position, bits, i, n), parts, (bits + 7) // 8)
-    s = f.degree
-    floors = 0
+    # the tail j > position is exact: its terms shrink below the fixed point
+    tail_sum, floors, _ = _fixed_sum(f, position, bits, position + 1)
+    acc += tail_sum
     for k, a in enumerate(f.coeffs, start=1):
-        if not a:
-            continue
-        n = len(range(0, position + 1, _batch_width(s, position, k)))  # head batches
-        # tail: j > position, exact since terms shrink below the fixed point
-        j = position + 1
-        while True:
-            d = ((8 * j + k) ** s) << (4 * (j - position))
-            t = one // d
-            if t == 0:
-                break
-            acc += a * t
-            n += 1
-            j += 1
-        floors += abs(a) * n
+        if a:
+            floors += abs(a) * len(range(0, position + 1, _batch_width(f.degree, position, k)))
     acc %= one
     guard_bits = 4 * _GUARD_HEX
     unit = 1 << guard_bits

@@ -74,6 +74,8 @@ def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[floa
     """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
     c_{s-1} = H_{s-1}/(s-1)!), with its |c_k|; and its tail d_m = c_{s+1+2m}
     with |d_m|, which ``_li_log_expansion`` extends as its sums reach them."""
+    if s > TAYLOR_K_MAX:  # c_s = zeta(0)/s! needs s! as a double
+        raise OverflowError(f"Li_{s}: order too large for double precision")
     head = tuple(zeta_taylor(s, k) for k in range(s, -1, -1))
     return head, tuple(map(abs, head)), [], []
 

@@ -112,7 +112,7 @@ def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class QuadProblem:
-    """An integration request over [lower, upper] (upper may be math.inf)."""
+    """An integration request over [lower, upper] (lower finite, upper may be math.inf)."""
 
     integrand: Callable[[float], float]
     lower: float
@@ -123,6 +123,8 @@ class QuadProblem:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise DomainError("QuadProblem needs lower < upper")
+        if self.lower == -math.inf:
+            raise DomainError("QuadProblem needs a finite lower limit")
         check_tol(self.tol)
         pts = tuple(sorted(float(x) for x in self.singular_points))
         for x in pts:

@@ -248,7 +248,11 @@ def _clausen_table(
     1e-220 at theta = pi.
     """
     p = 1 if odd else 0
-    head = [(-1) ** (k // 2) * zeta_taylor(s, k) for k in range(s - (s - p) % 2, p - 1, -2)]
+    top = s - (s - p) % 2  # the head's highest k
+    if top > TAYLOR_K_MAX:
+        # c_top needs top! as a double; no factorial is formed yet
+        raise OverflowError(f"Cl_{s}: order too large for double precision")
+    head = [(-1) ** (k // 2) * zeta_taylor(s, k) for k in range(top, p - 1, -2)]
     log = (s - p) % 2 == 1
     rot = (-1.0 if log else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
     g = rot.imag if odd else rot.real
@@ -284,10 +288,6 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     if th == 0.0:
         v = zeta_int(s)
         return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, method)
-    if s > 171:
-        # the head's 1/(s-1)! is below the double range; (s-1)! alone would take
-        # unbounded time to form for a huge s
-        raise OverflowError(f"Cl_{s}: order too large for double precision")
     head, g, log, tail, sign = _clausen_table(s, odd)
     x2 = th * th
     acc = mag = 0.0
@@ -339,7 +339,6 @@ def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
     The Clausen kernel at order 2, after reduction to [0, pi]: there its
     series is the Bernoulli-accelerated expansion
     ``theta - theta ln theta + sum_n zeta(2n) theta^(2n+1) / (n (2n+1) (2pi)^2n)``.
-    The defining series is kept as a test oracle.
     """
     check_tol(tol)
     return _clausen(2, True, theta, tol, "bernoulli-series")

@@ -422,10 +422,6 @@ def _bbp_sum(name: str) -> float:
     return _bbp.eval_bbp_sum(_bbp.REGISTRY[name]).value
 
 
-def _im_li3() -> float:
-    return _bbp.constant_value("im-li3-half-plus-half-i")
-
-
 def _int_2_38(p: int) -> float:
     """The integral of (y - 1) ln(y / sqrt 2)^p / (y^4 - 2y^3 + 4y - 4) over [0, 1]."""
 
@@ -436,7 +432,9 @@ def _int_2_38(p: int) -> float:
 
 
 def _residue_sum(k: int, s: int) -> float:
-    return math.fsum(1.0 / (16.0**j * (8 * j + k) ** s) for j in range(0, 30))
+    """sum_j 16^-j / (8j + k)^s, the BBP sum of residue class k alone."""
+    coeffs = tuple(int(i == k) for i in range(1, 9))
+    return _bbp.eval_bbp_sum(_bbp.BBPFormula(s, coeffs, 1.0)).value
 
 
 def _log_moment(k: int, p: int) -> float:
@@ -466,7 +464,7 @@ def _chk_eq2_40() -> tuple[float, float]:
 def _chk_eq2_41() -> tuple[float, float]:
     s1, s2, s3 = (_bbp_sum(name) for name in ("pi-degree1", "eq2.35-sum", "eq2.37-sum"))
     lhs = 8.0 * s3 + 4.0 * LN2 * s2 + LN2 * LN2 * s1
-    re_rhs = 16.0 * CATALAN * LN2 - PI * LN2 * LN2 + 32.0 * _im_li3() + 14.0 * ZETA3
+    re_rhs = 16.0 * CATALAN * LN2 - PI * LN2 * LN2 + 32.0 * _li3_half().imag + 14.0 * ZETA3
     im_rhs = (
         2.0 / 3.0 * LN2**3
         - 5.0 / 6.0 * PI * PI * LN2
@@ -605,7 +603,8 @@ _CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], .
         _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value)),
     ("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
     ("L4c", "lemma4", "Eq. (2.37)", 1e-10, lambda: (
-        8.0 * _bbp_sum("eq2.37-sum"), -PI * PI / 2.0 * LN2 + 14.0 * ZETA3 + 32.0 * _im_li3())),
+        8.0 * _bbp_sum("eq2.37-sum"),
+        -PI * PI / 2.0 * LN2 + 14.0 * ZETA3 + 32.0 * _li3_half().imag)),
     ("eq2.38", "lemma4", "Eq. (2.38)", _QUAD, lambda: (
         -4.0 * _int_2_38(1), CATALAN + PI * PI / 32.0)),
     ("eq2.39", "lemma4", "Eq. (2.39)", _QUAD, _chk_eq2_39),

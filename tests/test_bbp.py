@@ -80,7 +80,7 @@ class TestSums:
             constant_value("no-such-constant")
 
     def test_tol_below_double_precision_is_a_convergence_failure(self):
-        # the tail meets any tol; the rounding bound of ~1e-16 cannot
+        # the fixed-point sum loses ~1e-22, but its rounding to a double ~1e-16
         with pytest.raises(ConvergenceError):
             eval_bbp_sum(REGISTRY["pi-degree1"], 1e-30)
 
@@ -512,8 +512,35 @@ def mp_error(value: float, exact) -> float:
         return float(abs(mpmath.mpf(value) - exact))
 
 
+def one_class(k: int, s: int) -> BBPFormula:
+    """sum_j 16^-j / (8j + k)^s, as the ledger's eq2.39 and eq2.40 read it."""
+    return BBPFormula(s, tuple(int(i == k) for i in range(1, 9)), 1.0)
+
+
+SUMS = {name: REGISTRY[name] for name in FORMULAS} | {
+    f"k{k}-s{s}": one_class(k, s) for k in (1, 4, 5, 6) for s in (1, 2, 3)
+}
+
+
 class TestHonestBounds:
     """Every err_bound holds against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("name", SUMS)
+    def test_pure_sum_is_correctly_rounded(self, name):
+        f = SUMS[name]
+        r = eval_bbp_sum(f)
+        with mpmath.workdps(40):
+            assert r.value == float(mp_pure_sum(f))
+        assert r.err_bound <= 1e-15 * max(1.0, abs(r.value))
+
+    @pytest.mark.parametrize("name", SUMS)
+    def test_fixed_point_loss(self, name):
+        # the floors and the terms left out cost less than the units counted
+        f = SUMS[name]
+        acc, floors, _ = bbp._fixed_sum(f, 0, bbp._SUM_BITS, 0)
+        with mpmath.workdps(60):
+            loss = abs(mp_pure_sum(f) * 2**bbp._SUM_BITS - acc)
+            assert loss <= floors + mpmath.mpf(16) / 15 * sum(map(abs, f.coeffs))
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14])
     @pytest.mark.parametrize("name", FORMULAS)
@@ -617,16 +644,16 @@ class TestFormulaRecord:
 @pytest.mark.parametrize(
     ("name", "value", "err_bound"),
     [
-        ("eq2.35-sum", "0x1.d4f9713e8135cp-1", "0x1.075a28107cbf9p-47"),
-        ("eq2.37-sum", "-0x1.1800000000000p-43", "0x1.d58791ff54e5dp-40"),
-        ("pi-degree1", "0x1.921fb54442d14p+1", "0x1.c8526b5592302p-44"),
+        ("eq2.35-sum", "0x1.d4f9713e8135ep-1", "0x1.061e0ec64cab6p-51"),
+        ("eq2.37-sum", "-0x1.0000000000000p-47", "0x1.baf7f2d63c25ap-43"),
+        ("pi-degree1", "0x1.921fb54442d18p+1", "0x1.46989dc444444p-51"),
     ],
     ids=FORMULAS,
 )
 def test_closed_form_values_are_pinned(name, value, err_bound):
-    # the values the registry gave when its scales and coefficients were
-    # Fractions; the floats that replaced them are the same numbers.  The
-    # bounds are the running rounding bound's and each constant's own.
+    # the pure sum is the correctly rounded one (TestHonestBounds); the bounds
+    # are its fixed-point bound, scaled, plus each constant's own and the
+    # affine terms' roundings
     r = closed_form_value(REGISTRY[name])
     assert (r.value.hex(), r.err_bound.hex()) == (value, err_bound)
 

@@ -81,6 +81,28 @@ def test_tiny_z_stops_once_terms_underflow(s, r, theta):
     assert res.effort <= 2
 
 
+class TestOrderLimit:
+    """The log expansion needs c_s = zeta(0)/s!, so it stops at s = 170."""
+
+    @pytest.mark.parametrize("z", [0.9, 0.9j, -0.7])
+    @pytest.mark.parametrize("s", [171, 172, 200])
+    def test_log_expansion_order_too_large(self, s, z):
+        with pytest.raises(OverflowError, match=f"^Li_{s}: order too large for double precision$"):
+            polylog_complex(s, z)
+
+    def test_last_log_expansion_order(self):
+        r = polylog_complex(170, 0.9)
+        assert (r.value, r.err_bound.hex(), r.method) == (
+            0.9,
+            "0x1.82aaaaaaaaaabp-45",
+            "log-expansion",
+        )
+
+    def test_series_needs_no_factorial(self):
+        r = polylog_complex(200, 0.3)
+        assert (r.value, r.err_bound.hex(), r.method) == (0.3, "0x1.1249249249249p-51", "series")
+
+
 class TestValidation:
     def test_order_below_two_rejected(self):
         with pytest.raises(DomainError):

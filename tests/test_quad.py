@@ -128,6 +128,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             QuadProblem(math.sin, 0.0, 1.0, (), 0.0)
 
+    @pytest.mark.parametrize(
+        ("f", "upper"), [(lambda x: 1.0 / (1.0 + x * x), math.inf), (math.exp, 0.0)]
+    )
+    def test_infinite_lower_limit_rejected(self, f, upper):
+        # integrate maps only (c, inf); on the whole line it would return 0 +- 0
+        with pytest.raises(DomainError, match="^QuadProblem needs a finite lower limit$"):
+            integrate(QuadProblem(f, -math.inf, upper))
+
     def test_singular_point_outside_range_rejected(self):
         with pytest.raises(DomainError):
             QuadProblem(math.sin, 0.0, 1.0, (2.0,))

@@ -466,3 +466,24 @@ def test_zeta_int_matches_mpmath():
         # never below 1, and above it for n <= 53, where zeta(n) - 1 exceeds
         # half an ulp of 1
         assert v > 1.0 if n <= 53 else v >= 1.0, n
+
+
+class TestClausenOrderLimit:
+    """A kernel table needs c_k = zeta(s - k)/k! as doubles, so k <= 170."""
+
+    @pytest.mark.parametrize(
+        ("fn", "s"),
+        [(clausen_sin, 171), (clausen_sin, 172), (clausen_cos, 172), (clausen_cos, 10**9)],
+    )
+    def test_order_too_large(self, fn, s):
+        with pytest.raises(OverflowError, match=f"^Cl_{s}: order too large for double precision$"):
+            fn(s, 1.0)
+
+    def test_last_cosine_order(self):
+        # the cosine head of order 171 stops at k = 170
+        r = clausen_cos(171, 1.0)
+        assert (r.value.hex(), r.err_bound.hex(), r.effort) == (
+            "0x1.14a280fb5068cp-1",
+            "0x1.0e0a032f3feb2p-44",
+            86,
+        )
