@@ -15,6 +15,7 @@ import math
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
+from .constants import LN2
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -171,3 +172,19 @@ def zeta_taylor(s: int, k: int) -> float:
         f = math.factorial(s - 1)
         return sum(f // j for j in range(1, s)) / (f * f)
     return zeta_int(s - k) / math.factorial(k)
+
+
+def eta_taylor(s: int, k: int) -> float:
+    """Coefficient c'_k of Li_s(-e^v) about v = 0: c'_k = -eta(s - k)/k!, with
+    eta(m) = (1 - 2^{1-m}) zeta(m), so c'_k = (2^{k+1-s} - 1) c_k, save
+    c'_{s-1} = -eta(1)/(s-1)! = -ln 2/(s-1)!.
+
+    ``Li_s(-e^v) = sum_k c'_k v^k`` for integer s >= 2 and |v| < pi, with no
+    log term (Lewin 1981, ch. 4).  Past k = s only k - s odd survives, and
+    |c'_k| = 2 (k-s)! lambda(k-s+1)/(pi^{k-s+1} k!), lambda(m) = (1 - 2^{-m})
+    zeta(m) falling in m, so |c'_{k+2}| <= |c'_k|/pi^2.  Defined for
+    k <= TAYLOR_K_MAX; each value takes one rounding more than c_k.
+    """
+    if k == s - 1:
+        return -LN2 / math.factorial(s - 1)
+    return (2.0 ** (k + 1 - s) - 1.0) * zeta_taylor(s, k)

@@ -5,13 +5,18 @@ Crandall, "Note on fast polylogarithm computation", 2006):
 
 * ``|z| <= RHO``: the power series sum_k z^k / k^s, its coefficients read from
   a per-order table of 1/k^s;
-* ``RHO < |z| < 1/RHO``: the expansion of Li_s(e^w) about w = ln z = 0, on the
-  ``zeta_taylor`` coefficients: a head of s + 1 terms in w, one of which carries
-  H_{s-1} - ln(-w), and a tail in w^2, whose terms shrink at least by
-  (|w|/2 pi)^2 from one to the next;
-* ``|z| >= 1/RHO``: inversion, Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z), with
+* ``RHO < |z| < OUTER``: a log expansion about the nearer of z = 1 and z = -1.
+  Where Re z >= -|z|/2, that of Li_s(e^w) about w = ln z = 0, on the
+  ``zeta_taylor`` coefficients: a head of s + 1 terms in w, one of which
+  carries H_{s-1} - ln(-w), and a tail in w^2, whose terms shrink at least by
+  (|w|/2 pi)^2 from one to the next.  Where Re z < -|z|/2, that of
+  Li_s(-e^v) about v = ln(-z) = 0, on the ``eta_taylor`` coefficients: the
+  same layout with no log term, its tail shrinking by (|v|/pi)^2.  On the
+  switch |arg z| = 2 pi/3 both ratios are 1/9 at |z| = 1;
+* ``|z| >= OUTER``: inversion, Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z), with
   the series kernel on 1/z and the remainder P_s a polynomial in
-  L = ln(-z) of floor(s/2) + 1 real coefficients, summed in L^2.
+  L = ln(-z) of floor(s/2) + 1 real coefficients, summed in L^2.  Orders above
+  TAYLOR_K_MAX have no expansion table, so they take it from |z| >= 1/RHO.
 
 Each series fixes its term count before summing: a real loop over the term
 magnitudes stops at the first term below EPS/4 of their running sum, and that
@@ -26,12 +31,13 @@ import math
 from functools import cache
 from itertools import count
 
-from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, zeta_int, zeta_taylor
+from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, eta_taylor, zeta_int, zeta_taylor
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult
 
-RHO = 0.5  # the series runs for |z| <= RHO, the inversion for |z| >= 1/RHO
+RHO = 0.5  # the series runs for |z| <= RHO
+OUTER = 3.5  # the inversion runs for |z| >= OUTER, or >= 1/RHO above TAYLOR_K_MAX
 _STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a sum
 
 
@@ -70,37 +76,49 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 
 @cache
-def _log_tables(s: int) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
-    """The log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
-    c_{s-1} = H_{s-1}/(s-1)!), with its |c_k|; and its tail d_m = c_{s+1+2m}
-    with |d_m|, which ``_li_log_expansion`` extends as its sums reach them."""
+def _log_tables(
+    s: int, minus: bool
+) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
+    """A log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
+    c_{s-1} = H_{s-1}/(s-1)!), or c'_s, ..., c'_0 from ``eta_taylor`` when
+    ``minus``, with its |c_k|; and its tail d_m = c_{s+1+2m} with |d_m|,
+    which ``_li_log_expansion`` extends as its sums reach them."""
     if s > TAYLOR_K_MAX:  # c_s = zeta(0)/s! needs s! as a double
         raise OverflowError(f"Li_{s}: order too large for double precision")
-    head = tuple(zeta_taylor(s, k) for k in range(s, -1, -1))
+    coeff = eta_taylor if minus else zeta_taylor
+    head = tuple(coeff(s, k) for k in range(s, -1, -1))
     return head, tuple(map(abs, head)), [], []
 
 
-def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
-    """Li_s(z) at w = ln z, RHO < |z| < 1/RHO, as (value, err_bound, terms):
-    sum_{k<=s} c_k w^k - ln(-w) w^{s-1}/(s-1)! + w^{s+1} sum_m d_m w^{2m}."""
-    head, head_abs, tail, tail_abs = _log_tables(s)
-    lc = cmath.log(-w) / math.factorial(s - 1)
+def _li_log_expansion(s: int, z: complex, minus: bool) -> tuple[complex, float, int]:
+    """Li_s(z), RHO < |z| < OUTER, as (value, err_bound, terms).  About z = 1,
+    at w = ln z: sum_{k<=s} c_k w^k - ln(-w) w^{s-1}/(s-1)! + w^{s+1} sum_m
+    d_m w^{2m}.  About z = -1 (``minus``), at w = ln(-z): the same sums of
+    c'_k, with no log term."""
+    head, head_abs, tail, tail_abs = _log_tables(s, minus)
+    w = cmath.log(-z if minus else z)
     aw = abs(w)
     mag = 0.0
     for a in head_abs:
         mag = mag * aw + a
     wk = aw ** (s - 1)
-    mag += abs(lc) * wk
+    if not minus:
+        lc = cmath.log(-w) / math.factorial(s - 1)
+        mag += abs(lc) * wk
     aw2 = aw * aw
     wk *= aw2
-    # mag >= c_0 = zeta(s) > 1 and the terms shrink by (|w|/2 pi)^2 < 0.3: this ends
+    # mag >= |c_0|, zeta(s) > 1 or eta(s) >= ln 2, and the terms shrink by
+    # (|w|/2 pi)^2 < 0.16, or (|w|/pi)^2 < 0.28 about -1: this ends
     for m in count():
-        if m == len(tail):
+        try:
+            t = tail_abs[m] * wk
+        except IndexError:
             # past k = TAYLOR_K_MAX a term is below 1e-40 for |w| < 3.3: it reads 0
             k = s + 1 + 2 * m
-            tail.append(zeta_taylor(s, k) if k <= TAYLOR_K_MAX else 0.0)
+            coeff = eta_taylor if minus else zeta_taylor
+            tail.append(coeff(s, k) if k <= TAYLOR_K_MAX else 0.0)
             tail_abs.append(abs(tail[m]))
-        t = tail_abs[m] * wk
+            t = tail_abs[m] * wk
         if t <= _STOP * mag:
             break
         mag += t
@@ -111,8 +129,11 @@ def _li_log_expansion(s: int, w: complex) -> tuple[complex, float, int]:
         acc = acc * w2 + d
     for a in head:
         acc = acc * w + a
-    # The tail's terms shrink at least by q, as |d_{m+1}/d_m| <= 1/(2 pi)^2,
-    # and (s + 4) EPS mag covers the rounding of w and of the Horner steps.
+    # The tail's terms shrink at least by q, as |d_{m+1}/d_m| <= 1/(2 pi)^2, or
+    # 1/pi^2 about -1, and (s + 4) EPS mag covers the rounding of w and of the
+    # Horner steps, and the one more rounding of each c'_k.
+    if minus:
+        return acc, t / (1.0 - (aw / PI) ** 2) + (s + 4) * EPS * mag, m + s + 1
     q = (aw / TWO_PI) ** 2
     err = t / (1.0 - q) + (s + 4) * EPS * mag
     return acc - lc * w ** (s - 1), err, m + s + 1
@@ -124,7 +145,14 @@ def _remainder_coeffs(s: int) -> tuple[float, ...]:
 
     P_s(z) = -(2 pi i)^s/s! B_s(1/2 + L/(2 pi i)), and B_s(1/2 + y) =
     sum_i b_i y^{s-2i}, so a_i = -(2 pi i)^{2i} b_i/s! = -(-4)^i b_i pi^{2i}/s!.
+    Each |a_i| is below 2, but the double pi^{2i} it is formed with overflows
+    from 2i = 621, so orders s >= 622 raise OverflowError, before the exact
+    Bernoulli polynomial, whose size and cost grow with s, is built.
     """
+    try:
+        PI ** (2 * (s // 2))  # the highest power of pi taken
+    except OverflowError:
+        raise OverflowError(f"Li_{s}: order too large for double precision") from None
     return tuple(
         -((-4) ** i) * num / (den * math.factorial(s)) * PI ** (2 * i)
         for i, (num, den) in enumerate(bernoulli_poly_central(s))
@@ -155,11 +183,11 @@ def _inversion_remainder(s: int, z: complex) -> tuple[complex, float, int]:
 def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     """Li_s(z) for integer s >= 2, principal branch.
 
-    ``effort`` counts every term summed: the series terms, the log
-    expansion's head and tail, or the series on 1/z plus the s//2 + 1 terms
-    of the inversion remainder.  Points on the cut z in [1, inf) take the
-    limit from below the cut for the imaginary part of the inversion formula,
-    matching cmath.log.
+    ``effort`` counts every term summed: the series terms, the head and tail
+    of the log expansion about z = 1 or z = -1, or the series on 1/z plus the
+    s//2 + 1 terms of the inversion remainder.  Points on the cut z in
+    (1, inf) take the limit from the side the sign of their zero imaginary
+    part names, from above for +0.0j, as cmath.log does, in every regime.
     """
     if s < 2:
         raise DomainError("polylog_complex requires integer order >= 2")
@@ -174,8 +202,8 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     if r <= RHO:
         v, err, n = _li_series(s, z)
         method = "series"
-    elif r * RHO < 1.0:
-        v, err, n = _li_log_expansion(s, cmath.log(z))
+    elif r < OUTER if s <= TAYLOR_K_MAX else r * RHO < 1.0:
+        v, err, n = _li_log_expansion(s, z, z.real < -0.5 * r)
         method = "log-expansion"
     else:
         if not math.isfinite(r):  # a nan lands here too

@@ -7,15 +7,19 @@ evaluations are pure double precision; every routine that iterates reports an
 error bound and raises on non-convergence.
 
 Every Clausen value, ``cl2`` included, comes from one kernel: the real or
-imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0.  A
-table cached per order and parity holds its coefficients with the sign of
-(-theta^2)^j folded in, H_{s-1}/(s-1)! in the theta^{s-1} term, and the
-coefficient of theta^{s-1} ln theta (or of theta^{s-1}, for the polynomial
-kinds).  The head, up to theta^s, is summed by Horner's rule in theta^2, the
-tail in one pass until its terms are negligible.  psi and psi' shift x up to
-10, then sum their asymptotic series through B_18; a negative x reflects
-through sin or tan of the exact x - round(x).  Each bound adds the first term
-left out to a roundoff term proportional to the sum of |terms|.
+imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0, or,
+for the infinite kinds (sine at even s, cosine at odd s) at |theta| >
+2 pi/3, of Li_s(-e^{ix}) about x = pi - |theta| = 0, where the terms of both
+fall by at most 1/9 a step.  A table cached per order, parity and centre
+holds its coefficients with the sign of (-theta^2)^j folded in,
+H_{s-1}/(s-1)! in the theta^{s-1} term, and the coefficient of theta^{s-1}
+ln theta (or of theta^{s-1}, for the polynomial kinds); about pi, the
+-eta(s - k)/k!, with no log term.  The head, up to theta^s, is summed by
+Horner's rule in theta^2, the tail in one pass until its terms are
+negligible.  psi and psi' shift x up to 10, then sum their asymptotic series
+through B_18; a negative x reflects through sin or tan of the exact
+x - round(x).  Each bound adds the first term left out to a roundoff term
+proportional to the sum of |terms|.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, zeta_int, zeta_taylor
-from .constants import EPS, GAMMA, PI
+from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, eta_taylor, zeta_int
+from .bernoulli import zeta_taylor
+from .constants import EPS, GAMMA, PI, PI_LO
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
 
@@ -223,11 +228,14 @@ def _reduction_slack(th: float, d: float, tol: float) -> float:
 _STOP = 0.25 * EPS
 
 
+_Table = tuple[tuple[tuple[float, float], ...], float, bool, tuple[float, ...], float]
+
+
 @cache
-def _clausen_table(
-    s: int, odd: bool
-) -> tuple[tuple[tuple[float, float], ...], float, bool, tuple[float, ...], float]:
-    """The coefficients of the Clausen kernel for order s and one parity.
+def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
+    """The coefficients of the Clausen kernel for order s and one parity,
+    about theta = 0 and, for the infinite kinds, about theta = pi: indexed by
+    whether the centre is pi.
 
     ``bernoulli.zeta_taylor`` gives Li_s(e^{i theta}) = sum_k c_k (i theta)^k
     - ln(-i theta) (i theta)^{s-1}/(s-1)!, with real terms at even k and
@@ -238,38 +246,58 @@ def _clausen_table(
     otherwise L = 1, the second holds, and c_k vanishes past k = s, so the
     sum is a polynomial.
 
-    Returned: the c_{2j+p} (-1)^j for 2j + p <= s, highest first, for
+    About pi, which only the infinite kinds (s - 1 of parity p) get, the
+    variable is x = pi - theta, and ``bernoulli.eta_taylor`` gives
+    Li_s(-e^{ix}) = sum_k c'_k (ix)^k, with no log term: Cl_s(pi - x) is -Im
+    (sine) or Re (cosine) of it, so the same sum of c'_{2j+p} (-x^2)^j x^p,
+    its sign flipped for the sine, with g = 0 and L = 1.
+
+    Each table: the c_{2j+p} (-1)^j for 2j + p <= s, highest first, for
     Horner's rule in theta^2, each with its magnitude; g; whether
     L = ln theta; and the magnitudes of the tail's c_{2j+p} (-1)^j for
     2j + p > s, which share one sign, with that sign.  The tail runs until its
-    term at theta = pi is below _STOP times the head's theta^p term there, so
-    a sum on (0, pi] stops by its end.  Past TAYLOR_K_MAX a term reads 0: the
-    tail gets there only for s >= 168, where the first term left out is below
-    1e-220 at theta = pi.
+    term at the centre's largest argument (pi, or pi/3 about pi) is below
+    _STOP times the head's theta^p term there, so a sum on that range stops by
+    its end.  Past TAYLOR_K_MAX a term reads 0: the tail gets there only for
+    s >= 168, where the first term left out is below 1e-220 at theta = pi.
     """
     p = 1 if odd else 0
     top = s - (s - p) % 2  # the head's highest k
     if top > TAYLOR_K_MAX:
         # c_top needs top! as a double; no factorial is formed yet
         raise OverflowError(f"Cl_{s}: order too large for double precision")
-    head = [(-1) ** (k // 2) * zeta_taylor(s, k) for k in range(top, p - 1, -2)]
-    log = (s - p) % 2 == 1
-    rot = (-1.0 if log else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
-    g = rot.imag if odd else rot.real
-    tail: list[float] = []
-    if log:
-        last = abs(head[-1]) * PI**p
-        for k in range(s + 1, TAYLOR_K_MAX + 1, 2):
-            tail.append((-1) ** (k // 2) * zeta_taylor(s, k))
-            if abs(tail[-1]) * PI**k < _STOP * last:
-                break
-    sign = math.copysign(1.0, tail[0]) if tail else 1.0
-    return tuple((a, abs(a)) for a in head), g, log, tuple(sign * d for d in tail), sign
+    infinite = (s - p) % 2 == 1
+    rot = (-1.0 if infinite else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
+    # (coefficients, the centre's largest argument, sign, g, L = ln theta)
+    centres = [(zeta_taylor, PI, 1, rot.imag if odd else rot.real, infinite)]
+    if infinite:
+        centres.append((eta_taylor, PI / 3.0, -1 if odd else 1, 0.0, False))
+    tables = []
+    for coeff, widest, turn, g, log in centres:
+        head = [turn * (-1) ** (k // 2) * coeff(s, k) for k in range(top, p - 1, -2)]
+        tail: list[float] = []
+        if infinite:
+            last = abs(head[-1]) * widest**p
+            for k in range(s + 1, TAYLOR_K_MAX + 1, 2):
+                tail.append(turn * (-1) ** (k // 2) * coeff(s, k))
+                if abs(tail[-1]) * widest**k < _STOP * last:
+                    break
+        sign = math.copysign(1.0, tail[0]) if tail else 1.0
+        head_pairs = tuple((a, abs(a)) for a in head)
+        tables.append((head_pairs, g, log, tuple(sign * d for d in tail), sign))
+    return tuple(tables)
+
+
+# the kernel expands an infinite kind about pi past this |theta|, where the
+# ratio (theta/2 pi)^2 of its terms about 0 reaches that of the terms about pi,
+# ((pi - theta)/pi)^2: 1/9
+_SWITCH = 2.0 * PI / 3.0
 
 
 def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -> EvalResult:
     """Im (odd) or Re (not odd) of Li_s(e^{i theta}) for integer s >= 2, from
-    the expansion about theta = 0 that ``_clausen_table`` describes.
+    the expansion about theta = 0, or about theta = pi for the infinite kinds
+    at |theta| > 2 pi/3, that ``_clausen_table`` describes.
 
     The head, up to theta^s, is summed by Horner's rule in theta^2.  The tail
     is summed in one pass that stops at its first term below _STOP times the
@@ -288,7 +316,15 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     if th == 0.0:
         v = zeta_int(s)
         return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, method)
-    head, g, log, tail, sign = _clausen_table(s, odd)
+    minus = th > _SWITCH and (s % 2 == 0) == odd
+    if minus:
+        # pi - th = (PI - th) + (pi - PI), the first difference exact; x takes
+        # one rounding, and PI_LO is within 0.46 EPS x of pi - PI.  The slope
+        # of Cl_s is a Clausen value of order s - 1, at most pi^2/6 here, so
+        # x's error moves the value by at most 2 EPS x
+        th = (PI - th) + PI_LO
+        slack += 2.0 * EPS * th
+    head, g, log, tail, sign = _clausen_table(s, odd)[minus]
     x2 = th * th
     acc = mag = 0.0
     for a, b in head:
@@ -316,21 +352,22 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
         pw *= x2
     mag += rest
     # Truncation: past k = s, |c_{k+2}| theta^2 <= |c_k| (theta/2 pi)^2 =
-    # |c_k| r2, so the terms left out sum to at most t r2/(1 - r2).
+    # |c_k| r2, or |c'_{k+2}| x^2 <= |c'_k| (x/pi)^2 about pi, so the terms
+    # left out sum to at most t r2/(1 - r2).
     # Roundoff: a head term of power k takes at most 1.5k + 1 roundings from
     # Horner's steps and the rounded theta^2, and its coefficient up to
     # (0.18 (s - k) + 2) EPS from zeta(s - k), whose pi^(s-k) carries that;
-    # the g and tail terms, a few powers and products, take fewer.  All stay
-    # below (s + 4) EPS of the sum of |terms|, which near pi is several times
-    # |value|, as the terms cancel there.
-    r2 = x2 / (4.0 * PI * PI)
+    # the g and tail terms, a few powers and products, take fewer, and a c'_k
+    # one more.  All stay below (s + 4) EPS of the sum of |terms|, which near
+    # pi is several times |value| about 0, as the terms cancel there.
+    r2 = x2 / (PI * PI if minus else 4.0 * PI * PI)
     err = t * r2 / (1.0 - r2) + (s + 4) * EPS * mag + slack
     if err > tol:
         raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
     v = acc + sign * rest
     # effort: the head's terms, the g term unless it shares theta^{s-1} with
-    # the folded c_{s-1}, and the tail's
-    return EvalResult(-v if flip else v, err, len(head) + (not log) + m, method)
+    # the folded c_{s-1} or is 0 (about pi), and the tail's
+    return EvalResult(-v if flip else v, err, len(head) + (not (log or minus)) + m, method)
 
 
 def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:

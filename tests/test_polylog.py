@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import time
 
 import pytest
 
+from tetralog.bernoulli import TAYLOR_K_MAX, eta_taylor
+from tetralog.constants import EPS
 from tetralog.errors import DomainError
-from tetralog.polylog import polylog_complex
+from tetralog.polylog import _li_log_expansion, polylog_complex
 
 ZETA2 = math.pi**2 / 6.0
 ZETA3 = 1.2020569031595942853997381615114
@@ -101,6 +104,69 @@ class TestOrderLimit:
     def test_series_needs_no_factorial(self):
         r = polylog_complex(200, 0.3)
         assert (r.value, r.err_bound.hex(), r.method) == (0.3, "0x1.1249249249249p-51", "series")
+
+    @pytest.mark.parametrize("s", [171, 200])
+    @pytest.mark.parametrize("z", [2.0, -2.0, 2.0j, -2.5j, 3.0])
+    def test_orders_without_a_table_keep_the_inversion_from_two(self, s, z):
+        # Li_s(z) = z + z^2/2^s + ...: the terms past z^2 are below 1e-100
+        r = polylog_complex(s, z, tol=1e-10)
+        assert r.method == "inversion"
+        assert abs(r.value - (z + z * z / 2**s)) <= r.err_bound
+        if abs(z) > 2.0:
+            return
+        # an ulp inside |z| = 2 is the log expansion's, which has no table here
+        inside = math.nextafter(2.0, 0.0) * (z / 2.0)
+        with pytest.raises(OverflowError, match=f"^Li_{s}: order too large for double precision$"):
+            polylog_complex(s, inside, tol=1e-10)
+
+    @pytest.mark.parametrize("s", [622, 700, 10**4])
+    def test_inversion_order_too_large(self, s):
+        # pi^{2 floor(s/2)} overflows a double from s = 622; the check comes
+        # before the Bernoulli polynomial, whose cost grows with s
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"^Li_{s}: order too large for double precision$"):
+            polylog_complex(s, 3.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_last_inversion_order(self):
+        r = polylog_complex(621, 3.0, tol=1e-11)
+        assert r.method == "inversion"
+        assert abs(r.value - 3.0) <= r.err_bound
+
+
+class TestExpansionAboutMinusOne:
+    """Li_s(-e^v) = sum_k c'_k v^k, c'_k = -eta(s - k)/k!, for Re z < -|z|/2."""
+
+    @pytest.mark.parametrize("s", range(2, 21))
+    def test_coefficients_match_mpmath(self, s):
+        import mpmath
+
+        for k in range(0, s + 30):
+            with mpmath.workdps(40):
+                exact = -mpmath.altzeta(s - k) / mpmath.factorial(k)
+                assert abs(eta_taylor(s, k) - exact) <= 2.5 * EPS * abs(exact), k
+
+    @pytest.mark.parametrize("s", range(2, 21))
+    def test_tail_premise(self, s):
+        # past k = s only k - s odd survives, and |c'_{k+2}| <= |c'_k|/pi^2,
+        # which bounds the truncation by the first term left out
+        for k in range(s + 1, TAYLOR_K_MAX - 1):
+            c, c2 = eta_taylor(s, k), eta_taylor(s, k + 2)
+            if (k - s) % 2 == 0:
+                assert c == 0.0, k
+            else:
+                assert abs(c2) * math.pi**2 <= abs(c) * (1.0 + 1e-12), k
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 7])
+    def test_centres_meet_at_the_switch(self, s):
+        # on Re z = -|z|/2 both expansions converge, their tails by 1/9 a step
+        # at |z| = 1; they agree within their bounds there
+        for r in (0.6, 1.0, 2.0, 3.4):
+            for phi in (2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0):
+                z = cmath.rect(r, phi)
+                a, ea, _ = _li_log_expansion(s, z, False)
+                b, eb, _ = _li_log_expansion(s, z, True)
+                assert abs(a - b) <= ea + eb, (r, phi)
 
 
 class TestValidation:

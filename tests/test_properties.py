@@ -13,10 +13,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tetralog
-from tetralog.constants import PI_DIGITS
-from tetralog.polylog import RHO, _inversion_remainder, polylog_complex
+from tetralog.constants import PI_DIGITS, PI_LO
+from tetralog.polylog import OUTER, RHO, _inversion_remainder, polylog_complex
 from tetralog.result import reduce_angle
-from tetralog.specfun import cl2, clausen_cos, clausen_sin, digamma, hurwitz_zeta, trigamma
+from tetralog.specfun import (
+    cl2,
+    clausen_cos,
+    clausen_sin,
+    digamma,
+    hurwitz_zeta,
+    polygamma,
+    trigamma,
+)
 
 PI = math.pi
 
@@ -175,29 +183,48 @@ def test_digamma_bound_is_honest(x):
     _assert_honest(digamma(x), _psi_oracle(0, x))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.floats(min_value=0.8, max_value=1.25, exclude_min=True, exclude_max=True),
-    st.floats(min_value=-PI, max_value=PI),
-)
-def test_polylog_log_expansion_bound_is_honest(s, r, phi):
-    z = cmath.rect(r, phi)
-    assume(0.8 < abs(z) < 1.25 and z != 1.0)
-    res = polylog_complex(s, z)
-    assert res.method == "log-expansion"
-    exact = _oracle(mpmath.polylog, s, z)
-    if z.real > 1.0 and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
-        # on the cut, +0j takes the limit from above; mpmath's real z, from below
-        exact = exact.conjugate()
-    _assert_honest(res, exact)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), psi_positive)
+def test_polygamma_bound_is_honest(n, x):
+    _assert_honest(polygamma(n, x), _psi_oracle(n, x))
 
 
 def _li_oracle(s, z):
     exact = _oracle(mpmath.polylog, s, z)
     if z.real > 1.0 and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
-        exact = exact.conjugate()  # as in the log-expansion test above
+        # on the cut, +0j takes the limit from above; mpmath's real z, from below
+        exact = exact.conjugate()
     return exact
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# arg z uniform, or within a few ulps of the switch between the expansions
+# about z = 1 and z = -1, Re z = -|z|/2, at arg z = +-2 pi/3
+SWITCH = 2.0 * PI / 3.0
+switch_angles = st.tuples(
+    st.sampled_from([SWITCH, -SWITCH]), st.integers(min_value=-4, max_value=4)
+).map(lambda t: _ulps_from(*t))
+args = st.one_of(st.floats(min_value=-PI, max_value=PI), switch_angles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=math.log(RHO), max_value=math.log(OUTER)).map(math.exp),
+    args,
+)
+@example(4, 1.1, PI)
+def test_polylog_log_expansion_bound_is_honest(s, r, phi):
+    z = cmath.rect(r, phi)
+    assume(RHO < abs(z) < OUTER and z != 1.0)
+    res = polylog_complex(s, z)
+    assert res.method == "log-expansion"
+    _assert_honest(res, _li_oracle(s, z))
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,12 +247,12 @@ def test_polylog_series_bound_is_honest(s, r, phi):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
-    st.floats(min_value=math.log(1.0 / RHO), max_value=math.log(100.0)),
+    st.floats(min_value=math.log(OUTER), max_value=math.log(100.0)),
     st.floats(min_value=-PI, max_value=PI),
 )
 def test_polylog_inversion_bound_is_honest(s, log_r, phi):
     z = cmath.rect(math.exp(log_r), phi)
-    assume(abs(z) * RHO >= 1.0)
+    assume(abs(z) >= OUTER)
     res = polylog_complex(s, z)
     assert res.method == "inversion"
     _assert_honest(res, _li_oracle(s, z))
@@ -252,22 +279,25 @@ def test_inversion_remainder_bound_is_honest(s, log_r, phi):
     assert abs(value - exact) <= err, (value, err, exact)
 
 
-def _ulps_from(x, n):
-    for _ in range(abs(n)):
-        x = math.nextafter(x, math.copysign(math.inf, n))
-    return x
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
-    st.sampled_from([RHO, 1.0 / RHO]),
+    st.sampled_from([RHO, OUTER]),
     st.integers(min_value=-4, max_value=4),
     st.floats(min_value=-PI, max_value=PI),
 )
 def test_polylog_bound_is_honest_at_the_seams(s, seam, ulps, phi):
     z = cmath.rect(_ulps_from(seam, ulps), phi)
     _assert_honest(polylog_complex(s, z), _li_oracle(s, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.booleans(), switch_angles)
+def test_clausen_bound_is_honest_at_the_switch(s, sine, theta):
+    # the infinite kinds switch from the expansion about 0 to the one about pi
+    # at |theta| = 2 pi/3; the finite kinds keep one polynomial
+    fn, ref = (clausen_sin, mpmath.clsin) if sine else (clausen_cos, mpmath.clcos)
+    _assert_honest(fn(s, theta), _clausen_oracle(ref, s, theta))
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,6 +362,11 @@ def test_reduce_angle_is_within_its_bound(theta):
 def test_pi_digits():
     with mpmath.workdps(len(PI_DIGITS) + 10):
         assert mpmath.nstr(mpmath.pi, len(PI_DIGITS) + 5).replace(".", "").startswith(PI_DIGITS)
+
+
+def test_pi_low_part():
+    with mpmath.workdps(50):
+        assert PI_LO == float(mpmath.pi - PI)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,9 @@ Reference values were frozen from independent high-precision evaluations
 bounds.
 """
 
+import cmath
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 
 from tetralog.constants import EPS
 from tetralog.errors import DomainError
+from tetralog.polylog import polylog_complex
 from tetralog.result import PolarPoint, RationalAngle
 from tetralog.specfun import (
     cl2,
@@ -274,6 +277,25 @@ def test_im_li2_polar_bound_near_branch_line(r, ulps, turns):
         assert abs(res.value - _im_li2_polar_oracle(r, theta)) <= res.err_bound
 
 
+def test_im_li2_polar_matches_polylog():
+    # two kernels for Im Li_2(r e^{i theta}): the Clausen decomposition and
+    # polylog_complex, on a seeded grid that crosses r = 1 and |theta| =
+    # 2 pi/3, so that each kernel runs about both of its centres.  Where
+    # r cos(theta) > 1, im_li2_polar takes the branch the tetrahedral chain
+    # uses, which differs from the principal one by -sign(theta) pi ln r.
+    rng = random.Random(20)
+    for i in range(1500):
+        r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        if i % 2:
+            theta = rng.uniform(-PI, PI)
+        else:
+            theta = rng.choice([1.0, -1.0]) * (2.0 * PI / 3.0 + rng.uniform(-0.05, 0.05))
+        a = im_li2_polar(PolarPoint(r, theta))
+        b = polylog_complex(2, cmath.rect(r, theta))
+        jump = -math.copysign(PI * math.log(r), theta) if r * math.cos(theta) > 1.0 else 0.0
+        assert abs(a.value - b.value.imag - jump) <= a.err_bound + b.err_bound, (r, theta)
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda t: clausen_cos(3, t), cl2, lambda t: im_li2_polar(PolarPoint(0.5, t))],
@@ -351,11 +373,16 @@ class TestClausenKernel:
          (clausen_sin, 8, 4)],
     )
     def test_effort_of_an_infinite_sum(self, fn, s, head):
-        # a tiny angle stops at the first tail term; larger ones need more
-        assert fn(s, 1e-8).effort == head + 1
-        efforts = [fn(s, th).effort for th in (1e-8, 0.1, 0.5, 1.0, 2.0, 3.0, PI - 1e-9)]
-        assert efforts == sorted(efforts)
-        assert efforts[-1] > head + 10
+        # an angle by 0 or by pi stops at the first tail term of its expansion;
+        # the effort rises up to 2 pi/3, where the kernel switches from the
+        # expansion about 0 to the one about pi, and falls after it
+        assert fn(s, 1e-8).effort == fn(s, PI - 1e-9).effort == head + 1
+        rising = [fn(s, th).effort for th in (1e-8, 0.1, 0.5, 1.0, 2.0, 2.0 * PI / 3.0)]
+        falling = [fn(s, th).effort for th in (2.0 * PI / 3.0 + 1e-9, 2.2, 2.5, 3.0, PI - 1e-9)]
+        assert rising == sorted(rising)
+        assert falling == sorted(falling, reverse=True)
+        assert rising[-1] >= falling[0]
+        assert rising[-1] > head + 8
 
     def test_cl2_effort_counts_head_and_terms(self):
         assert cl2(1e-8).effort == 2
@@ -368,22 +395,34 @@ class TestClausenKernel:
     @pytest.mark.parametrize("s", range(2, 21))
     @pytest.mark.parametrize("odd", [True, False])
     def test_tail_premises(self, s, odd):
-        from tetralog.bernoulli import zeta_taylor
+        from tetralog.bernoulli import eta_taylor, zeta_taylor
         from tetralog.specfun import _clausen_table
 
-        head, g, log, tail, sign = _clausen_table(s, odd)
-        assert log == ((s % 2 == 0) == odd)
-        assert all(b == abs(a) for a, b in head)
-        if not log:
-            assert tail == ()
-            return
-        # the signed tail c_k (-1)^(k//2), k = s+1, s+3, ..., shares one sign ...
-        signed = [(-1) ** (k // 2) * zeta_taylor(s, k) for k in range(s + 1, s + 2 * len(tail), 2)]
-        assert all(math.copysign(1.0, v) == sign for v in signed)
-        assert list(tail) == [abs(v) for v in signed]
-        # ... and falls at least by (2 pi)^2 a step, which bounds the truncation
-        for lo, hi in zip(tail, tail[1:]):
-            assert hi * (2.0 * PI) ** 2 <= lo * (1.0 + 1e-12)
+        infinite = (s % 2 == 0) == odd
+        tables = _clausen_table(s, odd)
+        # only the infinite kinds have a table about pi
+        assert len(tables) == (2 if infinite else 1)
+        for minus, (head, g, log, tail, sign) in enumerate(tables):
+            # about pi there is no log term, and no g term at all
+            assert log == (infinite and not minus)
+            assert (g == 0.0) == minus
+            assert all(b == abs(a) for a, b in head)
+            if not infinite:
+                assert tail == ()
+                continue
+            # the signed tail c_k (-1)^(k//2), k = s+1, s+3, ..., shares one
+            # sign (about pi, c'_k, negated for the sine kind) ...
+            coeff, turn, radius = (
+                (eta_taylor, -1 if odd else 1, PI) if minus else (zeta_taylor, 1, 2.0 * PI)
+            )
+            ks = range(s + 1, s + 2 * len(tail), 2)
+            signed = [turn * (-1) ** (k // 2) * coeff(s, k) for k in ks]
+            assert all(math.copysign(1.0, v) == sign for v in signed)
+            assert list(tail) == [abs(v) for v in signed]
+            # ... and falls at least by (2 pi)^2 a step, or pi^2 about pi,
+            # which bounds the truncation
+            for lo, hi in zip(tail, tail[1:]):
+                assert hi * radius**2 <= lo * (1.0 + 1e-12)
 
 
 class TestPsiEdges:
