@@ -14,61 +14,51 @@ import math
 
 from .constants import EPS, LN2, PI
 from .errors import DomainError, check_tol
-from .result import EvalResult
+from .result import EvalResult, rounded
 from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
 CHI7 = (0, 1, 1, -1, 1, -1, -1)  # chi_-7(k) for k mod 7
+_PI = rounded(PI)
+_LN2 = rounded(LN2)
 
 
 def l7_series(tol: float = 1e-13) -> EvalResult:
     """Sum chi(k)/k^2 directly over some whole periods, Hurwitz-zeta tail."""
     check_tol(tol)
     J = 8
-    head = math.fsum(CHI7[k % 7] / k**2 for k in range(1, 7 * J + 1))
+    # the 56 quotients, of |sum| < 1.7, round by under 1.7 u in all, and fsum
+    # by u/2 more: an EPS
+    head = EvalResult(math.fsum(CHI7[k % 7] / k**2 for k in range(1, 7 * J + 1)), EPS, 0, "")
     tail = 0.0
-    tail_err = 0.0
     for p in range(1, 7):
-        hz = hurwitz_zeta(2.0, J + p / 7.0, tol=tol / 12.0)
-        tail += CHI7[p] * hz.value / 49.0
-        tail_err += hz.err_bound / 49.0
-    err = tail_err + 8.0 * EPS
-    return EvalResult(head + tail, err, 7 * J + 6, "series+hurwitz-tail")
+        tail = tail + CHI7[p] * hurwitz_zeta(2.0, J + p / 7.0, tol=tol / 12.0) / 49.0
+    v = head + tail
+    return EvalResult(v.value, v.err_bound, 7 * J + 6, "series+hurwitz-tail")
 
 
 def l7_trigamma() -> EvalResult:
     """(1/49)[psi'(1/7) + psi'(2/7) - psi'(3/7) + psi'(4/7) - psi'(5/7) - psi'(6/7)]."""
     total = 0.0
-    err = 0.0
     for p in range(1, 7):
-        t = trigamma(p / 7.0)
-        total += CHI7[p] * t.value / 49.0
-        err += t.err_bound / 49.0
-    return EvalResult(total, err, 6, "trigamma")
+        total = total + CHI7[p] * trigamma(p / 7.0) / 49.0
+    return EvalResult(total.value, total.err_bound, 6, "trigamma")
 
 
 def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     """(1/49) sum_p chi(p) zeta(2, p/7)."""
     check_tol(tol)
     total = 0.0
-    err = 0.0
-    effort = 0
     for p in range(1, 7):
-        hz = hurwitz_zeta(2.0, p / 7.0, tol=tol / 12.0)
-        total += CHI7[p] * hz.value / 49.0
-        err += hz.err_bound / 49.0
-        effort += hz.effort
-    return EvalResult(total, err, effort, "hurwitz-zeta")
+        total = total + CHI7[p] * hurwitz_zeta(2.0, p / 7.0, tol=tol / 12.0) / 49.0
+    return EvalResult(total.value, total.err_bound, total.effort, "hurwitz-zeta")
 
 
 # ---------------------------------------------------------------------------
 # Catalan's constant
 
 
-def _affine(c: float, k: float, r: EvalResult, method: str) -> EvalResult:
-    """c + k * r, with r's bound scaled by |k| plus the rounding of the sum."""
-    v = c + k * r.value
-    err = abs(k) * r.err_bound + 4.0 * EPS * (abs(c) + abs(k * r.value))
-    return EvalResult(v, err, r.effort, method)
+def _route(r: EvalResult, method: str) -> EvalResult:
+    return EvalResult(r.value, r.err_bound, r.effort, method)
 
 
 def catalan_result(method: str) -> EvalResult:
@@ -77,24 +67,23 @@ def catalan_result(method: str) -> EvalResult:
     if method == "eq2.35":
         from .bbp import REGISTRY, closed_form_value
 
-        r = closed_form_value(REGISTRY["eq2.35-sum"])
-        return EvalResult(r.value, r.err_bound, r.effort, method)
+        return _route(closed_form_value(REGISTRY["eq2.35-sum"]), method)
     if method in ("series", "eq1.11", "eq2.25"):
         from .accel import alternating_sum
 
         if method == "series":
             # G = sum (-1)^j / (2j+1)^2
-            s = alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13)
-            return _affine(0.0, 1.0, s, method)
+            return _route(alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13), method)
         if method == "eq1.11":
             # G = (pi/2) ln 2 + sum_{j>=1} (-1)^j H_j/(2j+1)
             s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13)
-            return _affine(PI / 2.0 * LN2, -1.0, s, method)
+            return _route(_PI / 2.0 * _LN2 - s, method)
 
         def term(k: int) -> float:
             return (digamma(k / 2.0 + 0.75).value - digamma(k / 2.0 + 0.25).value) / (2 * k + 1)
 
-        return _affine(-PI / 4.0 * LN2, 0.5, alternating_sum(term, tol=1e-13), method)
+        s = alternating_sum(term, tol=1e-13)
+        return _route(-_PI / 4.0 * _LN2 + 0.5 * s, method)
 
     def eq2_28a(phi: float) -> float:
         # eq2.28a, corrected (the printed form misses the series' odd powers):
@@ -106,20 +95,20 @@ def catalan_result(method: str) -> EvalResult:
     # G = c + k * the integral of f over [lo, hi], singular at sing
     routes = {
         "eq2.22": (lambda u: math.log(1.0 + u) / ((1.0 + u) * math.sqrt(u)),
-                   0.0, 1.0, (0.0,), PI / 2.0 * LN2, -0.5),
+                   0.0, 1.0, (0.0,), _PI / 2.0 * _LN2, -0.5),
         "eq2.27": (lambda u: math.atanh(1.0 / u) / (1.0 + u * u), 1.0, math.inf, (1.0,), 0.0, 2.0),
         "eq2.28a": (eq2_28a, 0.0, PI / 2.0, (0.0,), 0.0, -1.0),
         "eq2.28c": (lambda y: math.asin(y / math.sqrt(2.0)) / ((y + 1.0) * math.sqrt(2.0 - y * y)),
-                    0.0, 1.0, (), PI / 4.0 * LN2, 2.0),
+                    0.0, 1.0, (), _PI / 4.0 * _LN2, 2.0),
         "eq2.33": (lambda t: math.log(1.0 - t * t) / (1.0 + t * t),
-                   0.0, 1.0, (1.0,), PI / 4.0 * LN2, -1.0),
+                   0.0, 1.0, (1.0,), _PI / 4.0 * _LN2, -1.0),
     }
     if method not in routes:
         raise DomainError(f"unknown Catalan route {method!r}")
     from .quad import QuadProblem, integrate
 
     f, lo, hi, sing, c, k = routes[method]
-    return _affine(c, k, integrate(QuadProblem(f, lo, hi, sing, 1e-11)), method)
+    return _route(c + k * integrate(QuadProblem(f, lo, hi, sing, 1e-11)), method)
 
 
 def catalan_value(method: str) -> float:

@@ -11,7 +11,6 @@ the two-parameter family I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1).
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -19,8 +18,15 @@ from .constants import EPS, PI, SQRT7
 from .errors import DomainError, QuadratureError, check_tol
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
-from .result import Angle, EvalResult, reduce_angle
-from .specfun import _clausen_triple, _reduction_slack, cl2, incomplete_gamma_upper_int
+from .result import Angle, EvalResult, asin, atan, exact, log, rounded, sqrt
+from .specfun import cl2, incomplete_gamma_upper_int
+
+_PI = rounded(PI)
+_SQRT7 = rounded(SQRT7)
+# t* = atan sqrt 7, theta_plus = atan(sqrt 7/3) and omega_plus = t* - 2 pi/3, as balls
+_T_STAR = atan(_SQRT7)
+_THETA = atan(_SQRT7 / 3.0)
+_OMEGA = _T_STAR - 2.0 * _PI / 3.0
 
 
 class Paper7Constants(
@@ -43,36 +49,31 @@ class Paper7Constants(
 
 CONSTANTS = Paper7Constants(
     r73=(5.0 + math.sqrt(21.0)) / 2.0,
-    theta_plus=Angle(math.atan(SQRT7 / 3.0)),
-    theta_minus=Angle(-math.atan(SQRT7 / 3.0)),
-    omega_plus=Angle(math.atan(SQRT7) - 2.0 * PI / 3.0),
-    omega_minus=Angle(2.0 * PI / 3.0 - math.atan(SQRT7)),
+    theta_plus=Angle(_THETA.value),
+    theta_minus=Angle(-_THETA.value),
+    omega_plus=Angle(_OMEGA.value),
+    omega_minus=Angle(-_OMEGA.value),
     v_plus=complex(3.0, SQRT7) / 4.0,
     v_minus=complex(3.0, -SQRT7) / 4.0,
-    theta7=Angle(2.0 * math.atan(SQRT7)),
+    theta7=Angle(2.0 * _T_STAR.value),
 )
 
-_I7_SCALE = 24.0 / (7.0 * SQRT7)
+_I7_SCALE = 24.0 / (7.0 * _SQRT7)
 
 # I(n) = integral_{pi/3}^{pi/2} ln^n|(tan t + sqrt 7)/(tan t - sqrt 7)| dt is
 # singular only at t* = atan sqrt 7.  In the distance x = t - t* the ratio is
 # sin(2 t* + x)/sin x = (sqrt 7 - 3 tan x)/(4 tan x), as sin 2t* = sqrt 7/4 and
 # cos 2t* = -3/4: t* leaves the integrand, whose singularity x = 0 doubles
-# hold exactly, and moves only the limits.  Each limit is an exact difference
-# (Sterbenz), so it carries the roundings of t* (SQRT7's half ulp through
-# atan's slope 1/8, and an ulp of atan: 1.2 EPS) and of PI/3 (0.7 EPS) or
-# PI/2 (0.3 EPS).
-_T_STAR = math.atan(SQRT7)
-_LOWER = (PI / 3.0 - _T_STAR, 1.9 * EPS)
-_UPPER = (PI / 2.0 - _T_STAR, 1.5 * EPS)
-_AT_SINGULARITY = (0.0, 0.0)
+# hold exactly, and moves only the limits: balls that carry the roundings of
+# t* and of PI/3 or PI/2.
+_LOWER = _PI / 3.0 - _T_STAR
+_UPPER = _PI / 2.0 - _T_STAR
+_AT_SINGULARITY = exact(0.0)
 
 
-def _integral_x(
-    n: int, lower: tuple[float, float], upper: tuple[float, float], tol: float
-) -> EvalResult:
+def _integral_x(n: int, lower: EvalResult, upper: EvalResult, tol: float) -> EvalResult:
     """The integral of ln^n|(sqrt 7 - 3 tan x)/(4 tan x)| between two of the
-    limits above, each given with what its rounding moves it by.
+    limits above.
 
     The bound adds to ``integrate``'s what those moves shift the value by,
     and what SQRT7's rounding in the integrand does: with sqrt 7 - 3 tan x
@@ -87,27 +88,21 @@ def _integral_x(
         u = math.tan(x)
         return math.log(abs((SQRT7 - 3.0 * u) / (4.0 * u))) ** n
 
-    a, b = lower[0], upper[0]
+    a, b = lower.value, upper.value
     r = integrate(QuadProblem(f, a, b, (0.0,), tol))
-    err = r.err_bound + sum(d * abs(f(x)) for x, d in (lower, upper) if d)
+    err = r.err_bound + sum(x.err_bound * abs(f(x.value)) for x in (lower, upper) if x.err_bound)
     if n:
         width = b - a
         err += n * EPS * width * ((abs(r.value) + r.err_bound) / width) ** (1.0 - 1.0 / n)
     return EvalResult(r.value, err, r.effort, r.method)
 
 
-def _as_i7(value: float, err: float, effort: int, method: str) -> EvalResult:
-    """I7 from I(1) = value +- err.  _I7_SCALE is within 1.5 EPS of 24/(7 sqrt 7),
-    and the product (with a sum before it in i7_closed_form) rounds once more."""
-    v = _I7_SCALE * value
-    return EvalResult(v, _I7_SCALE * err + 2.5 * EPS * abs(v), effort, method)
-
-
 def integral_I7(tol: float = 1e-10) -> EvalResult:
     """The scaled integral I7 = (24 / 7 sqrt 7) I(1) by quadrature."""
     check_tol(tol)  # before scaling, so that an error names the caller's tol
-    r = integral_In(1, tol / _I7_SCALE)
-    return _as_i7(r.value, r.err_bound, r.effort, r.method)
+    r = integral_In(1, tol / _I7_SCALE.value)
+    i7 = _I7_SCALE * r
+    return EvalResult(i7.value, i7.err_bound, r.effort, r.method)
 
 
 def integral_In(n: int, tol: float = 1e-10) -> EvalResult:
@@ -155,36 +150,26 @@ def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
             tol,
         )
     )
-    half = SQRT7 / 2.0
-    return EvalResult(
-        half * (p1.value + p2.value),
-        half * (p1.err_bound + p2.err_bound),
-        p1.effort + p2.effort,
-        "v-form quadrature",
-    )
+    v = _SQRT7 / 2.0 * (p1 + p2)
+    return EvalResult(v.value, v.err_bound, v.effort, "v-form quadrature")
 
 
 def i2_closed_form() -> EvalResult:
     """I2(1) = -Cl_2(pi + theta_plus)."""
-    arg = PI + CONSTANTS.theta_plus.raw
-    c = cl2(arg)
-    # theta_plus is within 2 EPS of its value, PI 0.6 EPS short of pi, and
-    # the sum rounds by an EPS
-    slack = _reduction_slack(reduce_angle(arg)[0], 4.0 * EPS, math.inf)
-    return EvalResult(-c.value, c.err_bound + slack, c.effort, c.method)
+    return -cl2(_PI + _THETA)
+
+
+def _clausen_form(scale: float | EvalResult, x, y, z, method: str) -> EvalResult:
+    """scale (Cl_2(x) - Cl_2(y) + Cl_2(z)).  The closed forms take no tol, so
+    their Clausen values take one that no bound reaches."""
+    v = scale * (cl2(x, 1e300) - cl2(y, 1e300) + cl2(z, 1e300))
+    return EvalResult(v.value, v.err_bound, v.effort, method)
 
 
 def i1_clausen_form() -> EvalResult:
     """I1(1) = (1/2)[Cl_2(2 omega_plus) - Cl_2(2 omega_plus + 2 theta_plus) + Cl_2(2 theta_plus)]."""
-    w = CONSTANTS.omega_plus.raw
-    t = CONSTANTS.theta_plus.raw
-    # w = atan(SQRT7) - 2 PI/3 and t = atan(SQRT7/3) are within 4 EPS and 2 EPS
-    # of omega_plus and theta_plus
-    arg = 2.0 * w + 2.0 * t
-    v, err, effort = _clausen_triple(
-        (2.0 * w, 8.0 * EPS), (arg, (12.0 + 0.5 * abs(arg)) * EPS), (2.0 * t, 4.0 * EPS)
-    )
-    return EvalResult(0.5 * v, 0.5 * err, effort, "clausen")
+    w, t = 2.0 * _OMEGA, 2.0 * _THETA
+    return _clausen_form(0.5, w, w + t, t, "clausen")
 
 
 def i7_closed_form() -> EvalResult:
@@ -193,10 +178,8 @@ def i7_closed_form() -> EvalResult:
     By Cl_2's duplication formula the sum is the paper's Cl_2(theta_plus)
     + (1/2)[Cl_2(2 omega_plus) - Cl_2(2 omega_plus + 2 theta_plus)].
     """
-    i1, i2 = i1_clausen_form(), i2_closed_form()
-    return _as_i7(
-        i1.value + i2.value, i1.err_bound + i2.err_bound, i1.effort + i2.effort, "clausen"
-    )
+    v = _I7_SCALE * (i1_clausen_form() + i2_closed_form())
+    return EvalResult(v.value, v.err_bound, v.effort, "clausen")
 
 
 def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
@@ -208,36 +191,36 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
     remainders P_s(Z-) - P_s(Z+), and D the branch-resolved logarithm
     D = ln(1 - v_plus/r73) - ln(1 - v_minus/r73).
     The assembled value is real up to rounding; the imaginary residue is
-    asserted below 1e-10 and discarded.
+    asserted below 1e-10 and discarded.  The bound covers the arithmetic from
+    the doubles r73 and v_pm on, not what their own rounding moves I1(n) by.
     """
     if n not in (1, 2):
         raise DomainError("i1_polylog_form supports n in {1, 2}")
     check_tol(tol)
     r73 = CONSTANTS.r73
+    vp, vm = exact(CONSTANTS.v_plus), exact(CONSTANTS.v_minus)
     zp = r73 / CONSTANTS.v_minus
     zm = r73 / CONSTANTS.v_plus
-    lam = -math.log(r73)
+    lam = -log(r73)
     acc = 0.0j
-    err = 0.0
-    effort = 0
+    lam_j = 1.0  # lam^j
     for j in range(n):
         s = n + 1 - j
         lp = polylog_complex(s, zp, tol=1e-13)
         lm = polylog_complex(s, zm, tol=1e-13)
-        pm, pm_err, pm_n = _inversion_remainder(s, zm)
-        pp, pp_err, pp_n = _inversion_remainder(s, zp)
-        coeff = math.factorial(n) / math.factorial(j) * lam**j
-        acc += coeff * (lp.value - lm.value + pm - pp)
-        err += abs(coeff) * (lp.err_bound + lm.err_bound + pm_err + pp_err)
-        effort += lp.effort + lm.effort + pm_n + pp_n
-    dlog = cmath.log(1.0 - CONSTANTS.v_plus / r73) - cmath.log(1.0 - CONSTANTS.v_minus / r73)
-    acc += lam**n * dlog
-    total = (-1.0) ** n * 0.5j * acc
-    if abs(total.imag) > 1e-10:
-        raise QuadratureError(f"i1_polylog_form imaginary residue {total.imag:g} too large")
-    if err > tol:
-        raise QuadratureError(f"i1_polylog_form error bound {err:g} exceeds tol {tol:g}")
-    return EvalResult(total.real, err, effort, "polylog")
+        pm = EvalResult(*_inversion_remainder(s, zm), "")
+        pp = EvalResult(*_inversion_remainder(s, zp), "")
+        acc = acc + math.factorial(n) / math.factorial(j) * lam_j * (lp - lm + pm - pp)
+        lam_j = lam_j * lam
+    dlog = log(1.0 - vp / r73) - log(1.0 - vm / r73)
+    total = (-1.0) ** n * 0.5j * (acc + lam_j * dlog)
+    if abs(total.value.imag) > 1e-10:
+        raise QuadratureError(f"i1_polylog_form imaginary residue {total.value.imag:g} too large")
+    if total.err_bound > tol:
+        raise QuadratureError(
+            f"i1_polylog_form error bound {total.err_bound:g} exceeds tol {tol:g}"
+        )
+    return EvalResult(total.value.real, total.err_bound, total.effort, "polylog")
 
 
 def i1_series_truncated(n: int, terms: int = 60) -> float:
@@ -288,55 +271,32 @@ def i_ab_closed_omega(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through the angles theta_plus(b), omega_plus(a, b)."""
     if not a >= 0.0 or not abs(b) < 1.0:
         raise DomainError("i_ab_closed_omega requires a >= 0 and |b| < 1")
-    root = math.sqrt((1.0 - b) * (1.0 + b))
-    theta = -math.atan(root / b) if b != 0.0 else -PI / 2.0
-    omega = math.atan(root / (a + b)) if a + b != 0.0 else PI / 2.0
-    # root is within EPS of itself, root/b within 1.5 EPS and root/(a + b)
-    # within 2 EPS; a relative error e in q moves atan(q) by e q/(1 + q^2) =
-    # e sin(2t)/2, and atan adds an ulp of t
-    d_theta = EPS * (0.75 * abs(math.sin(2.0 * theta)) + abs(theta))
-    d_omega = EPS * (abs(math.sin(2.0 * omega)) + abs(omega))
-    arg = 2.0 * omega + 2.0 * theta
-    cl, err, effort = _clausen_triple(
-        (2.0 * omega, 2.0 * d_omega),
-        (arg, 2.0 * (d_omega + d_theta) + 0.5 * EPS * abs(arg)),
-        (2.0 * theta, 2.0 * d_theta),
+    bb = exact(b)
+    root = sqrt((1.0 - bb) * (1.0 + bb))
+    theta = -atan(root / b) if b != 0.0 else -_PI / 2.0
+    omega = atan(root / (a + bb)) if a + b != 0.0 else _PI / 2.0
+    return _clausen_form(
+        0.5 / root, 2.0 * omega, 2.0 * omega + 2.0 * theta, 2.0 * theta, "clausen-omega"
     )
-    scale = 0.5 / root
-    v = scale * cl
-    # root, the division and the product put 2 EPS of v on it
-    return EvalResult(v, scale * err + 2.0 * EPS * abs(v), effort, "clausen-omega")
 
 
 def i_ab_closed_theta12(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through theta_1 = asin(b) and theta_2(a, b)."""
     if not a >= 0.0 or not abs(b) < 1.0:
         raise DomainError("i_ab_closed_theta12 requires a >= 0 and |b| < 1")
-    root = math.sqrt((1.0 - b) * (1.0 + b))
-    t1 = math.asin(b)
-    d1 = EPS * abs(t1)
+    bb = exact(b)
+    root = sqrt((1.0 - bb) * (1.0 + bb))
+    t1 = asin(b)
     if a > 0.0:
-        n = 1.0 / a + b
-        t2 = math.atan(n / root)
-        # unless a is a power of two, 1/a's rounding moves n by EPS/2a, which
-        # reaches t2 through the slope 1/(1 + q^2) = root^2/(root^2 + n^2) times 1/root
-        exact = math.frexp(a)[0] == 0.5
-        d2 = 0.0 if exact else 0.5 * EPS * root / (a * (root * root + n * n))
+        # 1/a is exact at a power of two, where a charge for its rounding would
+        # dominate the bound next to b = -1
+        recip = 1.0 / a if math.frexp(a)[0] == 0.5 else 1.0 / exact(a)
+        t2 = atan((recip + bb) / root)
     else:
-        t2, d2 = PI / 2.0, 0.0
-    # the sum, root and the quotient leave q = n/root within 2 EPS of itself,
-    # which moves t2 by EPS sin(2 t2), as in i_ab_closed_omega; atan adds an ulp
-    d2 += EPS * (abs(math.sin(2.0 * t2)) + abs(t2))
-    x, y, z = 2.0 * t2 - 2.0 * t1, PI - 2.0 * t1, PI - 2.0 * t2
-    # PI is 0.56 EPS short of pi
-    cl, err, effort = _clausen_triple(
-        (x, 2.0 * (d2 + d1) + 0.5 * EPS * abs(x)),
-        (y, (0.6 + 0.5 * abs(y)) * EPS + 2.0 * d1),
-        (z, (0.6 + 0.5 * abs(z)) * EPS + 2.0 * d2),
+        t2 = _PI / 2.0
+    return _clausen_form(
+        0.5 / root, 2.0 * t2 - 2.0 * t1, _PI - 2.0 * t1, _PI - 2.0 * t2, "clausen-theta12"
     )
-    scale = 0.5 / root
-    v = scale * cl
-    return EvalResult(v, scale * err + 2.0 * EPS * abs(v), effort, "clausen-theta12")
 
 
 def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, float]:

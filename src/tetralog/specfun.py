@@ -7,10 +7,9 @@ evaluations are pure double precision; every routine that iterates reports an
 error bound and raises on non-convergence.
 
 Every Clausen value, ``cl2`` included, comes from one kernel: the real or
-imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0, or,
-for the infinite kinds (sine at even s, cosine at odd s) at |theta| >
-2 pi/3, of Li_s(-e^{ix}) about x = pi - |theta| = 0, where the terms of both
-fall by at most 1/9 a step.  A table cached per order, parity and centre
+imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0, or, at
+|theta| > 2 pi/3, of Li_s(-e^{ix}) about x = pi - |theta| = 0, where the
+terms of both fall by at most 1/9 a step.  A table cached per order, parity and centre
 holds its coefficients with the sign of (-theta^2)^j folded in,
 H_{s-1}/(s-1)! in the theta^{s-1} term, and the coefficient of theta^{s-1}
 ln theta (or of theta^{s-1}, for the polynomial kinds); about pi, the
@@ -31,7 +30,11 @@ from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, eta_taylor, ze
 from .bernoulli import zeta_taylor
 from .constants import EPS, GAMMA, PI, PI_LO
 from .errors import ConvergenceError, DomainError, check_tol
-from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle
+from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle, rounded
+from .result import log as ball_log
+from .result import sin as ball_sin
+
+_PI = rounded(PI)
 
 # ---------------------------------------------------------------------------
 # digamma / trigamma / polygamma
@@ -148,9 +151,10 @@ def polygamma(n: int, x: float) -> EvalResult:
     except OverflowError:
         raise OverflowError(f"polygamma({n}, {x}) overflows double precision") from None
     hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * max(1.0, scale))
-    sign = -1.0 if n % 2 == 0 else 1.0
-    fac = math.factorial(n)
-    return EvalResult(sign * fac * hz.value, fac * hz.err_bound, hz.effort, "hurwitz-zeta")
+    v = hz * math.factorial(n)
+    if n % 2 == 0:
+        v = -v
+    return EvalResult(v.value, v.err_bound, hz.effort, "hurwitz-zeta")
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +217,14 @@ def _reduction_slack(th: float, d: float, tol: float) -> float:
     or -ln|2 sin(t/2)|, which stays below ln(pi/(2|t|)) for 0 < |t| <= pi/4.
     """
     m = abs(th) - d
+    # the logarithms of quotients are taken as differences, which a tiny m or
+    # d (a ball's radius may be subnormal) cannot overflow
     if m > 0.0:
-        slack = d * max(1.65, math.log(PI / (2.0 * m)))
+        slack = d * max(1.65, math.log(0.5 * PI) - math.log(m))
     else:
         # the interval reaches 0: integrate 1.65 + ln(pi/(2|t|)) over the
         # worst stretch of length d, the one centred on 0
-        slack = d * (2.65 + math.log(PI / d))
+        slack = d * (2.65 + math.log(PI) - math.log(d))
     if slack > tol:
         raise ConvergenceError(f"angle reduction error {slack:g} exceeds tol {tol:g}")
     return slack
@@ -234,8 +240,7 @@ _Table = tuple[tuple[tuple[float, float], ...], float, bool, tuple[float, ...], 
 @cache
 def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     """The coefficients of the Clausen kernel for order s and one parity,
-    about theta = 0 and, for the infinite kinds, about theta = pi: indexed by
-    whether the centre is pi.
+    about theta = 0 and about theta = pi: indexed by whether the centre is pi.
 
     ``bernoulli.zeta_taylor`` gives Li_s(e^{i theta}) = sum_k c_k (i theta)^k
     - ln(-i theta) (i theta)^{s-1}/(s-1)!, with real terms at even k and
@@ -246,11 +251,12 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     otherwise L = 1, the second holds, and c_k vanishes past k = s, so the
     sum is a polynomial.
 
-    About pi, which only the infinite kinds (s - 1 of parity p) get, the
-    variable is x = pi - theta, and ``bernoulli.eta_taylor`` gives
-    Li_s(-e^{ix}) = sum_k c'_k (ix)^k, with no log term: Cl_s(pi - x) is -Im
-    (sine) or Re (cosine) of it, so the same sum of c'_{2j+p} (-x^2)^j x^p,
-    its sign flipped for the sine, with g = 0 and L = 1.
+    About pi the variable is x = pi - theta, and ``bernoulli.eta_taylor``
+    gives Li_s(-e^{ix}) = sum_k c'_k (ix)^k, with no log term: Cl_s(pi - x) is
+    -Im (sine) or Re (cosine) of it, so the same sum of c'_{2j+p} (-x^2)^j x^p,
+    its sign flipped for the sine, with g = 0 and L = 1.  Past k = s only odd
+    k - s survive there too, so for the finite kinds it is also a polynomial
+    of degree s.
 
     Each table: the c_{2j+p} (-1)^j for 2j + p <= s, highest first, for
     Horner's rule in theta^2, each with its magnitude; g; whether
@@ -269,9 +275,8 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     infinite = (s - p) % 2 == 1
     rot = (-1.0 if infinite else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
     # (coefficients, the centre's largest argument, sign, g, L = ln theta)
-    centres = [(zeta_taylor, PI, 1, rot.imag if odd else rot.real, infinite)]
-    if infinite:
-        centres.append((eta_taylor, PI / 3.0, -1 if odd else 1, 0.0, False))
+    centres = ((zeta_taylor, PI, 1, rot.imag if odd else rot.real, infinite),
+               (eta_taylor, PI / 3.0, -1 if odd else 1, 0.0, False))
     tables = []
     for coeff, widest, turn, g, log in centres:
         head = [turn * (-1) ** (k // 2) * coeff(s, k) for k in range(top, p - 1, -2)]
@@ -288,20 +293,22 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     return tuple(tables)
 
 
-# the kernel expands an infinite kind about pi past this |theta|, where the
-# ratio (theta/2 pi)^2 of its terms about 0 reaches that of the terms about pi,
-# ((pi - theta)/pi)^2: 1/9
+# the kernel expands about pi past this |theta|, where the ratio
+# (theta/2 pi)^2 of an infinite kind's terms about 0 reaches that of its terms
+# about pi, ((pi - theta)/pi)^2: 1/9.  A finite kind, a polynomial either way,
+# keeps its digits near pi only about pi.
 _SWITCH = 2.0 * PI / 3.0
 
 
 def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -> EvalResult:
     """Im (odd) or Re (not odd) of Li_s(e^{i theta}) for integer s >= 2, from
-    the expansion about theta = 0, or about theta = pi for the infinite kinds
-    at |theta| > 2 pi/3, that ``_clausen_table`` describes.
+    the expansion about theta = 0, or about theta = pi at |theta| > 2 pi/3,
+    that ``_clausen_table`` describes.  A ball theta adds its radius to the
+    reduction's error.
 
     The head, up to theta^s, is summed by Horner's rule in theta^2.  The tail
     is summed in one pass that stops at its first term below _STOP times the
-    head's sum of |terms|.  Its callers check tol; ``_clausen_triple`` may pass inf.
+    head's sum of |terms|.  Its callers check tol.
     """
     th, d = reduce_angle(theta)
     slack = _reduction_slack(th, d, tol) if d else 0.0
@@ -316,7 +323,7 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     if th == 0.0:
         v = zeta_int(s)
         return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, method)
-    minus = th > _SWITCH and (s % 2 == 0) == odd
+    minus = th > _SWITCH
     if minus:
         # pi - th = (PI - th) + (pi - PI), the first difference exact; x takes
         # one rounding, and PI_LO is within 0.46 EPS x of pi - PI.  The slope
@@ -370,34 +377,17 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     return EvalResult(-v if flip else v, err, len(head) + (not (log or minus)) + m, method)
 
 
-def cl2(theta: Angle | float, tol: float = 1e-13) -> EvalResult:
+def cl2(theta: Angle | EvalResult | float, tol: float = 1e-13) -> EvalResult:
     """Cl_2(theta) = sum sin(n theta)/n^2.
 
     The Clausen kernel at order 2, after reduction to [0, pi]: there its
     series is the Bernoulli-accelerated expansion
     ``theta - theta ln theta + sum_n zeta(2n) theta^(2n+1) / (n (2n+1) (2pi)^2n)``.
+    A ball theta's radius is charged through |Cl_2'(t)| = |ln|2 sin(t/2)||
+    over the ball, as the reduction's error is.
     """
     check_tol(tol)
     return _clausen(2, True, theta, tol, "bernoulli-series")
-
-
-def _clausen_triple(
-    x: tuple[float, float], y: tuple[float, float], z: tuple[float, float], tol: float = math.inf
-) -> tuple[float, float, int]:
-    """Cl_2(x) - Cl_2(y) + Cl_2(z), a bound on its error, and the kernels' effort.
-
-    Each argument comes with a bound on its own absolute error.  The bound adds
-    the three kernels' bounds, the sum's two roundings, and what each
-    argument's error moves its Clausen value by; a kernel bound or a move
-    beyond tol raises.
-    """
-    parts = [_clausen(2, True, t, tol, "bernoulli-series") for t, _ in (x, y, z)]
-    p, q, r = (c.value for c in parts)
-    err = sum(c.err_bound for c in parts) + EPS * (abs(p) + abs(q) + abs(r))
-    for t, dt in (x, y, z):
-        if dt:
-            err += _reduction_slack(reduce_angle(t)[0], dt, tol)
-    return p - q + r, err, sum(c.effort for c in parts)
 
 
 def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
@@ -441,33 +431,24 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
     if q < 3 or q % 2 == 0 or p % 2 != 0:
         raise DomainError("cl2_rational requires p even and q odd with q >= 3")
     check_tol(tol)
-    total = mag = err = 0.0
+    total = 0.0
     for k in range(1, q):
         # each argument is rounded once, which moves psi' by at most EPS of
         # itself since |x psi''(x)| <= 2 psi'(x)
         a, ea = _trigamma((2 * q - k) / (2.0 * q))
         b, eb = _trigamma((q - k) / (2.0 * q))
-        # sin(k p pi / q) = +-sin(m pi / q) with m reduced exactly to [0, q/2],
-        # so the argument is at most pi/2 and its three roundings (PI, the
-        # product, the quotient) move sin by < 2.4 EPS of itself
+        ab = EvalResult(a, ea + EPS * a, 0, "") + EvalResult(b, eb + EPS * b, 0, "")
+        # sin(k p pi / q) = +-sin(m pi / q) with m reduced exactly to [0, q/2]
         m = k * p % (2 * q)
         sign = 1.0
         if m > q:
             m -= q
             sign = -1.0
-        sn = sign * math.sin(min(m, q - m) * PI / q)
-        term = (a + b) * sn
-        total += term
-        mag += abs(term)
-        err += (ea + eb) * abs(sn)
+        total = total + ab * (sign * ball_sin(min(m, q - m) * _PI / q))
     v = -total / (4.0 * q * q)
-    # the arguments, sin, a + b and the product add < 5 EPS of each term;
-    # summing q - 1 terms adds (q - 2) EPS/2 of their magnitudes, and the
-    # division EPS/2 of the value
-    err = (err + (0.5 * q + 5.0) * EPS * mag) / (4.0 * q * q)
-    if err > tol:
-        raise ConvergenceError(f"cl2_rational: error bound {err:g} exceeds tol {tol:g}")
-    return EvalResult(v, err, q - 1, "trigamma-sum")
+    if v.err_bound > tol:
+        raise ConvergenceError(f"cl2_rational: error bound {v.err_bound:g} exceeds tol {tol:g}")
+    return EvalResult(v.value, v.err_bound, q - 1, "trigamma-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +492,10 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     # plus the quotient's and atan's roundings
     m = math.hypot(num, den)
     d_omega = (abs(den) / m) * (d_num / m) + (abs(num) / m) * (d_den / m) + 1.5 * EPS * abs(omega)
-    ln_r = math.log(r)
-    arg = 2.0 * omega + 2.0 * th
-    cl, cl_err, effort = _clausen_triple(
-        (2.0 * omega, 2.0 * d_omega),
-        (arg, 2.0 * d_omega + 0.5 * EPS * abs(arg)),
-        (2.0 * th, 0.0),
-        tol,
-    )
-    wl = omega * ln_r
-    v = wl + 0.5 * cl
-    # the log and the product put 1.5 EPS of wl on it, the sum EPS/2 of v
-    err = 0.5 * cl_err + EPS * (2.0 * abs(wl) + abs(v)) + d_omega * abs(ln_r)
+    w = EvalResult(omega, d_omega, 0, "")
+    cl = cl2(2.0 * w, tol) - cl2(2.0 * w + 2.0 * th, tol) + cl2(2.0 * th, tol)
+    v = w * ball_log(r) + 0.5 * cl
+    err = v.err_bound
     if d:
         # d/dtheta Im Li_2(r e^{i theta}) = -ln|1 - z|, and on the reduction's
         # interval |1 - z| lies in [near, 1 + r]
@@ -535,8 +508,8 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
             err += 2.0 * d * (1.0 + math.log(PI / (2.0 * math.sqrt(r) * d)) + math.log1p(r))
     if r > 1.0 and abs(den) <= d_den + r * d:
         # the denominator may have the other sign, and omega the other branch
-        err += PI * ln_r
-    return EvalResult(v, err, effort, "clausen-decomposition")
+        err += PI * math.log(r)
+    return EvalResult(v.value, err, v.effort, "clausen-decomposition")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .dirichlet import catalan_value
 from .errors import DomainError, UnknownCheckError, check_tol
 from .names import CATALAN_METHODS, TAGS
 from .quad import QuadProblem, integrate
-from .result import RationalAngle
+from .result import PolarPoint, RationalAngle
 from .specfun import (
     cl2,
     cl2_rational,
@@ -32,6 +32,7 @@ from .specfun import (
     digamma,
     harmonic,
     hurwitz_zeta,
+    im_li2_polar,
     trigamma,
 )
 
@@ -509,12 +510,14 @@ def _chk_p2() -> tuple[float, float]:
 
 
 def _chk_c2() -> tuple[float, float]:
+    # 2 sqrt(1 - b^2) I(a, b) = 2 Im Li_2(e^{i theta'}/a) + 2 omega ln a, with
+    # theta' = acos(-b) and omega = atan(sqrt(1 - b^2)/(a + b)): I(a, b) by its
+    # theta_1/theta_2 form, Im Li_2 by the polar Clausen decomposition
     def pair(a: float, b: float) -> tuple[float, float]:
-        scale = 2.0 * math.sqrt(1.0 - b * b)
-        return (
-            integrals.i_ab_closed_omega(a, b).value * scale,
-            integrals.i_ab_closed_theta12(a, b).value * scale,
-        )
+        root = math.sqrt(1.0 - b * b)
+        im = im_li2_polar(PolarPoint(1.0 / a, math.acos(-b))).value
+        lhs = integrals.i_ab_closed_theta12(a, b).value * 2.0 * root
+        return lhs, 2.0 * im + 2.0 * math.atan(root / (a + b)) * math.log(a)
 
     return _worst(pair(a, b) for a, b in _P2_GRID)
 

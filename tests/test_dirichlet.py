@@ -1,5 +1,9 @@
 """Unit tests for the quadratic-character L-value routes."""
 
+from fractions import Fraction
+
+import pytest
+
 from tetralog.dirichlet import CHI7, l7_hurwitz, l7_series, l7_trigamma
 
 L7 = 1.1519254705444910471016923973205
@@ -31,3 +35,13 @@ def test_routes_mutually_consistent():
     c = l7_hurwitz(tol=1e-12).value
     assert abs(a - b) < 1e-12
     assert abs(a - c) < 1e-12
+
+
+# (1/49) sum chi(k) psi'(k/7) in 40-digit mpmath
+L7_40 = Fraction("1.151925470544491047101692397320549964798")
+
+
+@pytest.mark.parametrize("route", [l7_series, l7_trigamma, l7_hurwitz])
+def test_bound_is_honest(route):
+    r = route()
+    assert abs(Fraction(r.value) - L7_40) <= Fraction(r.err_bound) <= 1e-14

@@ -115,10 +115,14 @@ def test_digits_loads_only_extraction():
         ("eval", "cl2", "--theta", "1"),
         ("eval", "li3"),
         ("eval", "catalan", "--method", "eq2.35"),
+        ("eval", "l7", "--route", "trigamma"),
+        ("eval", "catalan", "--method", "series"),
+        ("eval", "i7"),
     ],
 )
 def test_eval_loads_no_fractions(argv):
-    # Bernoulli numbers reach the kernels as integer pairs
+    # Bernoulli numbers reach the kernels as integer pairs, and ball
+    # arithmetic bounds composite values in doubles
     assert not _modules_after(_cli(*argv)) & {"fractions", "decimal"}
 
 

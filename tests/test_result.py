@@ -1,11 +1,21 @@
 """The EvalResult contract: a frozen dataclass of four fields that refuses a
-non-finite value, a negative or non-finite bound and a negative effort."""
+non-finite value, a negative or non-finite bound and a negative effort; and
+its ball arithmetic, whose every result holds the exact result of every
+point of its operands' balls."""
 
+import cmath
 import dataclasses
 import math
+import operator
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tetralog import result
+from tetralog.constants import LN2, PI, SQRT7
 from tetralog.errors import DomainError
 from tetralog.result import EvalResult
 
@@ -101,3 +111,201 @@ def test_copy_and_pickle_round_trip():
     r = EvalResult(complex(1.0, -2.0), 3e-16, 7, "series")
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert twin == r and twin is not r
+
+
+# ---------------------------------------------------------------------------
+# ball arithmetic
+
+_DOUBLES = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+def _radius(draw, magnitude):
+    """0, or magnitude 2^-k, or at least a tiny absolute radius."""
+    k = draw(st.integers(-1, 60))
+    return 0.0 if k < 0 else max(magnitude * 2.0**-k, draw(st.sampled_from([0.0, 5e-324, 1e-300])))
+
+
+@st.composite
+def _real_balls(draw):
+    x = draw(_DOUBLES)
+    return x, _radius(draw, abs(x))
+
+
+@st.composite
+def _complex_balls(draw):
+    z = complex(draw(_DOUBLES), draw(_DOUBLES))
+    return z, _radius(draw, abs(z))
+
+
+def _ball(x, r):
+    return EvalResult(x, r, 1, "m")
+
+
+def _q(z):
+    """An exact point: a Fraction, or a pair of them."""
+    if isinstance(z, tuple):
+        return z
+    if isinstance(z, complex):
+        return Fraction(z.real), Fraction(z.imag)
+    return Fraction(z)
+
+
+def _real_points(x, r):
+    return [Fraction(x) + s * Fraction(r) for s in (-1, 0, 1)]
+
+
+# on the circle |u| = 1, exactly
+_UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+          (Fraction(-4, 5), Fraction(3, 5)), (Fraction(-3, 5), Fraction(-4, 5))]
+
+
+def _complex_points(z, r):
+    c, f = _q(z), Fraction(r)
+    return [c] + [(c[0] + f * u, c[1] + f * v) for u, v in _UNITS]
+
+
+def _points(x, r):
+    return _complex_points(x, r) if isinstance(x, complex) else _real_points(x, r)
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    d = b[0] ** 2 + b[1] ** 2
+    return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+
+_EXACT = {
+    operator.add: (operator.add, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    operator.sub: (operator.sub, lambda a, b: (a[0] - b[0], a[1] - b[1])),
+    operator.mul: (operator.mul, _cmul),
+    operator.truediv: (operator.truediv, _cdiv),
+}
+
+
+def _holds(z, exact):
+    """Whether the ball z holds the exact number (a Fraction or a pair)."""
+    r = Fraction(z.err_bound)
+    if isinstance(exact, tuple):
+        c = _q(complex(z.value))
+        return (exact[0] - c[0]) ** 2 + (exact[1] - c[1]) ** 2 <= r * r
+    return abs(exact - Fraction(z.value)) <= r
+
+
+def _check(op, x, rx, y, ry, is_complex):
+    try:
+        z = op(_ball(x, rx), _ball(y, ry))
+    except (DomainError, OverflowError):
+        # a divisor ball that holds 0, or a result beyond double precision
+        assume(False)
+    assert z.value == op(x, y)  # the same float expression
+    assert z.effort == 2 and z.method == "m"
+    real_op, complex_op = _EXACT[op]
+    for p in _points(x, rx):
+        for q in _points(y, ry):
+            if op is operator.truediv and (q == 0 or q == (0, 0)):
+                continue
+            if is_complex:
+                p2 = p if isinstance(p, tuple) else (p, Fraction(0))
+                q2 = q if isinstance(q, tuple) else (q, Fraction(0))
+                assert _holds(z, complex_op(p2, q2)), (x, rx, y, ry, p, q)
+            else:
+                assert _holds(z, real_op(p, q)), (x, rx, y, ry, p, q)
+
+
+_OPS = st.sampled_from(list(_EXACT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_OPS, _real_balls(), _real_balls())
+def test_real_operations_hold_the_exact_result(op, a, b):
+    _check(op, *a, *b, is_complex=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS, _complex_balls(), st.one_of(_complex_balls(), _real_balls()))
+def test_complex_operations_hold_the_exact_result(op, a, b):
+    _check(op, *a, *b, is_complex=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_real_balls(), st.sampled_from([2, 7.0, -0.5, 10**17 + 1]))
+def test_bare_numbers_enter_exactly(a, n):
+    x, r = a
+    z = _ball(x, r) * n
+    assert z.value == x * n
+    exact = n if isinstance(n, int) else Fraction(n)  # an int beyond 2^53 is charged its rounding
+    assert all(_holds(z, p * exact) for p in _real_points(x, r))
+    assert (n - _ball(x, r)).value == n - x
+    assert (n / _ball(1.0 + abs(x), 0.0)).value == n / (1.0 + abs(x))
+
+
+def test_float_is_the_midpoint():
+    assert float(EvalResult(1.5, 0.25, 3, "m")) == 1.5
+    with pytest.raises(TypeError):
+        float(EvalResult(1j, 0.0, 0, "m"))
+
+
+def test_negation_is_exact():
+    z = -EvalResult(complex(1.5, -2.0), 0.25, 3, "m")
+    assert z == EvalResult(complex(-1.5, 2.0), 0.25, 3, "m")
+
+
+def test_ball_divisor_holding_zero_refused():
+    with pytest.raises(DomainError, match="exclude 0"):
+        EvalResult(1.0, 0.0, 0, "") / EvalResult(1e-3, 1e-3, 0, "")
+
+
+def test_rounded_constants_hold_their_exact_values():
+    with mpmath.workdps(50):
+        for c, exact in ((PI, mpmath.pi), (SQRT7, mpmath.sqrt(7)), (LN2, mpmath.log(2))):
+            b = result.rounded(c)
+            assert abs(mpmath.mpf(b.value) - exact) <= b.err_bound
+
+
+def _fraction_mpf(p):
+    return mpmath.mpf(p.numerator) / p.denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sqrt", "sin", "atan", "asin", "log"]), _real_balls())
+def test_lifted_functions_hold_the_exact_result(name, a):
+    x, r = a
+    lo, hi = {"sqrt": (0.0, math.inf), "asin": (-1.0, 1.0), "log": (0.0, math.inf)}.get(
+        name, (-math.inf, math.inf))
+    if name in ("sqrt", "log"):
+        x = abs(x)
+    elif name == "asin":
+        x = math.fmod(x, 1.0)
+    assume(lo <= x <= hi and not (name == "log" and x == 0.0))
+    try:
+        z = getattr(result, name)(_ball(x, r))
+    except DomainError:
+        assert name == "log" and r >= x * (1.0 - 4e-16)  # the ball reaches 0
+        return
+    assert z.value == getattr(math, name)(x)
+    points = [p for p in _real_points(x, r) if lo <= p <= hi and not (name == "log" and p == 0)]
+    with mpmath.workprec(400):
+        exact = [getattr(mpmath, name)(_fraction_mpf(p)) for p in points]
+    for e in exact:
+        assert abs(mpmath.mpf(z.value) - e) <= z.err_bound, (name, x, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_complex_balls())
+def test_complex_log_holds_the_exact_result(a):
+    z0, r = a
+    assume(z0 != 0 and not (z0.imag == 0.0 and z0.real < 0.0))  # a signed zero picks a side
+    try:
+        z = result.log(_ball(z0, r))
+    except DomainError:
+        return  # the ball holds 0
+    assert z.value == cmath.log(z0)
+    for p in _complex_points(z0, r):
+        if p[0] == 0 and p[1] == 0:
+            continue
+        with mpmath.workprec(400):
+            e = mpmath.log(mpmath.mpc(_fraction_mpf(p[0]), _fraction_mpf(p[1])))
+        assert abs(mpmath.mpc(z.value) - e) <= z.err_bound, (z0, r, p)

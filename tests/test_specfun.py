@@ -358,13 +358,32 @@ class TestClausenKernel:
     @pytest.mark.parametrize(
         ("fn", "s", "effort"),
         # a polynomial: its terms of one parity up to theta^s, and the head's
-        # monomial theta^(s-1)
+        # monomial theta^(s-1), which the expansion about pi has not
         [(clausen_cos, 2, 3), (clausen_sin, 3, 3), (clausen_cos, 4, 4), (clausen_sin, 5, 4),
          (clausen_sin, 7, 5), (clausen_cos, 8, 6)],
     )
     def test_effort_of_a_polynomial(self, fn, s, effort):
-        for th in (1e-8, 0.5, 2.0, 3.1):
+        for th in (1e-8, 0.5, 2.0):
             assert fn(s, th).effort == effort
+        assert fn(s, 3.1).effort == effort - 1
+
+    @pytest.mark.parametrize("s", range(2, 10))
+    def test_finite_kinds_keep_their_digits_near_pi(self, s):
+        # the finite kinds, polynomials whose terms about 0 cancel there, to
+        # O(pi - |theta|) for the sine kind, are summed about pi
+        import mpmath
+
+        fn, oracle = (clausen_sin, mpmath.clsin) if s % 2 else (clausen_cos, mpmath.clcos)
+        near = [math.nextafter(PI, 0.0)]
+        near += [PI - d for d in (0.5, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 1e-15)]
+        for th in near + [-t for t in near]:
+            r = fn(s, th)
+            with mpmath.workdps(40):
+                exact = oracle(s, mpmath.mpf(th))
+                err = float(abs(r.value - exact))
+            assert abs(exact) > 1e-300
+            assert err <= 1e-15 * float(abs(exact)), (s, th)
+            assert err <= r.err_bound, (s, th)
 
     @pytest.mark.parametrize(
         ("fn", "s", "head"),
@@ -400,15 +419,19 @@ class TestClausenKernel:
 
         infinite = (s % 2 == 0) == odd
         tables = _clausen_table(s, odd)
-        # only the infinite kinds have a table about pi
-        assert len(tables) == (2 if infinite else 1)
+        # every kind has a table about 0 and one about pi
+        assert len(tables) == 2
         for minus, (head, g, log, tail, sign) in enumerate(tables):
             # about pi there is no log term, and no g term at all
             assert log == (infinite and not minus)
             assert (g == 0.0) == minus
             assert all(b == abs(a) for a, b in head)
             if not infinite:
+                # a polynomial about either centre: past k = s the terms of
+                # its parity vanish
                 assert tail == ()
+                coeff = eta_taylor if minus else zeta_taylor
+                assert all(coeff(s, k) == 0.0 for k in range(s + 2, s + 12, 2))
                 continue
             # the signed tail c_k (-1)^(k//2), k = s+1, s+3, ..., shares one
             # sign (about pi, c'_k, negated for the sine kind) ...
