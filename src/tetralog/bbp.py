@@ -27,7 +27,7 @@ from .constants import EPS, LN2, PI, ZETA3
 from .errors import ConvergenceError, DomainError, PrecisionError, check_tol
 
 # the functions that build an EvalResult import it themselves, so that digit
-# extraction loads neither ``result`` nor the dataclasses behind it
+# extraction does not load ``result``, the ball arithmetic it does not use
 if TYPE_CHECKING:
     from .result import EvalResult
 

@@ -36,11 +36,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .constants import EPS
 from .errors import DomainError, QuadratureError, check_tol
-from .result import EvalResult
+from .result import EvalResult, _Record
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -110,27 +109,39 @@ def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class QuadProblem:
+class QuadProblem(_Record):
     """An integration request over [lower, upper] (lower finite, upper may be math.inf)."""
 
     integrand: Callable[[float], float]
     lower: float
     upper: float
-    singular_points: tuple[float, ...] = ()
-    tol: float = 1e-10
+    singular_points: tuple[float, ...]
+    tol: float
+    __match_args__ = ("integrand", "lower", "upper", "singular_points", "tol")
 
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
+    def __init__(
+        self,
+        integrand: Callable[[float], float],
+        lower: float,
+        upper: float,
+        singular_points: tuple[float, ...] = (),
+        tol: float = 1e-10,
+    ) -> None:
+        if not lower < upper:
             raise DomainError("QuadProblem needs lower < upper")
-        if self.lower == -math.inf:
+        if lower == -math.inf:
             raise DomainError("QuadProblem needs a finite lower limit")
-        check_tol(self.tol)
-        pts = tuple(sorted(float(x) for x in self.singular_points))
+        check_tol(tol)
+        pts = tuple(sorted(float(x) for x in singular_points))
         for x in pts:
-            if not (self.lower <= x <= self.upper):
-                raise DomainError(f"singular point {x} outside [{self.lower}, {self.upper}]")
-        object.__setattr__(self, "singular_points", pts)
+            if not (lower <= x <= upper):
+                raise DomainError(f"singular point {x} outside [{lower}, {upper}]")
+        fields = self.__dict__
+        fields["integrand"] = integrand
+        fields["lower"] = lower
+        fields["upper"] = upper
+        fields["singular_points"] = pts
+        fields["tol"] = tol
 
 
 class _Budget:

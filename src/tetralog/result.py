@@ -5,14 +5,76 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .constants import EPS, PI, PI_DIGITS
 from .errors import DomainError
 
 
-@dataclass(frozen=True, init=False)
-class EvalResult:
+class _Record:
+    """A frozen value record: what ``@dataclass(frozen=True)`` gives, without
+    importing ``dataclasses`` (and the ``inspect`` behind it) or generating
+    code when a class is defined.
+
+    A subclass names its fields, in order, in ``__match_args__`` and writes
+    them into ``self.__dict__`` in its own ``__init__``.  Records compare,
+    hash and print by that field tuple, and refuse to be changed.  Their
+    ``__dataclass_fields__`` table is built by ``dataclasses.make_dataclass``
+    the first time it is read, so ``dataclasses.fields``, ``replace`` (through
+    ``__init__``, which validates again), ``asdict``, ``astuple`` and
+    ``is_dataclass`` work on them, and load ``dataclasses`` only then.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__dataclass_fields__ = _FieldTable()
+
+    def _key(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = self.__dict__
+        args = ", ".join([f"{name}={fields[name]!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _FieldTable:
+    """A record class's ``__dataclass_fields__``: built on first read, from
+    the class's field names, annotations and ``__init__`` defaults, and then
+    stored on the class in place of this descriptor."""
+
+    def __get__(self, obj, cls) -> dict:
+        import dataclasses
+
+        spec = [(name, cls.__annotations__[name]) for name in cls.__match_args__]
+        defaults = cls.__init__.__defaults__ or ()
+        for i, default in enumerate(defaults, len(spec) - len(defaults)):
+            spec[i] += (dataclasses.field(default=default),)
+        table = dataclasses.make_dataclass(cls.__name__, spec, frozen=True).__dataclass_fields__
+        cls.__dataclass_fields__ = table
+        return table
+
+
+class EvalResult(_Record):
     """A computed value with an estimated absolute error bound.
 
     ``err_bound`` is an estimate of ``|value - exact|``; ``effort`` counts
@@ -24,6 +86,7 @@ class EvalResult:
     err_bound: float
     effort: int
     method: str
+    __match_args__ = ("value", "err_bound", "effort", "method")
 
     def __init__(self, value: float | complex, err_bound: float, effort: int, method: str) -> None:
         # every kernel call builds one, so the checks read the arguments and
@@ -218,11 +281,14 @@ def rounded(x: float) -> EvalResult:
     return EvalResult(x, _half_ulp(x) * _UP, 0, "rounded")
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(_Record):
     """An angle in radians; ``reduce_angle`` reduces it to (-pi, pi]."""
 
     raw: float
+    __match_args__ = ("raw",)
+
+    def __init__(self, raw: float) -> None:
+        self.__dict__["raw"] = raw
 
 
 # 2 pi as _TWO_PI_NUM / 2^_TWO_PI_BITS, within 2^-1129: a double angle has fewer
@@ -232,13 +298,14 @@ _TWO_PI_NUM = (int(PI_DIGITS) << (_TWO_PI_BITS + 1)) // 10 ** (len(PI_DIGITS) - 
 
 
 def reduce_angle(theta: Angle | EvalResult | float) -> tuple[float, float]:
-    """theta reduced modulo 2 pi to (-pi, pi], and a bound on the absolute
-    error of that reduction, plus theta's radius if it is a ball.
+    """theta reduced modulo 2 pi to (-pi, pi], whose doubles are [-PI, PI],
+    and a bound on the absolute error of that reduction, plus theta's radius
+    if it is a ball.
 
-    |theta| <= pi is returned as is, with no error, but -PI as PI.  Beyond, the
-    turn count and the remainder are exact integer arithmetic on the double
-    theta and a 1129-bit 2 pi, so the one rounding is to the result.  A nan or
-    infinite theta raises DomainError.
+    |theta| <= PI is returned as is, with no error.  Beyond, the turn count
+    and the remainder are exact integer arithmetic on the double theta and a
+    1129-bit 2 pi, so the one rounding is to the result.  A nan or infinite
+    theta raises DomainError.
     """
     if isinstance(theta, EvalResult):
         th, d = reduce_angle(theta.value)
@@ -246,8 +313,7 @@ def reduce_angle(theta: Angle | EvalResult | float) -> tuple[float, float]:
     if isinstance(theta, Angle):
         theta = theta.raw
     if abs(theta) <= PI:
-        # -PI and PI, each 1.2e-16 inside pi, are 2.4e-16 apart modulo 2 pi
-        return (theta, 0.0) if theta > -PI else (PI, 2.0 * EPS)
+        return theta, 0.0
     if not math.isfinite(theta):
         raise DomainError(f"an angle of {theta} has no reduction")
     num, den = theta.as_integer_ratio()
@@ -257,9 +323,10 @@ def reduce_angle(theta: Angle | EvalResult | float) -> tuple[float, float]:
     r = (scaled - n * turn) / (den << _TWO_PI_BITS)
     # the rounding to r, and 2^-107 for the truncated 2 pi
     err = EPS * abs(r) + 2.0**-106
-    if not -PI < r <= PI:
+    if abs(r) > PI:
         # the exact remainder can fall between PI (1.2e-16 short of pi) and
-        # pi, or their negatives, 2.4e-16 from PI modulo 2 pi
+        # pi, or their negatives, and round past +-PI: PI is then within
+        # 2.4e-16 of it modulo 2 pi
         r, err = PI, err + 2.0 * EPS
     return r, err
 
@@ -268,40 +335,41 @@ def as_angle(theta: Angle | float) -> Angle:
     return theta if isinstance(theta, Angle) else Angle(float(theta))
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class RationalAngle(_Record):
     """The angle p*pi/q in canonical form (q > 0, gcd(p, q) = 1)."""
 
     p: int
     q: int
+    __match_args__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
+    def __init__(self, p: int, q: int) -> None:
+        if q == 0:
             raise DomainError("RationalAngle needs q != 0")
-        p, q = self.p, self.q
         if q < 0:
             p, q = -p, -q
         g = math.gcd(p, q)
         if g > 1:
             p //= g
             q //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        fields = self.__dict__
+        fields["p"] = p
+        fields["q"] = q
 
     @property
     def radians(self) -> float:
         return self.p * PI / self.q
 
 
-@dataclass(frozen=True)
-class PolarPoint:
+class PolarPoint(_Record):
     """The complex point r * exp(i*theta) with r >= 0."""
 
     r: float
     theta: Angle
+    __match_args__ = ("r", "theta")
 
-    def __post_init__(self) -> None:
-        if not (self.r >= 0.0):
+    def __init__(self, r: float, theta: Angle | float) -> None:
+        if not (r >= 0.0):
             raise DomainError("PolarPoint needs r >= 0")
-        if not isinstance(self.theta, Angle):
-            object.__setattr__(self, "theta", as_angle(self.theta))
+        fields = self.__dict__
+        fields["r"] = r
+        fields["theta"] = as_angle(theta)

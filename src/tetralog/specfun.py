@@ -316,10 +316,8 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     if th < 0.0:
         th = -th
         flip = odd
-    if odd and (th == 0.0 or th == PI):
-        # a sine sum vanishes at 0 and pi; the double PI falls 1.2e-16 short
-        # of pi, where its slope, sum (-1)^n / n^(s-1), is at most ln 2
-        return EvalResult(0.0, slack if th == 0.0 else EPS + slack, 0, method)
+    if odd and th == 0.0:
+        return EvalResult(0.0, slack, 0, method)  # a sine sum vanishes at 0
     if th == 0.0:
         v = zeta_int(s)
         return EvalResult(v, 4.0 * EPS * abs(v) + slack, 0, method)

@@ -11,6 +11,7 @@ Conjectural identities are quarantined: they can only report
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import namedtuple
@@ -412,8 +413,12 @@ def _re_li3_closed() -> float:
     return LN2**3 / 48.0 - 5.0 / 192.0 * PI * PI * LN2 + 35.0 / 64.0 * ZETA3
 
 
+# A side that several checks share (_li3_half, _i1, _i7) is cached, so a
+# process computes it once.  It takes no argument and depends on no state,
+# so each check reads the value it would compute itself.
+@functools.cache
 def _li3_half() -> complex:
-    """Li_3((1 + i)/2) by the polylog kernel."""
+    """Li_3((1 + i)/2) by the polylog kernel (L4b, L4c, eq2.41, li3-binom)."""
     from .polylog import polylog_complex
 
     return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value
@@ -484,8 +489,16 @@ def _chk_li3_binom() -> tuple[float, float]:
 # Proposition 1 / 2 chains
 
 
+@functools.cache
 def _i1() -> float:
+    """I1 by quadrature (P1-3.9trunc, P1-3.10)."""
     return integrals.integral_I1_split(1e-10)[0].value
+
+
+@functools.cache
+def _i7() -> float:
+    """I7 by quadrature (P1, conj-L7)."""
+    return integrals.integral_I7(1e-10).value
 
 
 def _chk_p1_3_11() -> tuple[float, float]:
@@ -601,7 +614,7 @@ _CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], .
     ("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
     ("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
     ("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, lambda: (
-        integrals.integral_I7(1e-10).value, dirichlet.l7_series().value)),
+        _i7(), dirichlet.l7_series().value)),
     ("L4a", "lemma4", "Eq. (2.35)", _CLOSED, lambda: (
         _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value)),
     ("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
@@ -614,8 +627,7 @@ _CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], .
     ("eq2.40", "lemma4", "Eq. (2.40)", _QUAD, _chk_eq2_40),
     ("eq2.41", "lemma4", "Eq. (2.41)", _CHAIN, _chk_eq2_41),
     ("li3-binom", "lemma4", "binomial double sums", _CLOSED, _chk_li3_binom),
-    ("P1", "prop1", "Eq. (1.13)", _CHAIN, lambda: (
-        integrals.integral_I7(1e-10).value, integrals.i7_closed_form().value)),
+    ("P1", "prop1", "Eq. (1.13)", _CHAIN, lambda: (_i7(), integrals.i7_closed_form().value)),
     ("P1-3.3", "prop1", "Eq. (3.3)", _CHAIN, lambda: (
         integrals.integral_In_vform(1, 1e-10).value, integrals.integral_In(1, 1e-10).value)),
     ("P1-3.9trunc", "prop1", "Eq. (3.9), L = 60", 1e-8, lambda: (

@@ -109,6 +109,9 @@ def test_digits_loads_only_extraction():
     assert not loaded & {"dataclasses", "fractions", "decimal", "inspect", "tetralog.result"}
 
 
+_NOT_IN_COLD_COMMANDS = {"fractions", "decimal", "dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -118,17 +121,42 @@ def test_digits_loads_only_extraction():
         ("eval", "l7", "--route", "trigamma"),
         ("eval", "catalan", "--method", "series"),
         ("eval", "i7"),
+        ("eval", "iab", "--a", "0.5", "--b", "-0.6"),
     ],
 )
 def test_eval_loads_no_fractions(argv):
     # Bernoulli numbers reach the kernels as integer pairs, and ball
-    # arithmetic bounds composite values in doubles
-    assert not _modules_after(_cli(*argv)) & {"fractions", "decimal"}
+    # arithmetic bounds composite values in doubles; the value records
+    # (EvalResult, QuadProblem, ...) are not dataclasses
+    assert not _modules_after(_cli(*argv)) & _NOT_IN_COLD_COMMANDS
 
 
 def test_verify_json_loads_no_datetime():
     # the report's timestamp is formatted by time.strftime
-    assert "datetime" not in _modules_after(_cli("verify", "--all", "--format", "json"))
+    loaded = _modules_after(_cli("verify", "--all", "--format", "json"))
+    assert not loaded & {"datetime", *_NOT_IN_COLD_COMMANDS}
+
+
+def test_record_field_tables_are_built_on_demand_and_once():
+    code = (
+        "import sys\n"
+        "from tetralog.quad import QuadProblem\n"
+        "from tetralog.result import Angle, EvalResult, PolarPoint, RationalAngle\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "import dataclasses\n"
+        "built, make = [], dataclasses.make_dataclass\n"
+        "dataclasses.make_dataclass = lambda name, *a, **k: built.append(name) or make(name, *a, **k)\n"
+        "records = [EvalResult(1.0, 0.0, 0, 'm'), Angle(1.0), RationalAngle(1, 2),"
+        " PolarPoint(1.0, 2.0), QuadProblem(abs, 0.0, 1.0)]\n"
+        "for _ in range(3):\n"
+        "    for r in records:\n"
+        "        dataclasses.fields(r), dataclasses.replace(r), dataclasses.asdict(r)\n"
+        "        assert type(r).__dict__['__dataclass_fields__'] is r.__dataclass_fields__\n"
+        "print(*built)"
+    )
+    assert _printed_by(code).split() == [
+        "False", "False", "EvalResult", "Angle", "RationalAngle", "PolarPoint", "QuadProblem"
+    ]
 
 
 def test_import_polylog_builds_no_table():

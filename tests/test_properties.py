@@ -352,7 +352,7 @@ def _far_oracle(fn, s, theta):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_reduce_angle_is_within_its_bound(theta):
     r, err = reduce_angle(theta)
-    assert -PI < r <= PI
+    assert -PI <= r <= PI
     with mpmath.workdps(360):
         d = abs(_reduced_exactly(theta) - r)
         d = min(d, 2 * mpmath.pi - d)

@@ -1,11 +1,15 @@
-"""The EvalResult contract: a frozen dataclass of four fields that refuses a
-non-finite value, a negative or non-finite bound and a negative effort; and
-its ball arithmetic, whose every result holds the exact result of every
-point of its operands' balls."""
+"""The EvalResult contract: a frozen record of four fields that refuses a
+non-finite value, a negative or non-finite bound and a negative effort; the
+dataclass protocol that it and the other value records (Angle,
+RationalAngle, PolarPoint, QuadProblem) answer; and its ball arithmetic,
+whose every result holds the exact result of every point of its operands'
+balls."""
 
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 import operator
 from fractions import Fraction
 
@@ -17,7 +21,8 @@ from hypothesis import strategies as st
 from tetralog import result
 from tetralog.constants import LN2, PI, SQRT7
 from tetralog.errors import DomainError
-from tetralog.result import EvalResult
+from tetralog.quad import QuadProblem
+from tetralog.result import Angle, EvalResult, PolarPoint, RationalAngle
 
 
 def test_positional_and_keyword_construction_agree():
@@ -105,12 +110,90 @@ def test_edge_values_accepted():
 
 
 def test_copy_and_pickle_round_trip():
-    import copy
-    import pickle
-
     r = EvalResult(complex(1.0, -2.0), 3e-16, 7, "series")
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert twin == r and twin is not r
+
+
+# ---------------------------------------------------------------------------
+# the other value records, with the fields and repr they had as dataclasses
+
+_RECORDS = [
+    (Angle(1.25), ("raw",), "Angle(raw=1.25)"),
+    (RationalAngle(-4, -6), ("p", "q"), "RationalAngle(p=2, q=3)"),
+    (PolarPoint(2.0, 0.5), ("r", "theta"), "PolarPoint(r=2.0, theta=Angle(raw=0.5))"),
+    (
+        QuadProblem(abs, 0.0, math.inf, (3, 1.0), 1e-9),
+        ("integrand", "lower", "upper", "singular_points", "tol"),
+        "QuadProblem(integrand=<built-in function abs>, lower=0.0, upper=inf,"
+        " singular_points=(1.0, 3.0), tol=1e-09)",
+    ),
+]
+_by_record = pytest.mark.parametrize(
+    ("record", "names", "text"), _RECORDS, ids=[type(r).__name__ for r, _, _ in _RECORDS]
+)
+
+
+@_by_record
+def test_record_fields_equality_hash_and_repr(record, names, text):
+    cls = type(record)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__match_args__ == names
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(record)
+    twin = cls(*(getattr(record, name) for name in names))
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert record != tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+
+
+def test_quad_problem_field_defaults():
+    fields = dataclasses.fields(QuadProblem)
+    assert [f.default for f in fields[3:]] == [(), 1e-10]
+    assert all(f.default is dataclasses.MISSING for f in fields[:3])
+
+
+@_by_record
+def test_record_is_frozen(record, names, text):
+    for name in (*names, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+@_by_record
+def test_record_copy_and_pickle_round_trip(record, names, text):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin is not record
+        assert repr(twin) == text
+
+
+def test_record_replace_validates_again():
+    q = QuadProblem(abs, 0.0, 4.0, (3.0,))
+    assert dataclasses.replace(q, singular_points=(2, 1.0)).singular_points == (1.0, 2.0)
+    with pytest.raises(DomainError, match="outside"):
+        dataclasses.replace(q, lower=3.5)
+    with pytest.raises(DomainError, match="finite lower limit"):
+        dataclasses.replace(q, lower=-math.inf)
+    assert q.singular_points == (3.0,) and q.lower == 0.0
+    r = RationalAngle(1, 3)
+    assert dataclasses.replace(r, q=-6) == RationalAngle(-1, 6)
+    with pytest.raises(DomainError, match="q != 0"):
+        dataclasses.replace(r, q=0)
+    pt = PolarPoint(1.0, Angle(0.5))
+    assert dataclasses.replace(pt, theta=0.25).theta == Angle(0.25)
+    with pytest.raises(DomainError, match="r >= 0"):
+        dataclasses.replace(pt, r=-1.0)
+    assert dataclasses.replace(Angle(1.0), raw=2.0) == Angle(2.0)
+
+
+def test_record_asdict_and_astuple():
+    pt = PolarPoint(2.0, 0.5)
+    assert dataclasses.asdict(pt) == {"r": 2.0, "theta": {"raw": 0.5}}
+    assert dataclasses.astuple(pt) == (2.0, (0.5,))
+    assert dataclasses.asdict(RationalAngle(-4, -6)) == {"p": 2, "q": 3}
+    assert dataclasses.astuple(QuadProblem(abs, 0.0, 1.0)) == (abs, 0.0, 1.0, (), 1e-10)
 
 
 # ---------------------------------------------------------------------------

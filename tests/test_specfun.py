@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tetralog.constants import EPS
+from tetralog.constants import EPS, LN2, PI_LO
 from tetralog.errors import DomainError
 from tetralog.polylog import polylog_complex
 from tetralog.result import PolarPoint, RationalAngle
@@ -48,10 +48,11 @@ class TestCl2:
     def test_value_at_pi_half_is_catalan(self):
         assert abs(cl2(PI / 2.0).value - CATALAN) < 1e-14
 
-    def test_exact_zero_at_zero_and_pi(self):
+    def test_values_at_zero_and_pi(self):
+        # PI falls PI_LO short of pi, where the slope of Cl_2 is -ln 2
         assert cl2(0.0).value == 0.0
-        assert cl2(PI).value == 0.0
-        assert cl2(-PI).value == 0.0
+        assert cl2(PI).value == pytest.approx(PI_LO * LN2, rel=1e-15)
+        assert cl2(-PI).value == -cl2(PI).value
 
     def test_oddness(self):
         for i in range(1, 20):
@@ -348,12 +349,21 @@ class TestClausenKernel:
         assert clausen_sin(2, 1.0).method == "log-expansion"
         assert clausen_cos(3, 1.0).method == "log-expansion"
 
-    def test_sine_kinds_vanish_at_zero_and_pi(self):
+    def test_sine_kinds_at_zero_and_pi(self):
+        # a sine sum vanishes at 0, but not at PI, PI_LO short of pi: there
+        # it is about PI_LO eta(s - 1), which the expansion about pi keeps
+        import mpmath
+
         for s in (2, 3, 4, 7):
-            for th in (0.0, PI, -PI):
+            r = clausen_sin(s, 0.0)
+            assert (r.value, r.err_bound, r.effort) == (0.0, 0.0, 0)
+            for th in (PI, -PI):
                 r = clausen_sin(s, th)
-                assert r.value == 0.0 and r.effort == 0
-                assert r.err_bound <= 8.0 * EPS  # -PI adds the reduction slack
+                with mpmath.workdps(40):
+                    exact = mpmath.clsin(s, mpmath.mpf(th))
+                    err = float(abs(r.value - exact))
+                assert err <= 1e-15 * float(abs(exact)), (s, th)
+                assert err <= r.err_bound, (s, th)
 
     @pytest.mark.parametrize(
         ("fn", "s", "effort"),
@@ -374,7 +384,7 @@ class TestClausenKernel:
         import mpmath
 
         fn, oracle = (clausen_sin, mpmath.clsin) if s % 2 else (clausen_cos, mpmath.clcos)
-        near = [math.nextafter(PI, 0.0)]
+        near = [PI, math.nextafter(PI, 0.0)]
         near += [PI - d for d in (0.5, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 1e-15)]
         for th in near + [-t for t in near]:
             r = fn(s, th)
