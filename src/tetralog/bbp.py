@@ -82,51 +82,39 @@ REGISTRY: dict[str, BBPFormula] = {
 }
 
 
-# the factors of each affine constant but the polylog one: PI, LN2 and ZETA3
-# are the doubles nearest their constants, within EPS/2 relative, and each
-# product rounds once more, so m factors are within (2m - 1) EPS/2 < m EPS
+# the factors of each affine constant but the polylog one, as their nearest doubles
 _FACTORS = {"pi^2": (PI, PI), "pi*ln2": (PI, LN2), "pi^2*ln2": (PI, PI, LN2), "zeta3": (ZETA3,)}
 
 
-def _constant(name: str) -> tuple[float, float]:
-    """An affine-term constant's double value and its error bound."""
+def _constant(name: str) -> EvalResult:
+    """An affine-term constant as a ball: the product of its rounded factors,
+    or the imaginary part of the polylog value."""
+    from .result import EvalResult, rounded
+
     if name == "im-li3-half-plus-half-i":
         from .polylog import polylog_complex  # only this constant needs it; digits never does
 
         r = polylog_complex(3, complex(0.5, 0.5), tol=1e-13)
-        return r.value.imag, r.err_bound
+        return EvalResult(r.value.imag, r.err_bound, r.effort, r.method)
     if name not in _FACTORS:
         raise DomainError(f"unknown constant id {name!r}")
-    v = math.prod(_FACTORS[name])
-    return v, len(_FACTORS[name]) * EPS * abs(v)
+    first, *rest = map(rounded, _FACTORS[name])
+    return math.prod(rest, start=first)
 
 
 def constant_value(name: str) -> float:
     """Resolve an affine-term constant id to its double value."""
-    return _constant(name)[0]
+    return _constant(name).value
 
 
 def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
-    """scale * pure sum + affine add-ons.
-
-    The bound is |scale| times the sum's bound, plus each constant's own
-    bound times |coefficient|, plus half an ulp for each product, for the
-    fsum of the add-ons and for the last addition.
-    """
+    """scale * pure sum + the sum of the affine add-ons, in ball arithmetic."""
     from .result import EvalResult
 
     s = eval_bbp_sum(f, tol)
-    scaled = f.scale * s.value
-    err = abs(f.scale) * s.err_bound + math.ulp(scaled) / 2
-    addends = []
-    for name, c in f.affine_terms:
-        value, value_err = _constant(name)
-        addends.append(c * value)
-        err += abs(c) * value_err + math.ulp(addends[-1]) / 2
-    affine = math.fsum(addends)
-    v = scaled + affine
-    err += (math.ulp(affine) + math.ulp(v)) / 2
-    return EvalResult(v, err, s.effort, "bbp+affine")
+    affine = [c * _constant(name) for name, c in f.affine_terms]
+    v = f.scale * s + sum(affine[1:], affine[0]) if affine else f.scale * s
+    return EvalResult(v.value, v.err_bound, s.effort, "bbp+affine")
 
 
 # eval_bbp_sum's fixed point: the sum loses a few hundred units, ~2^-72

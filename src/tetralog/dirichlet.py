@@ -14,7 +14,7 @@ import math
 
 from .constants import EPS, LN2, PI
 from .errors import DomainError, check_tol
-from .result import EvalResult, rounded
+from .result import EvalResult, exact, rounded
 from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
 CHI7 = (0, 1, 1, -1, 1, -1, -1)  # chi_-7(k) for k mod 7
@@ -29,27 +29,23 @@ def l7_series(tol: float = 1e-13) -> EvalResult:
     # the 56 quotients, of |sum| < 1.7, round by under 1.7 u in all, and fsum
     # by u/2 more: an EPS
     head = EvalResult(math.fsum(CHI7[k % 7] / k**2 for k in range(1, 7 * J + 1)), EPS, 0, "")
-    tail = 0.0
-    for p in range(1, 7):
-        tail = tail + CHI7[p] * hurwitz_zeta(2.0, J + p / 7.0, tol=tol / 12.0) / 49.0
+    tail = sum(CHI7[p] * hurwitz_zeta(2.0, J + exact(p) / 7.0, tol=tol / 12.0) / 49.0
+               for p in range(1, 7))
     v = head + tail
     return EvalResult(v.value, v.err_bound, 7 * J + 6, "series+hurwitz-tail")
 
 
 def l7_trigamma() -> EvalResult:
     """(1/49)[psi'(1/7) + psi'(2/7) - psi'(3/7) + psi'(4/7) - psi'(5/7) - psi'(6/7)]."""
-    total = 0.0
-    for p in range(1, 7):
-        total = total + CHI7[p] * trigamma(p / 7.0) / 49.0
+    total = sum(CHI7[p] * trigamma(exact(p) / 7.0) / 49.0 for p in range(1, 7))
     return EvalResult(total.value, total.err_bound, 6, "trigamma")
 
 
 def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     """(1/49) sum_p chi(p) zeta(2, p/7)."""
     check_tol(tol)
-    total = 0.0
-    for p in range(1, 7):
-        total = total + CHI7[p] * hurwitz_zeta(2.0, p / 7.0, tol=tol / 12.0) / 49.0
+    total = sum(CHI7[p] * hurwitz_zeta(2.0, exact(p) / 7.0, tol=tol / 12.0) / 49.0
+                for p in range(1, 7))
     return EvalResult(total.value, total.err_bound, total.effort, "hurwitz-zeta")
 
 

@@ -34,7 +34,7 @@ from itertools import count
 from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, eta_taylor, zeta_int, zeta_taylor
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError, check_tol
-from .result import EvalResult
+from .result import EvalResult, no_ball
 
 RHO = 0.5  # the series runs for |z| <= RHO
 OUTER = 3.5  # the inversion runs for |z| >= OUTER, or >= 1/RHO above TAYLOR_K_MAX
@@ -192,6 +192,7 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     if s < 2:
         raise DomainError("polylog_complex requires integer order >= 2")
     check_tol(tol)
+    no_ball(z, "polylog_complex")
     z = complex(z)
     r = abs(z)
     if r == 0.0:

@@ -271,6 +271,13 @@ def log(x: EvalResult | float | complex) -> EvalResult:
     return _lift(cmath.log if isinstance(_parts(x)[0], complex) else math.log, x, _log_slope)
 
 
+def no_ball(x, name: str) -> None:
+    """Refuse a ball argument to a kernel with no ball form, which would read
+    its midpoint and drop its radius."""
+    if isinstance(x, EvalResult):
+        raise DomainError(f"{name} has no ball form: it cannot charge a ball argument's radius")
+
+
 def exact(x: float | complex) -> EvalResult:
     """x, a number a double holds, as a ball of radius 0."""
     return EvalResult(x, 0.0, 0, "exact")

@@ -30,8 +30,9 @@ from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, eta_taylor, ze
 from .bernoulli import zeta_taylor
 from .constants import EPS, GAMMA, PI, PI_LO
 from .errors import ConvergenceError, DomainError, check_tol
-from .result import Angle, EvalResult, PolarPoint, RationalAngle, reduce_angle, rounded
+from .result import _UP, Angle, EvalResult, PolarPoint, RationalAngle, exact, reduce_angle, rounded
 from .result import log as ball_log
+from .result import no_ball
 from .result import sin as ball_sin
 
 _PI = rounded(PI)
@@ -83,8 +84,23 @@ def _digamma(x: float) -> tuple[float, float]:
     return lg - acc - tail, ((n + 5.0) * 0.5 * EPS + _TRUNC) * mag
 
 
+def _at_ball(kernel, x: EvalResult, slope) -> EvalResult:
+    """kernel at the ball x's midpoint, its bound plus the radius times slope(t),
+    a bound on |kernel'| over the ball, falling in t, at t <= its least point."""
+    t = math.nextafter(x.value - x.err_bound, 0.0)
+    if not t > 0.0:
+        raise DomainError("a ball argument must lie in x > 0")
+    r = kernel(x.value)
+    try:
+        charge = x.err_bound * slope(t) * _UP if x.err_bound else 0.0
+        return EvalResult(r.value, r.err_bound + charge, r.effort, r.method)
+    except (OverflowError, DomainError):  # the slope, or the bound, is no double
+        raise OverflowError("a ball argument's charge overflows double precision") from None
+
+
 def digamma(x: float) -> EvalResult:
     """psi(x) by recurrence shift and the Bernoulli asymptotic series."""
+    no_ball(x, "digamma")
     v, err = _digamma(float(x))
     if not math.isfinite(v):
         if math.isnan(v):  # only a nan x gives a nan
@@ -128,8 +144,11 @@ def _trigamma(x: float) -> tuple[float, float]:
     return v, ((n + 6.0) * 0.5 * EPS + _TRUNC) * v
 
 
-def trigamma(x: float) -> EvalResult:
-    """psi'(x) by recurrence shift and the Bernoulli asymptotic series."""
+def trigamma(x: float | EvalResult) -> EvalResult:
+    """psi'(x) by recurrence shift and the Bernoulli asymptotic series; a ball
+    x > 0 is charged through |psi''(t)| = 2 sum (t + k)^-3 <= 2/t^3 + 1/t^2."""
+    if isinstance(x, EvalResult):
+        return _at_ball(trigamma, x, lambda t: (2.0 / t + 1.0) / t / t)
     v, err = _trigamma(float(x))
     if not math.isfinite(v):
         if math.isnan(v):  # only a nan x gives a nan
@@ -142,16 +161,28 @@ def polygamma(n: int, x: float) -> EvalResult:
     """psi^(n)(x); n >= 1 delegates to the Hurwitz zeta route."""
     if n < 0:
         raise DomainError("polygamma order must be >= 0")
+    no_ball(x, "polygamma")
     if n == 0:
         return digamma(x)
     if x <= 0.0:
         raise DomainError("polygamma of order >= 1 requires x > 0")
-    try:
-        scale = x ** (-n - 1.0)  # the leading term of the sum
-    except OverflowError:
-        raise OverflowError(f"polygamma({n}, {x}) overflows double precision") from None
-    hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * max(1.0, scale))
-    v = hz * math.factorial(n)
+    # |psi^(n)(x)| > n! x^(-n-1), whose logarithm this is; ln of the largest double is 709.78
+    if math.lgamma(n + 1.0) - (n + 1.0) * math.log(x) > 709.8:
+        raise OverflowError(f"polygamma({n}, {x}) overflows double precision")
+    scale = x ** (-n - 1.0)  # the leading term of the sum
+    if x < math.inf and max(x, 10.0) ** (-n - 2.0 - 2 * _EM_TERMS) < 2.0**-1022:
+        # the least power of z = x + N that the Euler-Maclaurin sum forms is
+        # subnormal, so its terms may lose their bits (hurwitz_zeta refuses
+        # an infinite x)
+        raise OverflowError(f"polygamma({n}, {x}): zeta({n + 1}, {x}) underflows double precision")
+    # a tol relative to the sum: at large n and x it lies far below any absolute one
+    hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * scale)
+    v = hz
+    # n! in pieces a double holds: min(n, 170)!, then each factor past 170
+    for piece in (math.factorial(min(n, 170)), *range(171, n + 1)):
+        if math.isinf(v.value * piece):
+            raise OverflowError(f"polygamma({n}, {x}) overflows double precision")
+        v = v * piece
     if n % 2 == 0:
         v = -v
     return EvalResult(v.value, v.err_bound, hz.effort, "hurwitz-zeta")
@@ -161,13 +192,16 @@ def polygamma(n: int, x: float) -> EvalResult:
 # Hurwitz zeta
 
 
-def hurwitz_zeta(s: float, a: float, tol: float = 1e-13) -> EvalResult:
+def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^-s by Euler-Maclaurin with remainder bound.
 
     ``bernoulli._euler_maclaurin`` sums from z = a + N, with N doubling from
     max(0, 10 - a) until the remainder is below tol/2 or the roundoff floor,
-    4 EPS of the head and the integral.
+    4 EPS of the head and the integral.  A ball a > 0 is charged through
+    |d zeta(s, t)/dt| = s zeta(s + 1, t) <= (s/t + 1) t^-s.
     """
+    if isinstance(a, EvalResult):
+        return _at_ball(lambda m: hurwitz_zeta(s, m, tol), a, lambda t: (s / t + 1.0) * t**-s)
     if not (math.isfinite(s) and math.isfinite(a)):
         raise DomainError("hurwitz_zeta requires finite s and a")
     if s <= 1.0:
@@ -431,11 +465,7 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
     check_tol(tol)
     total = 0.0
     for k in range(1, q):
-        # each argument is rounded once, which moves psi' by at most EPS of
-        # itself since |x psi''(x)| <= 2 psi'(x)
-        a, ea = _trigamma((2 * q - k) / (2.0 * q))
-        b, eb = _trigamma((q - k) / (2.0 * q))
-        ab = EvalResult(a, ea + EPS * a, 0, "") + EvalResult(b, eb + EPS * b, 0, "")
+        ab = trigamma(exact(2 * q - k) / (2 * q)) + trigamma(exact(q - k) / (2 * q))
         # sin(k p pi / q) = +-sin(m pi / q) with m reduced exactly to [0, q/2]
         m = k * p % (2 * q)
         sign = 1.0

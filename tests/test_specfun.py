@@ -16,7 +16,7 @@ import pytest
 from tetralog.constants import EPS, LN2, PI_LO
 from tetralog.errors import DomainError
 from tetralog.polylog import polylog_complex
-from tetralog.result import PolarPoint, RationalAngle
+from tetralog.result import EvalResult, PolarPoint, RationalAngle, exact
 from tetralog.specfun import (
     cl2,
     cl2_rational,
@@ -514,6 +514,136 @@ class TestPsiEdges:
     def test_polygamma_overflow(self, x):
         with pytest.raises(OverflowError, match=rf"^polygamma\(3, {x}\) overflows double precision$"):
             polygamma(3, x)
+
+    @pytest.mark.parametrize("n, x", [(170, 0.5), (171, 1.0), (250, 2.0), (10**4, 1.5)])
+    def test_polygamma_overflow_of_the_value(self, n, x):
+        # psi^(n)(x) itself is beyond the largest double
+        message = rf"^polygamma\({n}, {x}\) overflows double precision$"
+        with pytest.raises(OverflowError, match=message):
+            polygamma(n, x)
+
+    @pytest.mark.parametrize("n, x", [(250, 20.0), (100, 1e3), (3, 1e80)])
+    def test_polygamma_underflow_is_refused(self, n, x):
+        # the Euler-Maclaurin terms of zeta(n + 1, x) would be subnormal
+        with pytest.raises(OverflowError, match=r"underflows double precision$"):
+            polygamma(n, x)
+
+    @pytest.mark.parametrize(
+        "n, x", [(171, 2.0), (250, 10.0), (200, 3.5), (100, 10.0), (60, 80.0), (5, 1e3)]
+    )
+    def test_polygamma_of_high_order(self, n, x):
+        # past order 170 n! is no double, but psi^(n)(x) can be one; a tol
+        # relative to the sum keeps the digits where its terms are tiny
+        import mpmath
+
+        r = polygamma(n, x)
+        with mpmath.workdps(40):
+            exact = mpmath.polygamma(n, x)
+            assert abs(r.value - exact) <= r.err_bound <= 1e-13 * abs(exact)
+
+
+def _ball_ends(b):
+    import mpmath
+
+    v, r = mpmath.mpf(b.value), mpmath.mpf(b.err_bound)
+    return v - r, v + r
+
+
+def _balls(x):
+    """Balls about x of radius 0, one ulp and 1e-12 relative."""
+    return [EvalResult(x, r, 0, "") for r in (0.0, math.ulp(x), 1e-12 * x)]
+
+
+class TestBallForms:
+    """trigamma and hurwitz_zeta charge a ball argument's radius through a
+    slope bound; the other kernels refuse a ball."""
+
+    @pytest.mark.parametrize("x", [1e-3, 1 / 7, 0.5, 2.3, 10.0, 37.1, 1e5])
+    def test_trigamma_holds_both_ends(self, x):
+        import mpmath
+
+        for b in _balls(x):
+            r = trigamma(b)
+            assert r.value == trigamma(x).value
+            with mpmath.workdps(40):
+                for t in _ball_ends(b):
+                    assert abs(r.value - mpmath.psi(1, t)) <= r.err_bound, (b, t)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.5, 6.0])
+    @pytest.mark.parametrize("a", [1e-3, 1 / 7, 0.5, 2.3, 37.1, 1e5])
+    def test_hurwitz_zeta_holds_both_ends(self, s, a):
+        import mpmath
+
+        for b in _balls(a):
+            r = hurwitz_zeta(s, b)
+            assert r.value == hurwitz_zeta(s, a).value
+            with mpmath.workdps(40):
+                for t in _ball_ends(b):
+                    assert abs(r.value - mpmath.zeta(s, t)) <= r.err_bound, (b, t)
+
+    def test_radius_zero_is_the_float_call(self):
+        assert trigamma(exact(0.3)) == trigamma(0.3)
+        assert hurwitz_zeta(2.5, exact(0.7)) == hurwitz_zeta(2.5, 0.7)
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 30])
+    def test_rational_points(self, q):
+        # exact(p)/q is p/q rounded once, and its ball holds p/q itself
+        import mpmath
+
+        for p in range(1, q):
+            x = exact(p) / q
+            psi1, z2 = trigamma(x), hurwitz_zeta(2.0, x)
+            with mpmath.workdps(40):
+                t = mpmath.mpf(p) / q
+                assert abs(psi1.value - mpmath.psi(1, t)) <= psi1.err_bound, p
+                assert abs(z2.value - mpmath.zeta(2, t)) <= z2.err_bound, p
+
+    def test_l7_points_are_charged(self):
+        # zeta(2, J + p/7), as l7_series takes it
+        import mpmath
+
+        for p in range(1, 7):
+            r = hurwitz_zeta(2.0, 8 + exact(p) / 7.0)
+            with mpmath.workdps(40):
+                assert abs(r.value - mpmath.zeta(2, 8 + mpmath.mpf(p) / 7)) <= r.err_bound
+
+    @pytest.mark.parametrize(
+        "b", [(1e-3, 1e-3), (0.5, 0.6), (-2.5, 0.1), (0.0, 0.0), (1e-300, 1e-300)]
+    )
+    def test_ball_reaching_zero_is_refused(self, b):
+        ball = EvalResult(b[0], b[1], 0, "")
+        with pytest.raises(DomainError, match="^a ball argument must lie in x > 0$"):
+            trigamma(ball)
+        with pytest.raises(DomainError, match="^a ball argument must lie in x > 0$"):
+            hurwitz_zeta(2.0, ball)
+
+    def test_charge_overflow(self):
+        # the midpoint's value is a double, but the slope at the least point is not
+        ball = EvalResult(1e-100, 1e-100 * (1.0 - 1e-10), 0, "")
+        with pytest.raises(OverflowError, match="overflows double precision$"):
+            trigamma(ball)
+        with pytest.raises(OverflowError, match="overflows double precision$"):
+            hurwitz_zeta(4.0, EvalResult(1e-60, 1e-60 * (1.0 - 1e-10), 0, ""))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: digamma(b),
+            lambda b: polygamma(0, b),
+            lambda b: polygamma(2, b),
+            lambda b: polylog_complex(2, b),
+        ],
+        ids=["digamma", "polygamma-0", "polygamma-2", "polylog_complex"],
+    )
+    def test_kernels_without_a_ball_form_refuse_one(self, call):
+        # psi moves by ~4.9e-3 and Li_2 by ~1.2e-3 across these balls, which
+        # reading the midpoint would drop
+        for b in (EvalResult(0.5, 1e-3, 0, ""), EvalResult(0.3, 1e-3, 0, "")):
+            with pytest.raises(DomainError, match="has no ball form"):
+                call(b)
+
+    def test_float_of_a_ball_is_its_midpoint(self):
+        assert float(EvalResult(0.5, 1e-3, 0, "")) == 0.5
 
 
 def test_bernoulli_numbers_match_mpmath():
