@@ -7,19 +7,20 @@ stderr and an exit code:
 - 0: success; for ``verify``, every non-conjecture check passes.
 - 1: a check fails, or a computation cannot certify its result
   (``ConvergenceError``, including ``QuadratureError``, and ``PrecisionError``).
-- 2: a usage error: argparse's own (with its usage line), a ``DomainError``
-  (an argument out of range, a missing or unused flag, an unknown formula),
-  an ``UnknownCheckError``, or an eval argument too extreme for
-  double-precision arithmetic (a bare ``ArithmeticError`` or ``ValueError``).
+- 2: a usage error: a ``DomainError`` (a malformed command line, which
+  ``parse_args`` refuses, an argument out of range, a missing or unused
+  flag, an unknown formula), an ``UnknownCheckError``, or an eval argument
+  too extreme for double-precision arithmetic (a bare ``ArithmeticError`` or
+  ``ValueError``).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -127,7 +128,7 @@ def _print_eval(value, err_bound: float, method: str) -> None:
     print(f"method     {method}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: SimpleNamespace) -> int:
     t = args.target
     # each evaluator states its own default tolerance
     tol_kw = {}
@@ -191,7 +192,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reject_unused_flags(args: argparse.Namespace) -> None:
+def _reject_unused_flags(args: SimpleNamespace) -> None:
     """Raise DomainError for a verify flag that the other flags given would leave unused."""
     if args.check is None:
         if args.tol is not None:
@@ -204,7 +205,7 @@ def _reject_unused_flags(args: argparse.Namespace) -> None:
         raise DomainError("--tag does not apply to --check")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     _reject_unused_flags(args)
     from . import verify
 
@@ -220,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verify.aggregate_pass(records) else 1
 
 
-def cmd_digits(args: argparse.Namespace) -> int:
+def cmd_digits(args: SimpleNamespace) -> int:
     if args.position > MAX_POSITION:
         raise DomainError(f"--position must be at most {MAX_POSITION}")
     from . import bbp
@@ -233,59 +234,138 @@ def cmd_digits(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tetralog",
-        description="Evaluate and numerically certify a family of Clausen, "
-        "Catalan, Dirichlet-L and BBP identities.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's options: name -> (type, choices, default, required).  A type
+# of None marks a flag, which stores True when given; "target" is eval's
+# positional argument.  parse_args names each attribute without the dashes
+# ("--tol-scale" -> tol_scale).
+_OPTIONS = {
+    "eval": {
+        "target": (str, EVAL_TARGETS, None, True),
+        "--theta": (float, None, None, False),
+        "--order": (int, None, None, False),
+        "--x": (float, None, None, False),
+        "--s": (float, None, None, False),
+        "--a": (float, None, None, False),
+        "--b": (float, None, None, False),
+        "--re": (float, None, 0.5, False),
+        "--im": (float, None, 0.5, False),
+        "--method": (str, CATALAN_METHODS, "series", False),
+        "--route": (str, ("series", "trigamma", "hurwitz"), "trigamma", False),
+        "--tol": (float, None, None, False),
+    },
+    "verify": {
+        "--all": (None, None, False, False),
+        "--tag": (str, TAGS, None, False),
+        "--check": (str, None, None, False),
+        "--format": (str, ("text", "json"), "text", False),
+        "--tol": (float, None, None, False),
+        "--tol-scale": (float, None, None, False),
+    },
+    "digits": {
+        "--formula": (str, None, None, True),
+        "--position": (int, None, None, True),
+        "--count": (int, None, None, True),
+    },
+}
 
-    p_eval = sub.add_parser("eval", help="evaluate one constant or function")
-    p_eval.add_argument("target", choices=EVAL_TARGETS)
-    p_eval.add_argument("--theta", type=float)
-    p_eval.add_argument("--order", type=int)
-    p_eval.add_argument("--x", type=float)
-    p_eval.add_argument("--s", type=float)
-    p_eval.add_argument("--a", type=float)
-    p_eval.add_argument("--b", type=float)
-    p_eval.add_argument("--re", type=float, default=0.5)
-    p_eval.add_argument("--im", type=float, default=0.5)
-    p_eval.add_argument("--method", choices=CATALAN_METHODS, default="series")
-    p_eval.add_argument(
-        "--route", choices=("series", "trigamma", "hurwitz"), default="trigamma"
-    )
-    p_eval.add_argument("--tol", type=float)
+_SUMMARIES = {
+    None: "Evaluate and numerically certify a family of Clausen, Catalan, "
+    "Dirichlet-L and BBP identities.",
+    "eval": "evaluate one constant or function",
+    "verify": "run the identity check ledger; with no --check, every check",
+    "digits": f"extract fractional hex digits, at a --position of at most {MAX_POSITION}",
+}
 
-    p_verify = sub.add_parser("verify", help="run the identity check ledger")
-    p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument("--tag", choices=TAGS)
-    p_verify.add_argument("--check", metavar="ID", help="run a single check by id")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--tol", type=float, help="tolerance override for --check")
-    p_verify.add_argument(
-        "--tol-scale", type=float, dest="tol_scale", help="scale every check tolerance"
-    )
 
-    p_digits = sub.add_parser("digits", help="extract fractional hex digits")
-    p_digits.add_argument("--formula", required=True)
-    p_digits.add_argument(
-        "--position",
-        type=int,
-        required=True,
-        help=f"hex digit position, at most {MAX_POSITION}",
-    )
-    p_digits.add_argument("--count", type=int, required=True)
+def _usage(command: str | None) -> str:
+    """The --help text of ``command``, or of the program for None."""
+    if command is None:
+        head = f"tetralog [-h] [--version] {{{','.join(_OPTIONS)}}} ..."
+        rows = [f"  {name:10s}{_SUMMARIES[name]}" for name in _OPTIONS]
+    else:
+        head = f"tetralog {command} [-h] [options]"
+        rows = []
+        for name, (kind, choices, default, required) in _OPTIONS[command].items():
+            shown = f"{{{','.join(choices)}}}" if choices else kind.__name__ if kind else "flag"
+            note = ", required" if required else f", default {default}" if default else ""
+            rows.append(f"  {name:14s}{shown}{note}")
+    return "\n".join([f"usage: {head}", "", _SUMMARIES[command], "", *rows])
 
-    return parser
+
+def _match(word: str, names) -> str:
+    """The name in ``names`` that the option ``word`` gives: -h is --help,
+    and a prefix of exactly one name stands for it."""
+    if word == "-h":
+        return "--help"
+    if word in names:
+        return word
+    # "-" and "--" begin every name, so they are no prefix
+    hits = [n for n in names if n.startswith(word)] if len(word) > 2 else []
+    if len(hits) > 1:
+        raise DomainError(f"ambiguous option {word}: could be {', '.join(hits)}")
+    if not hits:
+        raise DomainError(f"unrecognized argument {word!r}")
+    return hits[0]
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace that ``argv``'s command reads, or the text that --help or
+    --version prints.
+
+    An option's value follows it, as the next word or after "=", and may not
+    start with "--"; the last occurrence of an option wins.  Every usage
+    error raises DomainError.
+    """
+    if not argv:
+        raise DomainError(f"missing command; choose from {', '.join(_OPTIONS)}")
+    command = argv[0]
+    if command.startswith("-"):
+        return _usage(None) if _match(command, ("--help", "--version")) == "--help" else __version__
+    if command not in _OPTIONS:
+        raise DomainError(f"unknown command {command!r}; choose from {', '.join(_OPTIONS)}")
+    table, given, words = _OPTIONS[command], {}, iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if "target" not in table or "target" in given:
+                raise DomainError(f"unrecognized argument {word!r}")
+            name, text = "target", word
+        else:
+            name, eq, text = word.partition("=")
+            name = _match(name, ("--help", *table))
+            if name == "--help" or table[name][0] is None:
+                if eq:
+                    raise DomainError(f"{name} takes no value")
+                if name == "--help":
+                    return _usage(command)
+                given[name] = True
+                continue
+            if not eq:
+                text = next(words, "--")  # the end of argv reads as no value
+                if text.startswith("--"):
+                    raise DomainError(f"{name} needs a value")
+        kind, choices = table[name][:2]
+        try:
+            given[name] = kind(text)
+        except ValueError:
+            raise DomainError(f"{name}: invalid {kind.__name__} value {text!r}") from None
+        if choices and given[name] not in choices:
+            raise DomainError(f"{name}: invalid choice {text!r}; choose from {', '.join(choices)}")
+    missing = [name for name, (*_, required) in table.items() if required and name not in given]
+    if missing:
+        raise DomainError(f"{command} requires {', '.join(missing)}")
+    return SimpleNamespace(
+        command=command,
+        **{n.lstrip("-").replace("-", "_"): given.get(n, o[2]) for n, o in table.items()},
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = {"eval": cmd_eval, "verify": cmd_verify, "digits": cmd_digits}[args.command]
     try:
-        return command(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # --help or --version
+            print(args)
+            return 0
+        return {"eval": cmd_eval, "verify": cmd_verify, "digits": cmd_digits}[args.command](args)
     except (TetralogError, ArithmeticError, ValueError) as exc:
         # a bare ArithmeticError or ValueError is float arithmetic giving out
         # on an argument too extreme for doubles

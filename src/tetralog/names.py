@@ -1,8 +1,8 @@
 """Ledger tags and Catalan route names.
 
-They are the command line's parser choices as well as ``verify``'s
-vocabulary; kept here, apart from any numerical code, so that building the
-parser loads nothing else.
+They are the command line's option choices as well as ``verify``'s
+vocabulary; kept here, apart from any numerical code, so that the command
+line's option table loads nothing else.
 """
 
 TAGS = (

@@ -170,10 +170,7 @@ def polygamma(n: int, x: float) -> EvalResult:
     if math.lgamma(n + 1.0) - (n + 1.0) * math.log(x) > 709.8:
         raise OverflowError(f"polygamma({n}, {x}) overflows double precision")
     scale = x ** (-n - 1.0)  # the leading term of the sum
-    if x < math.inf and max(x, 10.0) ** (-n - 2.0 - 2 * _EM_TERMS) < 2.0**-1022:
-        # the least power of z = x + N that the Euler-Maclaurin sum forms is
-        # subnormal, so its terms may lose their bits (hurwitz_zeta refuses
-        # an infinite x)
+    if x < math.inf and _em_underflows(n + 1.0, x):  # hurwitz_zeta refuses an infinite x
         raise OverflowError(f"polygamma({n}, {x}): zeta({n + 1}, {x}) underflows double precision")
     # a tol relative to the sum: at large n and x it lies far below any absolute one
     hz = hurwitz_zeta(n + 1.0, x, tol=1e-14 * scale)
@@ -190,6 +187,14 @@ def polygamma(n: int, x: float) -> EvalResult:
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
+
+
+def _em_underflows(s: float, a: float) -> bool:
+    """Whether ``bernoulli._euler_maclaurin``'s terms for zeta(s, a) may lose
+    their bits: the least power of z = a + N it forms, z^-(s + 1 + 2 _EM_TERMS)
+    at the first z, about max(a, 10), is subnormal.  Never for a <= 1, where
+    the value, at least a^-s >= 1, dwarfs all that an underflow loses."""
+    return a > 1.0 and max(a, 10.0) ** (-s - 1.0 - 2 * _EM_TERMS) < 2.0**-1022
 
 
 def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalResult:
@@ -209,6 +214,8 @@ def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalRes
     if a <= 0.0:
         raise DomainError("hurwitz_zeta requires a > 0")
     check_tol(tol)
+    if _em_underflows(s, a):
+        raise OverflowError(f"hurwitz_zeta({float(s)}, {float(a)}) underflows double precision")
     N = max(0, int(math.ceil(10.0 - a)))
     for _ in range(60):
         try:

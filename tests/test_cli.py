@@ -10,7 +10,15 @@ import pytest
 
 from tetralog import bbp, cli
 from tetralog.bbp import BBPFormula
-from tetralog.cli import MAX_POSITION, _rounded_up, build_report, main, report_to_json
+from tetralog import __version__
+from tetralog.cli import (
+    MAX_POSITION,
+    _rounded_up,
+    build_report,
+    main,
+    parse_args,
+    report_to_json,
+)
 from tetralog.dirichlet import catalan_result
 from tetralog.errors import (
     ConvergenceError,
@@ -23,10 +31,7 @@ from tetralog.verify import CATALAN_METHODS, run_all
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse errors exit via SystemExit
-        code = exc.code
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -415,7 +420,7 @@ class TestErrorPolicy:
     def test_exit_code(self, capsys, monkeypatch, error, argv, code):
         exact_at_zero = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
         monkeypatch.setitem(bbp.REGISTRY, "exact-at-zero", exact_at_zero)
-        args = cli.build_parser().parse_args(argv)
+        args = cli.parse_args(list(argv))
         with pytest.raises(error) as raised:
             getattr(cli, f"cmd_{args.command}")(args)
         assert raised.type is error
@@ -426,5 +431,106 @@ class TestErrorPolicy:
 
 
 def test_version_flag(capsys):
-    code, out, _ = run_cli(capsys, "--version")
+    code, out, err = run_cli(capsys, "--version")
     assert code == 0
+    assert (out, err) == (f"{__version__}\n", "")
+
+
+class TestParser:
+    """The command line's own rules: option forms, defaults, and the usage
+    errors, each one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ((), "missing command; choose from eval, verify, digits"),
+            (("nope",), "unknown command 'nope'; choose from eval, verify, digits"),
+            (("--bogus",), "unrecognized argument '--bogus'"),
+            (("eval", "cl2", "--theta", "1", "--bogus", "1"), "unrecognized argument '--bogus'"),
+            (("eval", "cl2", "-x"), "unrecognized argument '-x'"),
+            (("eval", "cl2", "cl2", "--theta", "1"), "unrecognized argument 'cl2'"),
+            (("digits", "0"), "unrecognized argument '0'"),
+            (("verify", "--t", "1"), "ambiguous option --t: could be --tag, --tol, --tol-scale"),
+            (("eval", "cl2", "--r=1"), "ambiguous option --r: could be --re, --route"),
+            (
+                ("digits", "--formula", "pi-degree1", "--position", "1.5", "--count", "4"),
+                "--position: invalid int value '1.5'",
+            ),
+            (("eval", "cl2", "--theta", "one"), "--theta: invalid float value 'one'"),
+            (("verify", "--format", "xml"), "--format: invalid choice 'xml'; choose from text, json"),
+            (("eval", "nope"), "target: invalid choice 'nope'; choose from " + ", ".join(cli.EVAL_TARGETS)),
+            (("verify", "--all=1"), "--all takes no value"),
+            (("verify", "--help=1"), "--help takes no value"),
+            (("eval", "cl2", "--theta"), "--theta needs a value"),
+            (("eval", "cl2", "--theta", "--tol", "1e-8"), "--theta needs a value"),
+            (("eval", "cl2", "--", "--theta", "1"), "unrecognized argument '--'"),
+            (("eval", "--theta", "1"), "eval requires target"),
+            (("digits", "--formula", "pi-degree1"), "digits requires --position, --count"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("digits", "--pos=0", "--formula", "pi-degree1", "--count", "6"),
+            ("digits", "--f=pi-degree1", "--c", "6", "--po", "0"),
+            ("digits", "--formula=pi-degree1", "--position", "7", "--position=0", "--count=6"),
+            ("digits", "--formula", "pi-degree1", "--position", "+0", "--count", "0_6"),
+        ],
+    )
+    def test_option_forms(self, capsys, argv):
+        # "--name value" or "--name=value", a unique prefix of a name, the
+        # last occurrence winning, and int() reading the value
+        assert run_cli(capsys, *argv) == (0, "243F6A\n", "")
+
+    def test_target_anywhere_among_the_options(self, capsys):
+        first = run_cli(capsys, "eval", "cl2", "--theta", "1")
+        assert first[0] == 0
+        assert run_cli(capsys, "eval", "--theta", "1", "cl2") == first
+        assert run_cli(capsys, "eval", "--theta", "5", "cl2", "--theta=1") == first
+
+    def test_defaults_and_attribute_names(self):
+        args = parse_args(["verify"])
+        assert vars(args) == {
+            "command": "verify", "all": False, "tag": None, "check": None,
+            "format": "text", "tol": None, "tol_scale": None,
+        }
+        args = parse_args(["eval", "li3", "--tol", "1e-9"])
+        assert (args.target, args.re, args.im, args.method, args.route, args.tol) == (
+            "li3", 0.5, 0.5, "series", "trigamma", 1e-9,
+        )
+        assert parse_args(["verify", "--all", "--tol-s", "2"]).tol_scale == 2.0
+
+    @pytest.mark.parametrize(
+        ("text", "value"),
+        [("nan", math.nan), ("1e400", math.inf), ("+5", 5.0), ("1_000", 1000.0), ("-1e-200", -1e-200)],
+    )
+    def test_values_are_read_by_float(self, text, value):
+        theta = parse_args(["eval", "cl2", "--theta", text]).theta
+        assert theta == value or (math.isnan(theta) and math.isnan(value))
+
+    @pytest.mark.parametrize(
+        ("argv", "head"),
+        [
+            (("--help",), "usage: tetralog [-h] [--version]"),
+            (("-h",), "usage: tetralog [-h] [--version]"),
+            (("eval", "--help"), "usage: tetralog eval [-h]"),
+            (("eval", "--theta", "1", "-h"), "usage: tetralog eval [-h]"),
+            (("verify", "--he"), "usage: tetralog verify [-h]"),
+        ],
+    )
+    def test_help(self, capsys, argv, head):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(head)
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "digits"])
+    def test_help_names_every_option(self, capsys, command):
+        _, out, _ = run_cli(capsys, command, "--help")
+        for name, (_, choices, default, _) in cli._OPTIONS[command].items():
+            assert f"  {name} " in out
+            assert all(c in out for c in choices or ())
+            assert not default or f"default {default}" in out

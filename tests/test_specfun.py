@@ -510,6 +510,27 @@ class TestPsiEdges:
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             hurwitz_zeta(s, a)
 
+    @pytest.mark.parametrize(
+        "s, a, text",
+        [(2, 1e300, "2.0, 1e+300"), (139.0, 117.13458414539913, "139.0, 117.13458414539913")],
+    )
+    def test_hurwitz_zeta_underflow_is_refused(self, s, a, text):
+        # the Euler-Maclaurin powers would be subnormal or 0, and drop out of
+        # the value and its bound: zeta(2, 1e300) came out 0 +- 0
+        message = f"hurwitz_zeta({text}) underflows double precision"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            hurwitz_zeta(s, a)
+
+    @pytest.mark.parametrize("s, a", [(400.0, 1.0), (400.0, 0.75), (1000.0, 0.999)])
+    def test_hurwitz_zeta_of_high_order_at_small_a(self, s, a):
+        # at a <= 1 the head term a^-s >= 1 carries the value, and the
+        # powers that underflow lose nothing it holds
+        import mpmath
+
+        r = hurwitz_zeta(s, a)
+        with mpmath.workdps(40):
+            assert abs(r.value - mpmath.zeta(s, a)) <= r.err_bound <= 1e-15 * r.value
+
     @pytest.mark.parametrize("x", [1e-320, 1e-80])
     def test_polygamma_overflow(self, x):
         with pytest.raises(OverflowError, match=rf"^polygamma\(3, {x}\) overflows double precision$"):
