@@ -39,7 +39,12 @@ def alternating_sum(term: Callable[[int], float], tol: float = 1e-12) -> EvalRes
         cur = cvz(n)
         err = abs(cur - prev)
         if err <= tol / 4.0:
-            return EvalResult(cur, max(err, 1e-16 * abs(cur)), n, "cvz-alternating")
+            err = max(err, 1e-16 * abs(cur))
+            if err > tol:
+                raise ConvergenceError(
+                    f"alternating series: error bound {err:g} exceeds tol {tol:g}"
+                )
+            return EvalResult(cur, err, n, "cvz-alternating")
         prev = cur
         n += 10
     raise ConvergenceError(

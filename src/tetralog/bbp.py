@@ -316,6 +316,8 @@ def li3_binomial_sums(tol: float = 1e-12) -> tuple[EvalResult, EvalResult]:
         if tail <= tol / 4.0:
             break
     err = tail + 4.0 * EPS * n_used
+    if err > tol:
+        raise ConvergenceError(f"li3_binomial_sums: error bound {err:g} exceeds tol {tol:g}")
     return (
         EvalResult(re_total, err, n_used, "binomial-double-sum"),
         EvalResult(im_total, err, n_used, "binomial-double-sum"),

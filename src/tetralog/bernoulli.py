@@ -24,46 +24,44 @@ if TYPE_CHECKING:
 
 # The Brent-Harvey tangent-number triangle (Brent and Harvey, "Fast computation
 # of Bernoulli, Tangent and Secant numbers", 2011), kept as its last column so
-# that it grows by one row per new number: after n rows, _TANGENT_COLUMN[i] is
-# entry n of the triangle's row i + 1, and _B_EVEN holds B_0, B_2, ..., B_2n
-# as (numerator, denominator) pairs in lowest terms, denominators positive.
-_TANGENT_COLUMN: list[int] = []
-_B_EVEN: list[tuple[int, int]] = [(1, 1)]
+# that it grows by one row per new number: in a snapshot (column, numbers) of
+# n rows, column[i] is entry n of the triangle's row i + 1, and numbers holds
+# B_0, B_2, ..., B_2n as (numerator, denominator) pairs in lowest terms,
+# denominators positive.  A snapshot is never changed, only replaced whole.
+_TABLE: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ((1, 1),))
 
 
-def _grow_b_even() -> None:
-    """Append the next even-index Bernoulli number to _B_EVEN.
+def bernoulli_ratio(n: int) -> tuple[int, int]:
+    """Exact Bernoulli number B_n (B_1 = -1/2) as (numerator, denominator),
+    in lowest terms with the denominator positive.
 
     Row 1 of the triangle holds (j - 1)! at entry j, and row k >= 2 holds
     (j - k) R_k(j - 1) + (j - k + 2) R_{k-1}(j) at entries j >= k; entry k of
     row k is the tangent number T_k, with tan x = sum_k T_k x^(2k-1)/(2k-1)!,
     and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  All of it is integer.
+    Each new row makes a new snapshot, published in one assignment, so a
+    caller that races or re-enters this only repeats work.
     """
-    col = _TANGENT_COLUMN
-    n = len(col)
-    new = [col[0] * n if n else 1]
-    col.append(0)  # row n + 1 has no entry n
-    for i in range(1, n + 1):
-        new.append((n - i) * col[i] + (n + 2 - i) * new[i - 1])
-    col[:] = new
-    k = n + 1
-    num, den = 2 * k * new[-1], 4**k * (4**k - 1)
-    g = math.gcd(num, den)
-    _B_EVEN.append(((num if k % 2 else -num) // g, den // g))
-
-
-def bernoulli_ratio(n: int) -> tuple[int, int]:
-    """Exact Bernoulli number B_n (B_1 = -1/2) as (numerator, denominator),
-    in lowest terms with the denominator positive."""
+    global _TABLE
     if n < 0:
         raise DomainError("Bernoulli numbers need n >= 0")
     if n == 1:
         return -1, 2
     if n % 2 == 1:
         return 0, 1
-    while len(_B_EVEN) <= n // 2:
-        _grow_b_even()
-    return _B_EVEN[n // 2]
+    col, numbers = _TABLE
+    while len(numbers) <= n // 2:
+        rows = len(col)
+        new = [col[0] * rows if rows else 1]
+        # entries 1 .. rows of the last column; row rows + 1 has no entry rows
+        for i, c in enumerate((*col, 0)[1:], 1):
+            new.append((rows - i) * c + (rows + 2 - i) * new[i - 1])
+        col, k = tuple(new), rows + 1
+        num, den = 2 * k * new[-1], 4**k * (4**k - 1)
+        g = math.gcd(num, den)
+        numbers = (*numbers, ((num if k % 2 else -num) // g, den // g))
+        _TABLE = col, numbers
+    return numbers[n // 2]
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .constants import EPS, LN2, PI
-from .errors import DomainError, check_tol
+from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult, exact, rounded
 from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
@@ -32,6 +32,8 @@ def l7_series(tol: float = 1e-13) -> EvalResult:
     tail = sum(CHI7[p] * hurwitz_zeta(2.0, J + exact(p) / 7.0, tol=tol / 12.0) / 49.0
                for p in range(1, 7))
     v = head + tail
+    if v.err_bound > tol:
+        raise ConvergenceError(f"l7_series: error bound {v.err_bound:g} exceeds tol {tol:g}")
     return EvalResult(v.value, v.err_bound, 7 * J + 6, "series+hurwitz-tail")
 
 
@@ -46,6 +48,8 @@ def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     check_tol(tol)
     total = sum(CHI7[p] * hurwitz_zeta(2.0, exact(p) / 7.0, tol=tol / 12.0) / 49.0
                 for p in range(1, 7))
+    if total.err_bound > tol:
+        raise ConvergenceError(f"l7_hurwitz: error bound {total.err_bound:g} exceeds tol {tol:g}")
     return EvalResult(total.value, total.err_bound, total.effort, "hurwitz-zeta")
 
 

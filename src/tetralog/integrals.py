@@ -79,7 +79,8 @@ def _integral_x(n: int, lower: EvalResult, upper: EvalResult, tol: float) -> Eva
     and what SQRT7's rounding in the integrand does: with sqrt 7 - 3 tan x
     >= 1.5 it moves the logarithm, which is >= 0 here, by < EPS, so its
     n-th power by < n EPS times its (n-1)-th, whose integral the power mean
-    bounds by width (I(n)/width)^((n-1)/n).
+    bounds by width (I(n)/width)^((n-1)/n).  Raises QuadratureError when
+    the bound exceeds tol.
     """
     if n < 0:
         raise DomainError("I(n) requires n >= 0")
@@ -94,6 +95,8 @@ def _integral_x(n: int, lower: EvalResult, upper: EvalResult, tol: float) -> Eva
     if n:
         width = b - a
         err += n * EPS * width * ((abs(r.value) + r.err_bound) / width) ** (1.0 - 1.0 / n)
+    if err > tol:
+        raise QuadratureError(f"I({n}): error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(r.value, err, r.effort, r.method)
 
 

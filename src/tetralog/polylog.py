@@ -42,8 +42,8 @@ _STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a
 
 
 @cache
-def _inv_powers(s: int) -> list[float]:
-    """[0, 1, 1/2^s, 1/3^s, ...], each correctly rounded, through the first k
+def _inv_powers(s: int) -> tuple[float, ...]:
+    """(0, 1, 1/2^s, 1/3^s, ...), each correctly rounded, through the first k
     with RHO^{k-1}/k^s <= _STOP.  A series on |z| <= RHO stops by then, as
     its first term is |z|; one on a rounded 1/z, a hair outside, may reach the
     end, and the tail from there is in its bound."""
@@ -51,7 +51,7 @@ def _inv_powers(s: int) -> list[float]:
     for k in count(1):
         a.append(1 / k**s)
         if RHO ** (k - 1) * a[k] <= _STOP:
-            return a
+            return tuple(a)
 
 
 def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
@@ -76,18 +76,28 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
 
 
 @cache
-def _log_tables(
-    s: int, minus: bool
-) -> tuple[tuple[float, ...], tuple[float, ...], list[float], list[float]]:
+def _log_tables(s: int, minus: bool) -> tuple[tuple[float, ...], ...]:
     """A log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
     c_{s-1} = H_{s-1}/(s-1)!), or c'_s, ..., c'_0 from ``eta_taylor`` when
-    ``minus``, with its |c_k|; and its tail d_m = c_{s+1+2m} with |d_m|,
-    which ``_li_log_expansion`` extends as its sums reach them."""
+    ``minus``, with its |c_k|; and its tail d_m = c_{s+1+2m} with |d_m|.
+
+    The tail runs to its first term below _STOP |c_0| at the regime's widest
+    |w|, where |z| < OUTER and |arg z| <= 2 pi/3, or |arg(-z)| < pi/3 when
+    ``minus``.  A sum stops by then, as that term is no larger at any |w| in
+    the regime and the running sum exceeds |c_0|.  Past k = TAYLOR_K_MAX a
+    term is below 1e-40 for |w| < 3.3, so one more term, 0, ends the tail
+    there."""
     if s > TAYLOR_K_MAX:  # c_s = zeta(0)/s! needs s! as a double
         raise OverflowError(f"Li_{s}: order too large for double precision")
     coeff = eta_taylor if minus else zeta_taylor
     head = tuple(coeff(s, k) for k in range(s, -1, -1))
-    return head, tuple(map(abs, head)), [], []
+    widest = abs(complex(math.log(OUTER), (1.0 if minus else 2.0) * PI / 3.0))
+    tail = []
+    for k in range(s + 1, TAYLOR_K_MAX + 3, 2):
+        tail.append(coeff(s, k) if k <= TAYLOR_K_MAX else 0.0)
+        if abs(tail[-1]) * widest**k < _STOP * abs(head[-1]):
+            break
+    return head, tuple(map(abs, head)), tuple(tail), tuple(map(abs, tail))
 
 
 def _li_log_expansion(s: int, z: complex, minus: bool) -> tuple[complex, float, int]:
@@ -107,18 +117,9 @@ def _li_log_expansion(s: int, z: complex, minus: bool) -> tuple[complex, float, 
         mag += abs(lc) * wk
     aw2 = aw * aw
     wk *= aw2
-    # mag >= |c_0|, zeta(s) > 1 or eta(s) >= ln 2, and the terms shrink by
-    # (|w|/2 pi)^2 < 0.16, or (|w|/pi)^2 < 0.28 about -1: this ends
+    # mag >= |c_0|, so this ends by the tail's last term (see _log_tables)
     for m in count():
-        try:
-            t = tail_abs[m] * wk
-        except IndexError:
-            # past k = TAYLOR_K_MAX a term is below 1e-40 for |w| < 3.3: it reads 0
-            k = s + 1 + 2 * m
-            coeff = eta_taylor if minus else zeta_taylor
-            tail.append(coeff(s, k) if k <= TAYLOR_K_MAX else 0.0)
-            tail_abs.append(abs(tail[m]))
-            t = tail_abs[m] * wk
+        t = tail_abs[m] * wk
         if t <= _STOP * mag:
             break
         mag += t

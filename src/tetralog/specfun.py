@@ -202,7 +202,10 @@ def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalRes
 
     ``bernoulli._euler_maclaurin`` sums from z = a + N, with N doubling from
     max(0, 10 - a) until the remainder is below tol/2 or the roundoff floor,
-    4 EPS of the head and the integral.  A ball a > 0 is charged through
+    4 EPS of the head and the integral.  The value exceeds its first term
+    a^-s, and 1 for a <= 1, so a tol at or above the smaller of the two would
+    certify no digit: such a tol is replaced by 1e-14 of it, the relative
+    target ``polygamma`` passes.  A ball a > 0 is charged through
     |d zeta(s, t)/dt| = s zeta(s + 1, t) <= (s/t + 1) t^-s.
     """
     if isinstance(a, EvalResult):
@@ -216,6 +219,9 @@ def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalRes
     check_tol(tol)
     if _em_underflows(s, a):
         raise OverflowError(f"hurwitz_zeta({float(s)}, {float(a)}) underflows double precision")
+    lead = max(a, 1.0) ** -s  # not subnormal, as the check above shows
+    if tol >= lead:
+        tol = 1e-14 * lead
     N = max(0, int(math.ceil(10.0 - a)))
     for _ in range(60):
         try:
@@ -503,7 +509,8 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
     omega through each term it enters, the rounding of 2 omega + 2 theta, and
     the reduction of theta through the slope -ln|1 - z| of the whole value.
     For r > 1, where the denominator's sign is within its error, it also
-    carries the branch's jump of pi ln r.
+    carries the branch's jump of pi ln r.  Raises ConvergenceError when the
+    bound, the jump aside, exceeds tol.
     """
     check_tol(tol)
     r = z.r
@@ -541,8 +548,12 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
             # the interval reaches z = 1, where |1 - z| >= (2/pi) sqrt(r) |theta|:
             # integrate -ln of that over the worst stretch, the one centred on 0
             err += 2.0 * d * (1.0 + math.log(PI / (2.0 * math.sqrt(r) * d)) + math.log1p(r))
+    if err > tol:
+        raise ConvergenceError(f"im_li2_polar: error bound {err:g} exceeds tol {tol:g}")
     if r > 1.0 and abs(den) <= d_den + r * d:
-        # the denominator may have the other sign, and omega the other branch
+        # the denominator may have the other sign, and omega the other branch;
+        # no tol removes that doubt about the point itself, so it is charged
+        # after the tol check, as hurwitz_zeta's roundoff floor is
         err += PI * math.log(r)
     return EvalResult(v.value, err, v.effort, "clausen-decomposition")
 

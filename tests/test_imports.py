@@ -177,7 +177,7 @@ def test_import_specfun_builds_no_table():
         "import tetralog.specfun as s, tetralog.bernoulli as b\n"
         "print(s._clausen_table.cache_info().currsize, b._em_coeffs.cache_info().currsize,"
         " b.zeta_taylor.cache_info().currsize, b.bernoulli_number.cache_info().currsize,"
-        " len(b._B_EVEN))"
+        " len(b._TABLE[1]))"
     )
     assert _printed_by(code).split() == ["0", "0", "0", "0", "1"]
 

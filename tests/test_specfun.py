@@ -531,6 +531,16 @@ class TestPsiEdges:
         with mpmath.workdps(40):
             assert abs(r.value - mpmath.zeta(s, a)) <= r.err_bound <= 1e-15 * r.value
 
+    @pytest.mark.parametrize("s, a", [(200.0, 9.5), (280.0, 9.99)])
+    def test_hurwitz_zeta_of_a_value_below_tol(self, s, a):
+        # the value, about a^-s, lies far below the default tol, which would
+        # certify no digit of it: the sum runs to 1e-14 of a^-s instead
+        import mpmath
+
+        r = hurwitz_zeta(s, a)
+        with mpmath.workdps(40):
+            assert abs(r.value - mpmath.zeta(s, a)) <= r.err_bound <= 1e-14 * r.value
+
     @pytest.mark.parametrize("x", [1e-320, 1e-80])
     def test_polygamma_overflow(self, x):
         with pytest.raises(OverflowError, match=rf"^polygamma\(3, {x}\) overflows double precision$"):

@@ -1,6 +1,7 @@
 """One tolerance rule for the whole library: every public callable that takes
 a tolerance refuses nan, either infinity, either zero and a negative value
 with ``DomainError``, through ``errors.check_tol``, before it does any work.
+A valid tolerance is met, or the call raises ``ConvergenceError``.
 
 The subjects are found, not listed: every public name (the package's
 ``__all__`` and each module's) whose signature has a parameter named
@@ -21,7 +22,7 @@ import tetralog
 from tetralog.accel import alternating_sum
 from tetralog.bbp import REGISTRY, closed_form_value, eval_bbp_sum, li3_binomial_sums
 from tetralog.dirichlet import l7_hurwitz, l7_series
-from tetralog.errors import DomainError
+from tetralog.errors import ConvergenceError, DomainError, QuadratureError
 from tetralog.integrals import (
     corollary3,
     i1_polylog_form,
@@ -150,3 +151,28 @@ def test_bad_tolerance_rejected_before_any_work(name, tol):
     # the rule itself refused it, and nothing but the route to it ran first
     assert calls[-1] == "check_tol", calls
     assert len(calls) <= ROUTE, calls
+
+
+# evaluators whose bound once came back above a tol they were given, each as
+# a function of tol to the results it returns
+MET_OR_RAISED = {
+    "alternating_sum": lambda tol: (alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol),),
+    "li3_binomial_sums": li3_binomial_sums,
+    "l7_series": lambda tol: (l7_series(tol),),
+    "l7_hurwitz": lambda tol: (l7_hurwitz(tol),),
+    "integral_In": lambda tol: (integral_In(3, tol),),
+    "integral_I1_split": integral_I1_split,
+    "im_li2_polar": lambda tol: (im_li2_polar(PolarPoint(3.0, 2.0), tol),),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15, 1e-17], ids=repr)
+@pytest.mark.parametrize("name", sorted(MET_OR_RAISED))
+def test_a_tolerance_is_met_or_the_call_raises(name, tol):
+    try:
+        results = MET_OR_RAISED[name](tol)
+    except ConvergenceError as exc:
+        assert isinstance(exc, QuadratureError) == name.startswith("integral"), exc
+        return
+    for r in results:
+        assert r.err_bound <= tol, r
