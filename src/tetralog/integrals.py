@@ -258,10 +258,19 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
         raise DomainError("integral_I_ab requires a >= 0")
     if not abs(b) < 1.0:
         raise DomainError("integral_I_ab requires |b| < 1")
-    sing = (0.0,) if a == 0.0 else ()
+    # y^2 + 2by + 1 = (y + b)^2 + (1 - b)(1 + b): two terms >= 0, so no
+    # cancellation at the peak y = -b as b nears -1.  For a > 0 the peak is
+    # declared, as corollary3 declares x = c.  At a = 0 the one panel from 0
+    # takes y and 1/y as mirror nodes, where ln y dy / (y^2 + 2by + 1) is odd,
+    # so their terms cancel pair by pair however narrow the peak is
+    if a == 0.0:
+        sing = (0.0,)
+    else:
+        sing = (-b,) if -b > a else ()
+    k = (1.0 - b) * (1.0 + b)
     return integrate(
         QuadProblem(
-            lambda y: math.log(y) / (y * y + 2.0 * b * y + 1.0),
+            lambda y: math.log(y) / ((y + b) * (y + b) + k),
             a,
             math.inf,
             sing,

@@ -3,10 +3,11 @@
 The interval is split at every declared singular point.  Panels that touch a
 singular point are handled with a tanh-sinh (double-exponential) transform,
 which never samples the endpoints; regular panels use adaptive Gauss-Legendre
-bisection.  A semi-infinite range is cut at c, one unit past its lower end and
-every singular point, and its tail (c, inf) is the tanh-sinh panel (0, 1) of
-f(c + s/(1-s)) / (1-s)^2; the level loop applies that map itself, so a tail
-node costs one call of f, as a finite one does.
+bisection.  A semi-infinite range is cut at m, the largest of its lower end and
+the singular points, and [m, inf) is one tanh-sinh panel (0, 1) of
+f(m + s/(1-s)) / (1-s)^2, the exp-sinh rule of Takahasi and Mori (Publ. RIMS 9,
+1974); the level loop applies that map itself, so a tail node costs one call
+of f, as a finite one does.
 
 Each side of a tanh-sinh level (right b - r, left a + r, interleaved node by
 node) stops on its own: at its first abscissa that rounds onto the endpoint,
@@ -16,10 +17,16 @@ and the weights fall double-exponentially beyond it, so the level sums the
 same value as a walk over every node, while an endpoint at 0 is sampled only
 as far as its terms still count (not down to x ~ 1e-304).  The weight gate
 keeps a side going while the sum is small, e.g. when the integrand vanishes
-at the centre node.  Finiteness is tested once per level, on its sum of
-|w f|, which any non-finite term makes non-finite; only then is the level
-walked again, each value tested, to name the first abscissa (y, on the
-tail) at which f is not finite.
+at the centre node.  On the tail the far side, s = 1 - r, takes 1 - s as r
+itself, which is exact, so it samples y ~ 1/r well past 2^53, where 1 - s
+taken from the rounded s is 0.  It stops by the term rule, or at r < 1e-150,
+where r^2 would leave the normal range; that stop drops the integral beyond
+y ~ 1e150, at most sup |y^2 f(y)| * 1e-150.  The near side, s = r, stops
+where m + s/(1 - s) rounds onto m, which may be a singular point.
+Finiteness is tested once per level, on its sum of |w f|, which any
+non-finite term makes non-finite; only then is the level walked again, each
+value tested, to name the first abscissa (y, on the tail) at which f is not
+finite.
 
 Error estimates are the difference of successive refinement levels inflated
 by a fixed safety factor of 10; they are conservative, not rigorous bounds.
@@ -80,6 +87,8 @@ _SAFETY = 10.0
 # 1/64 of half its ulp, so a term that small leaves the sum as it is
 _TAIL_WEIGHT = 1e-12
 _ROUNDS_AWAY = 2.0**-60
+# the tail's far side ends at 1 - s = r below this, where r^2 leaves the normal range
+_FAR_END = 1e-150
 
 # the rounding floor of a panel's error bound, per unit of its sum of |w f|
 _ROUNDING = 4.0 * EPS
@@ -190,9 +199,8 @@ def _tanh_sinh_panel(
     def level_sum(level: int, f: Callable[[float], float]) -> tuple[float, float]:
         # abscissae via distance to the nearer endpoint for endpoint precision;
         # the pair is unrolled because this loop dominates the quadrature time.
-        # Each side stops by the rule in the module docstring.  On the tail
-        # (c given) x is s and f is taken at c + s/(1 - s).  Returns the sums
-        # of w f and of |w f|
+        # Each side stops by the rule in the module docstring.  Returns the
+        # sums of w f and of |w f|
         total = 0.0
         mag = 0.0
         right = left = True
@@ -203,11 +211,7 @@ def _tanh_sinh_panel(
                 if x >= b:
                     right = False
                 elif x > a:
-                    if c is None:
-                        t = w * f(x)
-                    else:
-                        om = 1.0 - x
-                        t = w * (f(c + x / om) / (om * om))
+                    t = w * f(x)
                     if w < tail_weight and abs(t) <= rounds_away * abs(total):
                         right = False
                     else:
@@ -220,11 +224,7 @@ def _tanh_sinh_panel(
                 if x <= a:
                     left = False
                 elif x < b:
-                    if c is None:
-                        t = w * f(x)
-                    else:
-                        om = 1.0 - x
-                        t = w * (f(c + x / om) / (om * om))
+                    t = w * f(x)
                     if w < tail_weight and abs(t) <= rounds_away * abs(total):
                         left = False
                     else:
@@ -234,14 +234,53 @@ def _tanh_sinh_panel(
                 break
         return total, mag
 
+    def tail_level_sum(level: int, f: Callable[[float], float]) -> tuple[float, float]:
+        # level_sum on (0, 1) with f taken at y = c + s/(1 - s); the far side
+        # s = 1 - r divides by r itself, the near side s = r stops where y
+        # rounds onto c, as the module docstring says
+        total = 0.0
+        mag = 0.0
+        far = near = True
+        for d, w in _tanh_sinh_level(level):
+            r = 1.0 / d
+            if far:
+                if r < _FAR_END:
+                    far = False
+                else:
+                    t = w * (f(c + (1.0 - r) / r) / (r * r))
+                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                        far = False
+                    else:
+                        total += t
+                        mag += abs(t)
+            if d == 2.0:
+                continue
+            if near:
+                om = 1.0 - r
+                y = c + r / om
+                if y <= c:
+                    near = False
+                else:
+                    t = w * (f(y) / (om * om))
+                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                        near = False
+                    else:
+                        total += t
+                        mag += abs(t)
+            elif not far:
+                break
+        return total, mag
+
+    walk = level_sum if c is None else tail_level_sum
+
     def finite_level_sum(level: int) -> tuple[float, float]:
         # a non-finite f makes the sum of |w f| non-finite; only then is the
         # level walked again, each value tested, to name the first such
         # abscissa.  Finite values whose terms overflow keep their sums, which
         # no level then accepts
-        s, m = level_sum(level, f)
+        s, m = walk(level, f)
         if not math.isfinite(m):
-            level_sum(level, _checked(f))
+            walk(level, _checked(f))
         return s, m
 
     step = 1.0
@@ -336,10 +375,8 @@ def integrate(problem: QuadProblem) -> EvalResult:
 
     tail_base = None
     if math.isinf(b):
-        # split in the original variable; compactify only the tail panel,
-        # starting it one unit past a and every singular cut so the
-        # substitution never rounds an abscissa back onto the singularity
-        tail_base = b = max({a} | sing) + 1.0
+        # the finite panels end at the last cut; one mapped panel takes the rest
+        tail_base = b = max({a} | sing)
 
     cuts = sorted({a, b} | sing)
     panels: list[tuple[float, float, bool]] = []

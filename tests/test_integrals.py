@@ -229,6 +229,52 @@ def test_quadrature_bounds_hold_against_closed_forms():
         assert abs(lhs.value - exact) <= lhs.err_bound, (c, t)
 
 
+def _iab_quad_exact(a, b):
+    """I(a, b) by 40-digit mpmath quadrature, split at the peak y = -b."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        k = (1 - b) * (1 + b)
+        points = [a, -b, mpmath.inf] if -b > a else [a, mpmath.inf]
+        return mpmath.quad(lambda y: mpmath.log(y) / ((y + b) ** 2 + k), points)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_iab_at_zero_next_to_b_minus_one_is_zero(tol):
+    # y -> 1/y maps I(0, b) to -I(0, b), so it is 0; the panel from 0 pairs
+    # those nodes, so the peak at y = -b, of width ~7e-3, cancels as well
+    r = integral_I_ab(0.0, -0.999975374854862, tol)
+    assert abs(r.value) <= r.err_bound <= 1e-14
+
+
+def test_corollary3_at_large_c_holds_its_bound():
+    # a tail cut at y ~ 2^53 would drop up to ~4e-15 of ln x / x^2, uncharged
+    import mpmath
+
+    c, t = 196.03244175249583, 2.3056248266235735
+    lhs, _ = corollary3(c, t)
+    with mpmath.workdps(40):
+        exact = mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
+    assert _mp_error(lhs.value, exact) <= lhs.err_bound
+
+
+def test_iab_bounds_hold_over_wide_ranges():
+    # a = 0 or log-uniform on [1e-3, 1e2], 1 - |b| log-uniform on [1e-5, 1],
+    # at three tolerances, where the peak y = -b narrows to width ~sqrt(1 - b^2):
+    # every call returns, inside its bound
+    import random
+
+    rng = random.Random(15)
+    for i in range(150):
+        a = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-3.0, 2.0)
+        b = math.copysign(1.0 - 10.0 ** rng.uniform(-5.0, 0.0), rng.random() - 0.5)
+        exact = _iab_quad_exact(a, b)
+        for tol in (1e-8, 1e-10, 1e-12):
+            r = integral_I_ab(a, b, tol)
+            assert _mp_error(r.value, exact) <= r.err_bound, (a, b, tol)
+
+
 def test_closed_form_bounds_hold_near_unit_b():
     # a in [0, 100], |b| up to 1 - 1e-6, half of it log-uniform in 1 - |b|,
     # where the closed forms divide by sqrt(1 - b^2) and asin(b) nears pi/2;

@@ -13,6 +13,7 @@ import pytest
 
 import tetralog
 from tetralog import quad
+from tetralog.constants import EPS
 from tetralog.errors import DomainError, QuadratureError
 from tetralog.quad import QuadProblem, integrate
 
@@ -229,7 +230,7 @@ def _counted(f):
 
 
 def _tail_mapped(g, c):
-    """g on (c, inf) as integrate() compactifies it, y = c + s/(1 - s)."""
+    """g on (c, inf) compactified, y = c + s/(1 - s), as a plain integrand on (0, 1)."""
     return lambda s: g(c + s / (1.0 - s)) / ((1.0 - s) * (1.0 - s))
 
 
@@ -268,10 +269,10 @@ def test_tanh_sinh_stopped_sides_sum_as_every_node(f, a, b):
 
 def _half_line_by_panels(f, a, sing, tol):
     """integrate(QuadProblem(f, a, inf, sing, tol)) rebuilt panel by panel: the
-    finite panels up to c + 1, c the largest of a and the singular points, then
-    the tail (c + 1, inf) as a tanh-sinh panel of the mapped integrand on (0, 1)."""
-    c = max((a, *sing))
-    cuts = sorted({a, c + 1.0, *sing})
+    finite panels up to m, the largest of a and the singular points, then
+    [m, inf) as one tanh-sinh panel (0, 1) mapped from m."""
+    m = max((a, *sing))
+    cuts = sorted({a, m, *sing})
     per_panel = tol / len(cuts)  # len(cuts) - 1 finite panels and the tail
     budget = quad._Budget(quad._MAX_SUBDIVISIONS)
     total = err = 0.0
@@ -282,8 +283,33 @@ def _half_line_by_panels(f, a, sing, tol):
         total += v
         err += e
         effort += n
-    v, e, n = quad._tanh_sinh_panel(_tail_mapped(f, c + 1.0), 0.0, 1.0, per_panel, budget)
+    v, e, n = quad._tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, m)
     return total + v, err + e, effort + n
+
+
+def _tail_reference(f, c, level):
+    """Per-node tanh-sinh sum of one level of the tail (c, inf), nodes computed
+    afresh: every far node s = 1 - r down to r = 1e-150 and every near node
+    s = r whose y = c + s/(1 - s) lies above c."""
+    step = 0.5**level
+    total = 0.0
+    k = 0 if level == 0 else 1
+    while k * step <= 6.1:
+        t = k * step
+        ch = math.cosh(t)
+        q = 0.5 * math.pi * math.sinh(t)
+        if q > 350.0:
+            break
+        w = 0.5 * math.pi * ch * (1.0 / math.cosh(q) ** 2)
+        r = 1.0 / (1.0 + math.exp(2.0 * q))
+        if r >= 1e-150:
+            total += w * (f(c + (1.0 - r) / r) / (r * r))
+        if k:
+            y = c + r / (1.0 - r)
+            if y > c:
+                total += w * (f(y) / ((1.0 - r) * (1.0 - r)))
+        k += 1 if level == 0 else 2
+    return total
 
 
 def _i_ab_integrand(b):
@@ -306,14 +332,56 @@ def _corollary3_integrand(c, t):
         (_corollary3_integrand(0.3, 2.9), 0.0, (0.0, 0.3)),
         (lambda y: 1.0 / (1.0 + y * y), 0.0, ()),
         (lambda y: math.exp(-y), 0.0, ()),
+        # the tail starts at a log singularity, which its near side must not sample
+        (lambda y: math.log(abs(y - 1.0)) / (1.0 + y * y), 0.0, (1.0,)),
     ],
-    ids=["iab-a0", "iab-a0.5", "iab-a1", "cor3-c2", "cor3-c0.3", "cauchy", "exp"],
+    ids=["iab-a0", "iab-a0.5", "iab-a1", "cor3-c2", "cor3-c0.3", "cauchy", "exp", "ln-at-base"],
 )
 def test_half_line_is_its_panels_plus_the_mapped_tail(f, a, sing, tol):
-    # integrate() maps the tail inside the tanh-sinh loop, with the same float
-    # operations as the mapped integrand, so the two agree bit for bit
     r = integrate(QuadProblem(f, a, math.inf, sing, tol))
     assert (r.value, r.err_bound, r.effort) == _half_line_by_panels(f, a, sing, tol)
+
+
+@pytest.mark.parametrize(
+    "f, c",
+    [
+        (lambda y: math.log(y) / (y * y), 1.0),
+        (_i_ab_integrand(0.3), 0.0),
+        (_corollary3_integrand(0.3, 2.9), 0.3),
+        (lambda y: 1.0 / (1.0 + y * y), 0.0),
+        (lambda y: math.exp(-y), 2.0),
+        (lambda y: math.log(y - 1.0) / (y * y), 1.0),
+    ],
+    ids=["ln-over-square", "iab-a0", "cor3-at-c", "cauchy", "exp", "ln-at-base"],
+)
+def test_tail_panel_sums_as_every_node(f, c):
+    # the tail's sides stop only where the remaining terms round away, so the
+    # panel equals the per-node sum over every node, bit for bit
+    v, _, levels = quad._tanh_sinh_panel(f, 0.0, 1.0, 1e-12, quad._Budget(10), c)
+    s_ref = 0.5 * _tail_reference(f, c, 0)
+    for level in range(1, levels + 1):
+        s_ref = 0.5 * s_ref + 0.5 * 0.5**level * _tail_reference(f, c, level)
+    assert v == s_ref
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda y: math.log(y) / (y * y), lambda y: 1.0 / (1.0 + y * y)],
+    ids=["ln-over-square", "cauchy"],
+)
+def test_tail_far_side_samples_past_2_53(f):
+    # 1 - s is taken as the node's own distance r, not from the rounded s, so
+    # the far side reaches y ~ 1/r beyond the 2^53 where 1 - s would round to 0
+    ys = _abscissae(QuadProblem(f, 1.0, math.inf, (), 1e-12))
+    assert max(ys) > 2.0**60
+
+
+def test_log_over_square_tail_is_one():
+    # the integral of ln y / y^2 beyond 2^53 is (ln 2^53 + 1) / 2^53 ~ 4e-15,
+    # which a far side cut there would drop without charging for it
+    r = integrate(QuadProblem(lambda y: math.log(y) / (y * y), 1.0, math.inf, (), 1e-12))
+    assert abs(r.value - 1.0) <= r.err_bound
+    assert abs(r.value - 1.0) <= 4.0 * EPS
 
 
 def _abscissae(problem):
@@ -343,7 +411,7 @@ _CAUCHY_HALF_LINE = QuadProblem(lambda y: 1.0 / (1.0 + y * y), 0.0, math.inf, (0
     [
         (_LOG_PANEL, lambda x: x > 0.5),  # right side, b - r
         (_LOG_PANEL, lambda x: x < 0.5),  # left side, a + r
-        (_CAUCHY_HALF_LINE, lambda y: y > 1.0),  # the tail (1, inf), in y
+        (_CAUCHY_HALF_LINE, lambda y: y > 1.0),  # the tail's far side, in y
     ],
     ids=["right", "left", "tail"],
 )
