@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from tetralog.errors import DomainError
+from tetralog.errors import DomainError, QuadratureError
 from tetralog.integrals import (
     CONSTANTS,
     Paper7Constants,
@@ -257,6 +257,54 @@ def test_corollary3_at_large_c_holds_its_bound():
     with mpmath.workdps(40):
         exact = mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
     assert _mp_error(lhs.value, exact) <= lhs.err_bound
+
+
+def _corollary3_exact(c, t):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.log(c) / c * mpmath.mpf(t) / mpmath.sin(t)
+
+
+def test_corollary3_at_small_c_ends_at_its_rounding_floor():
+    # |value| ~ 881, so tol 1e-12 is ~5 ulps: the tail's levels settle one ulp
+    # apart, within the rounding of their sum, and the panel ends there
+    c, t = 0.0058584110749913465, 0.1527199233766555
+    lhs, _ = corollary3(c, t, 1e-12)
+    assert _mp_error(lhs.value, _corollary3_exact(c, t)) <= lhs.err_bound
+
+
+def test_corollary3_charges_what_the_stops_at_its_peak_drop():
+    # the peak f(c) ~ -3.8e4 sits at the declared point x = c, and the sides
+    # that end within ulp(c)/2 of it drop up to ~2e-12 of the integral, which
+    # the panels now charge
+    c, t = 0.30916232191628507, 3.1235228221502296
+    exact = _corollary3_exact(c, t)
+    lhs, _ = corollary3(c, t, 1e-10)
+    assert _mp_error(lhs.value, exact) <= lhs.err_bound
+    try:
+        lhs, _ = corollary3(c, t, 1e-12)
+    except QuadratureError:
+        return
+    assert _mp_error(lhs.value, exact) <= lhs.err_bound
+
+
+def test_corollary3_bounds_hold_over_wide_ranges():
+    # c log-uniform on [1e-3, 1e3] and t in (0, pi), at three tolerances:
+    # every call that returns does so inside its bound
+    import random
+
+    rng = random.Random(5)
+    for _ in range(600):
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        t = rng.uniform(0.0, PI)
+        exact = _corollary3_exact(c, t)
+        for tol in (1e-8, 1e-10, 1e-12):
+            try:
+                lhs, _ = corollary3(c, t, tol)
+            except QuadratureError:
+                continue
+            assert _mp_error(lhs.value, exact) <= lhs.err_bound, (c, t, tol)
 
 
 def test_iab_bounds_hold_over_wide_ranges():

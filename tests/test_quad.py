@@ -25,7 +25,7 @@ class TestSmoothIntegrands:
     def test_polynomial(self):
         r = integrate(QuadProblem(lambda x: x * x, 0.0, 1.0))
         assert abs(r.value - 1.0 / 3.0) < 1e-13
-        assert r.method == "gauss-legendre"
+        assert r.method == "tanh-sinh"
 
     def test_oscillatory(self):
         r = integrate(QuadProblem(math.sin, 0.0, PI, tol=1e-12))
@@ -33,7 +33,7 @@ class TestSmoothIntegrands:
 
     def test_value_is_builtin_float(self):
         r = integrate(QuadProblem(math.cos, 0.0, 1.0))
-        assert r.method == "gauss-legendre"
+        assert r.method == "tanh-sinh"
         assert type(r.value) is float
         assert type(r.err_bound) is float
 
@@ -74,6 +74,16 @@ class TestSingularEndpoints:
     def test_non_integrable_detected(self):
         with pytest.raises(QuadratureError):
             integrate(QuadProblem(lambda x: 1.0 / x, 0.0, 1.0, (0.0,), 1e-10))
+
+
+@pytest.mark.parametrize(
+    "f", [lambda x: math.log(x - 1.0), lambda x: math.log(2.0 - x)], ids=["ln-left", "ln-right"]
+)
+def test_log_at_an_undeclared_end(f):
+    # no point is declared, so the nodes that round onto the end are taken
+    # at the float next to it, where ln is finite, instead of being dropped
+    r = integrate(QuadProblem(f, 1.0, 2.0, (), 1e-10))
+    assert abs(r.value + 1.0) <= r.err_bound
 
 
 class TestSemiInfinite:
@@ -147,9 +157,14 @@ class TestValidation:
             integrate(QuadProblem(lambda x: math.sin(1000.0 * x), 0.0, 100.0, (), 1e-13))
 
     def test_gauss_piece_at_its_rounding_floor_is_not_bisected(self):
-        # G10 and G21 differ by one ulp of ~1e6, which halving the interval
-        # never lowers: a tol below that rounding must end at once, not spend
-        # the whole subdivision budget
+        # levels of x^2 on [1000, 1001] settle within the rounding of a sum of
+        # ~1e6, which neither refining nor halving the panel lowers: the panel
+        # ends at that floor, and a tol below it raises at once instead of
+        # spending the whole subdivision budget
+        exact = Fraction(1001**3 - 1000**3, 3)
+        for tol in (1e-9, 1e-8):
+            r = integrate(QuadProblem(lambda x: x * x, 1000.0, 1001.0, (), tol))
+            assert abs(Fraction(r.value) - exact) <= Fraction(r.err_bound)
         calls = [0]
 
         def f(x):
@@ -157,35 +172,20 @@ class TestValidation:
             return x * x
 
         with pytest.raises(QuadratureError, match="combined error estimate"):
-            integrate(QuadProblem(f, 1000.0, 1001.0, (), 1e-9))
-        assert calls[0] <= 3 * 31
-        r = integrate(QuadProblem(f, 1000.0, 1001.0, (), 1e-8))
-        assert r.effort <= 3 * 31
-        exact = Fraction(1001**3 - 1000**3, 3)
-        assert abs(Fraction(r.value) - exact) <= Fraction(r.err_bound)
+            integrate(QuadProblem(f, 1000.0, 1001.0, (), 1e-10))
+        assert calls[0] <= 120
+
+    def test_stalled_tail_is_named_by_its_range(self):
+        # cos y / (1 + y^2) keeps oscillating on the mapped panel (0, 1)
+        f = lambda y: math.cos(y) / (1.0 + y * y)  # noqa: E731
+        with pytest.raises(
+            QuadratureError, match=r"^tanh-sinh panel \[2\.5, inf\) stalled above tol 5e-07$"
+        ):
+            integrate(QuadProblem(f, 0.0, math.inf, (2.5,), 1e-6))
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             integrate(QuadProblem(lambda x: float("nan"), 0.0, 1.0))
-
-
-@pytest.mark.parametrize("rule", [quad._GL_LO, quad._GL_HI], ids=["n10", "n21"])
-class TestGaussLegendreTables:
-    def test_nodes_and_weights_match_mpmath(self, rule):
-        with mpmath.workdps(30):
-            xs, ws = mpmath.gauss_quadrature(len(rule), "legendre")
-            for (x, w), xr, wr in zip(rule, xs, ws):
-                assert type(x) is float and type(w) is float
-                assert abs(x - xr) <= 4e-16
-                assert abs(w - wr) <= 4e-16
-
-    def test_weights_sum_to_two(self, rule):
-        assert math.fsum(w for _, w in rule) == pytest.approx(2.0, abs=1e-15)
-
-    def test_exact_on_monomials(self, rule):
-        for k in range(2 * len(rule)):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert math.fsum(w * x**k for x, w in rule) == pytest.approx(exact, abs=2e-15)
 
 
 def _tanh_sinh_reference(f, a, b, level):
@@ -278,8 +278,7 @@ def _half_line_by_panels(f, a, sing, tol):
     total = err = 0.0
     effort = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        panel = quad._tanh_sinh_panel if lo in sing or hi in sing else quad._gauss_panel
-        v, e, n = panel(f, lo, hi, per_panel, budget)
+        v, e, n = quad._tanh_sinh_panel(f, lo, hi, per_panel, budget, None, lo in sing, hi in sing)
         total += v
         err += e
         effort += n
