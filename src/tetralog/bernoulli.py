@@ -6,7 +6,9 @@ cached; everything downstream consumes double-precision projections, each
 one correctly rounded int/int division, cached entry by entry as sums reach
 them.  ``fractions`` is imported only by ``bernoulli_number``, which hands out
 ``Fraction`` objects.  The one Euler-Maclaurin sum for zeta(s, a) lives here
-too, since ``zeta_int`` and ``specfun.hurwitz_zeta`` both evaluate it.
+too, since ``zeta_int`` and ``specfun.hurwitz_zeta`` both evaluate it, and
+so does the one Taylor table of Li_s(+-e^w) per order and centre that the
+polylog and Clausen kernels read (``_log_tables``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
-from .constants import LN2
+from .constants import EPS, LN2, PI
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -186,3 +188,30 @@ def eta_taylor(s: int, k: int) -> float:
     if k == s - 1:
         return -LN2 / math.factorial(s - 1)
     return (2.0 ** (k + 1 - s) - 1.0) * zeta_taylor(s, k)
+
+
+_STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a sum
+OUTER = 3.5  # the polylog log expansions serve |z| < OUTER
+
+
+@cache
+def _log_tables(s: int, minus: bool) -> tuple[tuple[float, ...], ...]:
+    """The one Taylor table of Li_s(e^w) about w = 0, or of Li_s(-e^w) when
+    ``minus``, for s <= TAYLOR_K_MAX + 1: its head c_t, ..., c_0 (``zeta_taylor``
+    or ``eta_taylor``), t = min(s, TAYLOR_K_MAX), and its tail d_m = c_{s+1+2m},
+    each followed by its magnitudes.
+
+    The tail runs to its first term below _STOP |c_0| at the widest |w| of the
+    polylog regime, |z| < OUTER and |arg z| <= 2 pi/3 (2.44), or |arg(-z)| <
+    pi/3 when ``minus`` (1.64), so a sum whose |terms| exceed |c_0| stops by
+    its end at any smaller |w|.  Past k = TAYLOR_K_MAX a term is below 1e-40
+    for |w| < 3.3, so one more term, 0, ends the tail there."""
+    coeff = eta_taylor if minus else zeta_taylor
+    head = tuple(coeff(s, k) for k in range(min(s, TAYLOR_K_MAX), -1, -1))
+    widest = abs(complex(math.log(OUTER), (1.0 if minus else 2.0) * PI / 3.0))
+    tail = []
+    for k in range(s + 1, TAYLOR_K_MAX + 3, 2):
+        tail.append(coeff(s, k) if k <= TAYLOR_K_MAX else 0.0)
+        if abs(tail[-1]) * widest**k < _STOP * abs(head[-1]):
+            break
+    return head, tuple(map(abs, head)), tuple(tail), tuple(map(abs, tail))

@@ -12,7 +12,8 @@ Crandall, "Note on fast polylogarithm computation", 2006):
   (|w|/2 pi)^2 from one to the next.  Where Re z < -|z|/2, that of
   Li_s(-e^v) about v = ln(-z) = 0, on the ``eta_taylor`` coefficients: the
   same layout with no log term, its tail shrinking by (|v|/pi)^2.  On the
-  switch |arg z| = 2 pi/3 both ratios are 1/9 at |z| = 1;
+  switch |arg z| = 2 pi/3 both ratios are 1/9 at |z| = 1.  Both tables are
+  ``bernoulli._log_tables``, which the Clausen kernel reads too;
 * ``|z| >= OUTER``: inversion, Li_s(z) = (-1)^{s+1} Li_s(1/z) + P_s(z), with
   the series kernel on 1/z and the remainder P_s a polynomial in
   L = ln(-z) of floor(s/2) + 1 real coefficients, summed in L^2.  Orders above
@@ -31,14 +32,12 @@ import math
 from functools import cache
 from itertools import count
 
-from .bernoulli import TAYLOR_K_MAX, bernoulli_poly_central, eta_taylor, zeta_int, zeta_taylor
+from .bernoulli import _STOP, OUTER, TAYLOR_K_MAX, _log_tables, bernoulli_poly_central, zeta_int
 from .constants import EPS, PI, TWO_PI
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult, no_ball
 
 RHO = 0.5  # the series runs for |z| <= RHO
-OUTER = 3.5  # the inversion runs for |z| >= OUTER, or >= 1/RHO above TAYLOR_K_MAX
-_STOP = 0.25 * EPS  # a term below _STOP times the running sum of |terms| ends a sum
 
 
 @cache
@@ -75,36 +74,13 @@ def _li_series(s: int, z: complex) -> tuple[complex, float, int]:
     return acc * z, (t + 5.0 * EPS * mag) / (1.0 - r), n - 1
 
 
-@cache
-def _log_tables(s: int, minus: bool) -> tuple[tuple[float, ...], ...]:
-    """A log expansion's head, c_s, ..., c_0 from ``zeta_taylor`` (where
-    c_{s-1} = H_{s-1}/(s-1)!), or c'_s, ..., c'_0 from ``eta_taylor`` when
-    ``minus``, with its |c_k|; and its tail d_m = c_{s+1+2m} with |d_m|.
-
-    The tail runs to its first term below _STOP |c_0| at the regime's widest
-    |w|, where |z| < OUTER and |arg z| <= 2 pi/3, or |arg(-z)| < pi/3 when
-    ``minus``.  A sum stops by then, as that term is no larger at any |w| in
-    the regime and the running sum exceeds |c_0|.  Past k = TAYLOR_K_MAX a
-    term is below 1e-40 for |w| < 3.3, so one more term, 0, ends the tail
-    there."""
-    if s > TAYLOR_K_MAX:  # c_s = zeta(0)/s! needs s! as a double
-        raise OverflowError(f"Li_{s}: order too large for double precision")
-    coeff = eta_taylor if minus else zeta_taylor
-    head = tuple(coeff(s, k) for k in range(s, -1, -1))
-    widest = abs(complex(math.log(OUTER), (1.0 if minus else 2.0) * PI / 3.0))
-    tail = []
-    for k in range(s + 1, TAYLOR_K_MAX + 3, 2):
-        tail.append(coeff(s, k) if k <= TAYLOR_K_MAX else 0.0)
-        if abs(tail[-1]) * widest**k < _STOP * abs(head[-1]):
-            break
-    return head, tuple(map(abs, head)), tuple(tail), tuple(map(abs, tail))
-
-
 def _li_log_expansion(s: int, z: complex, minus: bool) -> tuple[complex, float, int]:
     """Li_s(z), RHO < |z| < OUTER, as (value, err_bound, terms).  About z = 1,
     at w = ln z: sum_{k<=s} c_k w^k - ln(-w) w^{s-1}/(s-1)! + w^{s+1} sum_m
     d_m w^{2m}.  About z = -1 (``minus``), at w = ln(-z): the same sums of
-    c'_k, with no log term."""
+    c'_k, with no log term.  The coefficients are ``bernoulli._log_tables``'s."""
+    if s > TAYLOR_K_MAX:  # c_s = zeta(0)/s! needs s! as a double
+        raise OverflowError(f"Li_{s}: order too large for double precision")
     head, head_abs, tail, tail_abs = _log_tables(s, minus)
     w = cmath.log(-z if minus else z)
     aw = abs(w)
@@ -117,7 +93,7 @@ def _li_log_expansion(s: int, z: complex, minus: bool) -> tuple[complex, float, 
         mag += abs(lc) * wk
     aw2 = aw * aw
     wk *= aw2
-    # mag >= |c_0|, so this ends by the tail's last term (see _log_tables)
+    # mag >= |c_0|, so this ends by the tail's last term (see bernoulli._log_tables)
     for m in count():
         t = tail_abs[m] * wk
         if t <= _STOP * mag:

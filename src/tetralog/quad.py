@@ -38,10 +38,11 @@ Each panel's estimate is at least 4 EPS times its sum of |w f|, the rounding
 of the sum, so agreeing levels never report a zero error, and two levels
 that differ by no more than that floor end the panel with the floor as its
 estimate, since no refinement lowers it.  A finite panel still above its tol
-after 10 levels, or whose estimate diverges while neither of its ends is a
-declared point to blame, is bisected at its midpoint, each half with half the
-tol, and the halves are integrated left to right.  A tail never bisects.
-Every level spends one of the call's 4000 refinements.
+after 10 levels, whose estimate has not halved for two levels running by
+level 4 or later, or diverges with no declared end to blame, is bisected at
+its midpoint, each half with half the tol, and the halves are integrated left
+to right.  A tail never bisects.  Every level spends one of the call's 4000
+refinements.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def _tanh_sinh_panel(
     s_prev, m, _ = finite_level_sum(0)
     s_prev *= h
     err_prev = math.inf
-    grew = 0
+    grew = stalled = 0
     for level in range(1, 11):
         budget.spend()
         step *= 0.5
@@ -313,6 +314,9 @@ def _tanh_sinh_panel(
                 )
         else:
             grew = 0
+        stalled = stalled + 1 if err > 0.5 * err_prev else 0
+        if stalled >= 2 and level >= 4 and c is None:
+            return None  # not halved for two levels: bisect
         s_prev, err_prev = s_cur, err
     if c is not None:
         raise QuadratureError(f"tanh-sinh panel [{c}, inf) stalled above tol {tol:g}")
@@ -351,7 +355,7 @@ def integrate(problem: QuadProblem) -> EvalResult:
             total += panel[0]
             err += panel[1]
     if tail:
-        v, e, _ = _tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, b, b in sing)
+        v, e, _ = _tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, b)
         total += v
         err += e
     if err > problem.tol:

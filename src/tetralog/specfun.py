@@ -10,7 +10,7 @@ Every Clausen value, ``cl2`` included, comes from one kernel: the real or
 imaginary part of the expansion of Li_s(e^{i theta}) about theta = 0, or, at
 |theta| > 2 pi/3, of Li_s(-e^{ix}) about x = pi - |theta| = 0, where the
 terms of both fall by at most 1/9 a step.  A table cached per order, parity and centre
-holds its coefficients with the sign of (-theta^2)^j folded in,
+picks its coefficients from ``bernoulli._log_tables``, the sign of (-theta^2)^j folded in,
 H_{s-1}/(s-1)! in the theta^{s-1} term, and the coefficient of theta^{s-1}
 ln theta (or of theta^{s-1}, for the polynomial kinds); about pi, the
 -eta(s - k)/k!, with no log term.  The head, up to theta^s, is summed by
@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .bernoulli import _EM_TERMS, TAYLOR_K_MAX, _euler_maclaurin, eta_taylor, zeta_int
-from .bernoulli import zeta_taylor
+from .bernoulli import _EM_TERMS, _STOP, TAYLOR_K_MAX, _euler_maclaurin, _log_tables, zeta_int
 from .constants import EPS, GAMMA, PI, PI_LO
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import _UP, Angle, EvalResult, PolarPoint, RationalAngle, exact, reduce_angle, rounded
@@ -277,10 +276,6 @@ def _reduction_slack(th: float, d: float, tol: float) -> float:
     return slack
 
 
-# a tail term below _STOP times the sum of |terms| before the tail ends it
-_STOP = 0.25 * EPS
-
-
 _Table = tuple[tuple[tuple[float, float], ...], float, bool, tuple[float, ...], float]
 
 
@@ -289,17 +284,17 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     """The coefficients of the Clausen kernel for order s and one parity,
     about theta = 0 and about theta = pi: indexed by whether the centre is pi.
 
-    ``bernoulli.zeta_taylor`` gives Li_s(e^{i theta}) = sum_k c_k (i theta)^k
-    - ln(-i theta) (i theta)^{s-1}/(s-1)!, with real terms at even k and
-    imaginary ones at odd k.  So the sine (odd, p = 1) or cosine (p = 0) part
+    ``bernoulli._log_tables`` holds Li_s(e^w) = sum_k c_k w^k - ln(-w)
+    w^{s-1}/(s-1)!, and at w = i theta the terms are real at even k and
+    imaginary at odd k.  So the sine (odd, p = 1) or cosine (p = 0) part
     is sum_j c_{2j+p} (-theta^2)^j theta^p + g theta^{s-1} L, where g is the
     part of -(i)^{s-1}/(s-1)! or of (i pi/2)(i)^{s-1}/(s-1)! that the parity
     picks.  When s - 1 has parity p, L = ln theta and the first holds;
     otherwise L = 1, the second holds, and c_k vanishes past k = s, so the
     sum is a polynomial.
 
-    About pi the variable is x = pi - theta, and ``bernoulli.eta_taylor``
-    gives Li_s(-e^{ix}) = sum_k c'_k (ix)^k, with no log term: Cl_s(pi - x) is
+    About pi the variable is x = pi - theta, and the same tables hold
+    Li_s(-e^{ix}) = sum_k c'_k (ix)^k, with no log term: Cl_s(pi - x) is
     -Im (sine) or Re (cosine) of it, so the same sum of c'_{2j+p} (-x^2)^j x^p,
     its sign flipped for the sine, with g = 0 and L = 1.  Past k = s only odd
     k - s survive there too, so for the finite kinds it is also a polynomial
@@ -308,11 +303,10 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     Each table: the c_{2j+p} (-1)^j for 2j + p <= s, highest first, for
     Horner's rule in theta^2, each with its magnitude; g; whether
     L = ln theta; and the magnitudes of the tail's c_{2j+p} (-1)^j for
-    2j + p > s, which share one sign, with that sign.  The tail runs until its
-    term at the centre's largest argument (pi, or pi/3 about pi) is below
-    _STOP times the head's theta^p term there, so a sum on that range stops by
-    its end.  Past TAYLOR_K_MAX a term reads 0: the tail gets there only for
-    s >= 168, where the first term left out is below 1e-220 at theta = pi.
+    2j + p > s, which share one sign, with that sign: the shared tail less its
+    closing 0.  It ends below _STOP |c_0| at |w| = 2.44, or 1.64 about pi, past
+    the kernel's 2 pi/3 and pi/3, so a sum stops by its end: a cosine sum's
+    |terms| exceed |c_0|, and a sine sum's x |c_1| > x |c_0|/2.44, or /1.64.
     """
     p = 1 if odd else 0
     top = s - (s - p) % 2  # the head's highest k
@@ -321,22 +315,16 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
         raise OverflowError(f"Cl_{s}: order too large for double precision")
     infinite = (s - p) % 2 == 1
     rot = (-1.0 if infinite else 0.5j * PI) * 1j ** (s - 1) / math.factorial(s - 1)
-    # (coefficients, the centre's largest argument, sign, g, L = ln theta)
-    centres = ((zeta_taylor, PI, 1, rot.imag if odd else rot.real, infinite),
-               (eta_taylor, PI / 3.0, -1 if odd else 1, 0.0, False))
     tables = []
-    for coeff, widest, turn, g, log in centres:
-        head = [turn * (-1) ** (k // 2) * coeff(s, k) for k in range(top, p - 1, -2)]
-        tail: list[float] = []
-        if infinite:
-            last = abs(head[-1]) * widest**p
-            for k in range(s + 1, TAYLOR_K_MAX + 1, 2):
-                tail.append(turn * (-1) ** (k // 2) * coeff(s, k))
-                if abs(tail[-1]) * widest**k < _STOP * last:
-                    break
-        sign = math.copysign(1.0, tail[0]) if tail else 1.0
-        head_pairs = tuple((a, abs(a)) for a in head)
-        tables.append((head_pairs, g, log, tuple(sign * d for d in tail), sign))
+    # (centre is pi, sign, g, L = ln theta)
+    for minus, turn, g, log in ((False, 1, rot.imag if odd else rot.real, infinite),
+                                (True, -1 if odd else 1, 0.0, False)):
+        coeffs, _, tail, tail_abs = _log_tables(s, minus)  # c_k at index -1 - k
+        head = [turn * (-1) ** (k // 2) * coeffs[-1 - k] for k in range(top, p - 1, -2)]
+        # an infinite kind's tail, k = s + 1, s + 3, ... <= TAYLOR_K_MAX, has parity p
+        n = (TAYLOR_K_MAX + 1 - s) // 2 if infinite else 0
+        sign = turn * (-1) ** ((s + 1) // 2) * math.copysign(1.0, tail[0]) if n else 1.0
+        tables.append((tuple((a, abs(a)) for a in head), g, log, tail_abs[:n], sign))
     return tuple(tables)
 
 

@@ -165,8 +165,8 @@ def test_record_field_tables_are_built_on_demand_and_once():
 
 def test_import_polylog_builds_no_table():
     code = (
-        "import tetralog.polylog as p\n"
-        "print(p._inv_powers.cache_info().currsize, p._log_tables.cache_info().currsize,"
+        "import tetralog.polylog as p, tetralog.bernoulli as b\n"
+        "print(p._inv_powers.cache_info().currsize, b._log_tables.cache_info().currsize,"
         " p._remainder_coeffs.cache_info().currsize)"
     )
     assert _printed_by(code).split() == ["0", "0", "0"]

@@ -152,9 +152,18 @@ class TestValidation:
             QuadProblem(math.sin, 0.0, 1.0, (2.0,))
 
     def test_budget_exhaustion_raises(self):
-        # ~16 000 oscillations need more panels than the fixed budget allows
+        # ~16 000 oscillations need more panels than the fixed budget allows;
+        # a panel whose estimate stalls bisects from level 4 on, not after its
+        # 10th level, which spent 2.2 M integrand calls here
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return math.sin(1000.0 * x)
+
         with pytest.raises(QuadratureError, match="budget exhausted"):
-            integrate(QuadProblem(lambda x: math.sin(1000.0 * x), 0.0, 100.0, (), 1e-13))
+            integrate(QuadProblem(f, 0.0, 100.0, (), 1e-13))
+        assert calls[0] <= 600_000
 
     def test_gauss_piece_at_its_rounding_floor_is_not_bisected(self):
         # levels of x^2 on [1000, 1001] settle within the rounding of a sum of

@@ -457,6 +457,37 @@ class TestClausenKernel:
             for lo, hi in zip(tail, tail[1:]):
                 assert hi * radius**2 <= lo * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("s", range(2, 172))
+    def test_sums_stop_within_the_shared_tables(self, s):
+        from tetralog.bernoulli import _STOP, OUTER, _log_tables
+        from tetralog.specfun import _clausen_table
+
+        switch = 2.0 * PI / 3.0
+        # each centre's widest argument: theta = 2 pi/3 about 0 and the float
+        # past it about pi (x = pi/3); |z| an ulp inside OUTER on either side
+        # of the switch arg z = 2 pi/3 for the log expansion
+        beyond = math.nextafter(switch, 4.0)
+        for minus, theta, arg in ((False, switch, switch), (True, beyond, beyond)):
+            coeffs, _, shared, _ = _log_tables(s, minus)
+            if s <= 170:
+                r = polylog_complex(s, cmath.rect(math.nextafter(OUTER, 0.0), arg), tol=1.0)
+                assert r.method == "log-expansion"
+                # the index of the tail term that stops the sum
+                assert r.effort - s - 1 < len(shared)
+            for odd, fn in ((True, clausen_sin), (False, clausen_cos)):
+                if odd and s == 171:
+                    continue  # no table: its head needs c_171
+                head, _, log, tail, _ = _clausen_table(s, odd)[minus]
+                summed = fn(s, theta, tol=1.0).effort - len(head) - (not (log or minus))
+                assert summed <= len(tail) <= len(shared)
+                if tail and summed == len(tail):
+                    # the last term stops the sum: it is below _STOP times
+                    # the least sum of |terms| there, |c_0| for the cosine
+                    # kind and x |c_1| for the sine kind, x = theta or pi - theta
+                    x = PI - theta if minus else theta
+                    least = x * abs(coeffs[-2]) if odd else abs(coeffs[-1])
+                    assert tail[-1] * x ** (s - 1 + 2 * summed) <= _STOP * least
+
 
 class TestPsiEdges:
     @pytest.mark.parametrize("x", [1e-155, 1e-200, 5e-324, -1e-200, -5e-324])

@@ -67,17 +67,17 @@ def test_a_call_made_while_a_log_table_is_built_leaves_it_whole():
     # of its own, about the same centre
     hooked = (
         "import cmath\n"
-        "import tetralog.polylog as p\n"
+        "import tetralog.bernoulli as b\n"
         "from tetralog.polylog import polylog_complex\n"
-        "coeff, fired = p.zeta_taylor, []\n"
+        "coeff, fired = b.zeta_taylor, []\n"
         "def zeta_taylor(s, k):\n"
         "    if k > s and not fired:\n"
         "        fired.append(k)\n"
         "        polylog_complex(5, cmath.rect(2.0, 1.5))\n"
         "    return coeff(s, k)\n"
-        "p.zeta_taylor = zeta_taylor\n"
+        "b.zeta_taylor = zeta_taylor\n"
         f"{_LI5}\n"
-        "p.zeta_taylor = coeff\n"
+        "b.zeta_taylor = coeff\n"
         "assert fired\n"
     )
     clean = "import cmath\nfrom tetralog.polylog import polylog_complex\n"
