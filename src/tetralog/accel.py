@@ -22,14 +22,16 @@ def alternating_sum(term: Callable[[int], float], tol: float = 1e-12) -> EvalRes
     apart, floored at 1e-16 of the value; it is not a proof.
     """
     check_tol(tol)
+    terms: list[float] = []  # term(k) at index k, each evaluated once
 
     def cvz(n: int) -> float:
+        terms.extend(term(k) for k in range(len(terms), n))
         d = (3.0 + 8.0**0.5) ** n
         d = (d + 1.0 / d) / 2.0
         b, c, s = -1.0, -d, 0.0
         for k in range(n):
             c = b - c
-            s += c * term(k)
+            s += c * terms[k]
             b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
         return s / d
 

@@ -7,15 +7,17 @@ stderr and an exit code:
 - 0: success; for ``verify``, every non-conjecture check passes.
 - 1: a check fails, or a computation cannot certify its result
   (``ConvergenceError``, including ``QuadratureError``, and ``PrecisionError``).
-- 2: a usage error: a ``DomainError`` (a malformed command line, which
-  ``parse_args`` refuses, an argument out of range, a missing or unused
-  flag, an unknown formula), an ``UnknownCheckError``, or an eval argument
-  too extreme for double-precision arithmetic (a bare ``ArithmeticError`` or
-  ``ValueError``).
+- 2: a usage error: a ``DomainError`` (a malformed command line, an
+  argument out of range, a missing option, an unknown formula), an
+  ``UnknownCheckError``, or an eval argument too extreme for
+  double-precision arithmetic (a bare ``ArithmeticError`` or ``ValueError``).
+  ``parse_args`` refuses a malformed command line, and with it any option
+  that the invocation does not read (``_EVALUATORS``, ``_VERIFY_READS``).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 import time
@@ -32,9 +34,27 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
-EVAL_TARGETS = ("cl2", "cln", "trigamma", "hurwitz", "catalan", "l7", "i7", "iab", "li3")
-# the targets whose evaluators take no tolerance
-_FIXED_TOL = ("trigamma", "catalan", "l7")
+# each eval target: the module and the function that compute it, the options
+# it reads in the order the function takes them, and whether it takes --tol.
+# cmd_eval names the function of cln and of l7 from their options.
+_EVALUATORS = {
+    "cl2": ("specfun", "cl2", ("--theta",), True),
+    "cln": ("specfun", None, ("--order", "--theta"), True),
+    "trigamma": ("specfun", "trigamma", ("--x",), False),
+    "hurwitz": ("specfun", "hurwitz_zeta", ("--s", "--a"), True),
+    "catalan": ("dirichlet", "catalan_result", ("--method",), False),
+    "l7": ("dirichlet", None, ("--route",), False),
+    "i7": ("integrals", "integral_I7", (), True),
+    "iab": ("integrals", "integral_I_ab", ("--a", "--b"), True),
+    "li3": ("polylog", "polylog_complex", ("--re", "--im"), True),
+}
+EVAL_TARGETS = tuple(_EVALUATORS)
+
+# the options that each form of verify reads
+_VERIFY_READS = {
+    "--check": ("--check", "--format", "--tol"),
+    "without --check": ("--all", "--tag", "--format", "--tol-scale"),
+}
 
 # extraction time grows a little faster than linearly with the position; the
 # cap keeps a request to seconds.  Deep positions split the head across forked
@@ -130,83 +150,26 @@ def _print_eval(value, err_bound: float, method: str) -> None:
 
 def cmd_eval(args: SimpleNamespace) -> int:
     t = args.target
-    # each evaluator states its own default tolerance
-    tol_kw = {}
-    if args.tol is not None:
-        if t in _FIXED_TOL:
-            raise DomainError(f"eval {t} takes no --tol")
-        tol_kw["tol"] = args.tol
-
-    def need(name: str):
-        v = getattr(args, name)
-        if v is None:
-            raise DomainError(f"eval {t} requires --{name}")
-        return v
-
-    # each target imports only the module that computes it
-    if t == "cl2":
-        from .specfun import cl2
-
-        r = cl2(need("theta"), **tol_kw)
-    elif t == "cln":
-        from .specfun import clausen_cos, clausen_sin
-
-        order = need("order")
-        theta = need("theta")
-        fn = clausen_sin if order % 2 == 0 else clausen_cos
-        r = fn(order, theta, **tol_kw)
-    elif t == "trigamma":
-        from .specfun import trigamma
-
-        r = trigamma(need("x"))
-    elif t == "hurwitz":
-        from .specfun import hurwitz_zeta
-
-        r = hurwitz_zeta(need("s"), need("a"), **tol_kw)
-    elif t == "catalan":
-        from .dirichlet import catalan_result
-
-        r = catalan_result(args.method)
-    elif t == "l7":
-        from . import dirichlet
-
-        route = {
-            "series": dirichlet.l7_series,
-            "trigamma": dirichlet.l7_trigamma,
-            "hurwitz": dirichlet.l7_hurwitz,
-        }[args.route]
-        r = route()
-    elif t == "i7":
-        from .integrals import integral_I7
-
-        r = integral_I7(**tol_kw)
-    elif t == "iab":
-        from .integrals import integral_I_ab
-
-        r = integral_I_ab(need("a"), need("b"), **tol_kw)
-    else:  # li3, the last of EVAL_TARGETS
-        from .polylog import polylog_complex
-
-        r = polylog_complex(3, complex(args.re, args.im), **tol_kw)
+    module, name, reads, _ = _EVALUATORS[t]
+    values = [getattr(args, option[2:]) for option in reads]
+    for option, value in zip(reads, values):
+        if value is None:
+            raise DomainError(f"eval {t} requires {option}")
+    if t == "cln":  # the order's parity picks the series
+        name = "clausen_sin" if args.order % 2 == 0 else "clausen_cos"
+    elif t == "l7":  # the route names the function, which takes no argument
+        name, values = f"l7_{args.route}", []
+    elif t == "li3":
+        values = [3, complex(args.re, args.im)]
+    # each evaluator states its own default tolerance, and each target loads
+    # only the module that computes it
+    tol_kw = {} if args.tol is None else {"tol": args.tol}
+    r = getattr(importlib.import_module(f".{module}", __package__), name)(*values, **tol_kw)
     _print_eval(r.value, r.err_bound, r.method)
     return 0
 
 
-def _reject_unused_flags(args: SimpleNamespace) -> None:
-    """Raise DomainError for a verify flag that the other flags given would leave unused."""
-    if args.check is None:
-        if args.tol is not None:
-            raise DomainError("--tol needs --check")
-    elif args.all:
-        raise DomainError("--all does not apply to --check")
-    elif args.tol_scale is not None:
-        raise DomainError("--tol-scale does not apply to --check; use --tol")
-    elif args.tag is not None:
-        raise DomainError("--tag does not apply to --check")
-
-
 def cmd_verify(args: SimpleNamespace) -> int:
-    _reject_unused_flags(args)
     from . import verify
 
     if args.check is not None:
@@ -353,6 +316,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     missing = [name for name, (*_, required) in table.items() if required and name not in given]
     if missing:
         raise DomainError(f"{command} requires {', '.join(missing)}")
+    form, reads = command, table  # digits reads every option
+    if command == "eval":
+        form = given["target"]
+        *_, row, takes_tol = _EVALUATORS[form]
+        reads = ("target", *row, *["--tol"] * takes_tol)
+    elif command == "verify":
+        form = "--check" if "--check" in given else "without --check"
+        reads = _VERIFY_READS[form]
+    unread = [name for name in given if name not in reads]
+    if unread:
+        raise DomainError(f"{command} {form} takes no {unread[0]}")
     return SimpleNamespace(
         command=command,
         **{n.lstrip("-").replace("-", "_"): given.get(n, o[2]) for n, o in table.items()},

@@ -37,12 +37,13 @@ by a fixed safety factor of 10; they are conservative, not rigorous bounds.
 Each panel's estimate is at least 4 EPS times its sum of |w f|, the rounding
 of the sum, so agreeing levels never report a zero error, and two levels
 that differ by no more than that floor end the panel with the floor as its
-estimate, since no refinement lowers it.  A finite panel still above its tol
-after 10 levels, whose estimate has not halved for two levels running by
-level 4 or later, or diverges with no declared end to blame, is bisected at
-its midpoint, each half with half the tol, and the halves are integrated left
-to right.  A tail never bisects.  Every level spends one of the call's 4000
-refinements.
+estimate, since no refinement lowers it.  An estimate that grows 4x at two
+levels running, from level 4 on, raises where the panel has a declared end to
+blame (a tail declares both).  A finite panel still above its tol after 10
+levels, or whose estimate has not halved for two levels running by level 4 or
+later, is bisected at its midpoint, each half with half the tol, and the
+halves are integrated left to right.  A tail never bisects.  Every level
+spends one of the call's 4000 refinements.
 """
 
 from __future__ import annotations
@@ -304,16 +305,12 @@ def _tanh_sinh_panel(
             # the levels agree within the rounding of their sum, which no
             # refinement lowers
             return s_cur, floor + drop, level
-        if err > 4.0 * err_prev and level >= 4:
-            grew += 1
-            if grew >= 2:
-                if c is None and not (a_sing or b_sing):
-                    return None  # no declared end to blame: bisect
-                raise QuadratureError(
-                    "error estimate diverging: singularity may be non-integrable"
-                )
-        else:
-            grew = 0
+        grew = grew + 1 if err > 4.0 * err_prev and level >= 4 else 0
+        if grew >= 2 and (a_sing or b_sing):  # a tail declares both ends
+            raise QuadratureError(
+                "error estimate diverging: singularity may be non-integrable"
+            )
+        # an estimate that grew 4x twice has not halved twice either
         stalled = stalled + 1 if err > 0.5 * err_prev else 0
         if stalled >= 2 and level >= 4 and c is None:
             return None  # not halved for two levels: bisect

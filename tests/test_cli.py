@@ -78,6 +78,24 @@ class TestPrintedBound:
             assert shown == f"{float(shown):.3e}"
 
 
+# the options each eval target reads, and a valid value for every eval option
+_READS = {
+    "cl2": ("--theta", "--tol"),
+    "cln": ("--order", "--theta", "--tol"),
+    "trigamma": ("--x",),
+    "hurwitz": ("--s", "--a", "--tol"),
+    "catalan": ("--method",),
+    "l7": ("--route",),
+    "i7": ("--tol",),
+    "iab": ("--a", "--b", "--tol"),
+    "li3": ("--re", "--im", "--tol"),
+}
+_VALUES = {
+    "--theta": "1", "--order": "3", "--x": "1", "--s": "2", "--a": "0.5", "--b": "0.3",
+    "--re": "0.5", "--im": "0.5", "--method": "series", "--route": "series", "--tol": "1e-10",
+}
+
+
 class TestEval:
     def test_i7(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "i7")
@@ -223,6 +241,22 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == f"error: eval {argv[0]} takes no --tol\n"
+
+    @pytest.mark.parametrize(
+        ("target", "option"),
+        [
+            (target, option)
+            for target in cli.EVAL_TARGETS
+            for option in cli._OPTIONS["eval"]
+            if option != "target" and option not in _READS[target]
+        ],
+    )
+    def test_unread_option_usage_error(self, capsys, target, option):
+        # the target's own options are valid, so the unread one is the only fault
+        given = (*_READS[target], option)
+        argv = [word for name in given for word in (name, _VALUES[name])]
+        code, out, err = run_cli(capsys, "eval", target, *argv)
+        assert (code, out, err) == (2, "", f"error: eval {target} takes no {option}\n")
 
     def test_max_terms_is_gone(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "cl2", "--theta", "1", "--max-terms", "5")
@@ -404,7 +438,7 @@ class TestErrorPolicy:
             (DomainError, ("digits", "--formula", "nope", "--position=0", "--count=4"), 2),
             (DomainError, ("verify", "--check", "P1", "--tol", "0"), 2),
             (DomainError, ("verify", "--all", "--tol-scale", "inf"), 2),
-            (DomainError, ("verify", "--tol", "1e-8"), 2),
+            (DomainError, ("eval", "hurwitz", "--s", "2", "--a=-1"), 2),
             (UnknownCheckError, ("verify", "--check", "nope"), 2),
             (OverflowError, ("eval", "trigamma", "--x", "1e-200"), 2),
             (ConvergenceError, ("eval", "cl2", "--theta", "1", "--tol", "1e-30"), 1),
@@ -466,6 +500,7 @@ class TestParser:
             (("eval", "cl2", "--", "--theta", "1"), "unrecognized argument '--'"),
             (("eval", "--theta", "1"), "eval requires target"),
             (("digits", "--formula", "pi-degree1"), "digits requires --position, --count"),
+            (("verify", "--tol", "1e-8"), "verify without --check takes no --tol"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
