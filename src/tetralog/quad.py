@@ -3,9 +3,10 @@
 One rule serves every panel: tanh-sinh, the double-exponential rule of
 Takahasi and Mori (Publ. RIMS 9, 1974).  The interval is split at every
 declared singular point.  A semi-infinite range is cut at m, the largest of
-its lower end and the singular points, and [m, inf) is one tanh-sinh panel
-(0, 1) of f(m + s/(1-s)) / (1-s)^2, the exp-sinh rule; the level loop applies
-that map itself, so a tail node costs one call of f, as a finite one does.
+its lower end and the singular points, and the last panel, the tail (m, inf),
+is tanh-sinh on (0, 1) of f(m + s/(1-s)) / (1-s)^2, the exp-sinh rule; the
+tail's walk applies that map itself, so a tail node costs one call of f, as a
+finite one does.
 
 Each side of a level (right b - r, left a + r, interleaved node by node)
 stops on its own at its first node whose weight is below 1e-12 and whose
@@ -39,7 +40,7 @@ of the sum, so agreeing levels never report a zero error, and two levels
 that differ by no more than that floor end the panel with the floor as its
 estimate, since no refinement lowers it.  An estimate that grows 4x at two
 levels running, from level 4 on, raises where the panel has a declared end to
-blame (a tail declares both).  A finite panel still above its tol after 10
+blame (a tail always has one).  A finite panel still above its tol after 10
 levels, or whose estimate has not halved for two levels running by level 4 or
 later, is bisected at its midpoint, each half with half the tol, and the
 halves are integrated left to right.  A tail never bisects.  Every level
@@ -128,20 +129,6 @@ class QuadProblem(_Record):
         fields["tol"] = tol
 
 
-class _Budget:
-    """The panel refinements one integrate() call has left."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, left: int) -> None:
-        self.left = left
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise QuadratureError("subdivision budget exhausted before reaching tolerance")
-
-
 def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     """f, raising QuadratureError at the first abscissa where it is not finite."""
 
@@ -154,148 +141,155 @@ def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     return g
 
 
+def _finite_sum(
+    f: Callable[[float], float], level: int, a: float, b: float, a_sing: bool, b_sing: bool
+) -> tuple[float, float, float]:
+    """The sums of w f and of |w f| over the nodes new at ``level`` on the
+    panel (a, b), and the charge for what the sides drop at a declared end.
+
+    Abscissae are taken via the distance to the nearer end for endpoint
+    precision; the pair is unrolled because this loop dominates the quadrature
+    time.  Each side stops, or takes its node from inside, by the rules in the
+    module docstring.
+    """
+    h2 = 2.0 * (0.5 * (b - a))  # twice the panel's h, not b - a, below the normal range
+    # the node taken where an abscissa rounds onto an end: the float inside an
+    # undeclared end, or the other end, which the range test refuses
+    a_in = b if a_sing else math.nextafter(a, b)
+    b_in = a if b_sing else math.nextafter(b, a)
+    tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
+    total = 0.0
+    mag = 0.0
+    drop = 0.0
+    f_right = f_left = 0.0
+    right = left = True
+    for d, w in _tanh_sinh_level(level):
+        r = h2 / d
+        if right:
+            x = b - r
+            if x >= b:  # a declared end stops the side; others are kept inside
+                if b_sing:
+                    right = False
+                    drop += abs(f_right) * r
+                x = b_in
+            if x > a:
+                fx = f(x)
+                t = w * fx
+                if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                    right = False
+                else:
+                    total += t
+                    mag += abs(t)
+                    f_right = fx
+        if d == 2.0:  # the centre node t = 0 has no mirror image
+            continue
+        if left:
+            x = a + r
+            if x <= a:
+                if a_sing:
+                    left = False
+                    drop += abs(f_left) * r
+                x = a_in
+            if x < b:
+                fx = f(x)
+                t = w * fx
+                if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                    left = False
+                else:
+                    total += t
+                    mag += abs(t)
+                    f_left = fx
+        elif not right:
+            break
+    return total, mag, drop
+
+
+def _tail_sum(f: Callable[[float], float], level: int, c: float) -> tuple[float, float, float]:
+    """_finite_sum on (0, 1) with f taken at y = c + s/(1 - s), for the tail
+    (c, inf).  The far side s = 1 - r divides by r itself; the near side
+    s = r stops where y rounds onto c, declared or not, as the module
+    docstring says.
+    """
+    tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
+    total = 0.0
+    mag = 0.0
+    drop = 0.0
+    f_near = 0.0
+    far = near = True
+    for d, w in _tanh_sinh_level(level):
+        r = 1.0 / d
+        if far:
+            if r < _FAR_END:
+                far = False
+            else:
+                t = w * (f(c + (1.0 - r) / r) / (r * r))
+                if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                    far = False
+                else:
+                    total += t
+                    mag += abs(t)
+        if d == 2.0:
+            continue
+        if near:
+            om = 1.0 - r
+            y = c + r / om
+            if y <= c:
+                near = False
+                drop += abs(f_near) * (r / om)
+            else:
+                fy = f(y)
+                t = w * (fy / (om * om))
+                if w < tail_weight and abs(t) <= rounds_away * abs(total):
+                    near = False
+                else:
+                    total += t
+                    mag += abs(t)
+                    f_near = fy
+        elif not far:
+            break
+    return total, mag, drop
+
+
 def _tanh_sinh_panel(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float,
-    budget: _Budget,
-    c: float | None = None,
+    left: int,
     a_sing: bool = True,
     b_sing: bool = True,
-) -> tuple[float, float, int] | None:
+) -> tuple[float | None, float, int]:
     """Integrate f over the open panel (a, b) by the double-exponential rule.
 
     ``a_sing`` and ``b_sing`` say whether a and b are declared singular
-    points.  With a tail base c the panel is (0, 1) and the integrand is f on
-    (c, inf) compactified, f(c + s/(1 - s)) / (1 - s)^2.  Returns the value,
-    its estimate and the levels spent, or None for a finite panel that is to
-    be bisected.
+    points; b = inf makes the panel the tail (a, inf).  ``left`` is the number
+    of levels the call may still spend.  Returns the value, its estimate and
+    the levels spent; the value is None for a finite panel that is to be
+    bisected.
     """
-    h = 0.5 * (b - a)
-    h2 = 2.0 * h
-    # the node taken where an abscissa rounds onto an end: the float inside an
-    # undeclared end, or the other end, which level_sum's range test refuses
-    a_in = b if a_sing else math.nextafter(a, b)
-    b_in = a if b_sing else math.nextafter(b, a)
-    tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
-
-    def level_sum(level: int, f: Callable[[float], float]) -> tuple[float, float, float]:
-        # abscissae via distance to the nearer endpoint for endpoint precision;
-        # the pair is unrolled because this loop dominates the quadrature time.
-        # Each side stops, or takes its node from inside, by the rules in the
-        # module docstring.  Returns the sums of w f and of |w f|, and the
-        # charge for what the sides drop at a declared end
-        total = 0.0
-        mag = 0.0
-        drop = 0.0
-        f_right = f_left = 0.0
-        right = left = True
-        for d, w in _tanh_sinh_level(level):
-            r = h2 / d
-            if right:
-                x = b - r
-                if x >= b:  # a declared end stops the side; others are kept inside
-                    if b_sing:
-                        right = False
-                        drop += abs(f_right) * r
-                    x = b_in
-                if x > a:
-                    fx = f(x)
-                    t = w * fx
-                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
-                        right = False
-                    else:
-                        total += t
-                        mag += abs(t)
-                        f_right = fx
-            if d == 2.0:  # the centre node t = 0 has no mirror image
-                continue
-            if left:
-                x = a + r
-                if x <= a:
-                    if a_sing:
-                        left = False
-                        drop += abs(f_left) * r
-                    x = a_in
-                if x < b:
-                    fx = f(x)
-                    t = w * fx
-                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
-                        left = False
-                    else:
-                        total += t
-                        mag += abs(t)
-                        f_left = fx
-            elif not right:
-                break
-        return total, mag, drop
-
-    def tail_level_sum(level: int, f: Callable[[float], float]) -> tuple[float, float, float]:
-        # level_sum on (0, 1) with f taken at y = c + s/(1 - s); the far side
-        # s = 1 - r divides by r itself, the near side s = r stops where y
-        # rounds onto c, declared or not, as the module docstring says
-        total = 0.0
-        mag = 0.0
-        drop = 0.0
-        f_near = 0.0
-        far = near = True
-        for d, w in _tanh_sinh_level(level):
-            r = 1.0 / d
-            if far:
-                if r < _FAR_END:
-                    far = False
-                else:
-                    t = w * (f(c + (1.0 - r) / r) / (r * r))
-                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
-                        far = False
-                    else:
-                        total += t
-                        mag += abs(t)
-            if d == 2.0:
-                continue
-            if near:
-                om = 1.0 - r
-                y = c + r / om
-                if y <= c:
-                    near = False
-                    drop += abs(f_near) * (r / om)
-                else:
-                    fy = f(y)
-                    t = w * (fy / (om * om))
-                    if w < tail_weight and abs(t) <= rounds_away * abs(total):
-                        near = False
-                    else:
-                        total += t
-                        mag += abs(t)
-                        f_near = fy
-            elif not far:
-                break
-        return total, mag, drop
-
-    walk = level_sum if c is None else tail_level_sum
-
-    def finite_level_sum(level: int) -> tuple[float, float, float]:
+    tail = b == math.inf
+    walk, ends = (_tail_sum, (a,)) if tail else (_finite_sum, (a, b, a_sing, b_sing))
+    h = 0.5 if tail else 0.5 * (b - a)
+    s_prev = m = 0.0
+    err_prev = math.inf
+    grew = stalled = 0
+    for level in range(11):
+        if level > left:
+            raise QuadratureError("subdivision budget exhausted before reaching tolerance")
         # a non-finite f makes the sum of |w f| non-finite; only then is the
         # level walked again, each value tested, to name the first such
         # abscissa.  Finite values whose terms overflow keep their sums, which
         # no level then accepts
-        sums = walk(level, f)
+        sums = walk(f, level, *ends)
         if not math.isfinite(sums[1]):
-            walk(level, _checked(f))
-        return sums
-
-    step = 1.0
-    s_prev, m, _ = finite_level_sum(0)
-    s_prev *= h
-    err_prev = math.inf
-    grew = stalled = 0
-    for level in range(1, 11):
-        budget.spend()
-        step *= 0.5
-        s_new, m_new, drop = finite_level_sum(level)
+            walk(_checked(f), level, *ends)
+        s_new, m_new, drop = sums
+        step = 0.5**level
         s_cur = 0.5 * s_prev + h * step * s_new
         m = 0.5 * m + step * m_new
+        if level == 0:
+            s_prev = s_cur
+            continue
         diff = abs(s_cur - s_prev)
         floor = _ROUNDING * h * m
         err = _SAFETY * diff
@@ -306,18 +300,18 @@ def _tanh_sinh_panel(
             # refinement lowers
             return s_cur, floor + drop, level
         grew = grew + 1 if err > 4.0 * err_prev and level >= 4 else 0
-        if grew >= 2 and (a_sing or b_sing):  # a tail declares both ends
+        if grew >= 2 and (a_sing or b_sing or tail):  # a tail has an end to blame
             raise QuadratureError(
                 "error estimate diverging: singularity may be non-integrable"
             )
         # an estimate that grew 4x twice has not halved twice either
         stalled = stalled + 1 if err > 0.5 * err_prev else 0
-        if stalled >= 2 and level >= 4 and c is None:
-            return None  # not halved for two levels: bisect
+        if stalled >= 2 and level >= 4 and not tail:
+            return None, err, level  # not halved for two levels: bisect
         s_prev, err_prev = s_cur, err
-    if c is not None:
-        raise QuadratureError(f"tanh-sinh panel [{c}, inf) stalled above tol {tol:g}")
-    return None
+    if tail:
+        raise QuadratureError(f"tanh-sinh panel [{a}, inf) stalled above tol {tol:g}")
+    return None, err, level
 
 
 def integrate(problem: QuadProblem) -> EvalResult:
@@ -327,37 +321,28 @@ def integrate(problem: QuadProblem) -> EvalResult:
     within the subdivision budget or the error estimate diverges.
     """
     f = problem.integrand
-    a, b = problem.lower, problem.upper
     sing = {x for x in problem.singular_points if math.isfinite(x)}
-
-    tail = math.isinf(b)
-    if tail:
-        # the finite panels end at the last cut; one mapped panel takes the rest
-        b = max({a} | sing)
-
-    cuts = sorted({a, b} | sing)
-    per_panel = problem.tol / (len(cuts) - 1 + tail)
-    budget = _Budget(_MAX_SUBDIVISIONS)
-    total = 0.0
-    err = 0.0
+    # a semi-infinite range ends in the tail panel (m, inf)
+    cuts = sorted({problem.lower, problem.upper} | sing)
+    per_panel = problem.tol / (len(cuts) - 1)
+    total = err = 0.0
+    spent = 0
     # popped left to right, halves included, so the panels add in order
     stack = [(lo, hi, per_panel) for lo, hi in zip(cuts, cuts[1:])][::-1]
     while stack:
         lo, hi, tol = stack.pop()
-        panel = _tanh_sinh_panel(f, lo, hi, tol, budget, None, lo in sing, hi in sing)
-        if panel is None:
+        left = _MAX_SUBDIVISIONS - spent
+        v, e, levels = _tanh_sinh_panel(f, lo, hi, tol, left, lo in sing, hi in sing)
+        spent += levels
+        if v is None:
             mid = 0.5 * (lo + hi)
             stack += [(mid, hi, 0.5 * tol), (lo, mid, 0.5 * tol)]
         else:
-            total += panel[0]
-            err += panel[1]
-    if tail:
-        v, e, _ = _tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, b)
-        total += v
-        err += e
+            total += v
+            err += e
     if err > problem.tol:
         raise QuadratureError(f"combined error estimate {err:g} exceeds tol {problem.tol:g}")
-    return EvalResult(total, err, _MAX_SUBDIVISIONS - budget.left, "tanh-sinh")
+    return EvalResult(total, err, spent, "tanh-sinh")
 
 
 __all__ = ["QuadProblem", "integrate"]

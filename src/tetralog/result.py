@@ -78,8 +78,8 @@ class EvalResult(_Record):
     """A computed value with an estimated absolute error bound.
 
     ``err_bound`` is an estimate of ``|value - exact|``; ``effort`` counts
-    series terms or quadrature nodes; ``method`` is a short tag naming the
-    evaluation route.
+    series terms, or for quadrature the refinement levels ``integrate``
+    spent; ``method`` is a short tag naming the evaluation route.
     """
 
     value: float | complex

@@ -569,3 +569,9 @@ class TestParser:
             assert f"  {name} " in out
             assert all(c in out for c in choices or ())
             assert not default or f"default {default}" in out
+
+    @pytest.mark.parametrize("target", cli.EVAL_TARGETS)
+    def test_eval_help_names_each_targets_options(self, capsys, target):
+        _, out, _ = run_cli(capsys, "eval", "--help")
+        lines = [line.split() for line in out.splitlines() if line.split()[:1] == [target]]
+        assert lines == [[target, *_READS[target]]]

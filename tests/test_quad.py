@@ -220,7 +220,7 @@ def _tanh_sinh_reference(f, a, b, level):
 def test_tanh_sinh_tables_reproduce_per_node_sums():
     f = lambda x: math.log(x) / (x * x + 0.4 * x + 1.0)  # noqa: E731
     for a, b in ((0.0, 1.0), (0.25, 3.5)):
-        v, _, levels = quad._tanh_sinh_panel(f, a, b, 1e-12, quad._Budget(10))
+        v, _, levels = quad._tanh_sinh_panel(f, a, b, 1e-12, 10)
         h = 0.5 * (b - a)
         s_ref = h * _tanh_sinh_reference(f, a, b, 0)
         for level in range(1, levels + 1):
@@ -263,7 +263,7 @@ def test_tanh_sinh_stopped_sides_sum_as_every_node(f, a, b):
     # the sides stop only where the remaining terms round away, so the panel
     # equals the per-node sum over every node, bit for bit, with fewer calls
     g, calls = _counted(f)
-    v, _, levels = quad._tanh_sinh_panel(g, a, b, 1e-12, quad._Budget(10))
+    v, _, levels = quad._tanh_sinh_panel(g, a, b, 1e-12, 10)
     g_ref, ref_calls = _counted(f)
     h = 0.5 * (b - a)
     s_ref = h * _tanh_sinh_reference(g_ref, a, b, 0)
@@ -279,19 +279,19 @@ def test_tanh_sinh_stopped_sides_sum_as_every_node(f, a, b):
 def _half_line_by_panels(f, a, sing, tol):
     """integrate(QuadProblem(f, a, inf, sing, tol)) rebuilt panel by panel: the
     finite panels up to m, the largest of a and the singular points, then
-    [m, inf) as one tanh-sinh panel (0, 1) mapped from m."""
+    the tail (m, inf) as one tanh-sinh panel."""
     m = max((a, *sing))
     cuts = sorted({a, m, *sing})
     per_panel = tol / len(cuts)  # len(cuts) - 1 finite panels and the tail
-    budget = quad._Budget(quad._MAX_SUBDIVISIONS)
     total = err = 0.0
     effort = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        v, e, n = quad._tanh_sinh_panel(f, lo, hi, per_panel, budget, None, lo in sing, hi in sing)
+        left = quad._MAX_SUBDIVISIONS - effort
+        v, e, n = quad._tanh_sinh_panel(f, lo, hi, per_panel, left, lo in sing, hi in sing)
         total += v
         err += e
         effort += n
-    v, e, n = quad._tanh_sinh_panel(f, 0.0, 1.0, per_panel, budget, m)
+    v, e, n = quad._tanh_sinh_panel(f, m, math.inf, per_panel, quad._MAX_SUBDIVISIONS - effort)
     return total + v, err + e, effort + n
 
 
@@ -365,7 +365,7 @@ def test_half_line_is_its_panels_plus_the_mapped_tail(f, a, sing, tol):
 def test_tail_panel_sums_as_every_node(f, c):
     # the tail's sides stop only where the remaining terms round away, so the
     # panel equals the per-node sum over every node, bit for bit
-    v, _, levels = quad._tanh_sinh_panel(f, 0.0, 1.0, 1e-12, quad._Budget(10), c)
+    v, _, levels = quad._tanh_sinh_panel(f, c, math.inf, 1e-12, 10)
     s_ref = 0.5 * _tail_reference(f, c, 0)
     for level in range(1, levels + 1):
         s_ref = 0.5 * s_ref + 0.5 * 0.5**level * _tail_reference(f, c, level)
