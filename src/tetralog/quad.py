@@ -44,7 +44,7 @@ blame (a tail always has one).  A finite panel still above its tol after 10
 levels, or whose estimate has not halved for two levels running by level 4 or
 later, is bisected at its midpoint, each half with half the tol, and the
 halves are integrated left to right.  A tail never bisects.  Every level
-spends one of the call's 4000 refinements.
+past a panel's level 0 spends one of the call's 4000 refinements.
 """
 
 from __future__ import annotations
