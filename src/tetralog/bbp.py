@@ -9,7 +9,8 @@ carry ambiguity rather than ever emitting a wrong digit.  Its head sums one
 fraction per batch of consecutive denominators, built by Horner's rule over
 their product: one modular power and one floor division per batch, not per
 term.  The floors lose less than |coefficient| units each, which the carry
-test allows for.  Deep in the expansion the head's batches are split into
+test allows for.  From position 3000 on, where a split head ran faster than
+the serial one for every registry formula, the head's batches are split into
 parts summed in forked child processes, one per usable processor; integer
 addition is exact, so the split cannot change a digit.
 """
@@ -164,12 +165,16 @@ _GUARD_HEX = 12
 # 10 %; at 3e4 (3.6-9.3 us per position) no width beat 512 on one formula
 # in both runs, and 256 and 1024 bits ran up to 15-18 % slower on some.
 _BATCH_BITS = 512
-# Head positions per forked part.  A fork with its pipe and reaping cost
-# 2.2-2.9 ms on a 2-core x86 Linux host, and the serial head 4.3-5.1 us per
-# position (the mean over the registry at positions 5e3-1e4), so a part of
-# 6000 positions keeps a fork to ~10 % of its part's work.  Forking broke
-# even near position 2e3-5e3; the head splits from position 1.2e4 on.
-_MIN_PART = 6000
+# Head positions per forked part: the head splits from 2 * _MIN_PART on, where
+# the split head ran faster than the serial one for every registry formula.
+# Serial / split time of 8-digit extractions on a 2-core x86 Linux host, the
+# median of 101 paired, alternating calls (> 1: the split wins), at positions
+# 2500 / 3000 / 3500: eq2.35-sum 1.16 / 1.24 / 1.37, eq2.37-sum 1.36 / 1.67 /
+# 1.58, pi-degree1 1.03 / 1.14 / 1.27.  At 1500 and 2000 (two runs, 41 and
+# 61 pairs) eq2.35-sum and pi-degree1 lost in one run or both (0.68-0.94).  Each child
+# part adds its fork, pipe and reaping, 2.2-2.9 ms of processor time here, to
+# the serial head's work.
+_MIN_PART = 1500
 
 
 def _batch_width(degree: int, position: int, k: int) -> int:
@@ -233,15 +238,16 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     d_j = (8j + k)^degree (``_head_part``): one modular power modulo their
     product and one floor division, which drops less than one unit, times
     the class's coefficient a.  The tail j > position is ``_fixed_sum``'s,
-    one floor per term.  From position 2 * ``_MIN_PART`` on, on Linux and
-    with no other thread running, the head's batches are dealt round-robin
-    to one part per usable processor (at most position // ``_MIN_PART``),
-    and all but one part run in forked child processes
-    (``forked.forked_sum``).  The parts are exact integers summed mod
-    2^bits, so the digits and every PrecisionError are those of the serial
-    sum.  The tail stays serial.  If the guard bits sit within sum |a| *
-    (floors in a's class) units plus 2^-20 of a digit carry boundary, the
-    extraction raises PrecisionError instead of risking an off-by-one digit.
+    one floor per term.  From position 2 * ``_MIN_PART`` = 3000 on, where
+    splitting paid on every registry formula, on Linux and with no other
+    thread running, the head's batches are dealt round-robin to one part per
+    usable processor (at most position // ``_MIN_PART``), and all but one
+    part run in forked child processes (``forked.forked_sum``).  The parts
+    are exact integers summed mod 2^bits, so the digits and every
+    PrecisionError are those of the serial sum.  The tail stays serial.  If
+    the guard bits sit within sum |a| * (floors in a's class) units plus
+    2^-20 of a digit carry boundary, the extraction raises PrecisionError
+    instead of risking an off-by-one digit.
     """
     if position < 0:
         raise DomainError("position must be >= 0")

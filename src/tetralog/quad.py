@@ -94,6 +94,23 @@ def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
+@functools.cache
+def _tail_level(level: int) -> tuple[tuple[float, float | None, float, float | None, float], ...]:
+    """(w, (1 - r)/r, r^2, r/(1 - r), (1 - r)^2), r = 1/d, for each node (d, w)
+    of ``_tanh_sinh_level(level)``: the tail's map at the far node s = 1 - r
+    and the near node s = r.  (1 - r)/r is None where r < ``_FAR_END`` and
+    r/(1 - r) at the centre node, which has no near side.
+    """
+    nodes = []
+    for d, w in _tanh_sinh_level(level):
+        r = 1.0 / d
+        om = 1.0 - r
+        far = None if r < _FAR_END else om / r
+        near = None if d == 2.0 else r / om
+        nodes.append((w, far, r * r, near, om * om))
+    return tuple(nodes)
+
+
 class QuadProblem(_Record):
     """An integration request over [lower, upper] (lower finite, upper may be math.inf)."""
 
@@ -208,7 +225,7 @@ def _tail_sum(f: Callable[[float], float], level: int, c: float) -> tuple[float,
     """_finite_sum on (0, 1) with f taken at y = c + s/(1 - s), for the tail
     (c, inf).  The far side s = 1 - r divides by r itself; the near side
     s = r stops where y rounds onto c, declared or not, as the module
-    docstring says.
+    docstring says.  The map's values at each node come from ``_tail_level``.
     """
     tail_weight, rounds_away = _TAIL_WEIGHT, _ROUNDS_AWAY
     total = 0.0
@@ -216,29 +233,27 @@ def _tail_sum(f: Callable[[float], float], level: int, c: float) -> tuple[float,
     drop = 0.0
     f_near = 0.0
     far = near = True
-    for d, w in _tanh_sinh_level(level):
-        r = 1.0 / d
+    for w, u_far, rr, u_near, oo in _tail_level(level):
         if far:
-            if r < _FAR_END:
+            if u_far is None:
                 far = False
             else:
-                t = w * (f(c + (1.0 - r) / r) / (r * r))
+                t = w * (f(c + u_far) / rr)
                 if w < tail_weight and abs(t) <= rounds_away * abs(total):
                     far = False
                 else:
                     total += t
                     mag += abs(t)
-        if d == 2.0:
+        if u_near is None:
             continue
         if near:
-            om = 1.0 - r
-            y = c + r / om
+            y = c + u_near
             if y <= c:
                 near = False
-                drop += abs(f_near) * (r / om)
+                drop += abs(f_near) * u_near
             else:
                 fy = f(y)
-                t = w * (fy / (om * om))
+                t = w * (fy / oo)
                 if w < tail_weight and abs(t) <= rounds_away * abs(total):
                     near = False
                 else:

@@ -385,6 +385,21 @@ class TestForkedHead:
             assert len(forks) - made == min(CPUS, position // bbp._MIN_PART) - 1
             assert_no_children()
 
+    @needs_two_cpus
+    @pytest.mark.parametrize("name", FORMULAS)
+    @pytest.mark.parametrize("position", [3000, 4999])
+    def test_mid_band_splits(self, monkeypatch, forks, name, position):
+        # the head splits from position 3000 to the top of the 2000-5000 band
+        # the benchmark's digits-deep.mid extracts in, and keeps the serial digits
+        f = REGISTRY[name]
+        split = extract_hex_digits(f, position, 8)
+        assert forks
+        assert_no_children()
+        monkeypatch.setattr(bbp, "_MIN_PART", position + 1)
+        made = len(forks)
+        assert extract_hex_digits(f, position, 8) == split
+        assert len(forks) == made
+
     def test_part_count(self):
         assert bbp._part_count(0) == 1
         assert bbp._part_count(2 * bbp._MIN_PART - 1) == 1

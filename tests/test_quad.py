@@ -372,6 +372,24 @@ def test_tail_panel_sums_as_every_node(f, c):
     assert v == s_ref
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_tail_level_holds_the_maps_values(level):
+    # each cached entry is the tail map's arithmetic at its node, bit for bit;
+    # the far value is missing only below r = 1e-150, the near one only at the
+    # centre node
+    nodes = quad._tanh_sinh_level(level)
+    cached = quad._tail_level(level)
+    assert len(cached) == len(nodes)
+    for i, ((d, w), (cw, u_far, rr, u_near, oo)) in enumerate(zip(nodes, cached)):
+        r = 1.0 / d
+        assert cw == w
+        assert rr == r * r
+        assert oo == (1.0 - r) * (1.0 - r)
+        assert u_far == (None if r < 1e-150 else (1.0 - r) / r)
+        assert u_near == (None if level == i == 0 else r / (1.0 - r))
+    assert cached[-1][1] is None  # every level reaches past r = 1e-150
+
+
 @pytest.mark.parametrize(
     "f",
     [lambda y: math.log(y) / (y * y), lambda y: 1.0 / (1.0 + y * y)],
