@@ -8,11 +8,16 @@ as in Bailey, Borwein and Plouffe (Math. Comp. 66, 1997), is both
 carry ambiguity rather than ever emitting a wrong digit.  Its head sums one
 fraction per batch of consecutive denominators, built by Horner's rule over
 their product: one modular power and one floor division per batch, not per
-term.  The floors lose less than |coefficient| units each, which the carry
-test allows for.  From position 3000 on, where a split head ran faster than
-the serial one for every registry formula, the head's batches are split into
-parts summed in forked child processes, one per usable processor; integer
-addition is exact, so the split cannot change a digit.
+term.  Each residue class's j axis is cut into batches by a rule that does
+not depend on the position (``_cuts``), so the full batches' fractions are
+kept in a table per (degree, residue class) up to a bound, and a warm
+extraction computes only the modular powers, the floors and the one batch
+cut off at its position.  The floors lose less than |coefficient| units
+each, which the carry test allows for.  From position 6000 on, where a split
+head ran faster than the serial one for every registry formula, the head's
+batches are split into parts summed in forked child processes, one per
+usable processor; integer addition is exact, so the split cannot change a
+digit.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import math
 import os
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -30,7 +36,15 @@ from .errors import ConvergenceError, DomainError, PrecisionError, check_tol
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction does not load ``result``, the ball arithmetic it does not use
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .result import EvalResult
+
+
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool.  A float is not, even when
+    integral: 2.0 would hash and compare equal to 2, and share its tables."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
@@ -52,10 +66,12 @@ class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
         scale: float,
         affine_terms: tuple[tuple[str, float], ...] = (),
     ) -> BBPFormula:
-        if degree < 1:
-            raise DomainError("BBP degree must be >= 1")
+        if not _is_int(degree) or degree < 1:
+            raise DomainError("BBP degree must be an integer >= 1")
         if len(coeffs) != 8:
             raise DomainError("coeffs must have one entry per residue class mod 8")
+        if not all(map(_is_int, coeffs)):
+            raise DomainError("BBP coefficients must be integers")
         return super().__new__(cls, degree, coeffs, scale, affine_terms)
 
 
@@ -158,61 +174,143 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
 
 _GUARD_HEX = 12
 # The head takes one fraction, one modular power and one floor per batch of
-# consecutive denominators whose product is about this many bits wide; the
-# largest denominator, at j = position, sets the batch width.  Timed on the
-# three registry formulas in two runs: at position 3e3 (1.7-5.5 us per
-# position at 512 bits) 256 bits ran 9-28 % slower and 384-1024 bits within
-# 10 %; at 3e4 (3.6-9.3 us per position) no width beat 512 on one formula
-# in both runs, and 256 and 1024 bits ran up to 15-18 % slower on some.
+# consecutive denominators whose product is at most this many bits wide (a
+# lone denominator may be wider; ``_cuts``).  With every batch sized by the
+# largest denominator, 256 bits ran 9-28 % slower than 512 at position 3e3,
+# and nothing beat 512 on every formula at 3e4.  With the tables warm, at
+# 3e3-4.5e3 256 / 384 / 768 bits ran 19-24 % / 4-8 % slower / 1-3 % faster
+# than 512; at 2e4-3e4, 384 bits ran up to 11 % faster and 768 up to 12 %
+# slower, in one run each.
 _BATCH_BITS = 512
+# Class k's full batches at degree s, (j1, num mod den, den) in order of j1,
+# kept once built, as long as s * j1 <= _TABLE_SPAN: up to position 196 607,
+# 98 303 and 65 535 at degrees 1, 2 and 3, past the 2e4-5e4 band that
+# digits-deep.deep extracts in.  A table's size grows with s times its
+# positions, so each registry formula's four tables hold ~30 000 batches and
+# ~8 MB resident at the bound.  Published as a new dict of tuples, never
+# changed in place.
+_TABLE_SPAN = 3 * 2**16
+_TABLES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 # Head positions per forked part: the head splits from 2 * _MIN_PART on, where
-# the split head ran faster than the serial one for every registry formula.
-# Serial / split time of 8-digit extractions on a 2-core x86 Linux host, the
-# median of 101 paired, alternating calls (> 1: the split wins), at positions
-# 2500 / 3000 / 3500: eq2.35-sum 1.16 / 1.24 / 1.37, eq2.37-sum 1.36 / 1.67 /
-# 1.58, pi-degree1 1.03 / 1.14 / 1.27.  At 1500 and 2000 (two runs, 41 and
-# 61 pairs) eq2.35-sum and pi-degree1 lost in one run or both (0.68-0.94).  Each child
-# part adds its fork, pipe and reaping, 2.2-2.9 ms of processor time here, to
-# the serial head's work.
-_MIN_PART = 1500
+# the split head ran faster than the serial one for every registry formula,
+# with the tables warm and with them empty.  Serial / split time of 8-digit
+# extractions on a 2-core x86 Linux host, the medians of 21, 41 and 61
+# paired, alternating calls in three runs (> 1: the split wins), at position
+# 6000, warm / empty: eq2.35-sum 1.18-1.31 / 1.15-1.22, eq2.37-sum 1.42-1.55
+# / 1.13-1.26, pi-degree1 1.03-1.26 / 1.01-1.02.  At 5000 pi-degree1 ran
+# 0.96-1.04 warm and 0.96-1.00 empty; at 3000 it ran 0.65-0.68 and
+# 0.68-0.83, and eq2.35-sum 0.92-0.93 and 0.82-0.88.  Each child part adds
+# its fork, pipe and reaping, 2.2-2.9 ms of processor time here, to the
+# serial head's work, and a warm head leaves less work to split.
+_MIN_PART = 3000
 
 
-def _batch_width(degree: int, position: int, k: int) -> int:
-    """Head terms per batch in residue class k: as many as fit _BATCH_BITS
-    at the largest denominator, (8 * position + k)^degree."""
-    return max(1, _BATCH_BITS // ((8 * position + k) ** degree).bit_length())
+def _cuts(s: int, k: int, j: int) -> Iterator[int]:
+    """The ends of residue class k's batches at degree s after the batch
+    boundary j, in order.
+
+    A batch takes terms in order while the sum of s * bit_length(8j + k)
+    over them stays within _BATCH_BITS, and takes at least one.  That sum
+    bounds the bits of the batch's product of (8j + k)^s.  It is counted per
+    run of terms whose 8j + k have one bit length b, where every batch that
+    starts inside the run takes _BATCH_BITS // (s * b) terms until the run
+    is shorter.  The rule depends on s, k and j alone, never on a requested
+    position.
+    """
+    room = _BATCH_BITS  # the bits left in the batch being cut
+    while True:
+        b = (8 * j + k).bit_length()
+        end = ((1 << b) - k + 7) // 8  # the first j whose 8j + k has more bits
+        cost = s * b
+        take = room // cost
+        if take < end - j:
+            j += max(take, room == _BATCH_BITS)  # an empty batch takes one term
+            yield j
+            width = max(1, _BATCH_BITS // cost)
+            yield from range(j + width, end + 1, width)
+            j = end - (end - j) % width
+            room = _BATCH_BITS
+        room -= (end - j) * cost
+        j = end
+
+
+def _batch(s: int, k: int, j0: int, j1: int) -> tuple[int, int]:
+    """(num, den) with den = prod (8j + k)^s and num/den = sum 16^(j1 - 1 - j)
+    / (8j + k)^s over j0 <= j < j1, by Horner's rule."""
+    num, den = 0, 1
+    for m in range(8 * j0 + k, 8 * j1 + k, 8):
+        d = m if s == 1 else m**s  # m**1 would cost a power per term
+        num = (num * d << 4) + den
+        den *= d
+    return num, den
+
+
+def _head_batches(s: int, k: int, n: int) -> int:
+    """The number of batches that cover class k's head terms j < n at degree
+    s.  First class k's table grows, if it must, to hold every full batch
+    that ends by n, as far as _TABLE_SPAN // s.
+
+    The grown table is a new tuple, published in a new dict in one
+    assignment, so a reader holds a finished table whatever a racing or
+    re-entering call does.
+    """
+    global _TABLES
+    table = _TABLES.get((s, k), ())
+    j0 = table[-1][0] if table else 0
+    stop = min(n, _TABLE_SPAN // s)
+    grown = []
+    for j1 in _cuts(s, k, j0):
+        if j1 > stop:
+            break
+        num, den = _batch(s, k, j0, j1)
+        grown.append((j1, num % den, den))
+        j0 = j1
+    if grown:
+        table += tuple(grown)
+        if len(table) > len(_TABLES.get((s, k), ())):
+            _TABLES = {**_TABLES, (s, k): table}
+    count = bisect_right(table, n, key=lambda batch: batch[0])
+    j0 = table[count - 1][0] if count else 0
+    cuts = _cuts(s, k, j0)
+    while j0 < n:
+        j0 = next(cuts)
+        count += 1
+    return count
 
 
 def _head_part(f: BBPFormula, position: int, bits: int, part: int, parts: int) -> int:
     """The head's batches whose running index is part mod parts, summed mod 2^bits.
 
     The running index counts the batches of every nonzero residue class k in
-    turn.  One fraction per batch: for j0 .. j1 - 1, with d_j = (8j + k)^degree,
-    Horner's rule gives num/den = sum_j 16^(j1 - 1 - j)/d_j over den = prod d_j,
-    and r = ``pow(16, position + 1 - j1, den)``.  Each d_j divides den, so
-    r * num/den = sum_j 16^(position - j)/d_j (mod 1), and the batch adds
-    a * floor(2^bits * frac(r * num/den)), within |a| of a times the exact
-    value.  With ``parts == 1`` this is the whole head; the parts for part =
-    0 .. parts - 1 add up to it mod 2^bits.
+    turn: class k's stored batches that end by position + 1, then those
+    built here, the last one cut off at position + 1.  For a batch j0 .. j1
+    - 1 with d_j = (8j + k)^degree, num/den = sum_j 16^(j1 - 1 - j)/d_j over
+    den = prod d_j (``_batch``), and r = ``pow(16, position + 1 - j1, den)``.
+    Each d_j divides den, so r * num/den = sum_j 16^(position - j)/d_j
+    (mod 1), and the batch adds a * floor(2^bits * frac(r * num/den)),
+    within |a| of a times the exact value.  With ``parts == 1`` this is the
+    whole head; the parts for part = 0 .. parts - 1 add up to it mod 2^bits.
     """
-    s = f.degree
+    s, n = f.degree, position + 1
     acc = 0
     index = itertools.count()
     for k, a in enumerate(f.coeffs, start=1):
         if not a:
             continue
-        width = _batch_width(s, position, k)
-        for j0 in range(0, position + 1, width):
-            if next(index) % parts != part:
-                continue
-            j1 = min(j0 + width, position + 1)
-            num, den = 0, 1
-            for m in range(8 * j0 + k, 8 * j1 + k, 8):
-                d = m**s
-                num = (num * d << 4) + den
-                den *= d
-            r = pow(16, position + 1 - j1, den)
-            acc += a * ((r * num % den << bits) // den)
+        j0 = 0
+        for j1, num, den in _TABLES.get((s, k), ()):
+            if j1 > n:
+                break
+            if next(index) % parts == part:
+                acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
+            j0 = j1
+        cuts = _cuts(s, k, j0)
+        while j0 < n:
+            j1 = min(next(cuts), n)
+            if next(index) % parts == part:
+                num, den = _batch(s, k, j0, j1)
+                acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
+            j0 = j1
     return acc % (1 << bits)
 
 
@@ -237,26 +335,39 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     position head takes one fraction per batch of consecutive denominators
     d_j = (8j + k)^degree (``_head_part``): one modular power modulo their
     product and one floor division, which drops less than one unit, times
-    the class's coefficient a.  The tail j > position is ``_fixed_sum``'s,
-    one floor per term.  From position 2 * ``_MIN_PART`` = 3000 on, where
-    splitting paid on every registry formula, on Linux and with no other
-    thread running, the head's batches are dealt round-robin to one part per
-    usable processor (at most position // ``_MIN_PART``), and all but one
-    part run in forked child processes (``forked.forked_sum``).  The parts
-    are exact integers summed mod 2^bits, so the digits and every
-    PrecisionError are those of the serial sum.  The tail stays serial.  If
-    the guard bits sit within sum |a| * (floors in a's class) units plus
-    2^-20 of a digit carry boundary, the extraction raises PrecisionError
-    instead of risking an off-by-one digit.
+    the class's coefficient a.  Each batch's product is at most
+    ``_BATCH_BITS`` wide, bar a lone wider denominator; the cuts between
+    batches depend on degree, k and j alone (``_cuts``).  Each class's full
+    batches are kept in a table (``_head_batches``) as long as degree * j
+    <= ``_TABLE_SPAN``, so an extraction builds only the batch cut off at
+    position + 1 and those past the table.  The tail j > position is
+    ``_fixed_sum``'s, one floor per term.  From position 2 * ``_MIN_PART`` =
+    6000 on, where splitting paid on every registry formula, on Linux and
+    with no other thread running, the head's batches are dealt round-robin
+    to one part per usable processor (at most position // ``_MIN_PART``),
+    and all but one part run in forked child processes
+    (``forked.forked_sum``), after this process has grown the tables, so
+    that the children only read them.  The parts are exact integers summed
+    mod 2^bits, so the digits and every PrecisionError are those of the
+    serial sum.  The tail stays serial.  If the guard bits sit within sum
+    |a| * (floors in a's class) units plus 2^-20 of a digit carry boundary,
+    the extraction raises PrecisionError instead of risking an off-by-one
+    digit.
     """
-    if position < 0:
-        raise DomainError("position must be >= 0")
-    if not 1 <= count <= 16:
-        raise DomainError("count must be in 1..16")
+    if not _is_int(position) or position < 0:
+        raise DomainError("position must be an integer >= 0")
+    if not _is_int(count) or not 1 <= count <= 16:
+        raise DomainError("count must be an integer in 1..16")
     if all(a == 0 for a in f.coeffs):
         return "0" * count
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
+    # the tables grow here, before any fork, so a forked part only reads them
+    floors = sum(
+        abs(a) * _head_batches(f.degree, k, position + 1)
+        for k, a in enumerate(f.coeffs, start=1)
+        if a
+    )
     parts = _part_count(position)
     if parts == 1:
         acc = _head_part(f, position, bits, 0, 1)
@@ -265,11 +376,9 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
 
         acc = forked_sum(lambda i, n: _head_part(f, position, bits, i, n), parts, (bits + 7) // 8)
     # the tail j > position is exact: its terms shrink below the fixed point
-    tail_sum, floors, _ = _fixed_sum(f, position, bits, position + 1)
+    tail_sum, tail_floors, _ = _fixed_sum(f, position, bits, position + 1)
     acc += tail_sum
-    for k, a in enumerate(f.coeffs, start=1):
-        if a:
-            floors += abs(a) * len(range(0, position + 1, _batch_width(f.degree, position, k)))
+    floors += tail_floors
     acc %= one
     guard_bits = 4 * _GUARD_HEX
     unit = 1 << guard_bits

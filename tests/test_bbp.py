@@ -4,6 +4,7 @@ The digit oracle is computed with mpmath at >= 220 decimal digits (test-time
 only; the library itself never depends on mpmath).
 """
 
+import itertools
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from tetralog import bbp
 from tetralog.bbp import (
     _BATCH_BITS,
     _GUARD_HEX,
+    _PATTERN,
     BBPFormula,
     REGISTRY,
     closed_form_value,
@@ -105,6 +107,12 @@ class TestDigitExtraction:
         z = BBPFormula(degree=2, coeffs=(0,) * 8, scale=1.0)
         assert extract_hex_digits(z, 0, 6) == "000000"
 
+    def test_position_and_count_must_be_integers(self):
+        f = REGISTRY["pi-degree1"]
+        for position, count in [(1000.0, 8), (10, 8.0), (True, 8), (10, True), ("10", 8)]:
+            with pytest.raises(DomainError, match="integer"):
+                extract_hex_digits(f, position, count)
+
     def test_validation(self):
         f = REGISTRY["pi-degree1"]
         with pytest.raises(DomainError):
@@ -171,13 +179,25 @@ def _outcome(extract, f, position, count):
         return ("PrecisionError", str(exc))
 
 
-def _batch_width(f: BBPFormula, position: int, k: int) -> int:
-    return max(1, _BATCH_BITS // ((8 * position + k) ** f.degree).bit_length())
+def rule_cuts(f: BBPFormula, k: int, limit: int) -> list[int]:
+    """Class k's batch ends j1 <= limit, by the partition rule read term by
+    term: a batch takes terms while the sum of degree * bit_length(8j + k)
+    over them stays within _BATCH_BITS, and takes at least one."""
+    ends, room = [], _BATCH_BITS
+    for j in range(limit + 1):
+        cost = f.degree * (8 * j + k).bit_length()
+        if cost > room and room < _BATCH_BITS:
+            ends.append(j)
+            room = _BATCH_BITS
+        room -= cost
+    return ends
 
 
 FORMULAS = sorted(REGISTRY)
 # exact at position 0: the only term is 1/1, so the guard digits are all zero
 EXACT_AT_ZERO = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
+# each (8j + 1)^128 but the first is at least 512 bits wide, a batch of its own
+ONE_TERM_BATCHES = BBPFormula(degree=128, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
 
 
 class TestBatchedHead:
@@ -195,16 +215,18 @@ class TestBatchedHead:
 
     @pytest.mark.parametrize("name", FORMULAS)
     def test_positions_at_batch_boundaries(self, name):
-        # position + 1 a multiple of the first residue's batch width, or one off
+        # position + 1 at an end of the first residue's batches, or one off
         f = REGISTRY[name]
         k = 1 + next(i for i, a in enumerate(f.coeffs) if a)
+        ends = rule_cuts(f, k, 1501)
         seen = set()
-        for position in range(1, 1500):
-            w = _batch_width(f, position, k)
-            case = (w, (position + 1) % w)
-            if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
-                seen.add(case)
-                self.assert_same(f, position, 8)
+        for j0, j1 in zip([0, *ends], ends):
+            w = j1 - j0
+            for position in range(max(j0, 1), min(j1, 1500)):
+                case = (w, (position + 1 - j0) % w)
+                if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
+                    seen.add(case)
+                    self.assert_same(f, position, 8)
         assert len(seen) >= 6
 
     @pytest.mark.parametrize("name", FORMULAS)
@@ -252,7 +274,8 @@ class TestHeadFloors:
     BITS = 4 * (8 + _GUARD_HEX)
 
     def batches(self, f, position, k):
-        return len(range(0, position + 1, _batch_width(f, position, k)))
+        # the ends before position + 1 cut the head's terms into one more batch
+        return len(rule_cuts(f, k, position)) + 1
 
     def assert_near_per_term(self, f, position):
         # per class, the two sums are a times (per-term floor losses) minus a
@@ -285,17 +308,19 @@ class TestHeadFloors:
 
     @pytest.mark.parametrize("name", FORMULAS)
     def test_positions_at_batch_boundaries(self, name):
-        # position + 1 a multiple of the batch width, or one off
+        # position + 1 at an end of the batches, or one off
         f = REGISTRY[name]
+        ends = rule_cuts(f, 1, 1501)
         seen = set()
-        for position in range(1, 1500):
-            w = _batch_width(f, position, 1)
-            case = (w, (position + 1) % w)
-            if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
-                seen.add(case)
-                self.assert_near_per_term(f, position)
-                if position <= 400:
-                    self.assert_near_exact(f, position)
+        for j0, j1 in zip([0, *ends], ends):
+            w = j1 - j0
+            for position in range(max(j0, 1), min(j1, 1500)):
+                case = (w, (position + 1 - j0) % w)
+                if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
+                    seen.add(case)
+                    self.assert_near_per_term(f, position)
+                    if position <= 400:
+                        self.assert_near_exact(f, position)
         assert len(seen) >= 6
 
     def test_carry_test_is_sound_with_two_guard_digits(self, monkeypatch):
@@ -319,10 +344,90 @@ class TestHeadFloors:
         for position in (0, 1, 7, 64, 100, 250):
             self.assert_near_per_term(EXACT_AT_ZERO, position)
             self.assert_near_exact(EXACT_AT_ZERO, position)
-        assert _batch_width(EXACT_AT_ZERO, 64, 1) == 1
-        # a single term: its floor is the per-term one
-        head = bbp._head_part(EXACT_AT_ZERO, 250, self.BITS, 0, 1)
-        assert head == per_term_head(EXACT_AT_ZERO, 250, self.BITS)
+        # term 64 is a batch of its own
+        assert {64, 65} <= set(rule_cuts(EXACT_AT_ZERO, 1, 65))
+        # every batch a single term: each floor is the per-term one
+        assert rule_cuts(ONE_TERM_BATCHES, 1, 251) == list(range(1, 252))
+        head = bbp._head_part(ONE_TERM_BATCHES, 250, self.BITS, 0, 1)
+        assert head == per_term_head(ONE_TERM_BATCHES, 250, self.BITS)
+
+
+def stored_ends(f: BBPFormula, k: int) -> list[int]:
+    return [j1 for j1, _, _ in bbp._TABLES.get((f.degree, k), ())]
+
+
+CLASSES = [k for k, a in enumerate(_PATTERN, start=1) if a]
+
+
+class TestTables:
+    """Each class's full batches, kept across extractions up to a bound: a
+    warm extraction gives what a fresh one does, outcome for outcome."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 40, 128])
+    def test_cuts_follow_the_rule(self, degree):
+        f = BBPFormula(degree, _PATTERN, 1.0)
+        for k in range(1, 9):
+            ends = rule_cuts(f, k, 5000)
+            assert list(itertools.islice(bbp._cuts(degree, k, 0), len(ends))) == ends
+            for i in (3, len(ends) // 2):
+                after = list(itertools.islice(bbp._cuts(degree, k, ends[i]), 5))
+                assert after == ends[i + 1 : i + 6]
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_warm_extractions_match_fresh_ones(self, monkeypatch, name):
+        # a bound at 900 / 450 / 300 positions for degree 1 / 2 / 3 puts
+        # positions past it within the per-term reference's reach
+        span = 900
+        monkeypatch.setattr(bbp, "_TABLE_SPAN", span)
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        f = REGISTRY[name]
+        bound = span // f.degree
+        ends = rule_cuts(f, 1, bound)
+        positions = [
+            1,
+            ends[2] - 1,  # position + 1 a stored end
+            ends[2],
+            ends[-1] - 2,
+            ends[-1] - 1,  # the last stored end
+            bound - 1,
+            bound,  # past the bound
+            bound + 37,
+            3 * bound,
+        ]
+        for position in [*positions, *positions[::-1], *positions]:
+            warm = _outcome(extract_hex_digits, f, position, 8)
+            tables = bbp._TABLES
+            monkeypatch.setattr(bbp, "_TABLES", {})
+            fresh = _outcome(extract_hex_digits, f, position, 8)
+            monkeypatch.setattr(bbp, "_TABLES", tables)
+            assert warm == fresh == _outcome(per_term_hex_digits, f, position, 8), position
+        # the tables hold every full batch up to the bound, and none past it
+        for k in CLASSES:
+            assert stored_ends(f, k) == rule_cuts(f, k, bound)
+
+    def test_tables_stop_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        f = REGISTRY["eq2.37-sum"]
+        bound = bbp._TABLE_SPAN // 3
+        assert bound == 65536
+        n = bound + 2000
+        assert bbp._head_batches(3, 1, n) == len(rule_cuts(f, 1, n - 1)) + 1
+        assert stored_ends(f, 1) == rule_cuts(f, 1, bound)
+        assert list(bbp._TABLES) == [(3, 1)]
+
+    def test_growth_replaces_the_tables(self, monkeypatch):
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        f = REGISTRY["eq2.35-sum"]
+        snapshots = []
+        for position in (300, 100, 900, 901, 2000):
+            tables = bbp._TABLES
+            snapshots.append((tables, dict(tables)))
+            extract_hex_digits(f, position, 8)
+        for tables, copy in snapshots:
+            assert tables == copy
+            for key, table in tables.items():
+                assert bbp._TABLES[key][: len(table)] == table
+        assert snapshots[2][0] is snapshots[1][0]  # position 100 grew nothing
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -387,10 +492,10 @@ class TestForkedHead:
 
     @needs_two_cpus
     @pytest.mark.parametrize("name", FORMULAS)
-    @pytest.mark.parametrize("position", [3000, 4999])
-    def test_mid_band_splits(self, monkeypatch, forks, name, position):
-        # the head splits from position 3000 to the top of the 2000-5000 band
-        # the benchmark's digits-deep.mid extracts in, and keeps the serial digits
+    @pytest.mark.parametrize("position", [6000, 9999])
+    def test_splits_above_the_mid_band(self, monkeypatch, forks, name, position):
+        # the head splits from position 6000 on, above the 2000-5000 band the
+        # benchmark's digits-deep.mid extracts in, and keeps the serial digits
         f = REGISTRY[name]
         split = extract_hex_digits(f, position, 8)
         assert forks
@@ -399,6 +504,31 @@ class TestForkedHead:
         made = len(forks)
         assert extract_hex_digits(f, position, 8) == split
         assert len(forks) == made
+
+    @needs_two_cpus
+    def test_split_forks_with_the_tables_grown(self, monkeypatch, forks):
+        # when the children fork, every class's table already holds each
+        # full batch that ends by position + 1, so a child builds none
+        from tetralog import forked
+
+        def spy(part_sum, parts, nbytes):
+            grown.append({k: stored_ends(f, k) for k in CLASSES})
+            return forked_sum(part_sum, parts, nbytes)
+
+        forked_sum = forked.forked_sum
+        monkeypatch.setattr(forked, "forked_sum", spy)
+        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        for f in [REGISTRY[name] for name in FORMULAS]:
+            for position in (64, 2000, 700):
+                grown = []
+                assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+                assert len(grown) == 1
+                for k in CLASSES:
+                    full = rule_cuts(f, k, position + 1)
+                    assert grown[0][k][: len(full)] == full
+                assert_no_children()
+        assert forks
 
     def test_part_count(self):
         assert bbp._part_count(0) == 1
@@ -675,6 +805,15 @@ class TestFormulaValidation:
     def test_degree_zero_rejected(self):
         with pytest.raises(DomainError):
             BBPFormula(degree=0, coeffs=(0,) * 8, scale=1.0)
+
+    def test_non_integer_degree_or_coefficient_rejected(self):
+        # 2.0 would hash and compare equal to 2, the key of degree 2's tables
+        for degree in (2.0, 1.5, True, "2"):
+            with pytest.raises(DomainError, match="integer"):
+                BBPFormula(degree, _PATTERN, 0.25)
+        for coeffs in [(1, 0, 0, 0, 0, 0, 0, 0.5), (4.0, 0, 0, -2, -1, -1, 0, 0), (False,) * 8]:
+            with pytest.raises(DomainError, match="integer"):
+                BBPFormula(1, coeffs, 1.0)
 
     def test_wrong_coeff_count_rejected(self):
         with pytest.raises(DomainError):

@@ -107,6 +107,47 @@ def test_a_call_made_while_a_bernoulli_row_is_built_leaves_the_numbers_exact():
     assert _printed_by(code).split() == []
 
 
+def test_a_call_made_while_a_bbp_table_grows_leaves_every_table_whole():
+    # halfway through growing the eq2.35-sum tables to position 600, an
+    # extraction at 900 grows the same tables further, and one of pi-degree1
+    # grows others; no dict or table seen before a call changes after it, and
+    # each is the start of the next call's
+    common = (
+        "import tetralog.bbp as b\n"
+        "f, pi = b.REGISTRY['eq2.35-sum'], b.REGISTRY['pi-degree1']\n"
+        "seen, digits = [], []\n"
+        "def extract(g, position):\n"
+        "    seen.append((b._TABLES, dict(b._TABLES)))\n"
+        "    digits.append((g.degree, position, b.extract_hex_digits(g, position, 8)))\n"
+    )
+    hooked = (
+        "batch, fired = b._batch, []\n"
+        "def nested(s, k, j0, j1):\n"
+        "    if s == 2 and j0 > 300 and not fired:\n"
+        "        fired.append(j0)\n"
+        "        extract(f, 900)\n"
+        "        extract(pi, 700)\n"
+        "    return batch(s, k, j0, j1)\n"
+        "b._batch = nested\n"
+        "for position in (200, 600, 2000):\n"
+        "    extract(f, position)\n"
+        "b._batch = batch\n"
+        "assert fired\n"
+    )
+    clean = (
+        "for g, position in [(f, 200), (f, 600), (pi, 700), (f, 900), (f, 2000)]:\n"
+        "    extract(g, position)\n"
+    )
+    show = (
+        "for (tables, copy), (later, _) in zip(seen, [*seen[1:], (b._TABLES, None)]):\n"
+        "    assert tables == copy\n"
+        "    assert all(later[key][: len(t)] == t for key, t in tables.items())\n"
+        "print(sorted(digits))\n"
+        "print(sorted((key, hash(t)) for key, t in b._TABLES.items()))\n"
+    )
+    assert _printed_by(common + hooked + show) == _printed_by(common + clean + show)
+
+
 _CALLS = (
     "from tetralog.bernoulli import bernoulli_ratio\n"
     "from tetralog.polylog import polylog_complex\n"
