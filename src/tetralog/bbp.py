@@ -180,7 +180,8 @@ _GUARD_HEX = 12
 # and nothing beat 512 on every formula at 3e4.  With the tables warm, at
 # 3e3-4.5e3 256 / 384 / 768 bits ran 19-24 % / 4-8 % slower / 1-3 % faster
 # than 512; at 2e4-3e4, 384 bits ran up to 11 % faster and 768 up to 12 %
-# slower, in one run each.
+# slower, in one run each.  In a later run 384 and 448 bits were within 3 %
+# of 512, warm at 2e3-3e3 and with empty tables at 600-1400.
 _BATCH_BITS = 512
 # Class k's full batches at degree s, (j1, num mod den, den) in order of j1,
 # kept once built, as long as s * j1 <= _TABLE_SPAN: up to position 196 607,

@@ -193,10 +193,27 @@ def rule_cuts(f: BBPFormula, k: int, limit: int) -> list[int]:
     return ends
 
 
+def boundary_positions(f: BBPFormula, k: int) -> list[int]:
+    """Positions below 1500 with position + 1 at an end of class k's batches
+    of more than two terms, or one off: the first for each (batch width,
+    offset of position + 1 in the batch)."""
+    ends = rule_cuts(f, k, 1501)
+    seen, positions = set(), []
+    for j0, j1 in zip([0, *ends], ends):
+        w = j1 - j0
+        for position in range(max(j0, 1), min(j1, 1500)):
+            case = (w, (position + 1 - j0) % w)
+            if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
+                seen.add(case)
+                positions.append(position)
+    return positions
+
+
 FORMULAS = sorted(REGISTRY)
 # exact at position 0: the only term is 1/1, so the guard digits are all zero
 EXACT_AT_ZERO = BBPFormula(degree=40, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
-# each (8j + 1)^128 but the first is at least 512 bits wide, a batch of its own
+# under the rule each term from j = 1 on costs 128 * bit_length(8j + 1) >= 512
+# bits, and the first one less, so every batch holds one term
 ONE_TERM_BATCHES = BBPFormula(degree=128, coeffs=(1, 0, 0, 0, 0, 0, 0, 0), scale=1.0)
 
 
@@ -218,16 +235,10 @@ class TestBatchedHead:
         # position + 1 at an end of the first residue's batches, or one off
         f = REGISTRY[name]
         k = 1 + next(i for i, a in enumerate(f.coeffs) if a)
-        ends = rule_cuts(f, k, 1501)
-        seen = set()
-        for j0, j1 in zip([0, *ends], ends):
-            w = j1 - j0
-            for position in range(max(j0, 1), min(j1, 1500)):
-                case = (w, (position + 1 - j0) % w)
-                if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
-                    seen.add(case)
-                    self.assert_same(f, position, 8)
-        assert len(seen) >= 6
+        positions = boundary_positions(f, k)
+        for position in positions:
+            self.assert_same(f, position, 8)
+        assert len(positions) >= 6
 
     @pytest.mark.parametrize("name", FORMULAS)
     def test_every_count(self, name):
@@ -310,18 +321,12 @@ class TestHeadFloors:
     def test_positions_at_batch_boundaries(self, name):
         # position + 1 at an end of the batches, or one off
         f = REGISTRY[name]
-        ends = rule_cuts(f, 1, 1501)
-        seen = set()
-        for j0, j1 in zip([0, *ends], ends):
-            w = j1 - j0
-            for position in range(max(j0, 1), min(j1, 1500)):
-                case = (w, (position + 1 - j0) % w)
-                if w > 2 and case[1] in (0, 1, w - 1) and case not in seen:
-                    seen.add(case)
-                    self.assert_near_per_term(f, position)
-                    if position <= 400:
-                        self.assert_near_exact(f, position)
-        assert len(seen) >= 6
+        positions = boundary_positions(f, 1)
+        for position in positions:
+            self.assert_near_per_term(f, position)
+            if position <= 400:
+                self.assert_near_exact(f, position)
+        assert len(positions) >= 6
 
     def test_carry_test_is_sound_with_two_guard_digits(self, monkeypatch):
         # with 2^8 units of guard the slack, sum |a| * floors, decides most

@@ -148,6 +148,45 @@ def test_a_call_made_while_a_bbp_table_grows_leaves_every_table_whole():
     assert _printed_by(common + hooked + show) == _printed_by(common + clean + show)
 
 
+_EXTRACTIONS = (
+    "import tetralog.bbp as b\n"
+    "calls = [(name, position) for position in (900, 300, 1400, 301, 2000, 1)\n"
+    "         for name in sorted(b.REGISTRY)]\n"
+    "def extract(name, position):\n"
+    "    return b.extract_hex_digits(b.REGISTRY[name], position, 8)\n"
+)
+
+
+def test_threads_that_grow_the_bbp_tables_together_get_the_serial_digits():
+    # each thread makes the calls in its own order, so the threads race to
+    # grow the same tables and to publish the dict that holds them
+    threaded = (
+        "import sys, threading\n"
+        f"{_EXTRACTIONS}"
+        "results = {}\n"
+        "def work(i):\n"
+        "    order = calls[i:] + calls[:i] if i % 2 else calls[::-1]\n"
+        "    results[i] = sorted((c, extract(*c)) for c in order)\n"
+        "interval = sys.getswitchinterval()\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "try:\n"
+        "    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]\n"
+        "    for t in threads:\n"
+        "        t.start()\n"
+        "    for t in threads:\n"
+        "        t.join(timeout=60)\n"
+        "finally:\n"
+        "    sys.setswitchinterval(interval)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "for i in range(4):\n"
+        "    print(results[i])\n"
+    )
+    serial = f"{_EXTRACTIONS}print(sorted((c, extract(*c)) for c in calls))\n"
+    expected = _printed_by(serial).splitlines()
+    assert len(expected) == 1
+    assert _printed_by(threaded).splitlines() == 4 * expected
+
+
 _CALLS = (
     "from tetralog.bernoulli import bernoulli_ratio\n"
     "from tetralog.polylog import polylog_complex\n"
