@@ -10,14 +10,16 @@ fraction per batch of consecutive denominators, built by Horner's rule over
 their product: one modular power and one floor division per batch, not per
 term.  Each residue class's j axis is cut into batches by a rule that does
 not depend on the position (``_cuts``), so the full batches' fractions are
-kept in a table per (degree, residue class) up to a bound, and a warm
-extraction computes only the modular powers, the floors and the one batch
-cut off at its position.  The floors lose less than |coefficient| units
-each, which the carry test allows for.  From position 6000 on, where a split
-head ran faster than the serial one for every registry formula, the head's
-batches are split into parts summed in forked child processes, one per
-usable processor; integer addition is exact, so the split cannot change a
-digit.
+kept in a table per (degree, residue class) up to a bound.  An extraction
+lists each class's head batches once, in a plan: the stored ones, then
+placeholders for those it must build (``_head_batches``).  The carry test
+counts the plan and the head sums it, so a warm extraction computes only
+the modular powers, the floors and the batch cut off at its position.  The
+floors lose less than |coefficient| units each, which the carry test allows
+for.  From position 6000 on, where a split head ran faster than the serial
+one for every registry formula, the plans' batches are split into parts
+summed in forked child processes, one per usable processor; integer addition
+is exact, so the split cannot change a digit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .constants import EPS, LN2, PI, ZETA3
-from .errors import ConvergenceError, DomainError, PrecisionError, check_tol
+from .errors import ConvergenceError, DomainError, PrecisionError, check_tol, is_int
 
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction does not load ``result``, the ball arithmetic it does not use
@@ -40,11 +42,8 @@ if TYPE_CHECKING:
 
     from .result import EvalResult
 
-
-def _is_int(x: object) -> bool:
-    """Whether x is an int and not a bool.  A float is not, even when
-    integral: 2.0 would hash and compare equal to 2, and share its tables."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    # a head plan's batch: (j1, num mod den, den), or (j1, None, None) to build
+    Batch = tuple[int, int | None, int | None]
 
 
 class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
@@ -66,11 +65,12 @@ class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
         scale: float,
         affine_terms: tuple[tuple[str, float], ...] = (),
     ) -> BBPFormula:
-        if not _is_int(degree) or degree < 1:
+        # a float degree 2.0 would hash and compare equal to 2, and share its tables
+        if not is_int(degree) or degree < 1:
             raise DomainError("BBP degree must be an integer >= 1")
         if len(coeffs) != 8:
             raise DomainError("coeffs must have one entry per residue class mod 8")
-        if not all(map(_is_int, coeffs)):
+        if not all(map(is_int, coeffs)):
             raise DomainError("BBP coefficients must be integers")
         return super().__new__(cls, degree, coeffs, scale, affine_terms)
 
@@ -175,9 +175,7 @@ def eval_bbp_sum(f: BBPFormula, tol: float = 1e-13) -> EvalResult:
 _GUARD_HEX = 12
 # The head takes one fraction, one modular power and one floor per batch of
 # consecutive denominators whose product is at most this many bits wide (a
-# lone denominator may be wider; ``_cuts``).  With every batch sized by the
-# largest denominator, 256 bits ran 9-28 % slower than 512 at position 3e3,
-# and nothing beat 512 on every formula at 3e4.  With the tables warm, at
+# lone denominator may be wider; ``_cuts``).  With the tables warm, at
 # 3e3-4.5e3 256 / 384 / 768 bits ran 19-24 % / 4-8 % slower / 1-3 % faster
 # than 512; at 2e4-3e4, 384 bits ran up to 11 % faster and 768 up to 12 %
 # slower, in one run each.  In a later run 384 and 448 bits were within 3 %
@@ -246,14 +244,17 @@ def _batch(s: int, k: int, j0: int, j1: int) -> tuple[int, int]:
     return num, den
 
 
-def _head_batches(s: int, k: int, n: int) -> int:
-    """The number of batches that cover class k's head terms j < n at degree
-    s.  First class k's table grows, if it must, to hold every full batch
-    that ends by n, as far as _TABLE_SPAN // s.
+def _head_batches(s: int, k: int, n: int) -> list[Batch]:
+    """Class k's head plan at degree s: the batches that cover its terms
+    j < n, in order.  Each stored batch that ends by n is its table entry
+    (j1, num mod den, den) (``_batch``); each later batch is a placeholder
+    (j1, None, None), the last one cut off at n.  Below the table bound only
+    that partial batch is a placeholder; past it every batch is.
 
-    The grown table is a new tuple, published in a new dict in one
-    assignment, so a reader holds a finished table whatever a racing or
-    re-entering call does.
+    First class k's table grows, if it must, to hold every full batch that
+    ends by n, as far as _TABLE_SPAN // s.  The grown table is a new tuple,
+    published in a new dict in one assignment, so a reader holds a finished
+    table whatever a racing or re-entering call does.
     """
     global _TABLES
     table = _TABLES.get((s, k), ())
@@ -270,46 +271,37 @@ def _head_batches(s: int, k: int, n: int) -> int:
         table += tuple(grown)
         if len(table) > len(_TABLES.get((s, k), ())):
             _TABLES = {**_TABLES, (s, k): table}
-    count = bisect_right(table, n, key=lambda batch: batch[0])
-    j0 = table[count - 1][0] if count else 0
+    plan: list[Batch] = list(table[: bisect_right(table, n, key=lambda batch: batch[0])])
+    j0 = plan[-1][0] if plan else 0
     cuts = _cuts(s, k, j0)
     while j0 < n:
-        j0 = next(cuts)
-        count += 1
-    return count
+        j0 = min(next(cuts), n)
+        plan.append((j0, None, None))
+    return plan
 
 
-def _head_part(f: BBPFormula, position: int, bits: int, part: int, parts: int) -> int:
-    """The head's batches whose running index is part mod parts, summed mod 2^bits.
-
-    The running index counts the batches of every nonzero residue class k in
-    turn: class k's stored batches that end by position + 1, then those
-    built here, the last one cut off at position + 1.  For a batch j0 .. j1
-    - 1 with d_j = (8j + k)^degree, num/den = sum_j 16^(j1 - 1 - j)/d_j over
-    den = prod d_j (``_batch``), and r = ``pow(16, position + 1 - j1, den)``.
-    Each d_j divides den, so r * num/den = sum_j 16^(position - j)/d_j
-    (mod 1), and the batch adds a * floor(2^bits * frac(r * num/den)),
-    within |a| of a times the exact value.  With ``parts == 1`` this is the
-    whole head; the parts for part = 0 .. parts - 1 add up to it mod 2^bits.
+def _head_part(
+    s: int, n: int, plans: list[tuple[int, int, list[Batch]]], bits: int, part: int, parts: int
+) -> int:
+    """The batches of the head plans, (k, a, class k's plan) for each nonzero
+    coefficient a, whose running index over all plans in turn is part mod
+    parts, summed mod 2^bits; only a placeholder that this part owns is
+    built.  With ``parts == 1`` this is the whole head; the parts for part =
+    0 .. parts - 1 add up to it mod 2^bits.
     """
-    s, n = f.degree, position + 1
     acc = 0
     index = itertools.count()
-    for k, a in enumerate(f.coeffs, start=1):
-        if not a:
-            continue
+    for k, a, plan in plans:
         j0 = 0
-        for j1, num, den in _TABLES.get((s, k), ()):
-            if j1 > n:
-                break
+        for j1, num, den in plan:
+            # For the batch j0 .. j1 - 1 with d_j = (8j + k)^s, num/den = sum_j
+            # 16^(j1 - 1 - j)/d_j over den = prod d_j, and r = 16^(n - j1) mod
+            # den.  Each d_j divides den, so r * num/den = sum_j 16^(n - 1 - j)/d_j
+            # (mod 1), and the batch adds a * floor(2^bits * frac(r * num/den)),
+            # within |a| of a times the exact value
             if next(index) % parts == part:
-                acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
-            j0 = j1
-        cuts = _cuts(s, k, j0)
-        while j0 < n:
-            j1 = min(next(cuts), n)
-            if next(index) % parts == part:
-                num, den = _batch(s, k, j0, j1)
+                if num is None:
+                    num, den = _batch(s, k, j0, j1)
                 acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
             j0 = j1
     return acc % (1 << bits)
@@ -339,43 +331,43 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     the class's coefficient a.  Each batch's product is at most
     ``_BATCH_BITS`` wide, bar a lone wider denominator; the cuts between
     batches depend on degree, k and j alone (``_cuts``).  Each class's full
-    batches are kept in a table (``_head_batches``) as long as degree * j
-    <= ``_TABLE_SPAN``, so an extraction builds only the batch cut off at
-    position + 1 and those past the table.  The tail j > position is
-    ``_fixed_sum``'s, one floor per term.  From position 2 * ``_MIN_PART`` =
-    6000 on, where splitting paid on every registry formula, on Linux and
-    with no other thread running, the head's batches are dealt round-robin
-    to one part per usable processor (at most position // ``_MIN_PART``),
-    and all but one part run in forked child processes
-    (``forked.forked_sum``), after this process has grown the tables, so
-    that the children only read them.  The parts are exact integers summed
-    mod 2^bits, so the digits and every PrecisionError are those of the
-    serial sum.  The tail stays serial.  If the guard bits sit within sum
-    |a| * (floors in a's class) units plus 2^-20 of a digit carry boundary,
-    the extraction raises PrecisionError instead of risking an off-by-one
-    digit.
+    batches are kept in a table as long as degree * j <= ``_TABLE_SPAN``.
+    Each nonzero class's head plan (``_head_batches``) is made once, here:
+    its stored batches that end by position + 1, then placeholders for the
+    batch cut off at position + 1 and those past the table, which the head
+    builds.  The carry test counts the plans' batches, and the head sums
+    them.  The tail j > position is ``_fixed_sum``'s, one floor per term.
+    From position 2 * ``_MIN_PART`` = 6000 on, where splitting paid on every
+    registry formula, on Linux and with no other thread running, the plans'
+    batches are dealt round-robin to one part per usable processor (at most
+    position // ``_MIN_PART``), and all but one part run in forked child
+    processes (``forked.forked_sum``), after this process has made the plans
+    and grown the tables, so that the children only read them.  The parts
+    are exact integers summed mod 2^bits, so the digits and every
+    PrecisionError are those of the serial sum.  The tail stays serial.  If
+    the guard bits sit within sum |a| * (floors in a's class) units plus
+    2^-20 of a digit carry boundary, the extraction raises PrecisionError
+    instead of risking an off-by-one digit.
     """
-    if not _is_int(position) or position < 0:
+    if not is_int(position) or position < 0:
         raise DomainError("position must be an integer >= 0")
-    if not _is_int(count) or not 1 <= count <= 16:
+    if not is_int(count) or not 1 <= count <= 16:
         raise DomainError("count must be an integer in 1..16")
     if all(a == 0 for a in f.coeffs):
         return "0" * count
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
-    # the tables grow here, before any fork, so a forked part only reads them
-    floors = sum(
-        abs(a) * _head_batches(f.degree, k, position + 1)
-        for k, a in enumerate(f.coeffs, start=1)
-        if a
-    )
+    s, n = f.degree, position + 1
+    # the plans, and the tables they read, are made here, before any fork
+    plans = [(k, a, _head_batches(s, k, n)) for k, a in enumerate(f.coeffs, start=1) if a]
+    floors = sum(abs(a) * len(plan) for _, a, plan in plans)
     parts = _part_count(position)
     if parts == 1:
-        acc = _head_part(f, position, bits, 0, 1)
+        acc = _head_part(s, n, plans, bits, 0, 1)
     else:
         from .forked import forked_sum  # loaded only for a split head
 
-        acc = forked_sum(lambda i, n: _head_part(f, position, bits, i, n), parts, (bits + 7) // 8)
+        acc = forked_sum(lambda i, m: _head_part(s, n, plans, bits, i, m), parts, (bits + 7) // 8)
     # the tail j > position is exact: its terms shrink below the fixed point
     tail_sum, tail_floors, _ = _fixed_sum(f, position, bits, position + 1)
     acc += tail_sum

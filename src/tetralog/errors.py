@@ -25,6 +25,13 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise DomainError(f"{name} must be finite and positive, got {tol!r}")
 
 
+def is_int(x: object) -> bool:
+    """Whether x's type is int: the one rule for every integer argument the
+    package takes.  A bool is not, nor a float, even an integral one.  The
+    few-microsecond evaluators spell it ``type(x) is int`` inline."""
+    return type(x) is int
+
+
 class ConvergenceError(TetralogError, ArithmeticError):
     """An iterative evaluation failed to reach the requested tolerance.
 

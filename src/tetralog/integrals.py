@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .constants import EPS, PI, SQRT7
-from .errors import DomainError, QuadratureError, check_tol
+from .errors import DomainError, QuadratureError, check_tol, is_int
 from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
 from .result import Angle, EvalResult, asin, atan, exact, log, rounded, sqrt
@@ -82,8 +82,9 @@ def _integral_x(n: int, lower: EvalResult, upper: EvalResult, tol: float) -> Eva
     bounds by width (I(n)/width)^((n-1)/n).  Raises QuadratureError when
     the bound exceeds tol.
     """
-    if n < 0:
-        raise DomainError("I(n) requires n >= 0")
+    check_tol(tol)  # a bad tol is refused before anything else
+    if not is_int(n) or n < 0:
+        raise DomainError("I(n) requires an integer n >= 0")
 
     def f(x: float) -> float:
         u = math.tan(x)
@@ -131,8 +132,8 @@ def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
 
     As ``integral_In``, it succeeds at the default tol for n <= 8.
     """
-    if n < 0:
-        raise DomainError("integral_In_vform requires n >= 0")
+    if not is_int(n) or n < 0:
+        raise DomainError("integral_In_vform requires an integer n >= 0")
     r73 = CONSTANTS.r73
     p1 = integrate(
         QuadProblem(
@@ -196,7 +197,7 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
     asserted below 1e-10 and discarded.  The bound covers the arithmetic from
     the doubles r73 and v_pm on, not what their own rounding moves I1(n) by.
     """
-    if n not in (1, 2):
+    if not is_int(n) or n not in (1, 2):
         raise DomainError("i1_polylog_form supports n in {1, 2}")
     check_tol(tol)
     r73 = CONSTANTS.r73
@@ -233,10 +234,10 @@ def i1_series_truncated(n: int, terms: int = 60) -> float:
     obtained from the y = 1/v variable, which keeps every geometric-series
     argument inside the unit disk.
     """
-    if n < 0:
-        raise DomainError("i1_series_truncated requires n >= 0")
-    if terms < 1:
-        raise DomainError("need at least one term")
+    if not is_int(n) or n < 0:
+        raise DomainError("i1_series_truncated requires an integer n >= 0")
+    if not is_int(terms) or terms < 1:
+        raise DomainError("i1_series_truncated needs an integer terms >= 1")
     r73 = CONSTANTS.r73
     vp, vm = CONSTANTS.v_plus, CONSTANTS.v_minus
     lnr = math.log(r73)

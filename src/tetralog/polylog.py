@@ -166,7 +166,7 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
     (1, inf) take the limit from the side the sign of their zero imaginary
     part names, from above for +0.0j, as cmath.log does, in every regime.
     """
-    if s < 2:
+    if type(s) is not int or s < 2:  # errors.is_int, inline
         raise DomainError("polylog_complex requires integer order >= 2")
     check_tol(tol)
     no_ball(z, "polylog_complex")

@@ -7,7 +7,7 @@ import cmath
 import math
 
 from .constants import EPS, PI, PI_DIGITS
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 
 class _Record:
@@ -350,6 +350,8 @@ class RationalAngle(_Record):
     __match_args__ = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
+        if not (is_int(p) and is_int(q)):
+            raise DomainError("RationalAngle needs integers p and q")
         if q == 0:
             raise DomainError("RationalAngle needs q != 0")
         if q < 0:
@@ -361,10 +363,6 @@ class RationalAngle(_Record):
         fields = self.__dict__
         fields["p"] = p
         fields["q"] = q
-
-    @property
-    def radians(self) -> float:
-        return self.p * PI / self.q
 
 
 class PolarPoint(_Record):

@@ -28,7 +28,7 @@ from functools import cache
 
 from .bernoulli import _EM_TERMS, _STOP, TAYLOR_K_MAX, _euler_maclaurin, _log_tables, zeta_int
 from .constants import EPS, GAMMA, PI, PI_LO
-from .errors import ConvergenceError, DomainError, check_tol
+from .errors import ConvergenceError, DomainError, check_tol, is_int
 from .result import _UP, Angle, EvalResult, PolarPoint, RationalAngle, exact, reduce_angle, rounded
 from .result import log as ball_log
 from .result import no_ball
@@ -158,8 +158,8 @@ def trigamma(x: float | EvalResult) -> EvalResult:
 
 def polygamma(n: int, x: float) -> EvalResult:
     """psi^(n)(x); n >= 1 delegates to the Hurwitz zeta route."""
-    if n < 0:
-        raise DomainError("polygamma order must be >= 0")
+    if not is_int(n) or n < 0:
+        raise DomainError("polygamma order must be an integer >= 0")
     no_ball(x, "polygamma")
     if n == 0:
         return digamma(x)
@@ -246,8 +246,8 @@ def hurwitz_zeta(s: float, a: float | EvalResult, tol: float = 1e-13) -> EvalRes
 
 def harmonic(j: int) -> float:
     """Partial sum H_j = sum_{k=1..j} 1/k; H_0 = 0."""
-    if j < 0:
-        raise DomainError("harmonic needs j >= 0")
+    if not is_int(j) or j < 0:
+        raise DomainError("harmonic needs an integer j >= 0")
     return math.fsum(1.0 / k for k in range(1, j + 1))
 
 
@@ -425,7 +425,7 @@ def cl2(theta: Angle | EvalResult | float, tol: float = 1e-13) -> EvalResult:
 
 def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized sine Clausen value sum_{n>=1} sin(n theta)/n^s, s >= 2."""
-    if s < 2:
+    if type(s) is not int or s < 2:  # errors.is_int, inline
         raise DomainError("clausen_sin requires order >= 2")
     check_tol(tol)
     return _clausen(s, True, theta, tol, "log-expansion")
@@ -433,7 +433,7 @@ def clausen_sin(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
 
 def clausen_cos(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Generalized cosine Clausen value sum_{n>=1} cos(n theta)/n^s, s >= 2."""
-    if s < 2:
+    if type(s) is not int or s < 2:  # errors.is_int, inline
         raise DomainError("clausen_cos requires order >= 2")
     check_tol(tol)
     return _clausen(s, False, theta, tol, "log-expansion")
@@ -441,15 +441,17 @@ def clausen_cos(s: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
 
 def cl_even(q: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Cl_{2q}(theta) = sum sin(n theta)/n^{2q} for q >= 1."""
-    if q < 1:
-        raise DomainError("cl_even requires q >= 1")
+    check_tol(tol)  # a bad tol is refused before anything else
+    if not is_int(q) or q < 1:
+        raise DomainError("cl_even requires an integer q >= 1")
     return clausen_sin(2 * q, theta, tol)
 
 
 def cl_odd(r: int, theta: Angle | float, tol: float = 1e-12) -> EvalResult:
     """Cl_{2r+1}(theta) = sum cos(n theta)/n^{2r+1} for r >= 1."""
-    if r < 1:
-        raise DomainError("cl_odd requires 2r+1 >= 3")
+    check_tol(tol)  # a bad tol is refused before anything else
+    if not is_int(r) or r < 1:
+        raise DomainError("cl_odd requires an integer r >= 1")
     return clausen_cos(2 * r + 1, theta, tol)
 
 
@@ -552,8 +554,8 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
 
 def incomplete_gamma_upper_int(n: int, x: float) -> float:
     """Gamma(n+1, x) = n! e^-x sum_{m=0}^n x^m/m! for integer n >= 0, real x."""
-    if n < 0:
-        raise DomainError("incomplete_gamma_upper_int needs n >= 0")
+    if not is_int(n) or n < 0:
+        raise DomainError("incomplete_gamma_upper_int needs an integer n >= 0")
     try:
         ex = math.exp(-x)
     except OverflowError as exc:

@@ -135,6 +135,19 @@ def per_term_head(f: BBPFormula, position: int, bits: int) -> int:
     return acc % (1 << bits)
 
 
+def head_plans(f: BBPFormula, position: int) -> list:
+    """(k, a, class k's head plan) for each nonzero coefficient a, as
+    ``extract_hex_digits`` makes them."""
+    n = position + 1
+    return [(k, a, bbp._head_batches(f.degree, k, n)) for k, a in enumerate(f.coeffs, 1) if a]
+
+
+def head_part(f: BBPFormula, position: int, bits: int, part: int = 0, parts: int = 1) -> int:
+    """``_head_part`` on f's head plans at position: with the defaults, the
+    whole batched head mod 2^bits."""
+    return bbp._head_part(f.degree, position + 1, head_plans(f, position), bits, part, parts)
+
+
 def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     """The extraction with one modular power per head term: the reference that
     the batched head must reproduce digit for digit, PrecisionError included."""
@@ -292,7 +305,7 @@ class TestHeadFloors:
         # per class, the two sums are a times (per-term floor losses) minus a
         # times (per-batch floor losses), so within |a| (position + 1)
         bound = sum(abs(a) for a in f.coeffs) * (position + 1)
-        head = bbp._head_part(f, position, self.BITS, 0, 1)
+        head = head_part(f, position, self.BITS)
         assert abs(centred(head - per_term_head(f, position, self.BITS), self.BITS)) < bound
 
     def assert_near_exact(self, f, position):
@@ -306,7 +319,7 @@ class TestHeadFloors:
             losses = [a * self.batches(g, position, k) for k, a in enumerate(coeffs, 1) if a]
             lo = sum(x for x in losses if x < 0)
             hi = sum(x for x in losses if x > 0)
-            head = bbp._head_part(g, position, self.BITS, 0, 1)
+            head = head_part(g, position, self.BITS)
             assert lo <= centred(exact_head(g, position, self.BITS) - head, self.BITS) <= hi
 
     @pytest.mark.parametrize("name", FORMULAS)
@@ -353,7 +366,7 @@ class TestHeadFloors:
         assert {64, 65} <= set(rule_cuts(EXACT_AT_ZERO, 1, 65))
         # every batch a single term: each floor is the per-term one
         assert rule_cuts(ONE_TERM_BATCHES, 1, 251) == list(range(1, 252))
-        head = bbp._head_part(ONE_TERM_BATCHES, 250, self.BITS, 0, 1)
+        head = head_part(ONE_TERM_BATCHES, 250, self.BITS)
         assert head == per_term_head(ONE_TERM_BATCHES, 250, self.BITS)
 
 
@@ -416,9 +429,39 @@ class TestTables:
         bound = bbp._TABLE_SPAN // 3
         assert bound == 65536
         n = bound + 2000
-        assert bbp._head_batches(3, 1, n) == len(rule_cuts(f, 1, n - 1)) + 1
+        assert len(bbp._head_batches(3, 1, n)) == len(rule_cuts(f, 1, n - 1)) + 1
         assert stored_ends(f, 1) == rule_cuts(f, 1, bound)
         assert list(bbp._TABLES) == [(3, 1)]
+
+    def test_extraction_past_the_bound(self):
+        # degree 3's real bound is 65 536: the head sums the stored batches
+        # and builds every one past them
+        f = REGISTRY["eq2.37-sum"]
+        assert extract_hex_digits(f, 65600, 8) == per_term_hex_digits(f, 65600, 8) == "00FC9B72"
+
+    def test_parts_read_only_the_plans(self, monkeypatch):
+        # past a bound patched to 900 / degree a plan lists stored batches and
+        # placeholders; once it is made, no part reads a table or a cut
+        def no_cuts(*args):
+            raise AssertionError("a part walked the cuts")
+
+        def part_sums():
+            return [bbp._head_part(f.degree, position + 1, plans, 52, i, 3) for i in range(3)]
+
+        monkeypatch.setattr(bbp, "_TABLE_SPAN", 900)
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        for name in FORMULAS:
+            f = REGISTRY[name]
+            for position in (0, 77, 2000):
+                plans = head_plans(f, position)
+                sums = part_sums()
+                with monkeypatch.context() as patched:
+                    patched.setattr(bbp, "_cuts", no_cuts)
+                    patched.setattr(bbp, "_TABLES", {})
+                    assert part_sums() == sums, (name, position)
+                assert sum(sums) % (1 << 52) == head_part(f, position, 52)
+            kinds = {num is None for _, _, plan in plans for _, num, _ in plan}
+            assert kinds == {True, False}, name
 
     def test_growth_replaces_the_tables(self, monkeypatch):
         monkeypatch.setattr(bbp, "_TABLES", {})
@@ -480,9 +523,9 @@ class TestForkedHead:
         f = REGISTRY[name]
         for position in (0, 1, 77, 3001):
             for bits in (52, 112):
-                whole = bbp._head_part(f, position, bits, 0, 1)
+                whole = head_part(f, position, bits)
                 for parts in range(1, 5):
-                    split = sum(bbp._head_part(f, position, bits, i, parts) for i in range(parts))
+                    split = sum(head_part(f, position, bits, i, parts) for i in range(parts))
                     assert split % (1 << bits) == whole, (position, bits, parts)
 
     @pytest.mark.parametrize("name", FORMULAS)
@@ -563,9 +606,9 @@ class TestForkedHead:
                 parts = bbp._part_count(position)
                 assert parts == min(CPUS, position)
                 split = forked_sum(
-                    lambda i, n: bbp._head_part(f, position, bits, i, n), parts, (bits + 7) // 8
+                    lambda i, n: head_part(f, position, bits, i, n), parts, (bits + 7) // 8
                 )
-                assert split % (1 << bits) == bbp._head_part(f, position, bits, 0, 1)
+                assert split % (1 << bits) == head_part(f, position, bits)
                 assert_no_children()
         assert forks
 
