@@ -18,7 +18,7 @@ from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 from .constants import EPS, LN2, PI
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -66,9 +66,11 @@ def bernoulli_ratio(n: int) -> tuple[int, int]:
     return numbers[n // 2]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
+    if not is_int(n):
+        raise DomainError("bernoulli_number requires an integer n")
     from fractions import Fraction
 
     return Fraction(*bernoulli_ratio(n))
@@ -133,15 +135,18 @@ def _euler_maclaurin(s: float, a: float, N: int) -> tuple[float, float, float]:
     return total, abs(b_rem * poch) * zp, total - 0.5 * zs - corr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_int(n: int) -> float:
     """Riemann zeta at an integer argument n != 1.
 
     n >= 2 by ``_euler_maclaurin`` from z = 10, where the remainder is below
     1e-19 of the value; nonpositive n via zeta(-m) = -B_{m+1}/(m+1).  The
     direct sum, not the closed form |B_n| (2 pi)^n / (2 n!) at even n, since
-    PI**n would carry n times PI's relative error into the value.
+    PI**n would carry n times PI's relative error into the value.  The
+    cache is typed, so 2.0 or True never reaches the entry of 2 or 1.
     """
+    if not is_int(n):
+        raise DomainError("zeta_int requires an integer n")
     if n == 1:
         raise DomainError("zeta(1) is a pole")
     if n == 0:

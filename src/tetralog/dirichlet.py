@@ -3,9 +3,10 @@ Catalan's constant G = L(2, chi_-4) by nine.
 
 chi_-7 is the quadratic character mod 7 with chi(1, 2, 4) = +1 and
 chi(3, 5, 6) = -1; the value L(2) is the conjectured closed form of the
-tetrahedral integral this library evaluates.  The Catalan routes import the
-accelerator, the quadrature or the BBP sums when they run, so the chi_-7
-routes load none of them.
+tetrahedral integral this library evaluates.  Each route imports the
+kernels it calls when it runs: the chi_-7 routes and the Catalan routes
+eq1.11 and eq2.25 the special functions, the other Catalan routes the
+accelerator, the quadrature or the BBP sums, and none loads another's.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from .constants import EPS, LN2, PI
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult, exact, rounded
-from .specfun import digamma, harmonic, hurwitz_zeta, trigamma
 
 CHI7 = (0, 1, 1, -1, 1, -1, -1)  # chi_-7(k) for k mod 7
 _PI = rounded(PI)
@@ -25,6 +25,8 @@ _LN2 = rounded(LN2)
 def l7_series(tol: float = 1e-13) -> EvalResult:
     """Sum chi(k)/k^2 directly over some whole periods, Hurwitz-zeta tail."""
     check_tol(tol)
+    from .specfun import hurwitz_zeta
+
     J = 8
     # the 56 quotients, of |sum| < 1.7, round by under 1.7 u in all, and fsum
     # by u/2 more: an EPS
@@ -39,6 +41,8 @@ def l7_series(tol: float = 1e-13) -> EvalResult:
 
 def l7_trigamma() -> EvalResult:
     """(1/49)[psi'(1/7) + psi'(2/7) - psi'(3/7) + psi'(4/7) - psi'(5/7) - psi'(6/7)]."""
+    from .specfun import trigamma
+
     total = sum(CHI7[p] * trigamma(exact(p) / 7.0) / 49.0 for p in range(1, 7))
     return EvalResult(total.value, total.err_bound, 6, "trigamma")
 
@@ -46,6 +50,8 @@ def l7_trigamma() -> EvalResult:
 def l7_hurwitz(tol: float = 1e-13) -> EvalResult:
     """(1/49) sum_p chi(p) zeta(2, p/7)."""
     check_tol(tol)
+    from .specfun import hurwitz_zeta
+
     total = sum(CHI7[p] * hurwitz_zeta(2.0, exact(p) / 7.0, tol=tol / 12.0) / 49.0
                 for p in range(1, 7))
     if total.err_bound > tol:
@@ -76,8 +82,12 @@ def catalan_result(method: str) -> EvalResult:
             return _route(alternating_sum(lambda k: 1.0 / (2 * k + 1) ** 2, tol=1e-13), method)
         if method == "eq1.11":
             # G = (pi/2) ln 2 + sum_{j>=1} (-1)^j H_j/(2j+1)
+            from .specfun import harmonic
+
             s = alternating_sum(lambda k: harmonic(k + 1) / (2 * k + 3), tol=1e-13)
             return _route(_PI / 2.0 * _LN2 - s, method)
+
+        from .specfun import digamma
 
         def term(k: int) -> float:
             return (digamma(k / 2.0 + 0.75).value - digamma(k / 2.0 + 0.25).value) / (2 * k + 1)

@@ -7,6 +7,10 @@ The central object is the logarithmic integral
 together with the generalized powers I(n), the split I(n) = I1(n) + I2(n)
 at the interior singularity, the polylogarithmic closed form of I1(n), and
 the two-parameter family I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1).
+
+The closed forms and the truncated series import the Clausen, polylog and
+incomplete-gamma kernels when they run, so the quadratures load only
+``quad``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from collections import namedtuple
 
 from .constants import EPS, PI, SQRT7
 from .errors import DomainError, QuadratureError, check_tol, is_int
-from .polylog import _inversion_remainder, polylog_complex
 from .quad import QuadProblem, integrate
 from .result import Angle, EvalResult, asin, atan, exact, log, rounded, sqrt
-from .specfun import cl2, incomplete_gamma_upper_int
 
 _PI = rounded(PI)
 _SQRT7 = rounded(SQRT7)
@@ -159,12 +161,16 @@ def integral_In_vform(n: int, tol: float = 1e-10) -> EvalResult:
 
 def i2_closed_form() -> EvalResult:
     """I2(1) = -Cl_2(pi + theta_plus)."""
+    from .specfun import cl2
+
     return -cl2(_PI + _THETA)
 
 
 def _clausen_form(scale: float | EvalResult, x, y, z, method: str) -> EvalResult:
     """scale (Cl_2(x) - Cl_2(y) + Cl_2(z)).  The closed forms take no tol, so
     their Clausen values take one that no bound reaches."""
+    from .specfun import cl2
+
     v = scale * (cl2(x, 1e300) - cl2(y, 1e300) + cl2(z, 1e300))
     return EvalResult(v.value, v.err_bound, v.effort, method)
 
@@ -200,6 +206,8 @@ def i1_polylog_form(n: int, tol: float = 1e-10) -> EvalResult:
     if not is_int(n) or n not in (1, 2):
         raise DomainError("i1_polylog_form supports n in {1, 2}")
     check_tol(tol)
+    from .polylog import _inversion_remainder, polylog_complex
+
     r73 = CONSTANTS.r73
     vp, vm = exact(CONSTANTS.v_plus), exact(CONSTANTS.v_minus)
     zp = r73 / CONSTANTS.v_minus
@@ -238,6 +246,8 @@ def i1_series_truncated(n: int, terms: int = 60) -> float:
         raise DomainError("i1_series_truncated requires an integer n >= 0")
     if not is_int(terms) or terms < 1:
         raise DomainError("i1_series_truncated needs an integer terms >= 1")
+    from .specfun import incomplete_gamma_upper_int
+
     r73 = CONSTANTS.r73
     vp, vm = CONSTANTS.v_plus, CONSTANTS.v_minus
     lnr = math.log(r73)

@@ -1,10 +1,13 @@
 """Import budget: each command loads only the modules it runs, and the lazy
 package namespace still binds every public name to its home module's object."""
 
+import dis
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -69,23 +72,78 @@ def test_specfun_targets_load_no_ledger_or_quadrature(argv):
     assert not loaded & {"verify", "integrals", "quad", "bbp", "dirichlet"}
 
 
-def test_catalan_routes_load_no_ledger():
-    # G = L(2, chi_-4) lives beside L(2, chi_-7), apart from the ledger
+# every eval process loads these: the command line, its option names, the
+# error types, the constants and the value record
+_EVAL_BASE = {"cli", "errors", "names", "constants", "result"}
+# each route loads its own kernels beside the base, and nothing it does not call
+_CATALAN_EXTRA = {
+    **dict.fromkeys(("eq2.22", "eq2.27", "eq2.28a", "eq2.28c", "eq2.33"), {"dirichlet", "quad"}),
+    "series": {"dirichlet", "accel"},
+    "eq2.35": {"dirichlet", "bbp"},
+    **dict.fromkeys(("eq1.11", "eq2.25"), {"dirichlet", "accel", "specfun", "bernoulli"}),
+}
+_ROUTE_EXTRA = [
+    (("eval", "i7"), {"integrals", "quad"}),
+    (("eval", "iab", "--a", "0.5", "--b", "-0.6"), {"integrals", "quad"}),
+    *((("eval", "catalan", "--method", m), extra) for m, extra in _CATALAN_EXTRA.items()),
+    *((("eval", "l7", "--route", r), {"dirichlet", "specfun", "bernoulli"})
+      for r in ("series", "trigamma", "hurwitz")),
+]
+
+
+def test_every_catalan_route_is_pinned():
     from tetralog.names import CATALAN_METHODS
 
-    loaded = _loaded_after(
-        "\n".join(_cli("eval", "catalan", "--method", m) for m in CATALAN_METHODS)
-    )
-    assert "dirichlet" in loaded
-    assert not loaded & {"verify", "integrals", "polylog"}
+    assert set(_CATALAN_EXTRA) == set(CATALAN_METHODS)
 
 
-def test_l7_routes_load_no_catalan_machinery():
-    loaded = _loaded_after(
-        "\n".join(_cli("eval", "l7", "--route", r) for r in ("series", "trigamma", "hurwitz"))
-    )
-    assert "dirichlet" in loaded
-    assert not loaded & {"quad", "bbp", "accel"}
+@pytest.mark.parametrize(
+    "argv, extra",
+    _ROUTE_EXTRA,
+    ids=[f"{a[1]}-{a[3]}" if len(a) == 4 else a[1] for a, _ in _ROUTE_EXTRA],
+)
+def test_eval_route_loads_only_the_modules_it_calls(argv, extra):
+    assert _after_cli(*argv) == _EVAL_BASE | extra
+
+
+# (home module, qualified name): the per-call paths the compute-warm workloads
+# time, none of which may run an import statement
+_WARM_PATHS = [
+    *(("specfun", f) for f in ("cl2", "clausen_sin", "clausen_cos", "_clausen", "trigamma",
+                               "hurwitz_zeta")),
+    ("bernoulli", "_euler_maclaurin"),
+    *(("polylog", f) for f in ("polylog_complex", "_li_series", "_li_log_expansion",
+                               "_inversion_remainder")),
+    ("integrals", "integral_I_ab"),
+    ("integrals", "corollary3"),
+    *(("quad", f) for f in ("integrate", "_tanh_sinh_panel", "_finite_sum", "_tail_sum")),
+    ("quad", "QuadProblem.__init__"),
+    ("result", "EvalResult.__init__"),
+    ("result", "reduce_angle"),
+]
+
+
+def _code_objects(code: types.CodeType):
+    """code and every code object nested in it: lambdas, inner functions,
+    comprehensions."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+@pytest.mark.parametrize("home, name", _WARM_PATHS, ids=[f"{h}.{n}" for h, n in _WARM_PATHS])
+def test_warm_per_call_path_imports_nothing(home, name):
+    obj = importlib.import_module(f"tetralog.{home}")
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    imported = [
+        ins.argval
+        for code in _code_objects(inspect.unwrap(obj).__code__)
+        for ins in dis.get_instructions(code)
+        if ins.opname == "IMPORT_NAME"
+    ]
+    assert imported == []
 
 
 # the command line is parsed from a table in cli.py, not by argparse, whose

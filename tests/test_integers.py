@@ -5,6 +5,7 @@ the int it stands for."""
 import pytest
 
 from tetralog.bbp import REGISTRY, BBPFormula, extract_hex_digits
+from tetralog.bernoulli import bernoulli_number, zeta_int
 from tetralog.errors import DomainError
 from tetralog.integrals import (
     i1_polylog_form,
@@ -37,6 +38,8 @@ SUBJECTS = {
     "cl_odd.r": (lambda v: cl_odd(v, 1.0), 1),
     "polygamma.n": (lambda v: polygamma(v, 2.0), 1),
     "harmonic.j": (harmonic, 2),
+    "bernoulli_number.n": (bernoulli_number, 4),
+    "zeta_int.n": (zeta_int, 2),
     "RationalAngle.p": (lambda v: RationalAngle(v, 3), 1),
     "RationalAngle.q": (lambda v: RationalAngle(1, v), 3),
     "incomplete_gamma_upper_int.n": (lambda v: incomplete_gamma_upper_int(v, 2.0), 1),
