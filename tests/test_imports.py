@@ -3,7 +3,6 @@ package namespace still binds every public name to its home module's object."""
 
 import dis
 import importlib
-import inspect
 import os
 import subprocess
 import sys
@@ -139,7 +138,7 @@ def test_warm_per_call_path_imports_nothing(home, name):
         obj = getattr(obj, attr)
     imported = [
         ins.argval
-        for code in _code_objects(inspect.unwrap(obj).__code__)
+        for code in _code_objects(obj.__code__)
         for ins in dis.get_instructions(code)
         if ins.opname == "IMPORT_NAME"
     ]

@@ -327,18 +327,12 @@ def test_iab_bounds_hold_over_wide_ranges():
             assert _mp_error(r.value, exact) <= r.err_bound, (a, b, tol)
 
 
-def _mp_miss(value, ref: str):
-    """|value - ref| at 40 digits, ref a decimal string."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        return float(abs(mpmath.mpf(value) - mpmath.mpf(ref)))
-
-
 # integrate's known bound misses (ROADMAP items 15 and 20): each returns a
 # value outside its err_bound.  They fail strictly, so the fix flips them.
 # corollary3 with pi - t < 1e-3, references (ln c / c)(t / sin t) at 40 digits
-@pytest.mark.xfail(strict=True, reason="x - c loses the peak's digits (ROADMAP item 15)")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="x - c loses the peak's digits (ROADMAP item 15)"
+)
 @pytest.mark.parametrize(
     "c, t, ref",
     [
@@ -351,13 +345,15 @@ def _mp_miss(value, ref: str):
 )
 def test_corollary3_known_miss_next_to_t_pi(c, t, ref):
     lhs, _ = corollary3(c, t, 1e-10)
-    assert _mp_miss(lhs.value, ref) <= lhs.err_bound
+    assert _mp_error(lhs.value, ref) <= lhs.err_bound
 
 
 # I(a, b) at large a, references from int_0^{1/a} -ln u du / (1 + 2bu + u^2)
 # summed term by term at 80 digits.  The tail map y = a + s/(1 - s) has unit
 # scale, so for a >> 1 the mass sits at 1 - s ~ 1/a, where the nodes are few
-@pytest.mark.xfail(strict=True, reason="the tail map's unit scale (ROADMAP item 15)")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the tail map's unit scale (ROADMAP item 15)"
+)
 @pytest.mark.parametrize(
     "a, b, ref",
     [
@@ -374,7 +370,7 @@ def test_corollary3_known_miss_next_to_t_pi(c, t, ref):
 )
 def test_iab_known_miss_at_large_a(a, b, ref):
     r = integral_I_ab(a, b)
-    assert _mp_miss(r.value, ref) <= r.err_bound
+    assert _mp_error(r.value, ref) <= r.err_bound
 
 
 def test_closed_form_bounds_hold_near_unit_b():
@@ -420,10 +416,11 @@ def _log_ratio_integral(n, part=None):
 
 
 def _mp_error(value, exact):
+    """|value - exact| at 40 digits; exact an mpf or a decimal string."""
     import mpmath
 
     with mpmath.workdps(40):
-        return float(abs(mpmath.mpf(value) - exact))
+        return float(abs(mpmath.mpf(value) - mpmath.mpf(exact)))
 
 
 def _clausen_halves():
