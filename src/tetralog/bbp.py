@@ -16,10 +16,12 @@ placeholders for those it must build (``_head_batches``).  The carry test
 counts the plan and the head sums it, so a warm extraction computes only
 the modular powers, the floors and the batch cut off at its position.  The
 floors lose less than |coefficient| units each, which the carry test allows
-for.  From position 6000 on, where a split head ran faster than the serial
-one for every registry formula, the plans' batches are split into parts
-summed in forked child processes, one per usable processor; integer addition
-is exact, so the split cannot change a digit.
+for.  From position 6000 on in a process's first extraction, and from 1000
+on once the tables hold batches, where a split head ran faster than the
+serial one for every registry formula, the plans' batches are split into
+parts, one per usable processor, summed by long-lived forked workers
+(``forked``) that this process keeps until it exits; integer addition is
+exact, so the split cannot change a digit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import ConvergenceError, DomainError, PrecisionError, check_tol, is
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction does not load ``result``, the ball arithmetic it does not use
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterator, Sequence
 
     from .result import EvalResult
 
@@ -190,18 +192,23 @@ _BATCH_BITS = 512
 # changed in place.
 _TABLE_SPAN = 3 * 2**16
 _TABLES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
-# Head positions per forked part: the head splits from 2 * _MIN_PART on, where
-# the split head ran faster than the serial one for every registry formula,
-# with the tables warm and with them empty.  Serial / split time of 8-digit
-# extractions on a 2-core x86 Linux host, the medians of 21, 41 and 61
-# paired, alternating calls in three runs (> 1: the split wins), at position
-# 6000, warm / empty: eq2.35-sum 1.18-1.31 / 1.15-1.22, eq2.37-sum 1.42-1.55
-# / 1.13-1.26, pi-degree1 1.03-1.26 / 1.01-1.02.  At 5000 pi-degree1 ran
-# 0.96-1.04 warm and 0.96-1.00 empty; at 3000 it ran 0.65-0.68 and
-# 0.68-0.83, and eq2.35-sum 0.92-0.93 and 0.82-0.88.  Each child part adds
-# its fork, pipe and reaping, 2.2-2.9 ms of processor time here, to the
-# serial head's work, and a warm head leaves less work to split.
+# Head positions per forked part.  Serial / split time of 8-digit extractions
+# on a 2-core x86 Linux host (> 1: the split wins), medians of 21 or 41
+# paired, alternating calls.  A process's first extraction, which forks its
+# worker, splits from 2 * _MIN_PART on: with the tables empty, at position
+# 6000 eq2.35-sum ran 1.18-1.22, eq2.37-sum 1.24-1.30 and pi-degree1
+# 1.05-1.06 (three runs); at 5000 pi-degree1 ran 1.02-1.07 and at 4000 0.91.
+# Forking the worker and its first touch of the pages it reads add 2-3 ms
+# here to the serial head's work.  Once the tables hold batches from an
+# earlier extraction, the head splits from 2 * _MIN_WARM_PART on, where a
+# split with a live worker ran faster for every registry formula: at
+# position 1000 eq2.35-sum 1.51-1.67, eq2.37-sum 1.61-1.71 and pi-degree1
+# 1.24-1.35 (four runs), at 2000 1.20-1.79; at 700 eq2.37-sum ran 1.01 and
+# eq2.35-sum 0.98 in one run each.  An extraction that grows the tables
+# forks the worker again (``forked``), which below 4000 costs more than the
+# split saves, but happens once per growth.
 _MIN_PART = 3000
+_MIN_WARM_PART = 500
 
 
 def _cuts(s: int, k: int, j: int) -> Iterator[int]:
@@ -307,10 +314,25 @@ def _head_part(
     return acc % (1 << bits)
 
 
+def _plans(s: int, coeffs: Sequence[int], n: int) -> list[tuple[int, int, list[Batch]]]:
+    """(k, a, class k's head plan) for each nonzero coefficient a."""
+    return [(k, a, _head_batches(s, k, n)) for k, a in enumerate(coeffs, start=1) if a]
+
+
+def _split_part(args: Sequence[int], part: int, parts: int) -> int:
+    """Part ``part`` of ``parts`` of the head for args = (degree, n, bits,
+    *coeffs), with the plans made again from the tables: the task by which
+    ``forked.forked_sum`` computes each part, here and in its workers."""
+    s, n, bits, *coeffs = args
+    return _head_part(s, n, _plans(s, coeffs, n), bits, part, parts)
+
+
 def _part_count(position: int) -> int:
     """One head part per usable processor, each of at least ``_MIN_PART``
-    positions; one where there is no fork or another thread is running,
-    since a forked copy of a threaded process may hold a lock forever."""
+    positions, or of ``_MIN_WARM_PART`` once the tables hold batches from an
+    earlier extraction (read before this one's plans grow them); one where
+    there is no fork or another thread is running, since a forked copy of a
+    threaded process may hold a lock forever."""
     threading = sys.modules.get("threading")
     if (
         not hasattr(os, "fork")
@@ -318,7 +340,8 @@ def _part_count(position: int) -> int:
         or (threading is not None and threading.active_count() > 1)
     ):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), position // _MIN_PART))
+    least = _MIN_WARM_PART if _TABLES else _MIN_PART
+    return max(1, min(len(os.sched_getaffinity(0)), position // least))
 
 
 def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
@@ -337,14 +360,18 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     batch cut off at position + 1 and those past the table, which the head
     builds.  The carry test counts the plans' batches, and the head sums
     them.  The tail j > position is ``_fixed_sum``'s, one floor per term.
-    From position 2 * ``_MIN_PART`` = 6000 on, where splitting paid on every
-    registry formula, on Linux and with no other thread running, the plans'
-    batches are dealt round-robin to one part per usable processor (at most
-    position // ``_MIN_PART``), and all but one part run in forked child
-    processes (``forked.forked_sum``), after this process has made the plans
-    and grown the tables, so that the children only read them.  The parts
-    are exact integers summed mod 2^bits, so the digits and every
-    PrecisionError are those of the serial sum.  The tail stays serial.  If
+    From position 2 * ``_MIN_PART`` = 6000 on in a process's first
+    extraction, and from 2 * ``_MIN_WARM_PART`` = 1000 on once the tables
+    hold batches, where splitting paid on every registry formula, on Linux
+    and with no other thread running, the plans' batches are dealt
+    round-robin to one part per usable processor (at most position //
+    ``_MIN_PART`` or ``_MIN_WARM_PART``), and all but one part are summed by
+    forked workers (``forked.forked_sum``), after this process has made the
+    plans and grown the tables.  A worker makes the same plans from the
+    tables it was forked with, and is forked again whenever the tables have
+    grown since, so it only reads them; the workers live until the process
+    exits.  The parts are exact integers summed mod 2^bits, so the digits and
+    every PrecisionError are those of the serial sum.  The tail stays serial.  If
     the guard bits sit within sum |a| * (floors in a's class) units plus
     2^-20 of a digit carry boundary, the extraction raises PrecisionError
     instead of risking an off-by-one digit.
@@ -358,16 +385,16 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
     s, n = f.degree, position + 1
+    parts = _part_count(position)  # before the plans, which may grow the tables
     # the plans, and the tables they read, are made here, before any fork
-    plans = [(k, a, _head_batches(s, k, n)) for k, a in enumerate(f.coeffs, start=1) if a]
+    plans = _plans(s, f.coeffs, n)
     floors = sum(abs(a) * len(plan) for _, a, plan in plans)
-    parts = _part_count(position)
     if parts == 1:
         acc = _head_part(s, n, plans, bits, 0, 1)
     else:
         from .forked import forked_sum  # loaded only for a split head
 
-        acc = forked_sum(lambda i, m: _head_part(s, n, plans, bits, i, m), parts, (bits + 7) // 8)
+        acc = forked_sum(_split_part, (s, n, bits, *f.coeffs), parts, _TABLES)
     # the tail j > position is exact: its terms shrink below the fixed point
     tail_sum, tail_floors, _ = _fixed_sum(f, position, bits, position + 1)
     acc += tail_sum

@@ -117,9 +117,17 @@ def _euler_maclaurin(s: float, a: float, N: int) -> tuple[float, float, float]:
     of rounding on their sum; for s <= 6 and z >= 10 they total under 3 % of
     the integral.
     """
-    b, b_rem = _em_coeffs()
     z = a + N
     zs = z**-s
+    terms = [(a + k) ** -s for k in range(N)]
+    if zs == 0.0:
+        # z^-s is below 2^-1075 (within pow's rounding), and zeta(s, z) <=
+        # z^-s (1 + z/(s - 1)): the remainder is the whole tail, charged at
+        # twice that, and no correction is formed (their Pochhammer factor
+        # s (s + 1) ... would overflow for s >= 1e15)
+        total = math.fsum(terms)
+        return total, 2.0**-1074 * (1.0 + z / (s - 1.0)), total
+    b, b_rem = _em_coeffs()
     inv2 = 1.0 / (z * z)
     corr = 0.0
     poch = u = s
@@ -129,7 +137,6 @@ def _euler_maclaurin(s: float, a: float, N: int) -> tuple[float, float, float]:
         poch *= (u + 1.0) * (u + 2.0)
         u += 2.0
         zp *= inv2
-    terms = [(a + k) ** -s for k in range(N)]
     terms += (z * zs / (s - 1.0), 0.5 * zs, corr)
     total = math.fsum(terms)
     return total, abs(b_rem * poch) * zp, total - 0.5 * zs - corr

@@ -65,7 +65,8 @@ _VERIFY_READS = {
 
 # extraction time grows a little faster than linearly with the position; the
 # cap keeps a request to seconds.  Deep positions split the head across forked
-# processes, up to one per core (bbp._part_count, forked.forked_sum).
+# workers, up to one per core beyond this process (bbp._part_count,
+# forked.forked_sum).
 MAX_POSITION = 10**6
 
 

@@ -312,15 +312,20 @@ def reduce_angle(theta: Angle | EvalResult | float) -> tuple[float, float]:
     |theta| <= PI is returned as is, with no error.  Beyond, the turn count
     and the remainder are exact integer arithmetic on the double theta and a
     1129-bit 2 pi, so the one rounding is to the result.  A nan or infinite
-    theta raises DomainError.
+    theta raises DomainError, as does a RationalAngle (``cl2_rational``
+    reads those).
     """
     if isinstance(theta, EvalResult):
         th, d = reduce_angle(theta.value)
         return th, d + theta.err_bound
     if isinstance(theta, Angle):
         theta = theta.raw
-    if abs(theta) <= PI:
-        return theta, 0.0
+    try:
+        if abs(theta) <= PI:
+            return theta, 0.0
+    except TypeError:
+        _refuse_rational(theta)
+        raise
     if not math.isfinite(theta):
         raise DomainError(f"an angle of {theta} has no reduction")
     num, den = theta.as_integer_ratio()
@@ -338,8 +343,22 @@ def reduce_angle(theta: Angle | EvalResult | float) -> tuple[float, float]:
     return r, err
 
 
+def _refuse_rational(theta: object) -> None:
+    """Refuse a RationalAngle where an angle in radians is read."""
+    if isinstance(theta, RationalAngle):
+        raise DomainError(
+            f"{theta!r} is not an angle in radians: use cl2_rational for Cl_2 at p pi/q"
+        )
+
+
 def as_angle(theta: Angle | float) -> Angle:
-    return theta if isinstance(theta, Angle) else Angle(float(theta))
+    if isinstance(theta, Angle):
+        return theta
+    try:
+        return Angle(float(theta))
+    except TypeError:
+        _refuse_rational(theta)
+        raise
 
 
 class RationalAngle(_Record):

@@ -45,10 +45,13 @@ _PI = rounded(PI)
 # remainder is smaller than that term and has its sign.  The roundoff bounds
 # count in u = EPS/2, the unit roundoff.
 _TRUNC = 174611 / 330 / 1e20
+# the terms of either series summed: its two leading ones and B_2 .. B_18
+_ASYMPTOTIC_TERMS = 11
 
 
-def _digamma(x: float) -> tuple[float, float]:
-    """psi(x) and a bound on its error."""
+def _digamma(x: float) -> tuple[float, float, int]:
+    """psi(x), a bound on its error, and the recurrence shifts plus the
+    asymptotic terms summed."""
     if x <= 0.0:
         if x == -math.inf:
             raise DomainError("digamma(-inf) is undefined")
@@ -58,12 +61,12 @@ def _digamma(x: float) -> tuple[float, float]:
         if r == 0.0:
             raise DomainError(f"digamma pole at {x}")
         c = PI / math.tan(PI * r)
-        b, err = _digamma(1.0 - x)
+        b, err, effort = _digamma(1.0 - x)
         # PI * r is within 1.4u of pi r, which moves c by
         # 1.4u pi |pi r| / sin^2(pi r) <= 2.2u (pi + |c|); tan, PI and the
         # division add 3.4u of c.  Rounding 1 - x moves psi(1 - x) by at most
         # u (1 - x) psi'(1 - x) <= 2u, and the subtraction adds u (|b| + |c|).
-        return b - c, err + EPS * (3.5 * abs(c) + abs(b) + 5.0)
+        return b - c, err + EPS * (3.5 * abs(c) + abs(b) + 5.0), effort
     acc = 0.0
     n = 0.0
     y = x
@@ -80,7 +83,7 @@ def _digamma(x: float) -> tuple[float, float]:
     mag = acc + lg + tail
     # each 1/(x+k) and ln y carries 2u of rounding (u of it from the rounded
     # y), and each of the n + 2 additions u of mag
-    return lg - acc - tail, ((n + 5.0) * 0.5 * EPS + _TRUNC) * mag
+    return lg - acc - tail, ((n + 5.0) * 0.5 * EPS + _TRUNC) * mag, int(n) + _ASYMPTOTIC_TERMS
 
 
 def _at_ball(kernel, x: EvalResult, slope) -> EvalResult:
@@ -100,16 +103,17 @@ def _at_ball(kernel, x: EvalResult, slope) -> EvalResult:
 def digamma(x: float) -> EvalResult:
     """psi(x) by recurrence shift and the Bernoulli asymptotic series."""
     no_ball(x, "digamma")
-    v, err = _digamma(float(x))
+    v, err, effort = _digamma(float(x))
     if not math.isfinite(v):
         if math.isnan(v):  # only a nan x gives a nan
             raise DomainError(f"digamma({x}) is undefined")
         raise OverflowError(f"digamma({x}) overflows double precision")
-    return EvalResult(v, err, 0, "asymptotic")
+    return EvalResult(v, err, effort, "asymptotic")
 
 
-def _trigamma(x: float) -> tuple[float, float]:
-    """psi'(x) and a bound on its error."""
+def _trigamma(x: float) -> tuple[float, float, int]:
+    """psi'(x), a bound on its error, and the recurrence shifts plus the
+    asymptotic terms summed."""
     if x <= 0.0:
         if x == -math.inf:
             raise DomainError("trigamma(-inf) is undefined")
@@ -118,11 +122,11 @@ def _trigamma(x: float) -> tuple[float, float]:
             raise DomainError(f"trigamma pole at {x}")
         a = PI / math.sin(PI * r)
         a *= a
-        b, err = _trigamma(1.0 - x)
+        b, err, effort = _trigamma(1.0 - x)
         # PI * r, sin, the division and the square leave a within 5.2 EPS
         # relative; rounding 1 - x moves psi'(1 - x) by at most EPS of itself,
         # and the subtraction adds EPS/2 of a + b
-        return a - b, err + EPS * (6.0 * a + 2.0 * b)
+        return a - b, err + EPS * (6.0 * a + 2.0 * b), effort
     acc = 0.0
     n = 0.0
     y = x
@@ -140,7 +144,7 @@ def _trigamma(x: float) -> tuple[float, float]:
     # every term is positive save the small Bernoulli ones, so v stands in for
     # the sum of |terms|: each 1/(x+k)^2 carries 5u of rounding (2u of it
     # from the rounded x + k), the series 4u, and the n additions u of v each
-    return v, ((n + 6.0) * 0.5 * EPS + _TRUNC) * v
+    return v, ((n + 6.0) * 0.5 * EPS + _TRUNC) * v, int(n) + _ASYMPTOTIC_TERMS
 
 
 def trigamma(x: float | EvalResult) -> EvalResult:
@@ -148,12 +152,12 @@ def trigamma(x: float | EvalResult) -> EvalResult:
     x > 0 is charged through |psi''(t)| = 2 sum (t + k)^-3 <= 2/t^3 + 1/t^2."""
     if isinstance(x, EvalResult):
         return _at_ball(trigamma, x, lambda t: (2.0 / t + 1.0) / t / t)
-    v, err = _trigamma(float(x))
+    v, err, effort = _trigamma(float(x))
     if not math.isfinite(v):
         if math.isnan(v):  # only a nan x gives a nan
             raise DomainError(f"trigamma({x}) is undefined")
         raise OverflowError(f"trigamma({x}) overflows double precision")
-    return EvalResult(v, err, 0, "asymptotic")
+    return EvalResult(v, err, effort, "asymptotic")
 
 
 def polygamma(n: int, x: float) -> EvalResult:

@@ -489,6 +489,19 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def shutdown_workers():
+    """Stop this process's head workers, so that the next split forks new ones."""
+    from tetralog import forked
+
+    forked.shutdown()
+
+
+def worker_pids() -> list[int]:
+    from tetralog import forked
+
+    return [pid for pid, _, _ in forked._workers]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Counts the forks made in this process."""
@@ -503,9 +516,15 @@ def forks(monkeypatch):
     return made
 
 
+def always_split(monkeypatch):
+    """Split every extraction's head that has a part per processor to give."""
+    monkeypatch.setattr(bbp, "_MIN_PART", 1)
+    monkeypatch.setattr(bbp, "_MIN_WARM_PART", 1)
+
+
 def split_head_part(monkeypatch, in_parent, in_child):
     """Make ``_head_part`` run ``in_parent`` in this process and ``in_child``
-    in the forked children."""
+    in the forked workers."""
     parent = os.getpid()
     monkeypatch.setattr(
         bbp,
@@ -515,8 +534,16 @@ def split_head_part(monkeypatch, in_parent, in_child):
 
 
 class TestForkedHead:
-    """The head split into parts, some summed in forked children, gives the
-    per-term reference's output and leaves no child behind."""
+    """The head split into parts, all but one summed in long-lived forked
+    workers, gives the per-term reference's output; the workers are forked
+    again only when the tables grow, and leave no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_workers(self):
+        # each test forks its own workers, after its patches, and leaves none
+        shutdown_workers()
+        yield
+        shutdown_workers()
 
     @pytest.mark.parametrize("name", FORMULAS)
     def test_parts_recombine(self, name):
@@ -529,43 +556,55 @@ class TestForkedHead:
                     assert split % (1 << bits) == whole, (position, bits, parts)
 
     @pytest.mark.parametrize("name", FORMULAS)
-    def test_either_side_of_the_switch(self, name, forks):
+    def test_either_side_of_the_switch(self, monkeypatch, name, forks):
+        # a process's first extraction splits from 2 * _MIN_PART on; once the
+        # tables hold batches, one splits from 2 * _MIN_WARM_PART on
         f = REGISTRY[name]
-        switch = 2 * bbp._MIN_PART
-        for position in (switch - 1, switch):
-            made = len(forks)
-            assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
-            assert len(forks) - made == min(CPUS, position // bbp._MIN_PART) - 1
-            assert_no_children()
+        for least, cold in ((bbp._MIN_PART, True), (bbp._MIN_WARM_PART, False)):
+            for position in (2 * least - 1, 2 * least):
+                if cold:
+                    monkeypatch.setattr(bbp, "_TABLES", {})
+                else:
+                    extract_hex_digits(f, 100, 8)
+                shutdown_workers()
+                made = len(forks)
+                assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+                assert len(forks) - made == min(CPUS, position // least) - 1, (position, cold)
+        shutdown_workers()
+        assert_no_children()
 
     @needs_two_cpus
     @pytest.mark.parametrize("name", FORMULAS)
     @pytest.mark.parametrize("position", [6000, 9999])
     def test_splits_above_the_mid_band(self, monkeypatch, forks, name, position):
-        # the head splits from position 6000 on, above the 2000-5000 band the
-        # benchmark's digits-deep.mid extracts in, and keeps the serial digits
+        # a process's first extraction splits from position 6000 on, above
+        # the 2000-5000 band the benchmark's digits-deep.mid extracts in,
+        # and keeps the serial digits
         f = REGISTRY[name]
+        monkeypatch.setattr(bbp, "_TABLES", {})
         split = extract_hex_digits(f, position, 8)
         assert forks
-        assert_no_children()
         monkeypatch.setattr(bbp, "_MIN_PART", position + 1)
+        monkeypatch.setattr(bbp, "_MIN_WARM_PART", position + 1)
         made = len(forks)
         assert extract_hex_digits(f, position, 8) == split
         assert len(forks) == made
 
     @needs_two_cpus
     def test_split_forks_with_the_tables_grown(self, monkeypatch, forks):
-        # when the children fork, every class's table already holds each
-        # full batch that ends by position + 1, so a child builds none
+        # when the head is split, every class's table already holds each full
+        # batch that ends by position + 1, and the workers serve that table
+        # dict, so a worker builds none
         from tetralog import forked
 
-        def spy(part_sum, parts, nbytes):
+        def spy(task, args, parts, snapshot):
+            assert snapshot is bbp._TABLES
             grown.append({k: stored_ends(f, k) for k in CLASSES})
-            return forked_sum(part_sum, parts, nbytes)
+            return forked_sum(task, args, parts, snapshot)
 
         forked_sum = forked.forked_sum
         monkeypatch.setattr(forked, "forked_sum", spy)
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        always_split(monkeypatch)
         monkeypatch.setattr(bbp, "_TABLES", {})
         for f in [REGISTRY[name] for name in FORMULAS]:
             for position in (64, 2000, 700):
@@ -575,25 +614,33 @@ class TestForkedHead:
                 for k in CLASSES:
                     full = rule_cuts(f, k, position + 1)
                     assert grown[0][k][: len(full)] == full
-                assert_no_children()
         assert forks
+        shutdown_workers()
+        assert_no_children()
 
-    def test_part_count(self):
+    def test_part_count(self, monkeypatch):
+        monkeypatch.setattr(bbp, "_TABLES", {})
         assert bbp._part_count(0) == 1
         assert bbp._part_count(2 * bbp._MIN_PART - 1) == 1
         assert bbp._part_count(2 * bbp._MIN_PART) == min(CPUS, 2)
         assert bbp._part_count(10**9) == CPUS
+        extract_hex_digits(REGISTRY["pi-degree1"], 100, 8)  # the tables now hold batches
+        assert bbp._TABLES
+        assert bbp._part_count(2 * bbp._MIN_WARM_PART - 1) == 1
+        assert bbp._part_count(2 * bbp._MIN_WARM_PART) == min(CPUS, 2)
+        assert bbp._part_count(10**9) == CPUS
 
     @needs_two_cpus
     def test_forced_split_matches_reference(self, monkeypatch, forks):
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        always_split(monkeypatch)
         for f in [REGISTRY[name] for name in FORMULAS] + [EXACT_AT_ZERO]:
             for position in (1, 7, 64, 333, 2000):
                 for count in (1, 8, 16):
                     want = _outcome(per_term_hex_digits, f, position, count)
                     assert _outcome(extract_hex_digits, f, position, count) == want
-                    assert_no_children()
         assert forks
+        shutdown_workers()
+        assert_no_children()
 
     @needs_two_cpus
     def test_forked_parts_add_up_to_the_serial_head(self, monkeypatch, forks):
@@ -603,56 +650,76 @@ class TestForkedHead:
         bits = 4 * (8 + _GUARD_HEX)
         for f in [REGISTRY[name] for name in FORMULAS] + [EXACT_AT_ZERO]:
             for position in (2, 64, 2000):
+                monkeypatch.setattr(bbp, "_TABLES", {})
                 parts = bbp._part_count(position)
                 assert parts == min(CPUS, position)
                 split = forked_sum(
-                    lambda i, n: head_part(f, position, bits, i, n), parts, (bits + 7) // 8
+                    lambda args, i, n: head_part(f, args[0], bits, i, n),
+                    (position,),
+                    parts,
+                    bbp._TABLES,
                 )
                 assert split % (1 << bits) == head_part(f, position, bits)
-                assert_no_children()
         assert forks
+        shutdown_workers()
+        assert_no_children()
 
     @needs_two_cpus
     @pytest.mark.parametrize("failure", ["raises", "exits-unwritten", "exits-nonzero"])
     def test_failed_child_part_is_recomputed(self, monkeypatch, forks, failure):
+        parent, real_write = os.getpid(), os.write
+
         def fail(*args):
             if failure == "raises":
-                raise RuntimeError("child failed")
-            os._exit(0 if failure == "exits-unwritten" else 3)
+                raise RuntimeError("worker failed")
+            os._exit(0)
 
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
-        split_head_part(monkeypatch, bbp._head_part, fail)
+        def short_write(fd, data):
+            if os.getpid() != parent:  # a worker: half its answer, then a non-zero exit
+                real_write(fd, data[:2])
+                os._exit(3)
+            return real_write(fd, data)
+
+        always_split(monkeypatch)
+        if failure == "exits-nonzero":
+            monkeypatch.setattr(os, "write", short_write)
+        else:
+            split_head_part(monkeypatch, bbp._head_part, fail)
         f = REGISTRY["eq2.37-sum"]
-        for position in (64, 2000):
+        for position in (64, 2000, 64):
             assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
-            assert_no_children()
-        assert forks
+            assert worker_pids() == []  # the failed worker has been reaped
+        assert len(forks) == 3 * (CPUS - 1)
+        assert_no_children()
 
     @needs_two_cpus
     def test_fork_failure_computes_in_process(self, monkeypatch):
         def no_fork():
             raise OSError("no process")
 
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        always_split(monkeypatch)
         monkeypatch.setattr(os, "fork", no_fork)
         f = REGISTRY["pi-degree1"]
         assert extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+        assert worker_pids() == []
 
     @needs_two_cpus
     def test_ignored_sigchld(self, monkeypatch, forks):
-        # the children are reaped by the kernel; their parts are recomputed here
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        # the workers answer as ever; the kernel reaps them once stopped
+        always_split(monkeypatch)
         before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             f = REGISTRY["eq2.35-sum"]
             assert extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+            assert extract_hex_digits(f, 1999, 8) == per_term_hex_digits(f, 1999, 8)
+            shutdown_workers()
         finally:
             signal.signal(signal.SIGCHLD, before)
         assert forks
         assert_no_children()
 
     def test_running_thread_keeps_it_serial(self, monkeypatch, forks):
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        always_split(monkeypatch)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(30,))
         thread.start()
@@ -670,14 +737,129 @@ class TestForkedHead:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(bbp, "_MIN_PART", 1)
+        always_split(monkeypatch)
         split_head_part(monkeypatch, interrupted, lambda *args: time.sleep(60))
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             extract_hex_digits(REGISTRY["pi-degree1"], 100, 8)
+        assert worker_pids() == []  # the worker left computing was killed and reaped
+        shutdown_workers()
         assert time.monotonic() - t0 < 30
         assert forks
         assert_no_children()
+
+    @needs_two_cpus
+    def test_workers_live_until_shutdown(self, forks):
+        f = REGISTRY["eq2.35-sum"]
+        extract_hex_digits(f, 100, 8)
+        assert extract_hex_digits(f, 2500, 8) == per_term_hex_digits(f, 2500, 8)
+        pids = worker_pids()
+        assert len(pids) == CPUS - 1
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a live child: the worker
+        shutdown_workers()
+        assert_no_children()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @needs_two_cpus
+    def test_repeated_extractions_fork_once_per_growth(self, monkeypatch, forks):
+        monkeypatch.setattr(bbp, "_TABLES", {})
+        f = REGISTRY["pi-degree1"]
+        extract_hex_digits(f, 100, 8)
+        extract_hex_digits(f, 3000, 8)  # grows the tables to 3001, and splits
+        tables, pids, made = bbp._TABLES, worker_pids(), len(forks)
+        assert len(pids) == CPUS - 1
+        for position in (3000, 2500, 2999, 1200, 3000):
+            assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+        assert bbp._TABLES is tables
+        assert len(forks) == made
+        assert worker_pids() == pids
+        # a growth publishes a new dict, and the workers are forked again
+        assert extract_hex_digits(f, 3500, 8) == per_term_hex_digits(f, 3500, 8)
+        assert bbp._TABLES is not tables
+        assert len(forks) - made == CPUS - 1
+        assert set(worker_pids()).isdisjoint(pids)
+        for pid in pids:  # the stopped workers have been reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("fork_hooks", [True, False])
+    def test_forked_copy_never_writes_to_the_pipes(self, monkeypatch, fork_hooks):
+        # a copy of the owner, forked with os.fork (whose hooks close its
+        # copies of the pipes) or by means that run no hooks (here: the
+        # owner's pipes put back in the copy's list), forks workers of its own
+        from tetralog import forked
+
+        f = REGISTRY["eq2.37-sum"]
+        extract_hex_digits(f, 100, 8)
+        want = extract_hex_digits(f, 2400, 8)
+        owned = list(forked._workers)
+        pipes = {os.fstat(fd).st_ino for _, *fds in owned for fd in fds}
+        copies = [(pid, os.dup(requests), os.dup(answers)) for pid, requests, answers in owned]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                used = set()
+                real_write, real_read = os.write, os.read
+
+                def spied(real):
+                    return lambda fd, data: (used.add(os.fstat(fd).st_ino), real(fd, data))[1]
+
+                os.write, os.read = spied(real_write), spied(real_read)
+                if not (forked._workers == [] and forked._owner != os.getpid()):
+                    os._exit(2)
+                if not fork_hooks:
+                    forked._workers[:] = copies
+                ok = extract_hex_digits(f, 2000, 8) == per_term_hex_digits(f, 2000, 8)
+                ok = ok and extract_hex_digits(f, 2400, 8) == want
+                mine = forked._workers and worker_pids()[0] not in {pid for pid, _, _ in owned}
+                forked.shutdown()
+                code = 0 if ok and mine and not used & pipes else 3
+            finally:
+                os._exit(code)
+        for _, *fds in copies:
+            for fd in fds:
+                os.close(fd)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        # the owner's workers are those it forked, with nothing left in their pipes
+        assert forked._workers == owned
+        for _, _, answers in owned:
+            os.set_blocking(answers, False)
+            try:
+                with pytest.raises(BlockingIOError):
+                    os.read(answers, 1)
+            finally:
+                os.set_blocking(answers, True)
+        assert extract_hex_digits(f, 2400, 8) == want
+
+    @needs_two_cpus
+    def test_fresh_interpreter_leaves_no_worker(self):
+        # a process that splits keeps its workers until it exits, and no longer
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(bbp.__file__))
+        code = (
+            "from tetralog import bbp, forked; f = bbp.REGISTRY['pi-degree1']; "
+            "bbp.extract_hex_digits(f, 100, 8); bbp.extract_hex_digits(f, 2500, 8); "
+            "print(*(pid for pid, _, _ in forked._workers))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == CPUS - 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def mp_pure_sum(f: BBPFormula):

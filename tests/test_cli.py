@@ -194,6 +194,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("s", ["1e15", "1e308"])
+    def test_hurwitz_huge_order_at_one(self, capsys, s):
+        # zeta(s, 1) = 1 + 2^-s + ... is 1 to every double digit
+        code, out, err = run_cli(capsys, "eval", "hurwitz", "--s", s, "--a", "1")
+        assert (code, err) == (0, "")
+        assert_honest(out, lambda: mpmath.zeta(mpmath.mpf(s), 1))
+
     @pytest.mark.parametrize("theta", ["1e10", "1e18", "-1e300"])
     def test_cl2_far_angle(self, capsys, theta):
         code, out, _ = run_cli(capsys, "eval", "cl2", f"--theta={theta}")

@@ -133,6 +133,15 @@ class TestDigammaTrigamma:
         v = trigamma(1.0 / 14.0).value
         assert abs(v - 197.48838829279771504) < 1e-10
 
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_effort_counts_shifts_and_terms(self, fn):
+        # x below 10 is shifted up n times past it, then 11 asymptotic terms
+        # are summed; x <= 0 is reflected to 1 - x
+        assert fn(10.0).effort == fn(1e300).effort == 11
+        assert fn(9.5).effort == 1 + 11
+        assert fn(0.5).effort == 10 + 11
+        assert fn(-0.5).effort == fn(1.5).effort == 9 + 11
+
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             trigamma(0.0)
@@ -188,6 +197,17 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(s, a)
 
+    @pytest.mark.parametrize("s", [1e15, 1e17, 1e308])
+    def test_huge_order(self, s):
+        # z^-s underflows from z = 10 on: the value is the head, and its bound
+        # charges the tail below 2^-1074 (1 + z/(s - 1))
+        import mpmath
+
+        r = hurwitz_zeta(s, 1.0)
+        with mpmath.workdps(60):
+            assert abs(r.value - mpmath.zeta(mpmath.mpf(s), 1)) <= r.err_bound, r
+        assert r.err_bound <= 8 * EPS
+
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_polygamma_of_non_finite_x_rejected(self, x):
         with pytest.raises(DomainError):
@@ -218,6 +238,23 @@ class TestRationalClausen:
     def test_rejects_even_denominator(self):
         with pytest.raises(DomainError):
             cl2_rational(RationalAngle(2, 4))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            cl2,
+            lambda t: clausen_sin(3, t),
+            lambda t: clausen_cos(3, t),
+            lambda t: cl_even(1, t),
+            lambda t: cl_odd(1, t),
+            lambda t: PolarPoint(0.5, t),
+        ],
+        ids=["cl2", "clausen_sin", "clausen_cos", "cl_even", "cl_odd", "PolarPoint"],
+    )
+    def test_radian_readers_refuse_it(self, call):
+        # a p pi/q angle is no number of radians; cl2_rational is its reader
+        with pytest.raises(DomainError, match="not an angle in radians: use cl2_rational"):
+            call(RationalAngle(2, 7))
 
 
 class TestImLi2Polar:
