@@ -517,7 +517,7 @@ def forks(monkeypatch):
 
 
 def always_split(monkeypatch):
-    """Split every extraction's head that has a part per processor to give."""
+    """Let every extraction split its head: one position per part is enough."""
     monkeypatch.setattr(bbp, "_MIN_PART", 1)
     monkeypatch.setattr(bbp, "_MIN_WARM_PART", 1)
 
@@ -823,7 +823,14 @@ class TestForkedHead:
         for _, *fds in copies:
             for fd in fds:
                 os.close(fd)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked copy did not finish")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
         # the owner's workers are those it forked, with nothing left in their pipes
         assert forked._workers == owned
         for _, _, answers in owned:
