@@ -198,7 +198,7 @@ _TABLES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 # worker, splits from 2 * _MIN_PART on: with the tables empty, at position
 # 6000 eq2.35-sum ran 1.18-1.22, eq2.37-sum 1.24-1.30 and pi-degree1
 # 1.05-1.06 (three runs); at 5000 pi-degree1 ran 1.02-1.07 and at 4000 0.91.
-# Forking the worker and its first touch of the pages it reads add 2-3 ms
+# Forking the worker and its first touch of the pages it reads add 1-3 ms
 # here to the serial head's work.  Once the tables hold batches from an
 # earlier extraction, the head splits from 2 * _MIN_WARM_PART on, where a
 # split with a live worker ran faster for every registry formula: at
