@@ -516,6 +516,11 @@ def forks(monkeypatch):
     return made
 
 
+def warm_workers(position: int) -> int:
+    """The workers a split at position forks once the tables hold batches."""
+    return min(CPUS, position // bbp._MIN_WARM_PART) - 1
+
+
 def always_split(monkeypatch):
     """Let every extraction split its head: one position per part is enough."""
     monkeypatch.setattr(bbp, "_MIN_PART", 1)
@@ -754,7 +759,7 @@ class TestForkedHead:
         extract_hex_digits(f, 100, 8)
         assert extract_hex_digits(f, 2500, 8) == per_term_hex_digits(f, 2500, 8)
         pids = worker_pids()
-        assert len(pids) == CPUS - 1
+        assert len(pids) == warm_workers(2500)
         assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a live child: the worker
         shutdown_workers()
         assert_no_children()
@@ -769,7 +774,7 @@ class TestForkedHead:
         extract_hex_digits(f, 100, 8)
         extract_hex_digits(f, 3000, 8)  # grows the tables to 3001, and splits
         tables, pids, made = bbp._TABLES, worker_pids(), len(forks)
-        assert len(pids) == CPUS - 1
+        assert len(pids) == warm_workers(3000)
         for position in (3000, 2500, 2999, 1200, 3000):
             assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
         assert bbp._TABLES is tables
@@ -778,7 +783,7 @@ class TestForkedHead:
         # a growth publishes a new dict, and the workers are forked again
         assert extract_hex_digits(f, 3500, 8) == per_term_hex_digits(f, 3500, 8)
         assert bbp._TABLES is not tables
-        assert len(forks) - made == CPUS - 1
+        assert len(forks) - made == warm_workers(3500)
         assert set(worker_pids()).isdisjoint(pids)
         for pid in pids:  # the stopped workers have been reaped
             with pytest.raises(ChildProcessError):
@@ -863,7 +868,7 @@ class TestForkedHead:
             check=True,
         ).stdout
         pids = [int(pid) for pid in out.split()]
-        assert len(pids) == CPUS - 1
+        assert len(pids) == warm_workers(2500)
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
