@@ -9,28 +9,27 @@ carry ambiguity rather than ever emitting a wrong digit.  Its head sums one
 fraction per batch of consecutive denominators, built by Horner's rule over
 their product: one modular power and one floor division per batch, not per
 term.  Each residue class's j axis is cut into batches by a rule that does
-not depend on the position (``_cuts``), so the full batches' fractions are
-kept in a table per (degree, residue class) up to a bound.  An extraction
-lists each class's head batches once, in a plan: the stored ones, then
-placeholders for those it must build (``_head_batches``).  The carry test
-counts the plan and the head sums it, so a warm extraction computes only
-the modular powers, the floors and the batch cut off at its position.  The
-floors lose less than |coefficient| units each, which the carry test allows
-for.  From position 6000 on in a process's first extraction, and from 1000
-on once the tables hold batches, where a split head ran faster than the
-serial one for every registry formula, the plans' batches are split into
-parts, one per usable processor, summed by long-lived forked workers
-(``forked``) that this process keeps until it exits; integer addition is
-exact, so the split cannot change a digit.
+not depend on the position (``_cuts``), so the cuts and the full batches'
+fractions are kept per (degree, residue class) up to a bound, and a warm
+extraction computes only the modular powers, the floors and the batch cut
+off at its position.  The floors lose less than |coefficient| units each,
+which the carry test allows for.  From position 6000 on in a process's
+first extraction, and from 1000 on once the tables hold batches, where a
+split head ran faster than the serial one for every registry formula, the
+batches are dealt to parts, one per usable processor, by a rule that does
+not depend on the position, and all parts but the caller's are summed by
+long-lived forked workers (``forked``) that this process keeps until it
+exits.  Each part builds and keeps only its own batches, so a worker never
+reads the caller's tables; integer addition is exact, so the split cannot
+change a digit.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 import os
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -43,9 +42,6 @@ if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
 
     from .result import EvalResult
-
-    # a head plan's batch: (j1, num mod den, den), or (j1, None, None) to build
-    Batch = tuple[int, int | None, int | None]
 
 
 class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
@@ -183,30 +179,34 @@ _GUARD_HEX = 12
 # slower, in one run each.  In a later run 384 and 448 bits were within 3 %
 # of 512, warm at 2e3-3e3 and with empty tables at 600-1400.
 _BATCH_BITS = 512
-# Class k's full batches at degree s, (j1, num mod den, den) in order of j1,
-# kept once built, as long as s * j1 <= _TABLE_SPAN: up to position 196 607,
-# 98 303 and 65 535 at degrees 1, 2 and 3, past the 2e4-5e4 band that
-# digits-deep.deep extracts in.  A table's size grows with s times its
-# positions, so each registry formula's four tables hold ~30 000 batches and
-# ~8 MB resident at the bound.  Published as a new dict of tuples, never
-# changed in place.
+# Class k's batch ends at degree s (``_cuts``), and the fractions (num mod
+# den, den) of its full batches, are kept once built as long as s * j1 <=
+# _TABLE_SPAN: up to position 196 607, 98 303 and 65 535 at degrees 1, 2 and
+# 3, past the 2e4-5e4 band that digits-deep.deep extracts in.  Batch i of a
+# split head belongs to one part (``_head_part``), which keeps it under (s,
+# k, i mod parts, parts), so a process holds the batches of the parts it
+# computes and every class's ends.  Resident size added at the bound, per
+# registry formula (~30 000 batches), on 64-bit CPython 3.11: 8.4-8.7 MB
+# with every batch, 4.5-4.7 MB in each of two parts; to position 5e4,
+# 1.8 / 3.7 / 6.0 MB at degrees 1 / 2 / 3, and 0.9 / 2.0 / 3.2 MB per part.
+# Both dicts are published anew with each growth, of tuples never changed
+# in place.
 _TABLE_SPAN = 3 * 2**16
-_TABLES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+_ENDS: dict[tuple[int, int], tuple[int, ...]] = {}
+_TABLES: dict[tuple[int, int, int, int], tuple[tuple[int, int], ...]] = {}
 # Head positions per forked part.  Serial / split time of 8-digit extractions
 # on a 2-core x86 Linux host (> 1: the split wins), medians of 21 or 41
-# paired, alternating calls.  A process's first extraction, which forks its
-# worker, splits from 2 * _MIN_PART on: with the tables empty, at position
-# 6000 eq2.35-sum ran 1.18-1.22, eq2.37-sum 1.24-1.30 and pi-degree1
-# 1.05-1.06 (three runs); at 5000 pi-degree1 ran 1.02-1.07 and at 4000 0.91.
-# Forking the worker and its first touch of the pages it reads add 1-3 ms
-# here to the serial head's work.  Once the tables hold batches from an
-# earlier extraction, the head splits from 2 * _MIN_WARM_PART on, where a
-# split with a live worker ran faster for every registry formula: at
-# position 1000 eq2.35-sum 1.51-1.67, eq2.37-sum 1.61-1.71 and pi-degree1
-# 1.24-1.35 (four runs), at 2000 1.20-1.79; at 700 eq2.37-sum ran 1.01 and
-# eq2.35-sum 0.98 in one run each.  An extraction that grows the tables
-# forks the worker again (``forked``), which below 4000 costs more than the
-# split saves, but happens once per growth.
+# paired, alternating calls, in two runs.  A process's first extraction,
+# which forks its worker, splits from 2 * _MIN_PART on: with the tables
+# empty, each part builds its own batches, and at position 6000 eq2.35-sum
+# ran 1.38-1.54, eq2.37-sum 1.38-1.61 and pi-degree1 1.35, at 4000
+# 1.32-1.61, 1.43-1.47 and 1.14-1.21; at 3000 1.22, 1.34 and 1.36, and at
+# 2000 pi-degree1 0.88, in one run.  Forking the worker adds 1-3 ms here to
+# the serial head's work.  Once the tables hold batches from an earlier
+# extraction, the head splits from 2 * _MIN_WARM_PART on, where a split
+# with a live worker ran faster for every registry formula: at position
+# 1000 eq2.35-sum 1.20-1.22, eq2.37-sum 1.69-1.75 and pi-degree1 1.40-1.44,
+# at 2000 1.20-1.84; at 700 pi-degree1 ran 0.96-1.22.
 _MIN_PART = 3000
 _MIN_WARM_PART = 500
 
@@ -251,88 +251,92 @@ def _batch(s: int, k: int, j0: int, j1: int) -> tuple[int, int]:
     return num, den
 
 
-def _head_batches(s: int, k: int, n: int) -> list[Batch]:
-    """Class k's head plan at degree s: the batches that cover its terms
-    j < n, in order.  Each stored batch that ends by n is its table entry
-    (j1, num mod den, den) (``_batch``); each later batch is a placeholder
-    (j1, None, None), the last one cut off at n.  Below the table bound only
-    that partial batch is a placeholder; past it every batch is.
+def _ends(s: int, k: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The ends of class k's batches at degree s that cover its terms j < n,
+    in order, the last one cut off at n; and how many of them end full
+    batches within the table bound, whose fractions a table may keep.
 
-    First class k's table grows, if it must, to hold every full batch that
-    ends by n, as far as _TABLE_SPAN // s.  The grown table is a new tuple,
-    published in a new dict in one assignment, so a reader holds a finished
-    table whatever a racing or re-entering call does.
+    The ends (``_cuts``) are kept per class as far as _TABLE_SPAN // s,
+    grown to the first one at or past n; past the bound they are cut again
+    each time.  The grown ends are a new tuple, published in a new dict in one
+    assignment, so a reader holds a finished tuple whatever a racing or
+    re-entering call does.
+    """
+    global _ENDS
+    kept = _ENDS.get((s, k), ())
+    if not kept or kept[-1] < n:
+        grown = []
+        for j1 in _cuts(s, k, kept[-1] if kept else 0):
+            if j1 > _TABLE_SPAN // s:
+                break
+            grown.append(j1)
+            if j1 >= n:
+                break
+        if grown:
+            kept += tuple(grown)
+            if len(kept) > len(_ENDS.get((s, k), ())):
+                _ENDS = {**_ENDS, (s, k): kept}
+    m = bisect_left(kept, n)
+    ends = kept[:m]
+    if m == len(kept):  # n lies past the last end kept, at or near the bound
+        ends += tuple(itertools.takewhile(n.__gt__, _cuts(s, k, kept[-1] if kept else 0)))
+    return (*ends, n), bisect_right(kept, n)
+
+
+def _head_part(args: Sequence[int], part: int, parts: int) -> int:
+    """Part ``part`` of ``parts`` of the head for args = (degree, n, bits,
+    *coeffs), summed mod 2^bits: the task by which ``forked.forked_sum``
+    computes each part, here and in its workers.
+
+    The head takes class k's batches over j < n (``_ends``).  Batch i of the
+    class of the c-th nonzero coefficient belongs to part (i + c) % parts,
+    whatever n is, and a part builds and reads only its own batches.  It
+    keeps those that are full and within the bound in its table, (s, k, i
+    mod parts, parts), grown and published as ``_ends`` grows its ends; so a
+    forked worker builds the batches of its part, and never reads the
+    tables it was forked with.  With ``parts == 1`` this is the whole head;
+    the parts for part = 0 .. parts - 1 add up to it mod 2^bits.
     """
     global _TABLES
-    table = _TABLES.get((s, k), ())
-    j0 = table[-1][0] if table else 0
-    stop = min(n, _TABLE_SPAN // s)
-    grown = []
-    for j1 in _cuts(s, k, j0):
-        if j1 > stop:
-            break
-        num, den = _batch(s, k, j0, j1)
-        grown.append((j1, num % den, den))
-        j0 = j1
-    if grown:
-        table += tuple(grown)
-        if len(table) > len(_TABLES.get((s, k), ())):
-            _TABLES = {**_TABLES, (s, k): table}
-    plan: list[Batch] = list(table[: bisect_right(table, n, key=lambda batch: batch[0])])
-    j0 = plan[-1][0] if plan else 0
-    cuts = _cuts(s, k, j0)
-    while j0 < n:
-        j0 = min(next(cuts), n)
-        plan.append((j0, None, None))
-    return plan
-
-
-def _head_part(
-    s: int, n: int, plans: list[tuple[int, int, list[Batch]]], bits: int, part: int, parts: int
-) -> int:
-    """The batches of the head plans, (k, a, class k's plan) for each nonzero
-    coefficient a, whose running index over all plans in turn is part mod
-    parts, summed mod 2^bits; only a placeholder that this part owns is
-    built.  With ``parts == 1`` this is the whole head; the parts for part =
-    0 .. parts - 1 add up to it mod 2^bits.
-    """
+    s, n, bits, *coeffs = args
     acc = 0
-    index = itertools.count()
-    for k, a, plan in plans:
-        j0 = 0
-        for j1, num, den in plan:
+    nonzero = [(k, a) for k, a in enumerate(coeffs, start=1) if a]
+    for c, (k, a) in enumerate(nonzero):
+        ends, full = _ends(s, k, n)
+        owned = range((part - c) % parts, len(ends), parts)
+        key = (s, k, owned.start, parts)
+        table = _TABLES.get(key, ())
+        kept = min(len(table), bisect_left(owned, full))  # the stored ones it reads
+        grown = []
+        for q, i in enumerate(owned):
+            j1 = ends[i]
+            if q < kept:
+                num, den = table[q]
+            else:
+                num, den = _batch(s, k, ends[i - 1] if i else 0, j1)
+                if i < full:
+                    num %= den
+                    grown.append((num, den))
             # For the batch j0 .. j1 - 1 with d_j = (8j + k)^s, num/den = sum_j
             # 16^(j1 - 1 - j)/d_j over den = prod d_j, and r = 16^(n - j1) mod
             # den.  Each d_j divides den, so r * num/den = sum_j 16^(n - 1 - j)/d_j
             # (mod 1), and the batch adds a * floor(2^bits * frac(r * num/den)),
             # within |a| of a times the exact value
-            if next(index) % parts == part:
-                if num is None:
-                    num, den = _batch(s, k, j0, j1)
-                acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
-            j0 = j1
+            acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
+        if grown:
+            table += tuple(grown)
+            if len(table) > len(_TABLES.get(key, ())):
+                _TABLES = {**_TABLES, key: table}
     return acc % (1 << bits)
-
-
-def _plans(s: int, coeffs: Sequence[int], n: int) -> list[tuple[int, int, list[Batch]]]:
-    """(k, a, class k's head plan) for each nonzero coefficient a."""
-    return [(k, a, _head_batches(s, k, n)) for k, a in enumerate(coeffs, start=1) if a]
-
-
-def _split_part(args: Sequence[int], part: int, parts: int) -> int:
-    """Part ``part`` of ``parts`` of the head for args = (degree, n, bits,
-    *coeffs), with the plans made again from the tables: the task by which
-    ``forked.forked_sum`` computes each part, here and in its workers."""
-    s, n, bits, *coeffs = args
-    return _head_part(s, n, _plans(s, coeffs, n), bits, part, parts)
 
 
 def _part_count(position: int) -> int:
     """One head part per usable processor, each of at least ``_MIN_PART``
     positions, or of ``_MIN_WARM_PART`` once the tables hold batches from an
-    earlier extraction (read before this one's plans grow them); one where
-    there is no fork or another thread is running, since a forked copy of a
-    threaded process may hold a lock forever."""
+    earlier extraction, whose split, if any, forked the workers that serve
+    every later one; one where there is no fork or another thread is
+    running, since a forked copy of a threaded process may hold a lock
+    forever."""
     threading = sys.modules.get("threading")
     if (
         not hasattr(os, "fork")
@@ -353,28 +357,24 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     product and one floor division, which drops less than one unit, times
     the class's coefficient a.  Each batch's product is at most
     ``_BATCH_BITS`` wide, bar a lone wider denominator; the cuts between
-    batches depend on degree, k and j alone (``_cuts``).  Each class's full
-    batches are kept in a table as long as degree * j <= ``_TABLE_SPAN``.
-    Each nonzero class's head plan (``_head_batches``) is made once, here:
-    its stored batches that end by position + 1, then placeholders for the
-    batch cut off at position + 1 and those past the table, which the head
-    builds.  The carry test counts the plans' batches, and the head sums
-    them.  The tail j > position is ``_fixed_sum``'s, one floor per term.
-    From position 2 * ``_MIN_PART`` = 6000 on in a process's first
-    extraction, and from 2 * ``_MIN_WARM_PART`` = 1000 on once the tables
-    hold batches, where splitting paid on every registry formula, on Linux
-    and with no other thread running, the plans' batches are dealt
-    round-robin to one part per usable processor (at most position //
-    ``_MIN_PART`` or ``_MIN_WARM_PART``), and all but one part are summed by
-    forked workers (``forked.forked_sum``), after this process has made the
-    plans and grown the tables.  A worker makes the same plans from the
-    tables it was forked with, and is forked again whenever the tables have
-    grown since, so it only reads them; the workers live until the process
-    exits.  The parts are exact integers summed mod 2^bits, so the digits and
-    every PrecisionError are those of the serial sum.  The tail stays serial.  If
-    the guard bits sit within sum |a| * (floors in a's class) units plus
-    2^-20 of a digit carry boundary, the extraction raises PrecisionError
-    instead of risking an off-by-one digit.
+    batches depend on degree, k and j alone (``_cuts``), and are kept per
+    class (``_ends``), as are the full batches' fractions, as long as degree
+    * j <= ``_TABLE_SPAN``.  The carry test counts each class's batches, and
+    the head sums them.  The tail j > position is ``_fixed_sum``'s, one
+    floor per term.  From position 2 * ``_MIN_PART`` = 6000 on in a process's
+    first extraction, and from 2 * ``_MIN_WARM_PART`` = 1000 on once the
+    tables hold batches, where splitting paid on every registry formula, on
+    Linux and with no other thread running, the batches are dealt to one
+    part per usable processor (at most position // ``_MIN_PART`` or
+    ``_MIN_WARM_PART``) by a rule that does not depend on the position, and
+    all but one part are summed by forked workers (``forked.forked_sum``).
+    Each part builds and keeps only its own batches, so the workers, forked
+    once per process and kept until it exits, grow their tables in parallel
+    with the caller's.  The parts are exact integers summed mod 2^bits, so
+    the digits and every PrecisionError are those of the serial sum.  The
+    tail stays serial.  If the guard bits sit within sum |a| * (floors in
+    a's class) units plus 2^-20 of a digit carry boundary, the extraction
+    raises PrecisionError instead of risking an off-by-one digit.
     """
     if not is_int(position) or position < 0:
         raise DomainError("position must be an integer >= 0")
@@ -385,16 +385,15 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     bits = 4 * (count + _GUARD_HEX)
     one = 1 << bits
     s, n = f.degree, position + 1
-    parts = _part_count(position)  # before the plans, which may grow the tables
-    # the plans, and the tables they read, are made here, before any fork
-    plans = _plans(s, f.coeffs, n)
-    floors = sum(abs(a) * len(plan) for _, a, plan in plans)
+    args = (s, n, bits, *f.coeffs)
+    parts = _part_count(position)  # before the head, which may grow the tables
     if parts == 1:
-        acc = _head_part(s, n, plans, bits, 0, 1)
+        acc = _head_part(args, 0, 1)
     else:
         from .forked import forked_sum  # loaded only for a split head
 
-        acc = forked_sum(_split_part, (s, n, bits, *f.coeffs), parts, _TABLES)
+        acc = forked_sum(_head_part, args, parts)
+    floors = sum(abs(a) * len(_ends(s, k, n)[0]) for k, a in enumerate(f.coeffs, start=1) if a)
     # the tail j > position is exact: its terms shrink below the fixed point
     tail_sum, tail_floors, _ = _fixed_sum(f, position, bits, position + 1)
     acc += tail_sum

@@ -4,21 +4,20 @@ forked workers.
 A worker is a copy of this process, made with ``os.fork``, that serves one
 task: it reads requests from a pipe, each a line of hexadecimal integers (the
 task's arguments, the part and the number of parts), and writes each part's
-integer back as a line on a second pipe.  The workers stay up across calls
-for as long as the caller names the same task and the same snapshot object;
-``bbp`` names its published table dict, so that a worker reads only tables
-that were complete when it was forked, and touches their pages once per
-growth.  A new task or snapshot stops them and forks new ones.  A worker
-exits at the end of its request pipe: when this process closes it
-(``shutdown``, which also runs at exit and reaps every worker) or dies.
-Until then the workers are children of this process, so ``os.wait()`` here
-waits for them too.  A copy of this process made by ``os.fork`` closes its
-copies of their pipes at once, and one made by other means tells by its
-pid that they are not its own; neither ever writes to them.  ``bbp`` loads
-this module only for extractions deep enough to split, so a shallow
-``digits`` process never compiles it.
+integer back as a line on a second pipe.  A worker is forked once and serves
+every later call that names the same task; a new task stops the workers and
+forks new ones.  So a task must compute its part from its arguments alone,
+with whatever state it keeps in its own process: ``bbp``'s head keeps each
+part's batches in the process that computes that part.  A worker exits at
+the end of its request pipe: when this process closes it (``shutdown``,
+which also runs at exit and reaps every worker) or dies.  Until then the
+workers are children of this process, so ``os.wait()`` here waits for them
+too.  A copy of this process made by ``os.fork`` closes its copies of their
+pipes at once, and one made by other means tells by its pid that they are
+not its own; neither ever writes to them.  ``bbp`` loads this module only
+for extractions deep enough to split, so a shallow ``digits`` process never
+compiles it.
 """
-
 from __future__ import annotations
 
 import atexit
@@ -36,7 +35,7 @@ if TYPE_CHECKING:
 
 
 _owner = 0  # the pid of the process that forked _workers
-_serves: tuple[Task, object] | None = None  # the (task, snapshot) they were forked with
+_task: Task | None = None  # the task they serve
 _workers: list[Worker] = []
 
 
@@ -123,18 +122,18 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-def _ready(task: Task, snapshot: object, count: int, stopped: list[int]) -> list[Worker]:
-    """Up to ``count`` workers serving task that were forked since snapshot
-    was made, forking those that are missing.  The pids of the workers this
-    stops, closing their pipes, go to ``stopped`` for the caller to reap."""
-    global _owner, _serves
+def _ready(task: Task, count: int, stopped: list[int]) -> list[Worker]:
+    """Up to ``count`` workers serving task, forking those that are missing.
+    The pids of the workers this stops, closing their pipes, go to
+    ``stopped`` for the caller to reap."""
+    global _owner, _task
     if os.getpid() != _owner:
         _disown()
         _owner = os.getpid()
-    if _serves is None or _serves[0] is not task or _serves[1] is not snapshot:
+    if _task is not task:
         stopped += (pid for pid, _, _ in _workers)
         _disown()
-        _serves = (task, snapshot)
+        _task = task
     while len(_workers) < count and (worker := _fork(task)) is not None:
         _workers.append(worker)
     return _workers[:count]
@@ -152,10 +151,9 @@ def _answer(answers: int) -> int | None:
     return int(line, 16)
 
 
-def forked_sum(task: Task, args: Sequence[int], parts: int, snapshot: object) -> int:
+def forked_sum(task: Task, args: Sequence[int], parts: int) -> int:
     """sum(task(args, part, parts) for part in range(parts)) for a task that
-    gives a non-negative integer and reads nothing that changed since
-    snapshot was made.
+    gives a non-negative integer that depends on its arguments alone.
 
     Parts 1 .. parts - 1 go to workers (``_ready``); args are integers.  A
     part with no worker, or whose worker has died or exits before its
@@ -166,7 +164,7 @@ def forked_sum(task: Task, args: Sequence[int], parts: int, snapshot: object) ->
     stopped: list[int] = []
     pending: dict[int, Worker] = {}  # part -> a worker that has not answered it yet
     try:
-        for part, worker in enumerate(_ready(task, snapshot, parts - 1, stopped), start=1):
+        for part, worker in enumerate(_ready(task, parts - 1, stopped), start=1):
             try:
                 os.write(worker[1], b"%s %x %x\n" % (line, part, parts))  # its request pipe
             except OSError:  # it died

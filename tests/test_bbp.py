@@ -135,17 +135,10 @@ def per_term_head(f: BBPFormula, position: int, bits: int) -> int:
     return acc % (1 << bits)
 
 
-def head_plans(f: BBPFormula, position: int) -> list:
-    """(k, a, class k's head plan) for each nonzero coefficient a, as
-    ``extract_hex_digits`` makes them."""
-    n = position + 1
-    return [(k, a, bbp._head_batches(f.degree, k, n)) for k, a in enumerate(f.coeffs, 1) if a]
-
-
 def head_part(f: BBPFormula, position: int, bits: int, part: int = 0, parts: int = 1) -> int:
-    """``_head_part`` on f's head plans at position: with the defaults, the
-    whole batched head mod 2^bits."""
-    return bbp._head_part(f.degree, position + 1, head_plans(f, position), bits, part, parts)
+    """``_head_part`` for f at position: with the defaults, the whole batched
+    head mod 2^bits."""
+    return bbp._head_part((f.degree, position + 1, bits, *f.coeffs), part, parts)
 
 
 def per_term_hex_digits(f: BBPFormula, position: int, count: int) -> str:
@@ -370,16 +363,42 @@ class TestHeadFloors:
         assert head == per_term_head(ONE_TERM_BATCHES, 250, self.BITS)
 
 
-def stored_ends(f: BBPFormula, k: int) -> list[int]:
-    return [j1 for j1, _, _ in bbp._TABLES.get((f.degree, k), ())]
+def fresh_tables(monkeypatch):
+    """Empty batch ends and tables, as in a new process."""
+    monkeypatch.setattr(bbp, "_ENDS", {})
+    monkeypatch.setattr(bbp, "_TABLES", {})
+
+
+def kept_ends(f: BBPFormula, k: int) -> list[int]:
+    return list(bbp._ENDS.get((f.degree, k), ()))
+
+
+def spy_batches(monkeypatch) -> list[tuple[int, int, int]]:
+    """The (k, j0, j1) of each batch built from now on in this process."""
+    built, batch = [], bbp._batch
+
+    def spied(s, k, j0, j1):
+        built.append((k, j0, j1))
+        return batch(s, k, j0, j1)
+
+    monkeypatch.setattr(bbp, "_batch", spied)
+    return built
 
 
 CLASSES = [k for k, a in enumerate(_PATTERN, start=1) if a]
 
 
+def owner(f: BBPFormula, k: int, j0: int, parts: int) -> int:
+    """The part that owns class k's batch starting at j0: batch i of the c-th
+    nonzero class goes to part (i + c) % parts."""
+    i = len(rule_cuts(f, k, j0))  # the ends up to j0 close batches 0 .. i - 1
+    return (i + CLASSES.index(k)) % parts
+
+
 class TestTables:
-    """Each class's full batches, kept across extractions up to a bound: a
-    warm extraction gives what a fresh one does, outcome for outcome."""
+    """Each class's batch ends and full batches, kept across extractions up
+    to a bound: a warm extraction gives what a fresh one does, outcome for
+    outcome."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 40, 128])
     def test_cuts_follow_the_rule(self, degree):
@@ -397,7 +416,7 @@ class TestTables:
         # positions past it within the per-term reference's reach
         span = 900
         monkeypatch.setattr(bbp, "_TABLE_SPAN", span)
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        fresh_tables(monkeypatch)
         f = REGISTRY[name]
         bound = span // f.degree
         ends = rule_cuts(f, 1, bound)
@@ -414,24 +433,41 @@ class TestTables:
         ]
         for position in [*positions, *positions[::-1], *positions]:
             warm = _outcome(extract_hex_digits, f, position, 8)
-            tables = bbp._TABLES
-            monkeypatch.setattr(bbp, "_TABLES", {})
+            kept = bbp._ENDS, bbp._TABLES
+            fresh_tables(monkeypatch)
             fresh = _outcome(extract_hex_digits, f, position, 8)
-            monkeypatch.setattr(bbp, "_TABLES", tables)
+            bbp._ENDS, bbp._TABLES = kept
             assert warm == fresh == _outcome(per_term_hex_digits, f, position, 8), position
-        # the tables hold every full batch up to the bound, and none past it
+        # the ends reach the bound and no further; the serial tables hold every
+        # full batch up to it, and a split's tables here only part 0's
         for k in CLASSES:
-            assert stored_ends(f, k) == rule_cuts(f, k, bound)
+            full = rule_cuts(f, k, bound)
+            assert kept_ends(f, k) == full
+            assert len(bbp._TABLES[f.degree, k, 0, 1]) == len(full)
+        for (s, k, r, parts), table in bbp._TABLES.items():
+            full = rule_cuts(f, k, bound)
+            owned = range(r, len(full), parts)
+            assert 0 < len(table) <= len(owned)
+            for i, stored in zip(owned, table):
+                j0 = full[i - 1] if i else 0
+                num, den = bbp._batch(s, k, j0, full[i])
+                assert stored == (num % den, den)
+                assert parts == 1 or owner(f, k, j0, parts) == 0
 
     def test_tables_stop_at_the_bound(self, monkeypatch):
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        fresh_tables(monkeypatch)
         f = REGISTRY["eq2.37-sum"]
         bound = bbp._TABLE_SPAN // 3
         assert bound == 65536
         n = bound + 2000
-        assert len(bbp._head_batches(3, 1, n)) == len(rule_cuts(f, 1, n - 1)) + 1
-        assert stored_ends(f, 1) == rule_cuts(f, 1, bound)
-        assert list(bbp._TABLES) == [(3, 1)]
+        ends, full = bbp._ends(3, 1, n)
+        assert list(ends) == [*rule_cuts(f, 1, n - 1), n]
+        assert kept_ends(f, 1) == rule_cuts(f, 1, bound)
+        assert full == len(rule_cuts(f, 1, bound))
+        assert list(bbp._ENDS) == [(3, 1)]
+        bbp._head_part((3, n, 52, 1, 0, 0, 0, 0, 0, 0, 0), 0, 1)
+        assert list(bbp._TABLES) == [(3, 1, 0, 1)]
+        assert len(bbp._TABLES[3, 1, 0, 1]) == full
 
     def test_extraction_past_the_bound(self):
         # degree 3's real bound is 65 536: the head sums the stored batches
@@ -439,43 +475,55 @@ class TestTables:
         f = REGISTRY["eq2.37-sum"]
         assert extract_hex_digits(f, 65600, 8) == per_term_hex_digits(f, 65600, 8) == "00FC9B72"
 
-    def test_parts_read_only_the_plans(self, monkeypatch):
-        # past a bound patched to 900 / degree a plan lists stored batches and
-        # placeholders; once it is made, no part reads a table or a cut
-        def no_cuts(*args):
-            raise AssertionError("a part walked the cuts")
-
-        def part_sums():
-            return [bbp._head_part(f.degree, position + 1, plans, 52, i, 3) for i in range(3)]
-
+    def test_ownership_does_not_depend_on_the_position(self, monkeypatch):
+        # past a bound patched to 900 / degree, at every position and number
+        # of parts, each part builds the batches a rule of class and batch
+        # index alone gives it, the parts build the head's batches once
+        # between them, and they add up to the whole head; warm, a part
+        # builds only what no table keeps: the batch cut off at the position
+        # and those past the bound
         monkeypatch.setattr(bbp, "_TABLE_SPAN", 900)
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        built = spy_batches(monkeypatch)
         for name in FORMULAS:
             f = REGISTRY[name]
-            for position in (0, 77, 2000):
-                plans = head_plans(f, position)
-                sums = part_sums()
-                with monkeypatch.context() as patched:
-                    patched.setattr(bbp, "_cuts", no_cuts)
-                    patched.setattr(bbp, "_TABLES", {})
-                    assert part_sums() == sums, (name, position)
-                assert sum(sums) % (1 << 52) == head_part(f, position, 52)
-            kinds = {num is None for _, _, plan in plans for _, num, _ in plan}
-            assert kinds == {True, False}, name
+            bound = 900 // f.degree
+            for position in (0, 77, 2000, 1999, bound - 1, bound):
+                n = position + 1
+                head = {(k, j0) for k in CLASSES for j0 in [0, *rule_cuts(f, k, position)]}
+                fresh_tables(monkeypatch)
+                whole = head_part(f, position, 52)
+                for parts in (2, 3):
+                    sums = []
+                    for warm in (False, True):
+                        seen = []
+                        for part in range(parts):
+                            built.clear()
+                            sums.append(head_part(f, position, 52, part, parts))
+                            for k, j0, j1 in built:
+                                assert owner(f, k, j0, parts) == part, (name, position, k, j0)
+                                if warm:
+                                    assert j1 == n and j1 not in rule_cuts(f, k, n) or j1 > bound
+                            seen += [(k, j0) for k, j0, _ in built]
+                        if not warm:
+                            assert sorted(seen) == sorted(head), (name, position, parts)
+                    assert sum(sums[:parts]) % (1 << 52) == whole
+                    assert sums[parts:] == sums[:parts]
 
     def test_growth_replaces_the_tables(self, monkeypatch):
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        fresh_tables(monkeypatch)
         f = REGISTRY["eq2.35-sum"]
         snapshots = []
         for position in (300, 100, 900, 901, 2000):
-            tables = bbp._TABLES
-            snapshots.append((tables, dict(tables)))
+            for kept in (bbp._ENDS, bbp._TABLES):
+                snapshots.append((kept, dict(kept)))
             extract_hex_digits(f, position, 8)
-        for tables, copy in snapshots:
-            assert tables == copy
-            for key, table in tables.items():
-                assert bbp._TABLES[key][: len(table)] == table
-        assert snapshots[2][0] is snapshots[1][0]  # position 100 grew nothing
+        for i, (kept, copy) in enumerate(snapshots):
+            assert kept == copy
+            for key, table in kept.items():
+                assert (bbp._ENDS, bbp._TABLES)[i % 2][key][: len(table)] == table
+        # position 100 grew nothing
+        assert snapshots[4][0] is snapshots[2][0]
+        assert snapshots[5][0] is snapshots[3][0]
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -541,7 +589,7 @@ def split_head_part(monkeypatch, in_parent, in_child):
 class TestForkedHead:
     """The head split into parts, all but one summed in long-lived forked
     workers, gives the per-term reference's output; the workers are forked
-    again only when the tables grow, and leave no process behind."""
+    once per process, and leave no process behind."""
 
     @pytest.fixture(autouse=True)
     def fresh_workers(self):
@@ -568,7 +616,7 @@ class TestForkedHead:
         for least, cold in ((bbp._MIN_PART, True), (bbp._MIN_WARM_PART, False)):
             for position in (2 * least - 1, 2 * least):
                 if cold:
-                    monkeypatch.setattr(bbp, "_TABLES", {})
+                    fresh_tables(monkeypatch)
                 else:
                     extract_hex_digits(f, 100, 8)
                 shutdown_workers()
@@ -586,7 +634,7 @@ class TestForkedHead:
         # the 2000-5000 band the benchmark's digits-deep.mid extracts in,
         # and keeps the serial digits
         f = REGISTRY[name]
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        fresh_tables(monkeypatch)
         split = extract_hex_digits(f, position, 8)
         assert forks
         monkeypatch.setattr(bbp, "_MIN_PART", position + 1)
@@ -596,30 +644,25 @@ class TestForkedHead:
         assert len(forks) == made
 
     @needs_two_cpus
-    def test_split_forks_with_the_tables_grown(self, monkeypatch, forks):
-        # when the head is split, every class's table already holds each full
-        # batch that ends by position + 1, and the workers serve that table
-        # dict, so a worker builds none
-        from tetralog import forked
-
-        def spy(task, args, parts, snapshot):
-            assert snapshot is bbp._TABLES
-            grown.append({k: stored_ends(f, k) for k in CLASSES})
-            return forked_sum(task, args, parts, snapshot)
-
-        forked_sum = forked.forked_sum
-        monkeypatch.setattr(forked, "forked_sum", spy)
+    def test_caller_builds_no_batch_a_worker_owns(self, monkeypatch, forks):
+        # at every position the caller builds and keeps only part 0's batches;
+        # the workers, forked by the first split, build theirs
+        built = spy_batches(monkeypatch)
         always_split(monkeypatch)
-        monkeypatch.setattr(bbp, "_TABLES", {})
+        fresh_tables(monkeypatch)
         for f in [REGISTRY[name] for name in FORMULAS]:
-            for position in (64, 2000, 700):
-                grown = []
+            for position in (64, 2000, 700, 2001):
+                parts = bbp._part_count(position)
+                assert parts == CPUS
+                built.clear()
                 assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
-                assert len(grown) == 1
-                for k in CLASSES:
-                    full = rule_cuts(f, k, position + 1)
-                    assert grown[0][k][: len(full)] == full
-        assert forks
+                assert built or position == 700
+                for k, j0, _ in built:
+                    assert owner(f, k, j0, parts) == 0, (f.degree, position, k, j0)
+        for s, k, r, parts in bbp._TABLES:
+            assert parts == CPUS
+            assert (r + CLASSES.index(k)) % parts == 0  # batch r's owner, part 0
+        assert len(forks) == CPUS - 1
         shutdown_workers()
         assert_no_children()
 
@@ -655,14 +698,11 @@ class TestForkedHead:
         bits = 4 * (8 + _GUARD_HEX)
         for f in [REGISTRY[name] for name in FORMULAS] + [EXACT_AT_ZERO]:
             for position in (2, 64, 2000):
-                monkeypatch.setattr(bbp, "_TABLES", {})
+                fresh_tables(monkeypatch)
                 parts = bbp._part_count(position)
                 assert parts == min(CPUS, position)
                 split = forked_sum(
-                    lambda args, i, n: head_part(f, args[0], bits, i, n),
-                    (position,),
-                    parts,
-                    bbp._TABLES,
+                    lambda args, i, n: head_part(f, args[0], bits, i, n), (position,), parts
                 )
                 assert split % (1 << bits) == head_part(f, position, bits)
         assert forks
@@ -768,26 +808,59 @@ class TestForkedHead:
                 os.kill(pid, 0)
 
     @needs_two_cpus
-    def test_repeated_extractions_fork_once_per_growth(self, monkeypatch, forks):
-        monkeypatch.setattr(bbp, "_TABLES", {})
+    def test_repeated_extractions_fork_once_per_process(self, monkeypatch, forks):
+        # the first split forks the workers, and they serve every later one,
+        # whether it grows the tables or not, to positions far apart
+        fresh_tables(monkeypatch)
         f = REGISTRY["pi-degree1"]
         extract_hex_digits(f, 100, 8)
-        extract_hex_digits(f, 3000, 8)  # grows the tables to 3001, and splits
-        tables, pids, made = bbp._TABLES, worker_pids(), len(forks)
-        assert len(pids) == warm_workers(3000)
-        for position in (3000, 2500, 2999, 1200, 3000):
-            assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
-        assert bbp._TABLES is tables
-        assert len(forks) == made
-        assert worker_pids() == pids
-        # a growth publishes a new dict, and the workers are forked again
-        assert extract_hex_digits(f, 3500, 8) == per_term_hex_digits(f, 3500, 8)
-        assert bbp._TABLES is not tables
-        assert len(forks) - made == warm_workers(3500)
-        assert set(worker_pids()).isdisjoint(pids)
+        pids = []
+        for position in (2500, 3000, 2999, 1200, 3500, 8000, 20000, 40000, 20001):
+            split = extract_hex_digits(f, position, 8)
+            with monkeypatch.context() as serial:
+                serial.setattr(bbp, "_MIN_WARM_PART", position + 1)
+                assert extract_hex_digits(f, position, 8) == split, position
+            if position <= 3500 or position == 20001:
+                assert split == per_term_hex_digits(f, position, 8), position
+            pids = pids or worker_pids()
+            assert worker_pids() == pids
+        assert len(pids) == len(forks) == CPUS - 1
+        shutdown_workers()
         for pid in pids:  # the stopped workers have been reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @needs_two_cpus
+    def test_split_and_serial_agree_at_the_bound(self, monkeypatch, forks):
+        # on eq2.37-sum at its real bound of 65 536 and on every formula at a
+        # bound patched to 900 / degree, where the per-term reference reaches,
+        # a split extraction, warm or fresh, gives the serial one's outcome
+        def outcomes(f, positions):
+            out = []
+            for position in positions:
+                split = _outcome(extract_hex_digits, f, position, 8)
+                with monkeypatch.context() as serial:
+                    serial.setattr(bbp, "_MIN_WARM_PART", position + 1)
+                    out.append((split, _outcome(extract_hex_digits, f, position, 8)))
+            return out
+
+        f = REGISTRY["eq2.37-sum"]
+        extract_hex_digits(f, 100, 8)
+        for split, serial in outcomes(f, (65534, 65535, 65536, 65537)):
+            assert split == serial
+        monkeypatch.setattr(bbp, "_TABLE_SPAN", 900)
+        for name in FORMULAS:
+            f = REGISTRY[name]
+            bound = 900 // f.degree
+            positions = [bound - 1, bound, bound + 1, 3 * bound, bound - 1]
+            fresh_tables(monkeypatch)
+            extract_hex_digits(f, 1, 8)
+            always_split(monkeypatch)
+            for position, (split, serial) in zip(positions, outcomes(f, positions)):
+                assert split == serial == _outcome(per_term_hex_digits, f, position, 8)
+        assert len(forks) == CPUS - 1
+        shutdown_workers()
+        assert_no_children()
 
     @needs_two_cpus
     @pytest.mark.parametrize("fork_hooks", [True, False])

@@ -525,6 +525,24 @@ class TestClausenKernel:
                     least = x * abs(coeffs[-2]) if odd else abs(coeffs[-1])
                     assert tail[-1] * x ** (s - 1 + 2 * summed) <= _STOP * least
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_subnormal_angles_keep_a_bound(self, s):
+        # (s + 4) EPS of the terms underflows there, yet the value is still
+        # rounded: Cl_2 = theta - theta ln theta and the sine kind of order s
+        # = zeta(s - 1) theta, up to theta^2 terms far below 2^-1074
+        import mpmath
+
+        rng = random.Random(f"subnormal-clausen-{s}")
+        angles = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300]
+        angles += [10.0 ** rng.uniform(-323.5, -300.0) for _ in range(40)]
+        with mpmath.workdps(60):
+            for th in angles + [-th for th in angles]:
+                t = mpmath.mpf(th)
+                want = t - t * mpmath.log(abs(t)) if s == 2 else mpmath.zeta(s - 1) * t
+                r = cl2(th) if s == 2 else clausen_sin(s, th)
+                assert r.err_bound >= 2.0**-1074
+                assert abs(r.value - want) <= r.err_bound, (th, r)
+
 
 class TestPsiEdges:
     @pytest.mark.parametrize("x", [1e-155, 1e-200, 5e-324, -1e-200, -5e-324])
