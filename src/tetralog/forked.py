@@ -18,6 +18,7 @@ not its own; neither ever writes to them.  ``bbp`` loads this module only
 for extractions deep enough to split, so a shallow ``digits`` process never
 compiles it.
 """
+
 from __future__ import annotations
 
 import atexit

@@ -333,7 +333,7 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
 
 
 # the spacing of the subnormal doubles: below it (s + 4) EPS of the terms
-# underflows, yet the value still takes its own roundings, each within half of it
+# underflows, yet the value still takes a rounding or two, each within half of it
 _ULP0 = 2.0**-1074
 # the kernel expands about pi past this |theta|, where the ratio
 # (theta/2 pi)^2 of an infinite kind's terms about 0 reaches that of its terms
