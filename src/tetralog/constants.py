@@ -34,5 +34,9 @@ GAMMA = float(GAMMA_STR)
 ZETA3 = float(ZETA3_STR)
 CATALAN = float(CATALAN_STR)
 EPS = 2.220446049250313e-16
+# the spacing of the subnormal doubles, 2^-1074: a kernel floors an inexact
+# value's bound here, where its relative terms underflow to 0 yet the value
+# still takes a rounding or two, each within half of it
+ULP0 = 2.0**-1074
 
 SQRT7 = math.sqrt(7.0)

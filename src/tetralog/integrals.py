@@ -273,11 +273,22 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
     # declared, as corollary3 declares x = c.  At a = 0 the one panel from 0
     # takes y and 1/y as mirror nodes, where ln y dy / (y^2 + 2by + 1) is odd,
     # so their terms cancel pair by pair however narrow the peak is
+    k = (1.0 - b) * (1.0 + b)
+    if a > 1.0:
+        # u = 1/y gives the finite panel (0, 1/a) of -ln u du / ((u + b)^2 + k),
+        # which holds the mass that sits at 1 - s ~ 1/a on the tail map, where
+        # its nodes are few, and which no y^2 overflows.  1/a rounds, by at most
+        # ulp(1/a), and that moves the value by |f(1/a)| ulp(1/a) at most
+        def f(u: float) -> float:
+            return -math.log(u) / ((u + b) * (u + b) + k)
+
+        c = 1.0 / a
+        r = integrate(QuadProblem(f, 0.0, c, (0.0, -b) if 0.0 < -b < c else (0.0,), tol))
+        return EvalResult(r.value, r.err_bound + abs(f(c)) * math.ulp(c), r.effort, r.method)
     if a == 0.0:
         sing = (0.0,)
     else:
         sing = (-b,) if -b > a else ()
-    k = (1.0 - b) * (1.0 + b)
     return integrate(
         QuadProblem(
             lambda y: math.log(y) / ((y + b) * (y + b) + k),

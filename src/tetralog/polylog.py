@@ -33,7 +33,7 @@ from functools import cache
 from itertools import count
 
 from .bernoulli import _STOP, OUTER, TAYLOR_K_MAX, _log_tables, bernoulli_poly_central, zeta_int
-from .constants import EPS, PI, TWO_PI
+from .constants import EPS, PI, TWO_PI, ULP0
 from .errors import ConvergenceError, DomainError, check_tol
 from .result import EvalResult, no_ball
 
@@ -192,6 +192,8 @@ def polylog_complex(s: int, z: complex, tol: float = 1e-12) -> EvalResult:
         err += cerr + EPS * abs(v)
         n += cn
         method = "inversion"
+    if err < ULP0:
+        err = ULP0
     if err > tol:
         raise ConvergenceError(f"polylog_complex: error bound {err:g} exceeds tol {tol:g}")
     return EvalResult(v, err, n, method)

@@ -27,7 +27,7 @@ import math
 from functools import cache
 
 from .bernoulli import _EM_TERMS, _STOP, TAYLOR_K_MAX, _euler_maclaurin, _log_tables, zeta_int
-from .constants import EPS, GAMMA, PI, PI_LO
+from .constants import EPS, GAMMA, PI, PI_LO, ULP0
 from .errors import ConvergenceError, DomainError, check_tol, is_int
 from .result import _UP, Angle, EvalResult, PolarPoint, RationalAngle, exact, reduce_angle, rounded
 from .result import log as ball_log
@@ -332,9 +332,6 @@ def _clausen_table(s: int, odd: bool) -> tuple[_Table, ...]:
     return tuple(tables)
 
 
-# the spacing of the subnormal doubles: below it (s + 4) EPS of the terms
-# underflows, yet the value still takes a rounding or two, each within half of it
-_ULP0 = 2.0**-1074
 # the kernel expands about pi past this |theta|, where the ratio
 # (theta/2 pi)^2 of an infinite kind's terms about 0 reaches that of its terms
 # about pi, ((pi - theta)/pi)^2: 1/9.  A finite kind, a polynomial either way,
@@ -409,8 +406,8 @@ def _clausen(s: int, odd: bool, theta: Angle | float, tol: float, method: str) -
     # pi is several times |value| about 0, as the terms cancel there.
     r2 = x2 / (PI * PI if minus else 4.0 * PI * PI)
     err = t * r2 / (1.0 - r2) + (s + 4) * EPS * mag + slack
-    if err < _ULP0:
-        err = _ULP0
+    if err < ULP0:
+        err = ULP0
     if err > tol:
         raise ConvergenceError(f"Cl_{s}: error bound {err:g} exceeds tol {tol:g}")
     v = acc + sign * rest

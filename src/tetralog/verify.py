@@ -7,11 +7,17 @@ source article so a failure can be traced to one displayed identity.
 
 Conjectural identities are quarantined: they can only report
 ``supports-conjecture`` or ``error``, and the aggregate verdict ignores them.
+
+A value that two checks use, or that one check's series terms repeat, is
+computed once per ledger run, that is per ``run_all`` or per lone
+``run_check``: ``_shared`` keeps it for the rest of the run and the run
+empties it when it ends.  So a lone check computes its own shared sides, a
+record's ``elapsed_ms`` includes any shared side that its check computed
+first, and no value outlives the run that computed it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import namedtuple
@@ -53,8 +59,28 @@ def _csc2(x: float) -> float:
     return 1.0 / math.sin(x) ** 2
 
 
+# The memo of one ledger run: (kernel, args) -> kernel(*args).  The kernel is
+# the one named at the call site when the run reads it, so a kernel rebound
+# between runs is the one the next run calls.  Keys compare by ==, so each
+# kernel takes its arguments in one type (1 and 1.0 share an entry).  A lone
+# run_check empties it when its check ends; inside run_all (_in_run_all) the
+# checks share it, and run_all empties it when it ends.
+_memo: dict = {}
+_in_run_all = False
+
+
+def _shared(f, *args):
+    """f(*args), computed once per ledger run."""
+    key = (f, args)
+    try:
+        return _memo[key]
+    except KeyError:
+        v = _memo[key] = f(*args)
+        return v
+
+
 def _tri(x: float) -> float:
-    return trigamma(x).value
+    return _shared(trigamma, x).value
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, *singular: float) -> float:
@@ -81,7 +107,7 @@ def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[flo
 
 
 def _l7() -> float:
-    return dirichlet.l7_trigamma().value
+    return _shared(dirichlet.l7_trigamma).value
 
 
 def _tri_sum(den: int, signed: tuple[int, ...]) -> float:
@@ -119,7 +145,7 @@ def _l1e(ratio: Callable[[float], float], *singular: float) -> float:
 
 
 def _cl2_combo7() -> float:
-    c2, c4, c6 = (cl2_rational(RationalAngle(k, 7)).value for k in (2, 4, 6))
+    c2, c4, c6 = (_shared(cl2_rational, RationalAngle(k, 7)).value for k in (2, 4, 6))
     return c2 + c4 - c6
 
 
@@ -147,14 +173,16 @@ def _chk_eq2_10c() -> tuple[float, float]:
 # Lemma 2 family
 
 
-def _theta_of_a(a: float) -> float:
-    return math.acos((1.0 - a * a) / (1.0 + a * a))
+def _cl2_of_a(a: float) -> float:
+    """Cl_2(theta(a)), theta(a) = acos((1 - a^2)/(1 + a^2)): the right side of
+    the Lemma 2 and Catalan representations."""
+    return _shared(cl2, math.acos((1.0 - a * a) / (1.0 + a * a))).value
 
 
 def _chk_l2a() -> tuple[float, float]:
     def pair(a: float) -> tuple[float, float]:
         q = _quad(lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u), a, math.inf, a)
-        return q, cl2(_theta_of_a(a)).value
+        return q, _cl2_of_a(a)
 
     return _worst(pair(a) for a in (0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0))
 
@@ -165,10 +193,10 @@ _L2B_POINTS = (1.5, 2.0, 3.0)
 def _chk_l2b1() -> tuple[float, float]:
     def pair(a: float) -> tuple[float, float]:
         s = alternating_sum(
-            lambda k: harmonic(k + 1) / (a ** (2 * (k + 1)) * (2 * k + 3)),
+            lambda k: _shared(harmonic, k + 1) / (a ** (2 * (k + 1)) * (2 * k + 3)),
             tol=1e-13,
         ).value
-        return 2.0 * math.atan(1.0 / a) * LN2 - s / a, cl2(_theta_of_a(a)).value
+        return 2.0 * math.atan(1.0 / a) * LN2 - s / a, _cl2_of_a(a)
 
     return _worst(pair(a) for a in _L2B_POINTS)
 
@@ -176,7 +204,7 @@ def _chk_l2b1() -> tuple[float, float]:
 def _chk_l2b2() -> tuple[float, float]:
     def pair(a: float) -> tuple[float, float]:
         s = alternating_sum(
-            lambda k: digamma(k + 1.0).value / (a ** (2 * (k + 1)) * (2 * k + 3)),
+            lambda k: _shared(digamma, k + 1.0).value / (a ** (2 * (k + 1)) * (2 * k + 3)),
             tol=1e-13,
         ).value
         cot = math.atan(1.0 / a)
@@ -186,7 +214,7 @@ def _chk_l2b2() -> tuple[float, float]:
             - math.log(1.0 + 1.0 / (a * a)) / a
             - s / a
         )
-        return lhs, cl2(_theta_of_a(a)).value
+        return lhs, _cl2_of_a(a)
 
     return _worst(pair(a) for a in _L2B_POINTS)
 
@@ -200,7 +228,7 @@ def _chk_l2c() -> tuple[float, float]:
     # prefactor 2, not the printed 2a: the representation follows from the
     # harmonic-number series via H_j = int_0^1 (1-u^j)/(1-u) du with
     # u = 1/y^2, which carries no stray factor of a
-    return 2.0 * cot * LN2 + 2.0 * q, cl2(_theta_of_a(a)).value
+    return 2.0 * cot * LN2 + 2.0 * q, _cl2_of_a(a)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +242,7 @@ def _chk_cat_2_32() -> tuple[float, float]:
     def pair(a: float) -> tuple[float, float]:
         q = _quad(lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t), 0.0, 1.0, 1.0)
         lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q
-        return lhs, cl2(_theta_of_a(a)).value
+        return lhs, _cl2_of_a(a)
 
     return _worst(pair(a) for a in (0.7, 1.0, 2.0))
 
@@ -228,7 +256,7 @@ def _chk_cat_2_34() -> tuple[float, float]:
         tol=1e-13,
     ).value
     lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) + s
-    return lhs, cl2(_theta_of_a(a)).value
+    return lhs, _cl2_of_a(a)
 
 
 def _chk_eq2_30() -> tuple[float, float]:
@@ -413,19 +441,17 @@ def _re_li3_closed() -> float:
     return LN2**3 / 48.0 - 5.0 / 192.0 * PI * PI * LN2 + 35.0 / 64.0 * ZETA3
 
 
-# A side that several checks share (_li3_half, _i1, _i7) is cached, so a
-# process computes it once.  It takes no argument and depends on no state,
-# so each check reads the value it would compute itself.
-@functools.cache
+# The sides that several checks share, each computed once per ledger run:
+# Li_3((1 + i)/2) (L4b, L4c, eq2.41, li3-binom), the BBP sums (L4c, eq2.39,
+# eq2.40, eq2.41), I1 (P1-3.9trunc, P1-3.10) and I7 (P1, conj-L7).
 def _li3_half() -> complex:
-    """Li_3((1 + i)/2) by the polylog kernel (L4b, L4c, eq2.41, li3-binom)."""
     from .polylog import polylog_complex
 
-    return polylog_complex(3, complex(0.5, 0.5), tol=1e-13).value
+    return _shared(polylog_complex, 3, complex(0.5, 0.5), 1e-13).value
 
 
 def _bbp_sum(name: str) -> float:
-    return _bbp.eval_bbp_sum(_bbp.REGISTRY[name]).value
+    return _shared(_bbp.eval_bbp_sum, _bbp.REGISTRY[name]).value
 
 
 def _int_2_38(p: int) -> float:
@@ -440,7 +466,7 @@ def _int_2_38(p: int) -> float:
 def _residue_sum(k: int, s: int) -> float:
     """sum_j 16^-j / (8j + k)^s, the BBP sum of residue class k alone."""
     coeffs = tuple(int(i == k) for i in range(1, 9))
-    return _bbp.eval_bbp_sum(_bbp.BBPFormula(s, coeffs, 1.0)).value
+    return _shared(_bbp.eval_bbp_sum, _bbp.BBPFormula(s, coeffs, 1.0)).value
 
 
 def _log_moment(k: int, p: int) -> float:
@@ -489,16 +515,12 @@ def _chk_li3_binom() -> tuple[float, float]:
 # Proposition 1 / 2 chains
 
 
-@functools.cache
 def _i1() -> float:
-    """I1 by quadrature (P1-3.9trunc, P1-3.10)."""
-    return integrals.integral_I1_split(1e-10)[0].value
+    return _shared(integrals.integral_I1_split, 1e-10)[0].value
 
 
-@functools.cache
 def _i7() -> float:
-    """I7 by quadrature (P1, conj-L7)."""
-    return integrals.integral_I7(1e-10).value
+    return _shared(integrals.integral_I7, 1e-10).value
 
 
 def _chk_p1_3_11() -> tuple[float, float]:
@@ -516,7 +538,7 @@ def _chk_p2() -> tuple[float, float]:
     def pairs(a: float, b: float) -> tuple[tuple[float, float], ...]:
         q = integrals.integral_I_ab(a, b, 1e-10).value
         f1 = integrals.i_ab_closed_omega(a, b).value
-        f2 = integrals.i_ab_closed_theta12(a, b).value
+        f2 = _shared(integrals.i_ab_closed_theta12, a, b).value
         return (q, f1), (q, f2), (f1, f2)
 
     return _worst(pair for a, b in _P2_GRID for pair in pairs(a, b))
@@ -529,7 +551,7 @@ def _chk_c2() -> tuple[float, float]:
     def pair(a: float, b: float) -> tuple[float, float]:
         root = math.sqrt(1.0 - b * b)
         im = im_li2_polar(PolarPoint(1.0 / a, math.acos(-b))).value
-        lhs = integrals.i_ab_closed_theta12(a, b).value * 2.0 * root
+        lhs = _shared(integrals.i_ab_closed_theta12, a, b).value * 2.0 * root
         return lhs, 2.0 * im + 2.0 * math.atan(root / (a + b)) * math.log(a)
 
     return _worst(pair(a, b) for a, b in _P2_GRID)
@@ -553,7 +575,7 @@ _CHAIN = 1e-9
 
 _CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], ...] = (
     ("L1a", "lemma1", "Eq. (1.2) vs (1.3a)", _CLOSED, lambda: (
-        dirichlet.l7_series().value, _l7())),
+        _shared(dirichlet.l7_series).value, _l7())),
     ("L1b", "lemma1", "Eq. (1.3b)", _CLOSED, _chk_l1b),
     ("L1c", "lemma1", "Eq. (1.3c)", _CLOSED, lambda: (
         _l7(), 2.0 / 49.0 * (_tri_sum(7, _TRI7) + (_csc2(3.0 * PI / 7.0) - 4.0) * PI * PI))),
@@ -614,7 +636,7 @@ _CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], .
     ("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
     ("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
     ("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, lambda: (
-        _i7(), dirichlet.l7_series().value)),
+        _i7(), _shared(dirichlet.l7_series).value)),
     ("L4a", "lemma4", "Eq. (2.35)", _CLOSED, lambda: (
         _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value)),
     ("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
@@ -665,6 +687,9 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
     except Exception as exc:
         lhs = rhs = math.nan
         note = f"{type(exc).__name__}: {exc}"
+    finally:
+        if not _in_run_all:
+            _memo.clear()
     elapsed = int((time.perf_counter() - start) * 1000.0)
     residual = math.inf if note else abs(lhs - rhs)
     if note:
@@ -682,11 +707,17 @@ def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[Chec
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
     check_tol(scale, "tol_scale")
-    return [
-        run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
-        for cid in check_ids()
-        if tag is None or _REGISTRY[cid][1] == tag
-    ]
+    global _in_run_all
+    _in_run_all = True
+    try:
+        return [
+            run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
+            for cid in check_ids()
+            if tag is None or _REGISTRY[cid][1] == tag
+        ]
+    finally:
+        _in_run_all = False
+        _memo.clear()
 
 
 def aggregate_pass(records: list[CheckRecord]) -> bool:

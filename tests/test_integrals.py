@@ -327,6 +327,26 @@ def test_iab_bounds_hold_over_wide_ranges():
             assert _mp_error(r.value, exact) <= r.err_bound, (a, b, tol)
 
 
+# I(a, b) at large a, references from int_0^{1/a} -ln u du / (1 + 2bu + u^2)
+# summed term by term at 80 digits.  On the tail map y = a + s/(1 - s) the
+# mass sits at 1 - s ~ 1/a, between few nodes, and from a ~ 1e154 y^2
+# overflows; integral_I_ab integrates that finite panel in u = 1/y instead
+@pytest.mark.parametrize(
+    "a, b, ref",
+    [
+        (1e12, 0.5, "2.863102111591448269765793318210826254946e-11"),
+        (1e12, -0.5, "2.863102111594261371877386173031647843297e-11"),
+        (1e20, 0.5, "4.705170185988091368012707058438787958362e-19"),
+        (1e200, 0.5, "4.615170185988091507420106119261221790783e-198"),
+        (1e308, 0.5, "7.101962086421660628912310676025139669142e-306"),
+    ],
+    ids=["1e12-b+", "1e12-b-", "1e20", "1e200", "1e308"],
+)
+def test_iab_at_large_a(a, b, ref):
+    r = integral_I_ab(a, b)
+    assert _mp_error(r.value, ref) <= r.err_bound
+
+
 # integrate's known bound misses (ROADMAP items 15 and 20): each returns a
 # value outside its err_bound.  They fail strictly, so the fix flips them.
 # corollary3 with pi - t < 1e-3, references (ln c / c)(t / sin t) at 40 digits
@@ -346,31 +366,6 @@ def test_iab_bounds_hold_over_wide_ranges():
 def test_corollary3_known_miss_next_to_t_pi(c, t, ref):
     lhs, _ = corollary3(c, t, 1e-10)
     assert _mp_error(lhs.value, ref) <= lhs.err_bound
-
-
-# I(a, b) at large a, references from int_0^{1/a} -ln u du / (1 + 2bu + u^2)
-# summed term by term at 80 digits.  The tail map y = a + s/(1 - s) has unit
-# scale, so for a >> 1 the mass sits at 1 - s ~ 1/a, where the nodes are few
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="the tail map's unit scale (ROADMAP item 15)"
-)
-@pytest.mark.parametrize(
-    "a, b, ref",
-    [
-        # 1.1813e-11 +- 1.52e-11, as `tetralog eval iab --a 1e12 --b 0.5` prints
-        (1e12, 0.5, "2.863102111591448269765793318210826254946e-11"),
-        (1e12, -0.5, "2.863102111594261371877386173031647843297e-11"),
-        # 3.62e-20 +- 3.62e-19
-        (1e20, 0.5, "4.705170185988091368012707058438787958362e-19"),
-        # 0 +- 0, where I ~ (ln a + 1)/a
-        (1e200, 0.5, "4.615170185988091507420106119261221790783e-198"),
-        (1e308, 0.5, "7.101962086421660628912310676025139669142e-306"),
-    ],
-    ids=["1e12-b+", "1e12-b-", "1e20", "1e200", "1e308"],
-)
-def test_iab_known_miss_at_large_a(a, b, ref):
-    r = integral_I_ab(a, b)
-    assert _mp_error(r.value, ref) <= r.err_bound
 
 
 def test_closed_form_bounds_hold_near_unit_b():

@@ -113,13 +113,7 @@ def _perturbed(kernel, only_balls: bool):
     return wrapper
 
 
-def _clear_shared_sides() -> None:
-    for side in (verify._li3_half, verify._i1, verify._i7):
-        side.cache_clear()
-
-
 def _statuses() -> dict[str, str]:
-    _clear_shared_sides()
     return {r.id: r.status for r in verify.run_all()}
 
 
@@ -134,7 +128,6 @@ def _flipped(home: str, name: str, baseline: dict[str, str], only_balls=False) -
     finally:
         for m in bound:
             setattr(m, name, kernel)
-        _clear_shared_sides()  # they hold the perturbed values
     return sorted(cid for cid, status in statuses.items() if status != baseline[cid])
 
 

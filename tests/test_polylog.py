@@ -84,6 +84,19 @@ def test_tiny_z_stops_once_terms_underflow(s, r, theta):
     assert res.effort <= 2
 
 
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_subnormal_z_keeps_a_bound(s):
+    # (s + 4) EPS of the terms underflows there, yet the value is still rounded
+    import mpmath
+
+    with mpmath.workdps(60):
+        for z in (1e-320, 5e-324, 1e-310j, -1e-320, 1e-310 + 1e-310j):
+            r = polylog_complex(s, z)
+            want = mpmath.polylog(s, mpmath.mpc(z))
+            assert r.err_bound >= 2.0**-1074
+            assert abs(r.value - want) <= r.err_bound, (z, r)
+
+
 class TestOrderLimit:
     """The log expansion needs c_s = zeta(0)/s!, so it stops at s = 170."""
 

@@ -222,3 +222,108 @@ class TestCatalanRoutes:
     def test_unknown_route_rejected(self):
         with pytest.raises(DomainError):
             catalan_value("no-such-route")
+
+
+def _spy(monkeypatch, module, name: str) -> list:
+    """Count the calls of ``module.name``, rebound in every tetralog module
+    that binds it, as the ledger coverage matrix rebinds a kernel."""
+    import importlib
+    import pkgutil
+
+    import tetralog
+
+    kernel = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for m in pkgutil.iter_modules(tetralog.__path__):
+        mod = importlib.import_module(f"tetralog.{m.name}")
+        if getattr(mod, name, None) is kernel:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def _without_time(rec):
+    return rec._replace(elapsed_ms=0)
+
+
+class TestSharedSides:
+    """A side that checks share is computed once per ledger run, by the
+    kernel bound when the run reads it, and no value outlives the run."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return {r.id: r for r in run_all()}
+
+    @pytest.mark.parametrize("check_id", check_ids())
+    def test_a_lone_check_reports_its_run_all_record(self, records, check_id):
+        r, want = run_check(check_id), records[check_id]
+        assert (r.lhs, r.rhs, r.residual, r.status) == (want.lhs, want.rhs, want.residual,
+                                                        want.status)
+
+    def test_two_runs_agree(self):
+        first, second = run_all(), run_all()
+        assert [_without_time(r) for r in first] == [_without_time(r) for r in second]
+
+    def test_one_run_computes_each_shared_side_once(self, monkeypatch):
+        from tetralog import dirichlet, integrals, specfun
+
+        counts = {
+            name: _spy(monkeypatch, module, name)
+            for module, name in (
+                (dirichlet, "l7_trigamma"),
+                (dirichlet, "l7_series"),
+                (integrals, "i_ab_closed_theta12"),
+                (specfun, "cl2_rational"),
+            )
+        }
+        run_all()
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "l7_trigamma": 1, "l7_series": 1, "i_ab_closed_theta12": 20, "cl2_rational": 3,
+        }
+        # and each call is for a distinct point
+        assert all(len(set(calls)) == len(calls) for calls in counts.values())
+
+    def test_a_kernel_rebound_after_a_run_is_the_one_the_next_run_calls(self, monkeypatch):
+        from tetralog import dirichlet
+        from tetralog.result import EvalResult
+
+        before = {r.id: r for r in run_all()}
+        monkeypatch.setattr(dirichlet, "l7_trigamma", lambda: EvalResult(2.0, 0.0, 0, "fake"))
+        after = {r.id: r for r in run_all()}
+        assert before["L1b"].lhs != 2.0
+        assert after["L1b"].lhs == after["L1c"].lhs == after["L1d"].rhs == 2.0
+        assert after["L1b"].status == "fail"
+        assert run_check("L1c").lhs == 2.0
+
+    def test_the_memo_is_empty_after_every_run(self, monkeypatch):
+        from tetralog import integrals, verify
+
+        run_all(tag="lemma1")
+        assert verify._memo == {}
+        run_check("P2")
+        assert verify._memo == {}
+
+        def broken(tol):
+            raise ZeroDivisionError("broken kernel")
+
+        monkeypatch.setattr(integrals, "integral_I7", broken)
+        recs = {r.id: r for r in run_all()}
+        assert recs["P1"].status == recs["conj-L7"].status == "error"
+        assert verify._memo == {}
+
+        class Stop(BaseException):
+            pass
+
+        def stop(tol):
+            raise Stop
+
+        # an exception that escapes the run empties the memo too
+        monkeypatch.setattr(integrals, "integral_I7", stop)
+        for run in (run_all, lambda: run_check("P1")):
+            with pytest.raises(Stop):
+                run()
+            assert verify._memo == {}
