@@ -703,11 +703,11 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
 
 def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[CheckRecord]:
     """Run every ledger check, optionally filtered by tag, sorted by id."""
+    global _in_run_all
     if tag is not None and tag not in TAGS:
         raise DomainError(f"unknown tag {tag!r}; valid tags: {', '.join(TAGS)}")
     scale = 1.0 if tol_scale is None else float(tol_scale)
     check_tol(scale, "tol_scale")
-    global _in_run_all
     _in_run_all = True
     try:
         return [
