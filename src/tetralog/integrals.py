@@ -264,8 +264,8 @@ def i1_series_truncated(n: int, terms: int = 60) -> float:
 
 def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
     """I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1) by quadrature."""
-    if not a >= 0.0:
-        raise DomainError("integral_I_ab requires a >= 0")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"integral_I_ab requires a finite a >= 0, got a = {a!r}")
     if not abs(b) < 1.0:
         raise DomainError("integral_I_ab requires |b| < 1")
     # y^2 + 2by + 1 = (y + b)^2 + (1 - b)(1 + b): two terms >= 0, so no

@@ -5,6 +5,11 @@ records the residual against a pinned tolerance.  Check ids and tags are a
 stable public contract; ``paper_ref`` carries the equation anchor of the
 source article so a failure can be traced to one displayed identity.
 
+Each check is a row of data: a pair function that gives (lhs, rhs) at one
+point and the fixed grid of points it runs on.  So a family of identities
+(Lemma 2 in a, Proposition 2 in (a, b)) is one row, whose record is its worst
+pair, and a single identity's grid is the one point ().
+
 Conjectural identities are quarantined: they can only report
 ``supports-conjecture`` or ``error``, and the aggregate verdict ignores them.
 
@@ -91,14 +96,17 @@ def _quad(f: Callable[[float], float], a: float, b: float, *singular: float) -> 
 def _worst(pairs: Iterable[tuple[float, float]], rel: bool = False) -> tuple[float, float]:
     """The (lhs, rhs) pair with the largest |lhs - rhs|, relative to |rhs| when
     ``rel`` is set.  The first pair wins a tie; the first NaN difference wins
-    outright and is kept, so the check reports it instead of skipping it."""
-    worst, worst_d = (0.0, 0.0), -1.0
+    outright and is kept, so the check reports it instead of skipping it.  No
+    pair at all raises, so a check with an empty grid errors, not passes."""
+    worst, worst_d = None, -1.0
     for lhs, rhs in pairs:
         d = abs(lhs - rhs)
         if rel:
             d /= abs(rhs)
         if d > worst_d or (math.isnan(d) and not math.isnan(worst_d)):
             worst, worst_d = (lhs, rhs), d
+    if worst is None:
+        raise ValueError("no (lhs, rhs) pair to compare")
     return worst
 
 
@@ -179,44 +187,32 @@ def _cl2_of_a(a: float) -> float:
     return _shared(cl2, math.acos((1.0 - a * a) / (1.0 + a * a))).value
 
 
-def _chk_l2a() -> tuple[float, float]:
-    def pair(a: float) -> tuple[float, float]:
-        q = _quad(lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u), a, math.inf, a)
-        return q, _cl2_of_a(a)
-
-    return _worst(pair(a) for a in (0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0))
+def _chk_l2a(a: float) -> tuple[float, float]:
+    q = _quad(lambda u: math.log((u + a) / (u - a)) / (1.0 + u * u), a, math.inf, a)
+    return q, _cl2_of_a(a)
 
 
-_L2B_POINTS = (1.5, 2.0, 3.0)
+def _chk_l2b1(a: float) -> tuple[float, float]:
+    s = alternating_sum(
+        lambda k: _shared(harmonic, k + 1) / (a ** (2 * (k + 1)) * (2 * k + 3)),
+        tol=1e-13,
+    ).value
+    return 2.0 * math.atan(1.0 / a) * LN2 - s / a, _cl2_of_a(a)
 
 
-def _chk_l2b1() -> tuple[float, float]:
-    def pair(a: float) -> tuple[float, float]:
-        s = alternating_sum(
-            lambda k: _shared(harmonic, k + 1) / (a ** (2 * (k + 1)) * (2 * k + 3)),
-            tol=1e-13,
-        ).value
-        return 2.0 * math.atan(1.0 / a) * LN2 - s / a, _cl2_of_a(a)
-
-    return _worst(pair(a) for a in _L2B_POINTS)
-
-
-def _chk_l2b2() -> tuple[float, float]:
-    def pair(a: float) -> tuple[float, float]:
-        s = alternating_sum(
-            lambda k: _shared(digamma, k + 1.0).value / (a ** (2 * (k + 1)) * (2 * k + 3)),
-            tol=1e-13,
-        ).value
-        cot = math.atan(1.0 / a)
-        lhs = (
-            cot * (2.0 * LN2 + GAMMA - 2.0)
-            + (2.0 - GAMMA) / a
-            - math.log(1.0 + 1.0 / (a * a)) / a
-            - s / a
-        )
-        return lhs, _cl2_of_a(a)
-
-    return _worst(pair(a) for a in _L2B_POINTS)
+def _chk_l2b2(a: float) -> tuple[float, float]:
+    s = alternating_sum(
+        lambda k: _shared(digamma, k + 1.0).value / (a ** (2 * (k + 1)) * (2 * k + 3)),
+        tol=1e-13,
+    ).value
+    cot = math.atan(1.0 / a)
+    lhs = (
+        cot * (2.0 * LN2 + GAMMA - 2.0)
+        + (2.0 - GAMMA) / a
+        - math.log(1.0 + 1.0 / (a * a)) / a
+        - s / a
+    )
+    return lhs, _cl2_of_a(a)
 
 
 def _chk_l2c() -> tuple[float, float]:
@@ -235,16 +231,13 @@ def _chk_l2c() -> tuple[float, float]:
 # Catalan checks
 
 
-def _chk_cat_2_32() -> tuple[float, float]:
+def _chk_cat_2_32(a: float) -> tuple[float, float]:
     # corrected display: no cot^-1(a) ln(a) term, and the integral carries a
     # factor a.  Derivation: expand 2 acoth(u/a) under Eq. (1.8) by the
     # rational integral representation and do the u integral exactly
-    def pair(a: float) -> tuple[float, float]:
-        q = _quad(lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t), 0.0, 1.0, 1.0)
-        lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q
-        return lhs, _cl2_of_a(a)
-
-    return _worst(pair(a) for a in (0.7, 1.0, 2.0))
+    q = _quad(lambda t: math.log(1.0 - t * t) / (1.0 + a * a * t * t), 0.0, 1.0, 1.0)
+    lhs = (math.log(a * a + 1.0) - 2.0 * math.log(a)) * math.atan(a) - a * q
+    return lhs, _cl2_of_a(a)
 
 
 def _chk_cat_2_34() -> tuple[float, float]:
@@ -296,72 +289,64 @@ _ISQ2 = 1.0 / math.sqrt(2.0)
 
 # frozen numeric sign assignments for the set-membership identities; the
 # source displays give only the value sets, so the per-x choice was resolved
-# once at high precision and is asserted exactly.  Each entry is the
-# (multiplier, sign) pairs, the denominator d and the values that
-# sum(sign * sin(multiplier * x * pi / d)) takes at x = 1, 2, ...
-_SINES: dict[str, tuple[tuple[tuple[int, int], ...], int, list[float]]] = {
+# once at high precision and is asserted exactly.  Each entry is the check's
+# paper_ref, the (multiplier, sign) pairs, the denominator d and the values
+# that sum(sign * sin(multiplier * x * pi / d)) takes at x = 1, 2, ...
+_SINES: dict[str, tuple[str, tuple[tuple[int, int], ...], int, list[float]]] = {
     "sine7": (
-        ((2, 1), (4, 1), (6, -1)), 7,
+        "Eq. (2.7)", ((2, 1), (4, 1), (6, -1)), 7,
         [SQRT7 / 2.0] * 2 + [-SQRT7 / 2.0, SQRT7 / 2.0] + [-SQRT7 / 2.0] * 2,
     ),
-    "sine10": (((1, 1), (3, 1), (7, 1), (9, 1)), 10, [
+    "sine10": ("Eq. (2.44)", ((1, 1), (3, 1), (7, 1), (9, 1)), 10, [
         _S5, 0.0, _S5, 0.0, 0.0, 0.0, _S5, 0.0, _S5, 0.0,
         -_S5, 0.0, -_S5, 0.0, 0.0, 0.0, -_S5, 0.0, -_S5, 0.0,
     ]),
-    "sine12": (((1, 1), (5, 1), (7, 1), (11, 1)), 12, [
+    "sine12": ("Eq. (2.45)", ((1, 1), (5, 1), (7, 1), (11, 1)), 12, [
         _S6, 0.0, 0.0, 0.0, _S6, 0.0, _S6, 0.0, 0.0, 0.0, _S6, 0.0,
         -_S6, 0.0, 0.0, 0.0, -_S6, 0.0, -_S6, 0.0, 0.0, 0.0, -_S6, 0.0,
     ]),
-    "sine11": (((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11, [
+    "sine11": ("Eq. (2.46)", ((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11, [
         _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
         _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
     ]),
-    "sine15": (((2, 1), (4, 1), (8, 1), (14, -1)), 15, [
+    "sine15": ("Eq. (2.47), corrected sign", ((2, 1), (4, 1), (8, 1), (14, -1)), 15, [
         _S15H, _S15H, 0.0, _S15H, 0.0, 0.0, -_S15H, _S15H,
         0.0, 0.0, -_S15H, 0.0, -_S15H, -_S15H, 0.0,
     ]),
     "sine5a": (
-        ((1, 1), (2, 1), (3, 1), (4, 1)), 5,
+        "Eq. (2.48)", ((1, 1), (2, 1), (3, 1), (4, 1)), 5,
         [_PP, 0.0, _PM, 0.0, 0.0, 0.0, -_PM, 0.0, -_PP, 0.0],
     ),
     "sine5b": (
-        ((1, 1), (2, -1), (3, -1), (4, 1)), 5,
+        "Eq. (2.49)", ((1, 1), (2, -1), (3, -1), (4, 1)), 5,
         [-_PM, 0.0, _PP, 0.0, 0.0, 0.0, -_PP, 0.0, _PM, 0.0],
     ),
-    "sine8a": (((1, 1), (3, 1), (7, 1)), 8, [
+    "sine8a": ("Eq. (2.50), extended set", ((1, 1), (3, 1), (7, 1)), 8, [
         _BP, _ISQ2, _BM, -1.0, _BM, _ISQ2, _BP, 0.0,
         -_BP, -_ISQ2, -_BM, 1.0, -_BM, -_ISQ2, -_BP, 0.0,
     ]),
-    "sine8b": (((1, 1), (5, 1), (7, 1)), 8, [
+    "sine8b": ("Eq. (2.51), extended set", ((1, 1), (5, 1), (7, 1)), 8, [
         _BP, -_ISQ2, _BM, 1.0, _BM, -_ISQ2, _BP, 0.0,
         -_BP, _ISQ2, -_BM, -1.0, -_BM, _ISQ2, -_BP, 0.0,
     ]),
 }
 
 
-def _sine(check_id: str) -> tuple[float, float]:
-    terms, den, expected = _SINES[check_id]
-    return _worst(
-        (math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms), want)
-        for x, want in enumerate(expected, start=1)
-    )
+def _sine(terms: tuple, den: int, x: int, want: float) -> tuple[float, float]:
+    return math.fsum(sg * math.sin(m * x * PI / den) for m, sg in terms), want
 
 
-def _chk_cheb7() -> tuple[float, float]:
+def _chk_cheb7(x: float) -> tuple[float, float]:
+    # the two cubics whose roots are +-sin(2k pi/7), and their product T_7(x)/64x
     s2, s4, s6 = (math.sin(k * PI / 7.0) for k in (2, 4, 6))
-
-    def pairs(x: float) -> tuple[tuple[float, float], ...]:
-        # the two cubics whose roots are +-sin(2k pi/7), and their product T_7(x)/64x
-        p1 = (x - s2) * (x - s4) * (x + s6)
-        p2 = (x - s6) * (x + s2) * (x + s4)
-        t7 = (64.0 * x**7 - 112.0 * x**5 + 56.0 * x**3 - 7.0 * x) / (64.0 * x)
-        return (
-            (p1, x**3 - SQRT7 / 2.0 * x**2 + SQRT7 / 8.0),
-            (p2, x**3 + SQRT7 / 2.0 * x**2 - SQRT7 / 8.0),
-            (p1 * p2, t7),
-        )
-
-    return _worst(pair for i in range(10) for pair in pairs(-0.9 + 0.2 * i))
+    p1 = (x - s2) * (x - s4) * (x + s6)
+    p2 = (x - s6) * (x + s2) * (x + s4)
+    t7 = (64.0 * x**7 - 112.0 * x**5 + 56.0 * x**3 - 7.0 * x) / (64.0 * x)
+    return _worst((
+        (p1, x**3 - SQRT7 / 2.0 * x**2 + SQRT7 / 8.0),
+        (p2, x**3 + SQRT7 / 2.0 * x**2 - SQRT7 / 8.0),
+        (p1 * p2, t7),
+    ))
 
 
 def _csc_sum(n: int) -> float:
@@ -372,24 +357,9 @@ def _csc_sum(n: int) -> float:
 # misc identities
 
 
-def _chk_refl() -> tuple[float, float]:
-    xs = [i / 10.0 for i in range(1, 10)]
-    return _worst((_tri(1.0 - x), -_tri(x) + PI * PI * _csc2(PI * x)) for x in xs)
-
-
-def _chk_dup() -> tuple[float, float]:
-    xs = [i / 10.0 for i in range(1, 31)]
-    return _worst(
-        ((2.0 * _tri(2.0 * x), 0.5 * (_tri(x) + _tri(x + 0.5))) for x in xs), rel=True
-    )
-
-
-def _chk_mult() -> tuple[float, float]:
-    def pair(m: int) -> tuple[float, float]:
-        x = 1.0 / m
-        return _tri(m * x), math.fsum(_tri(x + k / m) for k in range(m)) / (m * m)
-
-    return _worst((pair(m) for m in range(2, 8)), rel=True)
+def _chk_mult(m: int) -> tuple[float, float]:
+    x = 1.0 / m
+    return _tri(m * x), math.fsum(_tri(x + k / m) for k in range(m)) / (m * m)
 
 
 def _chk_eq1_12b() -> tuple[float, float]:
@@ -475,22 +445,9 @@ def _log_moment(k: int, p: int) -> float:
     return 2.0 ** (k / 2.0) * q
 
 
-def _chk_eq2_39() -> tuple[float, float]:
-    return _worst(
-        (_residue_sum(k, 2) + LN2 / 2.0 * _residue_sum(k, 1), -_log_moment(k, 1))
-        for k in (1, 4, 5, 6)
-    )
-
-
-def _chk_eq2_40() -> tuple[float, float]:
-    def rhs(k: int) -> float:
-        return 0.25 * (
-            LN2 * LN2 * _residue_sum(k, 1)
-            + 4.0 * LN2 * _residue_sum(k, 2)
-            + 8.0 * _residue_sum(k, 3)
-        )
-
-    return _worst((_log_moment(k, 2), rhs(k)) for k in (1, 4, 5, 6))
+def _chk_eq2_40(k: int) -> tuple[float, float]:
+    rhs = LN2 * LN2 * _residue_sum(k, 1) + 4.0 * LN2 * _residue_sum(k, 2)
+    return _log_moment(k, 2), 0.25 * (rhs + 8.0 * _residue_sum(k, 3))
 
 
 def _chk_eq2_41() -> tuple[float, float]:
@@ -531,138 +488,150 @@ def _chk_p1_3_11() -> tuple[float, float]:
     return abs(val - 2.0j * c.omega_plus.raw), 0.0
 
 
-_P2_GRID = [(a, b) for a in (0.1, 0.6, 1.2, 2.0, 3.0) for b in (-0.9, -0.3, 0.4, 0.9)]
+def _chk_p2(a: float, b: float) -> tuple[float, float]:
+    q = integrals.integral_I_ab(a, b, 1e-10).value
+    f1 = integrals.i_ab_closed_omega(a, b).value
+    f2 = _shared(integrals.i_ab_closed_theta12, a, b).value
+    return _worst(((q, f1), (q, f2), (f1, f2)))
 
 
-def _chk_p2() -> tuple[float, float]:
-    def pairs(a: float, b: float) -> tuple[tuple[float, float], ...]:
-        q = integrals.integral_I_ab(a, b, 1e-10).value
-        f1 = integrals.i_ab_closed_omega(a, b).value
-        f2 = _shared(integrals.i_ab_closed_theta12, a, b).value
-        return (q, f1), (q, f2), (f1, f2)
-
-    return _worst(pair for a, b in _P2_GRID for pair in pairs(a, b))
-
-
-def _chk_c2() -> tuple[float, float]:
+def _chk_c2(a: float, b: float) -> tuple[float, float]:
     # 2 sqrt(1 - b^2) I(a, b) = 2 Im Li_2(e^{i theta'}/a) + 2 omega ln a, with
     # theta' = acos(-b) and omega = atan(sqrt(1 - b^2)/(a + b)): I(a, b) by its
     # theta_1/theta_2 form, Im Li_2 by the polar Clausen decomposition
-    def pair(a: float, b: float) -> tuple[float, float]:
-        root = math.sqrt(1.0 - b * b)
-        im = im_li2_polar(PolarPoint(1.0 / a, math.acos(-b))).value
-        lhs = _shared(integrals.i_ab_closed_theta12, a, b).value * 2.0 * root
-        return lhs, 2.0 * im + 2.0 * math.atan(root / (a + b)) * math.log(a)
-
-    return _worst(pair(a, b) for a, b in _P2_GRID)
+    root = math.sqrt(1.0 - b * b)
+    im = im_li2_polar(PolarPoint(1.0 / a, math.acos(-b))).value
+    lhs = _shared(integrals.i_ab_closed_theta12, a, b).value * 2.0 * root
+    return lhs, 2.0 * im + 2.0 * math.atan(root / (a + b)) * math.log(a)
 
 
-def _chk_c3() -> tuple[float, float]:
-    def pair(c: float, t: float) -> tuple[float, float]:
-        lhs, rhs = integrals.corollary3(c, t, 1e-10)
-        return lhs.value, rhs
-
-    points = ((1.0, PI / 3.0), (2.0, PI / 2.0), (math.e, 0.1), (0.5, 2.5))
-    return _worst(pair(c, t) for c, t in points)
+def _chk_c3(c: float, t: float) -> tuple[float, float]:
+    lhs, rhs = integrals.corollary3(c, t, 1e-10)
+    return lhs.value, rhs
 
 
 # ---------------------------------------------------------------------------
-# the ledger: one (id, tag, paper_ref, tol, func) row per check; func() returns (lhs, rhs)
+# the ledger: one _Check row per check.  pair(*point) gives (lhs, rhs) at one
+# point of grid, () for a scalar row, and run_check reports the worst pair, by
+# |lhs - rhs| / |rhs| when rel is set.  A pair looks its kernels up by name as
+# it runs, so a kernel rebound between runs is the one the next run calls
 
 _CLOSED = 1e-12
 _QUAD = 1e-10
 _CHAIN = 1e-9
 
-_CHECKS: tuple[tuple[str, str, str, float, Callable[[], tuple[float, float]]], ...] = (
-    ("L1a", "lemma1", "Eq. (1.2) vs (1.3a)", _CLOSED, lambda: (
+_Check = namedtuple("_Check", "id tag paper_ref tol pair grid rel", defaults=(((),), False))
+
+
+def _points(*xs: float) -> tuple[tuple[float], ...]:
+    """The grid of one-argument points xs."""
+    return tuple((x,) for x in xs)
+
+
+_P2_GRID = tuple((a, b) for a in (0.1, 0.6, 1.2, 2.0, 3.0) for b in (-0.9, -0.3, 0.4, 0.9))
+
+_CHECKS: tuple[_Check, ...] = (
+    _Check("L1a", "lemma1", "Eq. (1.2) vs (1.3a)", _CLOSED, lambda: (
         _shared(dirichlet.l7_series).value, _l7())),
-    ("L1b", "lemma1", "Eq. (1.3b)", _CLOSED, _chk_l1b),
-    ("L1c", "lemma1", "Eq. (1.3c)", _CLOSED, lambda: (
+    _Check("L1b", "lemma1", "Eq. (1.3b)", _CLOSED, _chk_l1b),
+    _Check("L1c", "lemma1", "Eq. (1.3c)", _CLOSED, lambda: (
         _l7(), 2.0 / 49.0 * (_tri_sum(7, _TRI7) + (_csc2(3.0 * PI / 7.0) - 4.0) * PI * PI))),
-    ("L1d", "lemma1", "Eq. (1.4)", _CLOSED, lambda: (
+    _Check("L1d", "lemma1", "Eq. (1.4)", _CLOSED, lambda: (
         dirichlet.l7_hurwitz(tol=1e-12).value, _l7())),
-    ("L1e-1", "lemma1", "Eq. (1.5) first integral", _QUAD, lambda: (
+    _Check("L1e-1", "lemma1", "Eq. (1.5) first integral", _QUAD, lambda: (
         -_l1e(lambda u: _poly7(u, (1, 1, -1, 1, -1, -1)) / (1.0 - u**7), 1.0), _l7())),
-    ("L1e-2", "lemma1", "Eq. (1.5) second integral", _QUAD, lambda: (
+    _Check("L1e-2", "lemma1", "Eq. (1.5) second integral", _QUAD, lambda: (
         -_l1e(lambda u: _poly7(u, (1, 2, 1, 2, 1)) / _poly7(u, _ONES7)), _l7())),
     # the printed numerator reads u(1 + u - u^4 - u^5); the u term must be
     # u^2 or the identity fails by 2.7e-2 (see repository notes)
-    ("L1e-3", "lemma1", "Eq. (1.5) third integral, corrected", _QUAD, lambda: (
+    _Check("L1e-3", "lemma1", "Eq. (1.5) third integral, corrected", _QUAD, lambda: (
         1.0 - _l1e(lambda u: u * _poly7(u, (1, 0, 1, 0, -1, -1)) / _poly7(u, _ONES7)), _l7())),
-    ("L1f", "lemma1", "Eq. (1.6), corrected display", 1e-10, _chk_l1f),
-    ("eq2.6", "lemma1", "Eq. (2.6)", _CLOSED, lambda: (
+    _Check("L1f", "lemma1", "Eq. (1.6), corrected display", 1e-10, _chk_l1f),
+    _Check("eq2.6", "lemma1", "Eq. (2.6)", _CLOSED, lambda: (
         _cl2_combo7(), _tri_sum(14, _TRI14) / (56.0 * SQRT7))),
-    ("eq2.10a", "lemma1", "Eq. (2.10a)", 1e-10, lambda: (
+    _Check("eq2.10a", "lemma1", "Eq. (2.10a)", 1e-10, lambda: (
         _tri(1 / 14), 4.0 * _tri(1 / 7) + _tri(3 / 7) - PI * PI * _csc2(4.0 * PI / 7.0))),
-    ("eq2.10b", "lemma1", "Eq. (2.10b)", 1e-10, lambda: (
+    _Check("eq2.10b", "lemma1", "Eq. (2.10b)", 1e-10, lambda: (
         _tri(3 / 14), 4.0 * _tri(3 / 7) + _tri(2 / 7) - PI * PI * _csc2(2.0 * PI / 7.0))),
-    ("eq2.10c", "lemma1", "Eq. (2.10c)", 1e-10, _chk_eq2_10c),
-    ("L2a", "lemma2", "Eq. (1.8)", _QUAD, _chk_l2a),
-    ("L2b-1", "lemma2", "Eq. (1.9a)", 1e-10, _chk_l2b1),
-    ("L2b-2", "lemma2", "Eq. (1.9b)", 1e-10, _chk_l2b2),
-    ("L2c", "lemma2", "Eq. (1.10), corrected prefactor", _QUAD, _chk_l2c),
-    ("cat-2.28a", "lemma3", "Eq. (2.28a), corrected", _QUAD, lambda: (
+    _Check("eq2.10c", "lemma1", "Eq. (2.10c)", 1e-10, _chk_eq2_10c),
+    _Check("L2a", "lemma2", "Eq. (1.8)", _QUAD, _chk_l2a,
+           _points(0.5, 1.0, math.sqrt(3.0), SQRT7, 3.0)),
+    _Check("L2b-1", "lemma2", "Eq. (1.9a)", 1e-10, _chk_l2b1, _points(1.5, 2.0, 3.0)),
+    _Check("L2b-2", "lemma2", "Eq. (1.9b)", 1e-10, _chk_l2b2, _points(1.5, 2.0, 3.0)),
+    _Check("L2c", "lemma2", "Eq. (1.10), corrected prefactor", _QUAD, _chk_l2c),
+    _Check("cat-2.28a", "lemma3", "Eq. (2.28a), corrected", _QUAD, lambda: (
         catalan_value("eq2.28a"), CATALAN)),
-    ("cat-2.28b", "lemma3", "Eq. (2.28b)", 1e-10, _chk_cat_2_28b),
-    ("cat-2.28c", "lemma3", "Eq. (2.28c)", _QUAD, lambda: (catalan_value("eq2.28c"), CATALAN)),
-    ("C1", "catalan", "Eq. (1.11)", 1e-10, lambda: (catalan_value("eq1.11"), CATALAN)),
-    ("cat-2.22", "catalan", "Eq. (2.22)", _QUAD, lambda: (catalan_value("eq2.22"), CATALAN)),
-    ("cat-2.25", "catalan", "Eq. (2.25)", 1e-10, lambda: (catalan_value("eq2.25"), CATALAN)),
-    ("cat-2.27", "catalan", "Eq. (2.27)", _QUAD, lambda: (catalan_value("eq2.27"), CATALAN)),
-    ("cat-2.32", "catalan", "Eq. (2.32), corrected", _QUAD, _chk_cat_2_32),
-    ("cat-2.33", "catalan", "Eq. (2.33)", _QUAD, lambda: (catalan_value("eq2.33"), CATALAN)),
-    ("cat-2.34", "catalan", "Eq. (2.34), corrected", 1e-10, _chk_cat_2_34),
-    ("eq2.30", "catalan", "Eq. (2.30)", _CLOSED, _chk_eq2_30),
-    ("sine7", "sine", "Eq. (2.7)", _CLOSED, lambda: _sine("sine7")),
-    ("cheb7", "sine", "Eqs. (2.8a)-(2.8b)", 1e-13, _chk_cheb7),
-    ("csc7", "sine", "Eq. (2.3)", _CLOSED, lambda: (_csc_sum(7), 8.0)),
-    ("csc14", "sine", "Eq. (2.11)", _CLOSED, lambda: (_csc_sum(14), 32.0)),
-    ("cscN", "sine", "csc^2 sum, n = 3..20", _CLOSED, lambda: _worst(
-        (_csc_sum(n), (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0) for n in range(3, 21))),
-    ("sine10", "sine", "Eq. (2.44)", _CLOSED, lambda: _sine("sine10")),
-    ("sine12", "sine", "Eq. (2.45)", _CLOSED, lambda: _sine("sine12")),
-    ("sine11", "sine", "Eq. (2.46)", _CLOSED, lambda: _sine("sine11")),
-    ("sine15", "sine", "Eq. (2.47), corrected sign", _CLOSED, lambda: _sine("sine15")),
-    ("sine5a", "sine", "Eq. (2.48)", _CLOSED, lambda: _sine("sine5a")),
-    ("sine5b", "sine", "Eq. (2.49)", _CLOSED, lambda: _sine("sine5b")),
-    ("sine8a", "sine", "Eq. (2.50), extended set", _CLOSED, lambda: _sine("sine8a")),
-    ("sine8b", "sine", "Eq. (2.51), extended set", _CLOSED, lambda: _sine("sine8b")),
-    ("refl", "misc", "Eq. (2.2)", 1e-10, _chk_refl),
-    ("dup", "misc", "Eq. (2.9)", 1e-10, _chk_dup),
-    ("mult", "misc", "Eq. (2.12)", 1e-10, _chk_mult),
-    ("zeta2", "misc", "Eq. (2.13)", _CLOSED, lambda: (
+    _Check("cat-2.28b", "lemma3", "Eq. (2.28b)", 1e-10, _chk_cat_2_28b),
+    _Check("cat-2.28c", "lemma3", "Eq. (2.28c)", _QUAD, lambda: (
+        catalan_value("eq2.28c"), CATALAN)),
+    _Check("C1", "catalan", "Eq. (1.11)", 1e-10, lambda: (catalan_value("eq1.11"), CATALAN)),
+    _Check("cat-2.22", "catalan", "Eq. (2.22)", _QUAD, lambda: (
+        catalan_value("eq2.22"), CATALAN)),
+    _Check("cat-2.25", "catalan", "Eq. (2.25)", 1e-10, lambda: (
+        catalan_value("eq2.25"), CATALAN)),
+    _Check("cat-2.27", "catalan", "Eq. (2.27)", _QUAD, lambda: (
+        catalan_value("eq2.27"), CATALAN)),
+    _Check("cat-2.32", "catalan", "Eq. (2.32), corrected", _QUAD, _chk_cat_2_32,
+           _points(0.7, 1.0, 2.0)),
+    _Check("cat-2.33", "catalan", "Eq. (2.33)", _QUAD, lambda: (
+        catalan_value("eq2.33"), CATALAN)),
+    _Check("cat-2.34", "catalan", "Eq. (2.34), corrected", 1e-10, _chk_cat_2_34),
+    _Check("eq2.30", "catalan", "Eq. (2.30)", _CLOSED, _chk_eq2_30),
+    *(
+        _Check(cid, "sine", ref, _CLOSED, _sine,
+               tuple((terms, den, x, want) for x, want in enumerate(values, start=1)))
+        for cid, (ref, terms, den, values) in _SINES.items()
+    ),
+    _Check("cheb7", "sine", "Eqs. (2.8a)-(2.8b)", 1e-13, _chk_cheb7,
+           _points(*(-0.9 + 0.2 * i for i in range(10)))),
+    _Check("csc7", "sine", "Eq. (2.3)", _CLOSED, lambda: (_csc_sum(7), 8.0)),
+    _Check("csc14", "sine", "Eq. (2.11)", _CLOSED, lambda: (_csc_sum(14), 32.0)),
+    _Check("cscN", "sine", "csc^2 sum, n = 3..20", _CLOSED, lambda n: (
+        _csc_sum(n), (n * n - 1) / 6.0 - (1.0 + (-1.0) ** n) / 4.0), _points(*range(3, 21))),
+    _Check("refl", "misc", "Eq. (2.2)", 1e-10, lambda x: (
+        _tri(1.0 - x), -_tri(x) + PI * PI * _csc2(PI * x)),
+        _points(*(i / 10.0 for i in range(1, 10)))),
+    _Check("dup", "misc", "Eq. (2.9)", 1e-10, lambda x: (
+        2.0 * _tri(2.0 * x), 0.5 * (_tri(x) + _tri(x + 0.5))),
+        _points(*(i / 10.0 for i in range(1, 31))), rel=True),
+    _Check("mult", "misc", "Eq. (2.12)", 1e-10, _chk_mult, _points(*range(2, 8)), rel=True),
+    _Check("zeta2", "misc", "Eq. (2.13)", _CLOSED, lambda: (
         PI * PI / 6.0, math.fsum(_tri((k + 1) / 7.0) for k in range(7)) / 49.0)),
-    ("eq1.12b", "misc", "Eq. (1.12b), corrected", 1e-14, _chk_eq1_12b),
-    ("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
-    ("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
-    ("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, lambda: (
+    _Check("eq1.12b", "misc", "Eq. (1.12b), corrected", 1e-14, _chk_eq1_12b),
+    _Check("eq4.1", "misc", "Eq. (4.1)", _CLOSED, _chk_eq4_1),
+    _Check("eq4.3", "misc", "Eq. (4.3), q = 2, 3, 4", 1e-10, _chk_eq4_3),
+    _Check("conj-L7", "misc", "Eq. (1.2), conjectural", _CHAIN, lambda: (
         _i7(), _shared(dirichlet.l7_series).value)),
-    ("L4a", "lemma4", "Eq. (2.35)", _CLOSED, lambda: (
+    _Check("L4a", "lemma4", "Eq. (2.35)", _CLOSED, lambda: (
         _bbp.closed_form_value(_bbp.REGISTRY["eq2.35-sum"]).value, cl2(PI / 2.0).value)),
-    ("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
-    ("L4c", "lemma4", "Eq. (2.37)", 1e-10, lambda: (
+    _Check("L4b", "lemma4", "Eq. (2.36)", _CLOSED, lambda: (_li3_half().real, _re_li3_closed())),
+    _Check("L4c", "lemma4", "Eq. (2.37)", 1e-10, lambda: (
         8.0 * _bbp_sum("eq2.37-sum"),
         -PI * PI / 2.0 * LN2 + 14.0 * ZETA3 + 32.0 * _li3_half().imag)),
-    ("eq2.38", "lemma4", "Eq. (2.38)", _QUAD, lambda: (
+    _Check("eq2.38", "lemma4", "Eq. (2.38)", _QUAD, lambda: (
         -4.0 * _int_2_38(1), CATALAN + PI * PI / 32.0)),
-    ("eq2.39", "lemma4", "Eq. (2.39)", _QUAD, _chk_eq2_39),
-    ("eq2.40", "lemma4", "Eq. (2.40)", _QUAD, _chk_eq2_40),
-    ("eq2.41", "lemma4", "Eq. (2.41)", _CHAIN, _chk_eq2_41),
-    ("li3-binom", "lemma4", "binomial double sums", _CLOSED, _chk_li3_binom),
-    ("P1", "prop1", "Eq. (1.13)", _CHAIN, lambda: (_i7(), integrals.i7_closed_form().value)),
-    ("P1-3.3", "prop1", "Eq. (3.3)", _CHAIN, lambda: (
+    _Check("eq2.39", "lemma4", "Eq. (2.39)", _QUAD, lambda k: (
+        _residue_sum(k, 2) + LN2 / 2.0 * _residue_sum(k, 1), -_log_moment(k, 1)),
+        _points(1, 4, 5, 6)),
+    _Check("eq2.40", "lemma4", "Eq. (2.40)", _QUAD, _chk_eq2_40, _points(1, 4, 5, 6)),
+    _Check("eq2.41", "lemma4", "Eq. (2.41)", _CHAIN, _chk_eq2_41),
+    _Check("li3-binom", "lemma4", "binomial double sums", _CLOSED, _chk_li3_binom),
+    _Check("P1", "prop1", "Eq. (1.13)", _CHAIN, lambda: (
+        _i7(), integrals.i7_closed_form().value)),
+    _Check("P1-3.3", "prop1", "Eq. (3.3)", _CHAIN, lambda: (
         integrals.integral_In_vform(1, 1e-10).value, integrals.integral_In(1, 1e-10).value)),
-    ("P1-3.9trunc", "prop1", "Eq. (3.9), L = 60", 1e-8, lambda: (
+    _Check("P1-3.9trunc", "prop1", "Eq. (3.9), L = 60", 1e-8, lambda: (
         integrals.i1_series_truncated(1, 60), _i1())),
-    ("P1-3.10", "prop1", "Eq. (3.10)", _CHAIN, lambda: (
+    _Check("P1-3.10", "prop1", "Eq. (3.10)", _CHAIN, lambda: (
         integrals.i1_polylog_form(1).value, _i1())),
-    ("P1-3.11", "prop1", "Eq. (3.11)", _CLOSED, _chk_p1_3_11),
-    ("P2", "prop2", "Eqs. (4.6)-(4.7)", _CHAIN, _chk_p2),
-    ("C2", "prop2", "Eq. (4.10)", _CHAIN, _chk_c2),
-    ("C3", "prop2", "Eq. (4.11)", _QUAD, _chk_c3),
+    _Check("P1-3.11", "prop1", "Eq. (3.11)", _CLOSED, _chk_p1_3_11),
+    _Check("P2", "prop2", "Eqs. (4.6)-(4.7)", _CHAIN, _chk_p2, _P2_GRID),
+    _Check("C2", "prop2", "Eq. (4.10)", _CHAIN, _chk_c2, _P2_GRID),
+    _Check("C3", "prop2", "Eq. (4.11)", _QUAD, _chk_c3,
+           ((1.0, PI / 3.0), (2.0, PI / 2.0), (math.e, 0.1), (0.5, 2.5))),
 )
 
-_REGISTRY = {row[0]: row for row in _CHECKS}
+_REGISTRY = {row.id: row for row in _CHECKS}
 
 # conjectural identities: they report supports-conjecture or error, never pass or fail
 _CONJECTURES = {"conj-L7"}
@@ -676,14 +645,13 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
     """Execute one ledger check and report its record."""
     if check_id not in _REGISTRY:
         raise UnknownCheckError(check_id)
-    _, _, paper_ref, tol, func = _REGISTRY[check_id]
-    if tol_override is not None:
-        check_tol(tol_override, "tolerance")
-        tol = tol_override
+    row = _REGISTRY[check_id]
+    tol = row.tol if tol_override is None else tol_override
+    check_tol(tol, "tolerance")
     note = ""
     start = time.perf_counter()
     try:
-        lhs, rhs = func()
+        lhs, rhs = _worst((row.pair(*point) for point in row.grid), row.rel)
     except Exception as exc:
         lhs = rhs = math.nan
         note = f"{type(exc).__name__}: {exc}"
@@ -698,7 +666,7 @@ def run_check(check_id: str, tol_override: float | None = None) -> CheckRecord:
         status = "supports-conjecture" if residual <= tol else "error"
     else:
         status = "pass" if residual <= tol else "fail"
-    return CheckRecord(check_id, paper_ref, lhs, rhs, residual, tol, status, elapsed, note)
+    return CheckRecord(check_id, row.paper_ref, lhs, rhs, residual, tol, status, elapsed, note)
 
 
 def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[CheckRecord]:
@@ -711,9 +679,9 @@ def run_all(tag: str | None = None, tol_scale: float | None = None) -> list[Chec
     _in_run_all = True
     try:
         return [
-            run_check(cid, tol_override=_REGISTRY[cid][3] * scale)
+            run_check(cid, tol_override=_REGISTRY[cid].tol * scale)
             for cid in check_ids()
-            if tag is None or _REGISTRY[cid][1] == tag
+            if tag is None or _REGISTRY[cid].tag == tag
         ]
     finally:
         _in_run_all = False

@@ -163,6 +163,7 @@ class TestEval:
             ("cl2", "--theta", "inf"),
             ("hurwitz", "--s", "1e308", "--a", "1e-300"),
             ("hurwitz", "--s", "2", "--a", "inf"),
+            ("iab", "--a", "inf", "--b", "0.5"),
             ("cln", "--order", "400", "--theta", "1"),
             ("trigamma", "--x", "1e-320"),
             ("trigamma", "--x", "1e-200"),

@@ -165,6 +165,11 @@ class TestParametricFamily:
         with pytest.raises(DomainError):
             integral_I_ab(1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_a_rejected_by_name(self, a):
+        with pytest.raises(DomainError, match="requires a finite a >= 0, got a = "):
+            integral_I_ab(a, 0.5)
+
 
 class TestLogTangentCorollary:
     def test_examples(self):

@@ -128,6 +128,10 @@ class TestWorst:
         lhs, rhs = _worst([(1.0, 1.0), (math.inf, math.inf), (5.0, 1.0)], rel=True)
         assert lhs == math.inf and rhs == math.inf
 
+    def test_no_pairs_raises(self):
+        with pytest.raises(ValueError):
+            _worst([])
+
     def test_nan_pair_makes_the_check_fail(self, monkeypatch):
         from tetralog import verify
 
@@ -170,6 +174,53 @@ class TestRunCheck:
         assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
         assert r.residual == abs(r.lhs - r.rhs)
         assert r.paper_ref
+
+
+class TestRunner:
+    """run_check reduces a row's grid to its record: it evaluates the pair at
+    every point of the grid and reports the worst pair."""
+
+    @staticmethod
+    def _run(monkeypatch, pair, grid, rel=False):
+        from tetralog import verify
+
+        row = verify._Check("fake", "misc", "none", 1e-3, pair, grid, rel)
+        monkeypatch.setitem(verify._REGISTRY, "fake", row)
+        return run_check("fake")
+
+    def test_walks_the_grid_and_reports_the_worst_pair(self, monkeypatch):
+        seen = []
+
+        def pair(a, b):
+            seen.append((a, b))
+            return a, b
+
+        grid = ((1.0, 1.0), (2.0, 2.5), (3.0, 3.1), (4.0, 4.0))
+        r = self._run(monkeypatch, pair, grid)
+        assert seen == list(grid)
+        assert (r.lhs, r.rhs, r.residual, r.status, r.note) == (2.0, 2.5, 0.5, "fail", "")
+
+    def test_rel_picks_by_relative_difference(self, monkeypatch):
+        grid = ((11.0, 10.0), (1.5, 1.0))
+        r = self._run(monkeypatch, lambda lhs, rhs: (lhs, rhs), grid)
+        assert (r.lhs, r.rhs) == (11.0, 10.0)
+        r = self._run(monkeypatch, lambda lhs, rhs: (lhs, rhs), grid, rel=True)
+        assert (r.lhs, r.rhs, r.residual) == (1.5, 1.0, 0.5)
+
+    def test_a_raise_at_one_point_is_an_error(self, monkeypatch):
+        def pair(x):
+            if x == 2.0:
+                raise ZeroDivisionError("bad point")
+            return x, x
+
+        r = self._run(monkeypatch, pair, ((1.0,), (2.0,), (3.0,)))
+        assert (r.status, r.note, r.residual) == ("error", "ZeroDivisionError: bad point", math.inf)
+        assert math.isnan(r.lhs) and math.isnan(r.rhs)
+
+    def test_an_empty_grid_is_an_error(self, monkeypatch):
+        r = self._run(monkeypatch, lambda: (0.0, 0.0), ())
+        assert r.status == "error"
+        assert r.note.startswith("ValueError: ")
 
 
 class TestRunAll:
