@@ -302,8 +302,10 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
 
 def i_ab_closed_omega(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through the angles theta_plus(b), omega_plus(a, b)."""
-    if not a >= 0.0 or not abs(b) < 1.0:
-        raise DomainError("i_ab_closed_omega requires a >= 0 and |b| < 1")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"i_ab_closed_omega requires a finite a >= 0, got a = {a!r}")
+    if not abs(b) < 1.0:
+        raise DomainError("i_ab_closed_omega requires |b| < 1")
     bb = exact(b)
     root = sqrt((1.0 - bb) * (1.0 + bb))
     theta = -atan(root / b) if b != 0.0 else -_PI / 2.0
@@ -315,8 +317,10 @@ def i_ab_closed_omega(a: float, b: float) -> EvalResult:
 
 def i_ab_closed_theta12(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through theta_1 = asin(b) and theta_2(a, b)."""
-    if not a >= 0.0 or not abs(b) < 1.0:
-        raise DomainError("i_ab_closed_theta12 requires a >= 0 and |b| < 1")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"i_ab_closed_theta12 requires a finite a >= 0, got a = {a!r}")
+    if not abs(b) < 1.0:
+        raise DomainError("i_ab_closed_theta12 requires |b| < 1")
     bb = exact(b)
     root = sqrt((1.0 - bb) * (1.0 + bb))
     t1 = asin(b)

@@ -55,7 +55,7 @@ from collections.abc import Callable
 
 from .constants import EPS
 from .errors import DomainError, QuadratureError, check_tol
-from .result import EvalResult, _Record
+from .result import EvalResult, _record
 
 _SAFETY = 10.0
 
@@ -111,24 +111,21 @@ def _tail_level(level: int) -> tuple[tuple[float, float | None, float, float | N
     return tuple(nodes)
 
 
-class QuadProblem(_Record):
-    """An integration request over [lower, upper] (lower finite, upper may be math.inf)."""
+class QuadProblem(_record("QuadProblem", "integrand lower upper singular_points tol")):
+    """An integration request over [lower, upper] (lower finite, upper may be
+    math.inf): a named tuple, as ``EvalResult`` is, whose ``__new__`` sorts
+    the singular points and refuses a bad range, point or tol."""
 
-    integrand: Callable[[float], float]
-    lower: float
-    upper: float
-    singular_points: tuple[float, ...]
-    tol: float
-    __match_args__ = ("integrand", "lower", "upper", "singular_points", "tol")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         integrand: Callable[[float], float],
         lower: float,
         upper: float,
         singular_points: tuple[float, ...] = (),
         tol: float = 1e-10,
-    ) -> None:
+    ) -> QuadProblem:
         if not lower < upper:
             raise DomainError("QuadProblem needs lower < upper")
         if lower == -math.inf:
@@ -138,12 +135,7 @@ class QuadProblem(_Record):
         for x in pts:
             if not (lower <= x <= upper):
                 raise DomainError(f"singular point {x} outside [{lower}, {upper}]")
-        fields = self.__dict__
-        fields["integrand"] = integrand
-        fields["lower"] = lower
-        fields["upper"] = upper
-        fields["singular_points"] = pts
-        fields["tol"] = tol
+        return tuple.__new__(cls, (integrand, lower, upper, pts, tol))
 
 
 def _checked(f: Callable[[float], float]) -> Callable[[float], float]:

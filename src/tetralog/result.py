@@ -1,72 +1,38 @@
 """Shared value types: evaluation results, their ball arithmetic, and
-angle/point wrappers."""
+angle/point wrappers.
+
+Each record is a named tuple, as ``bbp.BBPFormula`` is: immutable, equal
+and hashed by the tuple of its fields, and iterable and indexable.  Its
+``__new__`` checks and canonicalises the fields, and every way to make one
+(``_make``, ``_replace``, ``dataclasses.replace``, copying, unpickling) goes
+through it.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 from .constants import EPS, PI, PI_DIGITS
 from .errors import DomainError, is_int
 
 
-class _Record:
-    """A frozen value record: what ``@dataclass(frozen=True)`` gives, without
-    importing ``dataclasses`` (and the ``inspect`` behind it) or generating
-    code when a class is defined.
-
-    A subclass names its fields, in order, in ``__match_args__`` and writes
-    them into ``self.__dict__`` in its own ``__init__``.  Records compare,
-    hash and print by that field tuple, and refuse to be changed.  Their
-    ``__dataclass_fields__`` table is built by ``dataclasses.make_dataclass``
-    the first time it is read, so ``dataclasses.fields``, ``replace`` (through
-    ``__init__``, which validates again), ``asdict``, ``astuple`` and
-    ``is_dataclass`` work on them, and load ``dataclasses`` only then.
-    """
-
-    __match_args__: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        cls.__dataclass_fields__ = _FieldTable()
-
-    def _key(self) -> tuple:
-        fields = self.__dict__
-        return tuple([fields[name] for name in self.__match_args__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = self.__dict__
-        args = ", ".join([f"{name}={fields[name]!r}" for name in self.__match_args__])
-        return f"{self.__class__.__qualname__}({args})"
-
-    def __setattr__(self, name: str, value) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 class _FieldTable:
     """A record class's ``__dataclass_fields__``: built on first read, from
-    the class's field names, annotations and ``__init__`` defaults, and then
-    stored on the class in place of this descriptor."""
+    the class's ``_fields`` and its ``__new__``'s annotations and defaults,
+    and then stored on the class in place of this descriptor.  It lets
+    ``dataclasses.fields``, ``replace`` (through ``__new__``, which validates
+    again), ``asdict``, ``astuple`` and ``is_dataclass`` work on a record,
+    loading ``dataclasses`` only then.  Outside the tests its one user is
+    perfbench's ``dataclasses.replace`` of a ``QuadProblem``."""
 
     def __get__(self, obj, cls) -> dict:
         import dataclasses
 
-        spec = [(name, cls.__annotations__[name]) for name in cls.__match_args__]
-        defaults = cls.__init__.__defaults__ or ()
+        new = cls.__new__
+        spec = [(name, new.__annotations__[name]) for name in cls._fields]
+        defaults = new.__defaults__ or ()
         for i, default in enumerate(defaults, len(spec) - len(defaults)):
             spec[i] += (dataclasses.field(default=default),)
         table = dataclasses.make_dataclass(cls.__name__, spec, frozen=True).__dataclass_fields__
@@ -74,7 +40,18 @@ class _FieldTable:
         return table
 
 
-class EvalResult(_Record):
+def _record(name: str, fields: str) -> type:
+    """The named-tuple base of a value record whose ``__new__`` checks and
+    canonicalises its fields.  Its ``_make``, and so ``_replace``, go through
+    that ``__new__``, as pickling and copying do, where a named tuple's own
+    ``_make`` would skip it."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base.__dataclass_fields__ = _FieldTable()
+    return base
+
+
+class EvalResult(_record("EvalResult", "value err_bound effort method")):
     """A computed value with an estimated absolute error bound.
 
     ``err_bound`` is an estimate of ``|value - exact|``; ``effort`` counts
@@ -82,26 +59,20 @@ class EvalResult(_Record):
     spent; ``method`` is a short tag naming the evaluation route.
     """
 
-    value: float | complex
-    err_bound: float
-    effort: int
-    method: str
-    __match_args__ = ("value", "err_bound", "effort", "method")
+    __slots__ = ()
 
-    def __init__(self, value: float | complex, err_bound: float, effort: int, method: str) -> None:
-        # every kernel call builds one, so the checks read the arguments and
-        # the fields go straight into __dict__, past the frozen __setattr__
+    def __new__(
+        cls, value: float | complex, err_bound: float, effort: int, method: str
+    ) -> EvalResult:
+        # every kernel call builds one, so the tuple is made here, past the
+        # named tuple's own __new__
         if value - value != 0:  # 0 exactly when every part, real or complex, is finite
             raise DomainError("EvalResult value must be finite")
         if not 0.0 <= err_bound < math.inf:  # a nan fails too
             raise DomainError("EvalResult err_bound must be finite and >= 0")
         if effort < 0:
             raise DomainError("EvalResult effort must be >= 0")
-        fields = self.__dict__
-        fields["value"] = value
-        fields["err_bound"] = err_bound
-        fields["effort"] = effort
-        fields["method"] = method
+        return tuple.__new__(cls, (value, err_bound, effort, method))
 
     # ball arithmetic, with value the midpoint and err_bound the radius: the
     # result holds every result of its operands' balls, by the rule set out
@@ -203,7 +174,10 @@ def _apply(op, a, b):
     """op on the values and radii of a and b, each a ball or a bare number."""
     pa, pb = _parts(a), _parts(b)
     if pa is None or pb is None:
-        return NotImplemented
+        # not NotImplemented, after which Python would concatenate a ball,
+        # which is a tuple, with a tuple operand
+        bad = b if pa is not None else a
+        raise TypeError(f"ball arithmetic takes a ball or a number, not {type(bad).__name__!r}")
     v, r = op(pa[0], pa[1], pb[0], pb[1])
     method = a.method if isinstance(a, EvalResult) else b.method
     return EvalResult(v, r * _UP + _TINY, pa[2] + pb[2], method)
@@ -288,14 +262,13 @@ def rounded(x: float) -> EvalResult:
     return EvalResult(x, _half_ulp(x) * _UP, 0, "rounded")
 
 
-class Angle(_Record):
+class Angle(_record("Angle", "raw")):
     """An angle in radians; ``reduce_angle`` reduces it to (-pi, pi]."""
 
-    raw: float
-    __match_args__ = ("raw",)
+    __slots__ = ()
 
-    def __init__(self, raw: float) -> None:
-        self.__dict__["raw"] = raw
+    def __new__(cls, raw: float) -> Angle:
+        return tuple.__new__(cls, (raw,))
 
 
 # 2 pi as _TWO_PI_NUM / 2^_TWO_PI_BITS, within 2^-1129: a double angle has fewer
@@ -361,14 +334,12 @@ def as_angle(theta: Angle | float) -> Angle:
         raise
 
 
-class RationalAngle(_Record):
+class RationalAngle(_record("RationalAngle", "p q")):
     """The angle p*pi/q in canonical form (q > 0, gcd(p, q) = 1)."""
 
-    p: int
-    q: int
-    __match_args__ = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int) -> None:
+    def __new__(cls, p: int, q: int) -> RationalAngle:
         if not (is_int(p) and is_int(q)):
             raise DomainError("RationalAngle needs integers p and q")
         if q == 0:
@@ -379,21 +350,15 @@ class RationalAngle(_Record):
         if g > 1:
             p //= g
             q //= g
-        fields = self.__dict__
-        fields["p"] = p
-        fields["q"] = q
+        return tuple.__new__(cls, (p, q))
 
 
-class PolarPoint(_Record):
+class PolarPoint(_record("PolarPoint", "r theta")):
     """The complex point r * exp(i*theta) with r >= 0."""
 
-    r: float
-    theta: Angle
-    __match_args__ = ("r", "theta")
+    __slots__ = ()
 
-    def __init__(self, r: float, theta: Angle | float) -> None:
+    def __new__(cls, r: float, theta: Angle | float) -> PolarPoint:
         if not (r >= 0.0):
             raise DomainError("PolarPoint needs r >= 0")
-        fields = self.__dict__
-        fields["r"] = r
-        fields["theta"] = as_angle(theta)
+        return tuple.__new__(cls, (r, as_angle(theta)))

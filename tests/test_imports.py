@@ -116,8 +116,8 @@ _WARM_PATHS = [
     ("integrals", "integral_I_ab"),
     ("integrals", "corollary3"),
     *(("quad", f) for f in ("integrate", "_tanh_sinh_panel", "_finite_sum", "_tail_sum")),
-    ("quad", "QuadProblem.__init__"),
-    ("result", "EvalResult.__init__"),
+    ("quad", "QuadProblem.__new__"),
+    ("result", "EvalResult.__new__"),
     ("result", "reduce_angle"),
 ]
 

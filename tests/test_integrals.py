@@ -167,8 +167,10 @@ class TestParametricFamily:
 
     @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
     def test_non_finite_a_rejected_by_name(self, a):
-        with pytest.raises(DomainError, match="requires a finite a >= 0, got a = "):
-            integral_I_ab(a, 0.5)
+        for form in (integral_I_ab, i_ab_closed_omega, i_ab_closed_theta12):
+            message = f"{form.__name__} requires a finite a >= 0, got a = "
+            with pytest.raises(DomainError, match=message):
+                form(a, 0.5)
 
 
 class TestLogTangentCorollary:
