@@ -39,7 +39,7 @@ from .errors import ConvergenceError, DomainError, PrecisionError, check_tol, is
 # the functions that build an EvalResult import it themselves, so that digit
 # extraction does not load ``result``, the ball arithmetic it does not use
 if TYPE_CHECKING:
-    from collections.abc import Iterator, Sequence
+    from collections.abc import Iterable, Iterator, Sequence
 
     from .result import EvalResult
 
@@ -71,6 +71,11 @@ class BBPFormula(namedtuple("BBPFormula", "degree coeffs scale affine_terms")):
         if not all(map(is_int, coeffs)):
             raise DomainError("BBP coefficients must be integers")
         return super().__new__(cls, degree, coeffs, scale, affine_terms)
+
+    @classmethod
+    def _make(cls, values: Iterable) -> BBPFormula:
+        # a named tuple's own _make, and so _replace, would skip the checks above
+        return cls(*values)
 
 
 _PATTERN = (4, 0, 0, -2, -1, -1, 0, 0)

@@ -278,13 +278,20 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
         # u = 1/y gives the finite panel (0, 1/a) of -ln u du / ((u + b)^2 + k),
         # which holds the mass that sits at 1 - s ~ 1/a on the tail map, where
         # its nodes are few, and which no y^2 overflows.  1/a rounds, by at most
-        # ulp(1/a), and that moves the value by |f(1/a)| ulp(1/a) at most
+        # ulp(1/a), and that moves the value by |f(1/a)| ulp(1/a) at most: the
+        # quadrature meets what tol leaves past that charge, less an ulp for the sum
         def f(u: float) -> float:
             return -math.log(u) / ((u + b) * (u + b) + k)
 
         c = 1.0 / a
-        r = integrate(QuadProblem(f, 0.0, c, (0.0, -b) if 0.0 < -b < c else (0.0,), tol))
-        return EvalResult(r.value, r.err_bound + abs(f(c)) * math.ulp(c), r.effort, r.method)
+        charge = abs(f(c)) * math.ulp(c)
+        rest = math.nextafter(tol - charge, 0.0)
+        if not rest > 0.0:
+            raise QuadratureError(
+                f"integral_I_ab: the rounding of 1/a alone, {charge:g}, reaches tol {tol:g}"
+            )
+        r = integrate(QuadProblem(f, 0.0, c, (0.0, -b) if 0.0 < -b < c else (0.0,), rest))
+        return EvalResult(r.value, r.err_bound + charge, r.effort, r.method)
     if a == 0.0:
         sing = (0.0,)
     else:

@@ -2,7 +2,8 @@
 
 Clausen functions of every order, digamma/trigamma/polygamma, the Hurwitz
 zeta function, harmonic numbers, the imaginary part of the dilogarithm in
-polar form, and the integer-order upper incomplete gamma function.  All
+polar form (read from ``polylog.polylog_complex``, which it imports when it
+runs), and the integer-order upper incomplete gamma function.  All
 evaluations are pure double precision; every routine that iterates reports an
 error bound and raises on non-convergence.
 
@@ -30,7 +31,6 @@ from .bernoulli import _EM_TERMS, _STOP, TAYLOR_K_MAX, _euler_maclaurin, _log_ta
 from .constants import EPS, GAMMA, PI, PI_LO, ULP0
 from .errors import ConvergenceError, DomainError, check_tol, is_int
 from .result import _UP, Angle, EvalResult, PolarPoint, RationalAngle, exact, reduce_angle, rounded
-from .result import log as ball_log
 from .result import no_ball
 from .result import sin as ball_sin
 
@@ -493,65 +493,64 @@ def cl2_rational(angle: RationalAngle, tol: float = 1e-11) -> EvalResult:
 
 
 def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
-    """Im Li_2(r e^{i theta}) via the Clausen decomposition.
+    """Im Li_2(r e^{i theta}) on the branch of the tetrahedral integral chain.
 
-    ``omega ln r + (1/2)[Cl_2(2 omega) - Cl_2(2 omega + 2 theta) + Cl_2(2 theta)]``
-    with omega the *principal* arctangent of r sin(theta) / (1 - r cos(theta)).
-    For r > 1 this reproduces the branch used throughout the tetrahedral
-    integral chain, which differs from the principal polylogarithm branch.
-
-    The denominator is formed as (1 - r) + 2 r sin^2(theta/2), which keeps its
-    digits where r cos(theta) is near 1.  The bound carries the rounding of
-    omega through each term it enters, the rounding of 2 omega + 2 theta, and
-    the reduction of theta through the slope -ln|1 - z| of the whole value.
-    For r > 1, where the denominator's sign is within its error, it also
-    carries the branch's jump of pi ln r.  Raises ConvergenceError when the
-    bound, the jump aside, exceeds tol.
+    ``polylog_complex``'s value at r <= 1.  For r > 1 the chain's cut is the
+    line r cos(theta) = 1, and by inversion the value is Im Li_2(e^{i theta}/r)
+    plus sign(theta)(pi - |theta|) ln r where 1 - r cos(theta), formed as
+    (1 - r) + 2 r sin^2(theta/2), is >= 0 (the principal value), or less
+    theta ln r where it is < 0.  The bound adds to the polylog's the rounding
+    of the point and the reduction of theta, charged through Li_2', and the
+    inversion term's roundings; and where the sign of 1 - r cos(theta) is
+    within its error, after the tol check, the branch's jump of pi ln r.
     """
+    from .polylog import polylog_complex
+
     check_tol(tol)
     r = z.r
     th, d = reduce_angle(z.theta)
     if r == 0.0:
-        return EvalResult(0.0, 0.0, 0, "clausen-decomposition")
-    num = r * math.sin(th)
-    half = 2.0 * r * math.sin(0.5 * th) ** 2
-    den = (1.0 - r) + half
-    # sin and the products put <= 3 EPS on num and on half; 1 - r and the sum
-    # one rounding each
-    d_num = 3.0 * EPS * abs(num)
-    d_den = EPS * (0.5 * abs(1.0 - r) + 3.0 * half + 0.5 * abs(den))
-    if den == 0.0:
-        if num == 0.0:
-            raise DomainError("im_li2_polar: branch-undefined point")
-        omega = math.copysign(PI / 2.0, num)
+        return EvalResult(0.0, 0.0, 0, "polylog")
+    # 1.5 EPS on each part of w from cos or sin and the product, 1/r one more
+    rel, s = (2.0 * EPS, 1.0 / r) if r > 1.0 else (1.5 * EPS, r)
+    w = complex(s * math.cos(th), s * math.sin(th))
+    dx = rel * abs(w.real) + s * d + ULP0
+    dy = rel * abs(w.imag) + s * d + ULP0
+    li = polylog_complex(2, w, tol)
+    v = li.value.imag
+    # Im Li_2 moves by Im Li_2' dx + Re Li_2' dy on the segment from w, in
+    # |z| <= 1 and within rho of w.  There Li_2'(z) = sum_k z^(k-1)/k, so for
+    # |z| <= q < 1, |Im Li_2'| <= |Im z|/(1 - q) and |Li_2'| <= 1/(1 - q).
+    # Past q = 3/4, |ln(1 - z)/z| <= 4.6 + 2 max(0, -ln|1 - z|) is integrated
+    # over the worst stretch, centred on z = 1 or at distance near from it
+    rho = dx + dy
+    q = abs(w) + rho
+    if q <= 0.75:
+        err = ((abs(w.imag) + dy) * dx + dy) / (1.0 - q)
     else:
-        omega = math.atan(num / den)
-    # omega moves by the perturbation of (den, num) across its distance m to 0,
-    # plus the quotient's and atan's roundings
-    m = math.hypot(num, den)
-    d_omega = (abs(den) / m) * (d_num / m) + (abs(num) / m) * (d_den / m) + 1.5 * EPS * abs(omega)
-    w = EvalResult(omega, d_omega, 0, "")
-    cl = cl2(2.0 * w, tol) - cl2(2.0 * w + 2.0 * th, tol) + cl2(2.0 * th, tol)
-    v = w * ball_log(r) + 0.5 * cl
-    err = v.err_bound
-    if d:
-        # d/dtheta Im Li_2(r e^{i theta}) = -ln|1 - z|, and on the reduction's
-        # interval |1 - z| lies in [near, 1 + r]
-        near = m - 2.0 * (d_num + d_den) - r * d
-        if near > 0.0:
-            err += d * max(math.log1p(r), -math.log(near))
-        else:
-            # the interval reaches z = 1, where |1 - z| >= (2/pi) sqrt(r) |theta|:
-            # integrate -ln of that over the worst stretch, the one centred on 0
-            err += 2.0 * d * (1.0 + math.log(PI / (2.0 * math.sqrt(r) * d)) + math.log1p(r))
+        near = (1.0 - 2.0 * EPS) * abs(1.0 - w) - rho
+        err = rho * (6.6 + 2.0 * max(0.0, -math.log(max(near, 0.5 * rho))))
+    err += li.err_bound
+    if r > 1.0:
+        half = 2.0 * math.sin(0.5 * th) ** 2 * r
+        den = (1.0 - r) + half
+        # <= 3 EPS on half from sin and the products; 1 - r and the sum round.
+        # Each product is taken with EPS first, so that none overflows
+        d_den = 0.5 * EPS * abs(1.0 - r) + 3.0 * EPS * half + 0.5 * EPS * abs(den)
+        lr = math.log(r)
+        # pi - |theta| = (PI - |theta|) + (pi - PI), as _clausen forms it
+        t = -th * lr if den < 0.0 else math.copysign(((PI - abs(th)) + PI_LO) * lr, th)
+        v += t
+        # t is within 3 EPS of itself, and the reduction moves it by d ln r
+        err += 3.0 * EPS * abs(t) + d * lr + 0.5 * EPS * abs(v)
     if err > tol:
         raise ConvergenceError(f"im_li2_polar: error bound {err:g} exceeds tol {tol:g}")
     if r > 1.0 and abs(den) <= d_den + r * d:
-        # the denominator may have the other sign, and omega the other branch;
-        # no tol removes that doubt about the point itself, so it is charged
-        # after the tol check, as hurwitz_zeta's roundoff floor is
-        err += PI * math.log(r)
-    return EvalResult(v.value, err, v.effort, "clausen-decomposition")
+        # 1 - r cos(theta) may have the other sign, and the value the other
+        # branch; no tol removes that doubt about the point itself, so it is
+        # charged after the tol check, as hurwitz_zeta's roundoff floor is
+        err += PI * lr
+    return EvalResult(v, err, li.effort, "polylog")
 
 
 # ---------------------------------------------------------------------------

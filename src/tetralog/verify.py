@@ -498,7 +498,7 @@ def _chk_p2(a: float, b: float) -> tuple[float, float]:
 def _chk_c2(a: float, b: float) -> tuple[float, float]:
     # 2 sqrt(1 - b^2) I(a, b) = 2 Im Li_2(e^{i theta'}/a) + 2 omega ln a, with
     # theta' = acos(-b) and omega = atan(sqrt(1 - b^2)/(a + b)): I(a, b) by its
-    # theta_1/theta_2 form, Im Li_2 by the polar Clausen decomposition
+    # theta_1/theta_2 Clausen form, Im Li_2 by polylog_complex on the chain's branch
     root = math.sqrt(1.0 - b * b)
     im = im_li2_polar(PolarPoint(1.0 / a, math.acos(-b))).value
     lhs = _shared(integrals.i_ab_closed_theta12, a, b).value * 2.0 * root

@@ -1098,6 +1098,28 @@ class TestFormulaRecord:
             "BBPFormula(degree=1, coeffs=(4, 0, 0, -2, -1, -1, 0, 0), scale=1.0, affine_terms=())"
         )
 
+    def test_make_and_replace_validate(self):
+        # a named tuple's own _make, and with it _replace, skip __new__'s checks
+        with pytest.raises(DomainError, match="integer >= 1"):
+            PI_FORMULA._replace(degree=2.5)
+        with pytest.raises(DomainError, match="integer >= 1"):
+            BBPFormula._make((0, (1,), 1.0, ()))
+        with pytest.raises(DomainError, match="one entry per residue class"):
+            PI_FORMULA._replace(coeffs=(1,))
+        made = PI_FORMULA._replace(degree=2, scale=0.25)
+        assert made == BBPFormula(2, PI_FORMULA.coeffs, 0.25)
+        assert type(made) is BBPFormula
+        assert BBPFormula._make(PI_FORMULA) == PI_FORMULA
+
+    def test_copy_and_pickle_round_trip(self):
+        import copy
+        import pickle
+
+        for f in REGISTRY.values():
+            for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert twin == f
+                assert type(twin) is BBPFormula
+
 
 @pytest.mark.parametrize(
     ("name", "value", "err_bound"),

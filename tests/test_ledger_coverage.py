@@ -54,7 +54,7 @@ MATRIX = {
     "catalan_value": ["C1", "cat-2.22", "cat-2.25", "cat-2.27", "cat-2.28a", "cat-2.28c",
                       "cat-2.33"],
     "alternating_sum": ["C1", "cat-2.25", "cat-2.34"],
-    "polylog_complex": ["L4b", "L4c", "P1-3.10", "eq2.41", "li3-binom"],
+    "polylog_complex": ["C2", "L4b", "L4c", "P1-3.10", "eq2.41", "li3-binom"],
     "hurwitz_zeta": ["L1a", "L1d", "eq4.3"],
     "digamma": ["L2b-2", "cat-2.25", "cat-2.28b", "cat-2.34"],
     "eval_bbp_sum": ["L4a", "L4c", "eq2.39", "eq2.40", "eq2.41"],

@@ -315,12 +315,25 @@ def test_im_li2_polar_bound_near_branch_line(r, ulps, turns):
         assert abs(res.value - _im_li2_polar_oracle(r, theta)) <= res.err_bound
 
 
+def _chain_branch_oracle(r, theta, dps=50):
+    """Im Li_2(r e^{i theta}) on the chain's branch, |theta| <= pi: mpmath's
+    principal polylog, less sign(theta) pi ln r where r cos(theta) > 1."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, t = mpmath.mpf(r), mpmath.mpf(theta)
+        v = mpmath.polylog(2, mpmath.mpc(r * mpmath.cos(t), r * mpmath.sin(t))).imag
+        if r * mpmath.cos(t) > 1:
+            v -= mpmath.sign(t) * mpmath.pi * mpmath.log(r)
+        return v
+
+
 def test_im_li2_polar_matches_polylog():
-    # two kernels for Im Li_2(r e^{i theta}): the Clausen decomposition and
-    # polylog_complex, on a seeded grid that crosses r = 1 and |theta| =
-    # 2 pi/3, so that each kernel runs about both of its centres.  Where
-    # r cos(theta) > 1, im_li2_polar takes the branch the tetrahedral chain
-    # uses, which differs from the principal one by -sign(theta) pi ln r.
+    # Im Li_2(r e^{i theta}) against mpmath's polylog, on a seeded grid that
+    # crosses r = 1 and |theta| = 2 pi/3, so that polylog_complex runs about
+    # both of its centres and by inversion.  Where r cos(theta) > 1,
+    # im_li2_polar takes the branch the tetrahedral chain uses, which
+    # differs from the principal one by -sign(theta) pi ln r.
     rng = random.Random(20)
     for i in range(1500):
         r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
@@ -329,9 +342,95 @@ def test_im_li2_polar_matches_polylog():
         else:
             theta = rng.choice([1.0, -1.0]) * (2.0 * PI / 3.0 + rng.uniform(-0.05, 0.05))
         a = im_li2_polar(PolarPoint(r, theta))
-        b = polylog_complex(2, cmath.rect(r, theta))
-        jump = -math.copysign(PI * math.log(r), theta) if r * math.cos(theta) > 1.0 else 0.0
-        assert abs(a.value - b.value.imag - jump) <= a.err_bound + b.err_bound, (r, theta)
+        assert abs(a.value - _chain_branch_oracle(r, theta, 20)) <= a.err_bound, (r, theta)
+
+
+def _honesty_draws(rng, n):
+    """(family, r, theta): the bulk r = 10^U(-12, 3), and each edge across
+    at least four decades."""
+    def sign():
+        return rng.choice([1.0, -1.0])
+
+    def lg(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    for _ in range(n):
+        yield "bulk", lg(-12, 3), rng.uniform(-PI, PI)
+        yield "theta->0", lg(-12, 3), sign() * lg(-14, -2)
+        yield "theta->pi", lg(-12, 3), sign() * (PI - lg(-14, -2))
+        r = lg(0.01, 3)
+        yield "r cos(theta)->1", r, sign() * math.acos((1.0 + sign() * lg(-14, -2)) / r)
+        yield "r->0", lg(-300, -8), rng.uniform(-PI, PI)
+        yield "r->1", 1.0 + sign() * lg(-14, -2), rng.uniform(-PI, PI)
+
+
+def test_im_li2_polar_honest_against_mpmath():
+    # the bound holds at 50 digits over every family, and away from the
+    # branch line, where it may carry the jump pi ln r, it stays within
+    # 1e-13 of max(1, |value|)
+    for family, r, theta in _honesty_draws(random.Random(41), 250):
+        res = im_li2_polar(PolarPoint(r, theta))
+        ref = _chain_branch_oracle(r, theta)
+        assert abs(res.value - ref) <= res.err_bound, (family, r, theta)
+        if family != "r cos(theta)->1":
+            assert res.err_bound <= 1e-13 * max(1.0, abs(ref)), (family, r, theta)
+
+
+@pytest.mark.parametrize(
+    ("r", "theta"),
+    [(1e-20, 1.0), (1e-20, 3.0), (1e-10, 3.0)]
+    + [(r, s * (PI - 1e-12)) for r in (0.3, 0.9, 2.0) for s in (1.0, -1.0)],
+)
+def test_im_li2_polar_keeps_relative_digits(r, theta):
+    # next to r = 0 and theta = +-pi the value is small, and a form that
+    # cancels down to it keeps only absolute digits
+    ref = _chain_branch_oracle(r, theta)
+    assert abs(im_li2_polar(PolarPoint(r, theta)).value - ref) <= 1e-14 * abs(ref)
+
+
+def _bloch_wigner(r, theta):
+    """D(z) = Im Li_2(z) + arg(1 - z) ln|z| at z = r e^{i theta}, from balls r
+    and theta, on the principal branch (r cos(theta) < 1), with a bound.
+
+    im_li2_polar runs at the midpoints.  The radii are charged through
+    dD = ln|z| d arg(1 - z) - ln|1 - z| d arg(z), so |dD| <= |ln r| (dr +
+    r dtheta)/|1 - z| + |ln|1 - z|| dtheta.  At the points used here
+    |z| <= |1 - z| and |arg(1 - z)| > 0.7, so rect, 1 - z, phase, ln r and
+    the product leave arg(1 - z) ln|z| within 6 EPS of itself, and the sum
+    rounds once.
+    """
+    m, t = r.value, theta.value
+    im = im_li2_polar(PolarPoint(m, t))
+    w = 1.0 - cmath.rect(m, t)
+    arg_ln = cmath.phase(w) * math.log(m)
+    value = im.value + arg_ln
+    move = abs(math.log(m)) * (r.err_bound + m * theta.err_bound) / abs(w)
+    move += abs(math.log(abs(w))) * theta.err_bound
+    return value, im.err_bound + move + 6.0 * EPS * (abs(arg_ln) + abs(value))
+
+
+def test_tetrahedral_volume_at_q_sqrt_minus_7():
+    # Zagier (Invent. Math. 83, 1986): with omega = (1 + sqrt(-7))/2,
+    # 2 D(omega) + D(omega - 1) = 3 (7 sqrt 7/24) L(2, chi_-7).  |omega| =
+    # |omega - 1| = sqrt 2, and their arguments are atan(sqrt 7) and pi less
+    # it, each a ball that carries its rounding.
+    import mpmath
+
+    from tetralog.dirichlet import l7_trigamma
+    from tetralog.result import atan, rounded, sqrt
+
+    r = sqrt(exact(2.0))
+    t = atan(sqrt(exact(7.0)))
+    d1, e1 = _bloch_wigner(r, t)
+    d2, e2 = _bloch_wigner(r, rounded(PI) - t)
+    with mpmath.workdps(40):
+        omega = (1 + mpmath.sqrt(-7)) / 2
+        for z, d, e in ((omega, d1, e1), (omega - 1, d2, e2)):
+            ref = mpmath.polylog(2, z).imag + mpmath.arg(1 - z) * mpmath.log(abs(z))
+            assert abs(d - ref) <= e, (z, d, e)
+    rhs = 7.0 * sqrt(exact(7.0)) / 8.0 * l7_trigamma()
+    lhs = 2.0 * d1 + d2
+    assert abs(lhs - rhs.value) <= 2.0 * e1 + e2 + 2.0 * EPS * abs(lhs) + rhs.err_bound
 
 
 @pytest.mark.parametrize(

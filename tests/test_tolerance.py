@@ -14,6 +14,7 @@ import inspect
 import math
 import os
 import pkgutil
+import random
 import sys
 
 import pytest
@@ -163,6 +164,7 @@ MET_OR_RAISED = {
     "integral_In": lambda tol: (integral_In(3, tol),),
     "integral_I1_split": integral_I1_split,
     "im_li2_polar": lambda tol: (im_li2_polar(PolarPoint(3.0, 2.0), tol),),
+    "integral_I_ab": lambda tol: (integral_I_ab(14.445502659680288, -0.15658101516602974, tol),),
 }
 
 
@@ -176,3 +178,20 @@ def test_a_tolerance_is_met_or_the_call_raises(name, tol):
         return
     for r in results:
         assert r.err_bound <= tol, r
+
+
+def test_integral_I_ab_meets_tol_past_its_rounding_charge():
+    # for a > 1, I(a, b) charges the rounding of 1/a beside the quadrature's
+    # bound; the two together meet tol, or the call raises
+    rng = random.Random(1)
+    draws = [(14.445502659680288, -0.15658101516602974, 5.651415247467594e-16)]
+    draws += [
+        (10.0 ** rng.uniform(0.0001, 3), rng.uniform(-0.99, 0.99), 10.0 ** rng.uniform(-16, -12))
+        for _ in range(400)
+    ]
+    for a, b, tol in draws:
+        try:
+            r = integral_I_ab(a, b, tol)
+        except QuadratureError:
+            continue
+        assert r.err_bound <= tol, (a, b, tol, r)
