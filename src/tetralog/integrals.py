@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .constants import EPS, PI, SQRT7
+from .constants import EPS, PI, SQRT7, ULP0
 from .errors import DomainError, QuadratureError, check_tol, is_int
-from .quad import QuadProblem, integrate
+from .quad import _NARROW, QuadProblem, integrate
 from .result import Angle, EvalResult, asin, atan, exact, log, rounded, sqrt
 
 _PI = rounded(PI)
@@ -262,27 +262,36 @@ def i1_series_truncated(n: int, terms: int = 60) -> float:
 # the two-parameter family I(a, b)
 
 
-def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
-    """I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1) by quadrature."""
+def _check_ab(name: str, a: float, b: float) -> None:
+    """Refuse an (a, b) outside the family's domain, in the words of ``name``."""
     if not 0.0 <= a < math.inf:
-        raise DomainError(f"integral_I_ab requires a finite a >= 0, got a = {a!r}")
+        raise DomainError(f"{name} requires a finite a >= 0, got a = {a!r}")
     if not abs(b) < 1.0:
-        raise DomainError("integral_I_ab requires |b| < 1")
-    # y^2 + 2by + 1 = (y + b)^2 + (1 - b)(1 + b): two terms >= 0, so no
-    # cancellation at the peak y = -b as b nears -1.  For a > 0 the peak is
-    # declared, as corollary3 declares x = c.  At a = 0 the one panel from 0
-    # takes y and 1/y as mirror nodes, where ln y dy / (y^2 + 2by + 1) is odd,
-    # so their terms cancel pair by pair however narrow the peak is
-    k = (1.0 - b) * (1.0 + b)
-    if a > 1.0:
-        # u = 1/y gives the finite panel (0, 1/a) of -ln u du / ((u + b)^2 + k),
-        # which holds the mass that sits at 1 - s ~ 1/a on the tail map, where
-        # its nodes are few, and which no y^2 overflows.  1/a rounds, by at most
-        # ulp(1/a), and that moves the value by |f(1/a)| ulp(1/a) at most: the
-        # quadrature meets what tol leaves past that charge, less an ulp for the sum
-        def f(u: float) -> float:
-            return -math.log(u) / ((u + b) * (u + b) + k)
+        raise DomainError(f"{name} requires |b| < 1")
 
+
+def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
+    """I(a, b) = integral_a^inf ln y dy / (y^2 + 2by + 1) by quadrature.
+
+    y -> 1/y maps ln y dy / (y^2 + 2by + 1) to its negative, so I(0, b) = 0
+    and I(a, b) = -integral_0^c ln u du / (u^2 + 2bu + 1), c = min(a, 1/a):
+    one finite panel for every a > 0, or its series where c < 2^-1021.
+    """
+    check_tol(tol)
+    _check_ab("integral_I_ab", a, b)
+    if a == 0.0:
+        return exact(0.0)
+    # (u + b)^2 + (1 - b)(1 + b): two terms >= 0, so no cancellation at the
+    # peak u = -b as b nears -1, which is declared, as corollary3 declares x = c
+    k = (1.0 - b) * (1.0 + b)
+
+    def f(u: float) -> float:
+        return -math.log(u) / ((u + b) * (u + b) + k)
+
+    c, charge, rest = a, 0.0, tol
+    if a > 1.0:
+        # 1/a rounds by at most ulp(1/a), which moves the value by |f(1/a)|
+        # ulp(1/a) at most: the rest of tol, less an ulp for the sum, is the panel's
         c = 1.0 / a
         charge = abs(f(c)) * math.ulp(c)
         rest = math.nextafter(tol - charge, 0.0)
@@ -290,29 +299,23 @@ def integral_I_ab(a: float, b: float, tol: float = 1e-10) -> EvalResult:
             raise QuadratureError(
                 f"integral_I_ab: the rounding of 1/a alone, {charge:g}, reaches tol {tol:g}"
             )
-        r = integrate(QuadProblem(f, 0.0, c, (0.0, -b) if 0.0 < -b < c else (0.0,), rest))
-        return EvalResult(r.value, r.err_bound + charge, r.effort, r.method)
-    if a == 0.0:
-        sing = (0.0,)
-    else:
-        sing = (-b,) if -b > a else ()
-    return integrate(
-        QuadProblem(
-            lambda y: math.log(y) / ((y + b) * (y + b) + k),
-            a,
-            math.inf,
-            sing,
-            tol,
-        )
-    )
+    if c < _NARROW:
+        # 1/(u^2 + 2bu + 1) is 1 within 3u on (0, c), so the value is c (1 - ln c)
+        # within integral_0^c -3u ln u du <= 3c^2 (|ln c| + 1), far below ULP0.
+        # The log, 1 - ln c and the product cost 3 EPS of it, and a subnormal
+        # product's rounding and the terms left out one ULP0 each
+        v = c * (1.0 - math.log(c))
+        err = 3.0 * EPS * v + 2.0 * ULP0
+        if err > rest:
+            raise QuadratureError(f"integral_I_ab: bound {err + charge:g} exceeds tol {tol:g}")
+        return EvalResult(v, err + charge, 1, "series")
+    r = integrate(QuadProblem(f, 0.0, c, (0.0, -b) if 0.0 < -b < c else (0.0,), rest))
+    return EvalResult(r.value, r.err_bound + charge, r.effort, r.method)
 
 
 def i_ab_closed_omega(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through the angles theta_plus(b), omega_plus(a, b)."""
-    if not 0.0 <= a < math.inf:
-        raise DomainError(f"i_ab_closed_omega requires a finite a >= 0, got a = {a!r}")
-    if not abs(b) < 1.0:
-        raise DomainError("i_ab_closed_omega requires |b| < 1")
+    _check_ab("i_ab_closed_omega", a, b)
     bb = exact(b)
     root = sqrt((1.0 - bb) * (1.0 + bb))
     theta = -atan(root / b) if b != 0.0 else -_PI / 2.0
@@ -324,10 +327,7 @@ def i_ab_closed_omega(a: float, b: float) -> EvalResult:
 
 def i_ab_closed_theta12(a: float, b: float) -> EvalResult:
     """Closed form of I(a, b) through theta_1 = asin(b) and theta_2(a, b)."""
-    if not 0.0 <= a < math.inf:
-        raise DomainError(f"i_ab_closed_theta12 requires a finite a >= 0, got a = {a!r}")
-    if not abs(b) < 1.0:
-        raise DomainError("i_ab_closed_theta12 requires |b| < 1")
+    _check_ab("i_ab_closed_theta12", a, b)
     bb = exact(b)
     root = sqrt((1.0 - bb) * (1.0 + bb))
     t1 = asin(b)

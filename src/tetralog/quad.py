@@ -43,8 +43,9 @@ levels running, from level 4 on, raises where the panel has a declared end to
 blame (a tail always has one).  A finite panel still above its tol after 10
 levels, or whose estimate has not halved for two levels running by level 4 or
 later, is bisected at its midpoint, each half with half the tol, and the
-halves are integrated left to right.  A tail never bisects.  Every level
-past a panel's level 0 spends one of the call's 4000 refinements.
+halves are integrated left to right.  A tail never bisects.  A panel
+narrower than 2^-1021, whose half-width would be subnormal, raises.  Every
+level past a panel's level 0 spends one of the call's 4000 refinements.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ _ROUNDING = 4.0 * EPS
 
 # panel refinements one integrate() call may spend before it gives up
 _MAX_SUBDIVISIONS = 4000
+
+# a narrower panel has a subnormal half-width, too coarse to place its nodes
+_NARROW = 2.0**-1021
 
 
 @functools.cache
@@ -338,6 +342,8 @@ def integrate(problem: QuadProblem) -> EvalResult:
     stack = [(lo, hi, per_panel) for lo, hi in zip(cuts, cuts[1:])][::-1]
     while stack:
         lo, hi, tol = stack.pop()
+        if hi - lo < _NARROW:
+            raise QuadratureError(f"panel [{lo}, {hi}] too narrow for double precision")
         left = _MAX_SUBDIVISIONS - spent
         v, e, levels = _tanh_sinh_panel(f, lo, hi, tol, left, lo in sing, hi in sing)
         spent += levels

@@ -354,11 +354,11 @@ class RationalAngle(_record("RationalAngle", "p q")):
 
 
 class PolarPoint(_record("PolarPoint", "r theta")):
-    """The complex point r * exp(i*theta) with r >= 0."""
+    """The complex point r * exp(i*theta) with finite r >= 0."""
 
     __slots__ = ()
 
     def __new__(cls, r: float, theta: Angle | float) -> PolarPoint:
-        if not (r >= 0.0):
-            raise DomainError("PolarPoint needs r >= 0")
+        if not 0.0 <= r < math.inf:
+            raise DomainError(f"PolarPoint needs a finite r >= 0, got r = {r!r}")
         return tuple.__new__(cls, (r, as_angle(theta)))

@@ -497,8 +497,8 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
 
     ``polylog_complex``'s value at r <= 1.  For r > 1 the chain's cut is the
     line r cos(theta) = 1, and by inversion the value is Im Li_2(e^{i theta}/r)
-    plus sign(theta)(pi - |theta|) ln r where 1 - r cos(theta), formed as
-    (1 - r) + 2 r sin^2(theta/2), is >= 0 (the principal value), or less
+    plus sign(theta)(pi - |theta|) ln r where 1 - r cos(theta), formed over r
+    as (1/r - 1) + 2 sin^2(theta/2), is >= 0 (the principal value), or less
     theta ln r where it is < 0.  The bound adds to the polylog's the rounding
     of the point and the reduction of theta, charged through Li_2', and the
     inversion term's roundings; and where the sign of 1 - r cos(theta) is
@@ -532,11 +532,11 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
         err = rho * (6.6 + 2.0 * max(0.0, -math.log(max(near, 0.5 * rho))))
     err += li.err_bound
     if r > 1.0:
-        half = 2.0 * math.sin(0.5 * th) ** 2 * r
-        den = (1.0 - r) + half
-        # <= 3 EPS on half from sin and the products; 1 - r and the sum round.
-        # Each product is taken with EPS first, so that none overflows
-        d_den = 0.5 * EPS * abs(1.0 - r) + 3.0 * EPS * half + 0.5 * EPS * abs(den)
+        # (1 - r cos(theta))/r, in range for every r: s, s - 1 and the sum
+        # round, and sin and the square leave half within 3 EPS
+        half = 2.0 * math.sin(0.5 * th) ** 2
+        den = (s - 1.0) + half
+        d_den = 0.5 * EPS * (s + abs(s - 1.0)) + 3.0 * EPS * half + 0.5 * EPS * abs(den)
         lr = math.log(r)
         # pi - |theta| = (PI - |theta|) + (pi - PI), as _clausen forms it
         t = -th * lr if den < 0.0 else math.copysign(((PI - abs(th)) + PI_LO) * lr, th)
@@ -545,7 +545,7 @@ def im_li2_polar(z: PolarPoint, tol: float = 1e-12) -> EvalResult:
         err += 3.0 * EPS * abs(t) + d * lr + 0.5 * EPS * abs(v)
     if err > tol:
         raise ConvergenceError(f"im_li2_polar: error bound {err:g} exceeds tol {tol:g}")
-    if r > 1.0 and abs(den) <= d_den + r * d:
+    if r > 1.0 and abs(den) <= d_den + d:
         # 1 - r cos(theta) may have the other sign, and the value the other
         # branch; no tol removes that doubt about the point itself, so it is
         # charged after the tol check, as hurwitz_zeta's roundoff floor is

@@ -277,42 +277,35 @@ def _chk_cat_2_28b() -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # sine / cosecant suite
 
-_S5 = math.sqrt(5.0)
-_S6 = math.sqrt(6.0)
-_S11H = math.sqrt(11.0) / 2.0
-_S15H = math.sqrt(15.0) / 2.0
-_PP = math.sqrt(5.0 + 2.0 * _S5)
-_PM = math.sqrt(5.0 - 2.0 * _S5)
+_PP = math.sqrt(5.0 + 2.0 * math.sqrt(5.0))
+_PM = math.sqrt(5.0 - 2.0 * math.sqrt(5.0))
 _BP = math.sqrt(10.0 + math.sqrt(2.0)) / 2.0
 _BM = math.sqrt(10.0 - math.sqrt(2.0)) / 2.0
 _ISQ2 = 1.0 / math.sqrt(2.0)
 
-# frozen numeric sign assignments for the set-membership identities; the
-# source displays give only the value sets, so the per-x choice was resolved
-# once at high precision and is asserted exactly.  Each entry is the check's
-# paper_ref, the (multiplier, sign) pairs, the denominator d and the values
-# that sum(sign * sin(multiplier * x * pi / d)) takes at x = 1, 2, ...
+
+def _gauss_row(ref: str, terms: tuple[tuple[int, int], ...], den: int, count: int) -> tuple:
+    """The row of a quadratic Gauss sum, chi(x) sqrt(N)/2 at x = 1 .. count: N
+    is den, or 2 den if some multiplier m is odd, and chi, the odd real primitive
+    character mod N (tau(chi) = i sqrt(N); Davenport, Multiplicative Number
+    Theory, ch. 2 and 9), takes the row's signs at m N/(2 den)."""
+    n = den if all(m % 2 == 0 for m, _ in terms) else 2 * den
+    chi = {m * n // (2 * den): sg for m, sg in terms}  # 0 < k < N/2; chi(-k) = -chi(k)
+    root = math.sqrt(n) / 2.0
+    values = [(chi.get(x % n, 0) - chi.get(-x % n, 0)) * root for x in range(1, count + 1)]
+    return ref, terms, den, values
+
+
+# the set-membership identities, whose source displays give only the value
+# sets.  Each entry is the check's paper_ref, the (multiplier, sign) pairs,
+# the denominator d and the values sum(sign * sin(multiplier * x * pi / d))
+# takes at x = 1, 2, ...: derived, or resolved once at high precision
 _SINES: dict[str, tuple[str, tuple[tuple[int, int], ...], int, list[float]]] = {
-    "sine7": (
-        "Eq. (2.7)", ((2, 1), (4, 1), (6, -1)), 7,
-        [SQRT7 / 2.0] * 2 + [-SQRT7 / 2.0, SQRT7 / 2.0] + [-SQRT7 / 2.0] * 2,
-    ),
-    "sine10": ("Eq. (2.44)", ((1, 1), (3, 1), (7, 1), (9, 1)), 10, [
-        _S5, 0.0, _S5, 0.0, 0.0, 0.0, _S5, 0.0, _S5, 0.0,
-        -_S5, 0.0, -_S5, 0.0, 0.0, 0.0, -_S5, 0.0, -_S5, 0.0,
-    ]),
-    "sine12": ("Eq. (2.45)", ((1, 1), (5, 1), (7, 1), (11, 1)), 12, [
-        _S6, 0.0, 0.0, 0.0, _S6, 0.0, _S6, 0.0, 0.0, 0.0, _S6, 0.0,
-        -_S6, 0.0, 0.0, 0.0, -_S6, 0.0, -_S6, 0.0, 0.0, 0.0, -_S6, 0.0,
-    ]),
-    "sine11": ("Eq. (2.46)", ((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11, [
-        _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
-        _S11H, -_S11H, _S11H, _S11H, _S11H, -_S11H, -_S11H, -_S11H, _S11H, -_S11H, 0.0,
-    ]),
-    "sine15": ("Eq. (2.47), corrected sign", ((2, 1), (4, 1), (8, 1), (14, -1)), 15, [
-        _S15H, _S15H, 0.0, _S15H, 0.0, 0.0, -_S15H, _S15H,
-        0.0, 0.0, -_S15H, 0.0, -_S15H, -_S15H, 0.0,
-    ]),
+    "sine7": _gauss_row("Eq. (2.7)", ((2, 1), (4, 1), (6, -1)), 7, 6),
+    "sine10": _gauss_row("Eq. (2.44)", ((1, 1), (3, 1), (7, 1), (9, 1)), 10, 20),
+    "sine12": _gauss_row("Eq. (2.45)", ((1, 1), (5, 1), (7, 1), (11, 1)), 12, 24),
+    "sine11": _gauss_row("Eq. (2.46)", ((2, 1), (4, -1), (6, 1), (8, 1), (10, 1)), 11, 22),
+    "sine15": _gauss_row("Eq. (2.47), corrected sign", ((2, 1), (4, 1), (8, 1), (14, -1)), 15, 15),
     "sine5a": (
         "Eq. (2.48)", ((1, 1), (2, 1), (3, 1), (4, 1)), 5,
         [_PP, 0.0, _PM, 0.0, 0.0, 0.0, -_PM, 0.0, -_PP, 0.0],

@@ -192,6 +192,20 @@ class TestValidation:
         ):
             integrate(QuadProblem(f, 0.0, math.inf, (2.5,), 1e-6))
 
+    @pytest.mark.parametrize("upper", [5e-324, 1.5e-323])
+    def test_panel_too_narrow_to_sample_raises(self, upper):
+        # a subnormal half-width leaves the nodes a few values or 0: over
+        # (0, 5e-324) the sum was 0 +- 0, over (0, 1.5e-323) 2e-323 +- 0
+        with pytest.raises(QuadratureError, match=r"too narrow for double precision$"):
+            integrate(QuadProblem(lambda x: 1.0, 0.0, upper))
+
+    def test_corollary3_at_subnormal_c_raises(self):
+        # its panel (0, c) is too narrow; the sum once divided by zero
+        from tetralog.integrals import corollary3
+
+        with pytest.raises(QuadratureError, match="too narrow"):
+            corollary3(1e-310, 1.0)
+
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             integrate(QuadProblem(lambda x: float("nan"), 0.0, 1.0))

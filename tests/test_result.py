@@ -110,6 +110,14 @@ def test_edge_values_accepted():
     assert EvalResult(5e-324, 5e-324, 0, "").value == 5e-324
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan, -1.0])
+def test_polar_point_refuses_r_by_name(r):
+    # an infinite r once reached im_li2_polar, whose refusal named EvalResult
+    with pytest.raises(DomainError) as refused:
+        PolarPoint(r, 1.0)
+    assert str(refused.value) == f"PolarPoint needs a finite r >= 0, got r = {r!r}"
+
+
 def test_copy_and_pickle_round_trip():
     r = EvalResult(complex(1.0, -2.0), 3e-16, 7, "series")
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):

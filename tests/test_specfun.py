@@ -388,6 +388,14 @@ def test_im_li2_polar_keeps_relative_digits(r, theta):
     assert abs(im_li2_polar(PolarPoint(r, theta)).value - ref) <= 1e-14 * abs(ref)
 
 
+def test_im_li2_polar_branch_test_at_huge_r():
+    # 1 - r cos(theta) ~ 7e307 > 0, yet 2 r sin^2(theta/2) overflows: the
+    # branch's sign is read over r, so no pi ln r doubt is charged
+    res = im_li2_polar(PolarPoint(1.7e308, -2.0))
+    assert res.err_bound <= 1e-12
+    assert abs(res.value - _chain_branch_oracle(1.7e308, -2.0, 40)) <= res.err_bound
+
+
 def _bloch_wigner(r, theta):
     """D(z) = Im Li_2(z) + arg(1 - z) ln|z| at z = r e^{i theta}, from balls r
     and theta, on the principal branch (r cos(theta) < 1), with a bound.
