@@ -12,14 +12,18 @@ term.  Each residue class's j axis is cut into batches by a rule that does
 not depend on the position (``_cuts``), so the cuts and the full batches'
 fractions are kept per (degree, residue class) up to a bound, and a warm
 extraction computes only the modular powers, the floors and the batch cut
-off at its position.  The floors lose less than |coefficient| units each,
-which the carry test allows for.  From position 6000 on in a process's
-first extraction, and from 1000 on once the tables hold batches, where a
-split head ran faster than the serial one for every registry formula, the
-batches are dealt to parts, one per usable processor, by a rule that does
-not depend on the position, and all parts but the caller's are summed by
-long-lived forked workers (``forked``) that this process keeps until it
-exits.  Each part builds and keeps only its own batches, so a worker never
+off at its position.  A stored batch read back for the first time also
+keeps its powers 16^(2^k) mod den for k >= 7 up to the bound's bit length
+(16^(2^7) = 2^512), so a later read forms 16^e * num mod den by a shift for
+the 7 low bits of e and one product per higher set bit, not by ``pow``.
+The floors lose less than |coefficient| units each, which the carry test
+allows for.  From position 6000 on in a process's first extraction, and
+from 1000 on once the tables hold batches, where a split head ran faster
+than the serial one for every registry formula, the batches are dealt to
+parts, one per usable processor, by a rule that does not depend on the
+position, and all parts but the caller's are summed by long-lived forked
+workers (``forked``) that this process keeps until it exits.  Each part
+builds and keeps only its own batches and their powers, so a worker never
 reads the caller's tables; integer addition is exact, so the split cannot
 change a digit.
 """
@@ -194,11 +198,17 @@ _BATCH_BITS = 512
 # registry formula (~30 000 batches), on 64-bit CPython 3.11: 8.4-8.7 MB
 # with every batch, 4.5-4.7 MB in each of two parts; to position 5e4,
 # 1.8 / 3.7 / 6.0 MB at degrees 1 / 2 / 3, and 0.9 / 2.0 / 3.2 MB per part.
-# Both dicts are published anew with each growth, of tuples never changed
-# in place.
+# _POWERS, under the same keys, holds the powers 16^(2^k) mod den, k = 7 ..
+# bit_length(_TABLE_SPAN // s) - 1, of a prefix of each table's batches:
+# those read back at least once.  That is 10 ints at degrees 2 and 3 and 11
+# at degree 1, ~1.0-1.1 KB per batch against ~0.23 KB for (num, den); every
+# batch's powers at the bound add 31-35 MB per registry formula to a serial
+# process.  All three dicts are published anew with each growth, of tuples
+# never changed in place.
 _TABLE_SPAN = 3 * 2**16
 _ENDS: dict[tuple[int, int], tuple[int, ...]] = {}
 _TABLES: dict[tuple[int, int, int, int], tuple[tuple[int, int], ...]] = {}
+_POWERS: dict[tuple[int, int, int, int], tuple[tuple[int, ...], ...]] = {}
 # Head positions per forked part.  Serial / split time of 8-digit extractions
 # on a 2-core x86 Linux host (> 1: the split wins), medians of 21 or 41
 # paired, alternating calls, in two runs.  A process's first extraction,
@@ -211,7 +221,10 @@ _TABLES: dict[tuple[int, int, int, int], tuple[tuple[int, int], ...]] = {}
 # extraction, the head splits from 2 * _MIN_WARM_PART on, where a split
 # with a live worker ran faster for every registry formula: at position
 # 1000 eq2.35-sum 1.20-1.22, eq2.37-sum 1.69-1.75 and pi-degree1 1.40-1.44,
-# at 2000 1.20-1.84; at 700 pi-degree1 ran 0.96-1.22.
+# at 2000 1.20-1.84; at 700 pi-degree1 ran 0.96-1.22.  With every stored
+# batch's powers built, which shortens both heads, at 1000 eq2.35-sum ran
+# 1.04-1.49, eq2.37-sum 1.07-1.82 and pi-degree1 0.93-1.66 in four runs of
+# 41 pairs, and at 2000 1.09-1.91: the split still wins in the median.
 _MIN_PART = 3000
 _MIN_WARM_PART = 500
 
@@ -288,6 +301,14 @@ def _ends(s: int, k: int, n: int) -> tuple[tuple[int, ...], int]:
     return (*ends, n), bisect_right(kept, n)
 
 
+def _squares(den: int, low: int, high: int) -> tuple[int, ...]:
+    """16^(2^k) mod den for low <= k < high, by repeated squaring."""
+    row = [(1 << (4 << low)) % den] if high > low else []
+    for _ in range(low + 1, high):
+        row.append(row[-1] * row[-1] % den)
+    return tuple(row)
+
+
 def _head_part(args: Sequence[int], part: int, parts: int) -> int:
     """Part ``part`` of ``parts`` of the head for args = (degree, n, bits,
     *coeffs), summed mod 2^bits: the task by which ``forked.forked_sum``
@@ -297,13 +318,17 @@ def _head_part(args: Sequence[int], part: int, parts: int) -> int:
     class of the c-th nonzero coefficient belongs to part (i + c) % parts,
     whatever n is, and a part builds and reads only its own batches.  It
     keeps those that are full and within the bound in its table, (s, k, i
-    mod parts, parts), grown and published as ``_ends`` grows its ends; so a
-    forked worker builds the batches of its part, and never reads the
-    tables it was forked with.  With ``parts == 1`` this is the whole head;
-    the parts for part = 0 .. parts - 1 add up to it mod 2^bits.
+    mod parts, parts), grown and published as ``_ends`` grows its ends, and
+    the powers of those it reads back in ``_POWERS`` under the same key,
+    grown the same way; so a forked worker builds the batches and powers of
+    its part, and never reads the tables it was forked with.  With ``parts
+    == 1`` this is the whole head; the parts for part = 0 .. parts - 1 add
+    up to it mod 2^bits.
     """
-    global _TABLES
+    global _TABLES, _POWERS
     s, n, bits, *coeffs = args
+    # 16^(2^low) = 2^_BATCH_BITS, and an exponent below the bound has < high bits
+    low, high = (_BATCH_BITS >> 2).bit_length() - 1, (_TABLE_SPAN // s).bit_length()
     acc = 0
     nonzero = [(k, a) for k, a in enumerate(coeffs, start=1) if a]
     for c, (k, a) in enumerate(nonzero):
@@ -311,27 +336,46 @@ def _head_part(args: Sequence[int], part: int, parts: int) -> int:
         owned = range((part - c) % parts, len(ends), parts)
         key = (s, k, owned.start, parts)
         table = _TABLES.get(key, ())
+        powers = _POWERS.get(key, ())
         kept = min(len(table), bisect_left(owned, full))  # the stored ones it reads
         grown = []
         for q, i in enumerate(owned):
             j1 = ends[i]
+            e = n - j1
             if q < kept:
                 num, den = table[q]
+                if q == len(powers):  # read back for the first time
+                    powers += (_squares(den, low, high),)
+                squares = powers[q]
             else:
                 num, den = _batch(s, k, ends[i - 1] if i else 0, j1)
                 if i < full:
                     num %= den
                     grown.append((num, den))
+                squares = ()
             # For the batch j0 .. j1 - 1 with d_j = (8j + k)^s, num/den = sum_j
-            # 16^(j1 - 1 - j)/d_j over den = prod d_j, and r = 16^(n - j1) mod
-            # den.  Each d_j divides den, so r * num/den = sum_j 16^(n - 1 - j)/d_j
-            # (mod 1), and the batch adds a * floor(2^bits * frac(r * num/den)),
-            # within |a| of a times the exact value
-            acc += a * ((pow(16, n - j1, den) * num % den << bits) // den)
+            # 16^(j1 - 1 - j)/d_j over den = prod d_j, and r = 16^e num with e =
+            # n - j1.  Each d_j divides den, so r/den = sum_j 16^(n - 1 - j)/d_j
+            # (mod 1), and the batch adds a * floor(2^bits * frac(r/den)),
+            # within |a| of a times the exact value.  A stored batch's r takes
+            # the low bits of e by a shift and one product mod den per higher
+            # set bit k, by its 16^(2^k) mod den; any other r takes ``pow``
+            if squares and not e >> low + len(squares):
+                r = num << 4 * (e & ((1 << low) - 1))
+                e >>= low
+                for square in squares:
+                    if e & 1:
+                        r = r * square % den
+                    e >>= 1
+            else:
+                r = pow(16, e, den) * num
+            acc += a * ((r % den << bits) // den)
         if grown:
             table += tuple(grown)
             if len(table) > len(_TABLES.get(key, ())):
                 _TABLES = {**_TABLES, key: table}
+        if len(powers) > len(_POWERS.get(key, ())):
+            _POWERS = {**_POWERS, key: powers}
     return acc % (1 << bits)
 
 
@@ -364,8 +408,12 @@ def extract_hex_digits(f: BBPFormula, position: int, count: int) -> str:
     ``_BATCH_BITS`` wide, bar a lone wider denominator; the cuts between
     batches depend on degree, k and j alone (``_cuts``), and are kept per
     class (``_ends``), as are the full batches' fractions, as long as degree
-    * j <= ``_TABLE_SPAN``.  The carry test counts each class's batches, and
-    the head sums them.  The tail j > position is ``_fixed_sum``'s, one
+    * j <= ``_TABLE_SPAN``.  A stored batch read back keeps its powers 16^(2^k)
+    mod den for k >= 7 (``_POWERS``, built at its first read back), and
+    takes the power as a shift and one product per set bit k >= 7 of the
+    exponent; a batch the call builds, and an exponent wider than the
+    powers kept, take ``pow``.  The carry test counts each class's batches,
+    and the head sums them.  The tail j > position is ``_fixed_sum``'s, one
     floor per term.  From position 2 * ``_MIN_PART`` = 6000 on in a process's
     first extraction, and from 2 * ``_MIN_WARM_PART`` = 1000 on once the
     tables hold batches, where splitting paid on every registry formula, on

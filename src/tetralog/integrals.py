@@ -349,6 +349,10 @@ def corollary3(c: float, t: float, tol: float = 1e-10) -> tuple[EvalResult, floa
         raise DomainError("corollary3 requires c > 0")
     if not 0.0 < t < PI:
         raise DomainError("corollary3 requires 0 < t < pi")
+    # below 2^-511 the denominator underflows next to x = c, and past sqrt of
+    # the largest double every node's term is 0: a zero bound on a wrong value
+    if not (c >= 2.0**-511 and c * c < math.inf):
+        raise QuadratureError(f"corollary3: c = {c!r} is out of reach in double precision")
     # x^2 + 2 x c cos t + c^2 = (x - c)^2 + 4 x c cos^2(t/2): two terms >= 0, so
     # no cancellation as t nears pi, where 1 + cos t would keep few digits
     k = 4.0 * c * math.cos(0.5 * t) ** 2

@@ -364,9 +364,23 @@ class TestHeadFloors:
 
 
 def fresh_tables(monkeypatch):
-    """Empty batch ends and tables, as in a new process."""
+    """Empty batch ends, tables and powers, as in a new process."""
     monkeypatch.setattr(bbp, "_ENDS", {})
     monkeypatch.setattr(bbp, "_TABLES", {})
+    monkeypatch.setattr(bbp, "_POWERS", {})
+
+
+def assert_stored_powers():
+    """Each part's powers are rows for a prefix of its stored batches, row q
+    holding 16^(2^k) mod den of batch q for k = 7 .. bit_length(bound) - 1;
+    16^(2^7) = 2^_BATCH_BITS."""
+    assert 16 ** 2**7 == 2**_BATCH_BITS
+    for key, powers in bbp._POWERS.items():
+        table = bbp._TABLES[key]
+        assert 0 < len(powers) <= len(table), key
+        high = (bbp._TABLE_SPAN // key[0]).bit_length()
+        for (_, den), row in zip(table, powers):
+            assert row == tuple(pow(16, 2**k, den) for k in range(7, high)), key
 
 
 def kept_ends(f: BBPFormula, k: int) -> list[int]:
@@ -431,13 +445,24 @@ class TestTables:
             bound + 37,
             3 * bound,
         ]
-        for position in [*positions, *positions[::-1], *positions]:
+        # each position is read three times: the first pass stores batches,
+        # the second reads them back and builds their powers, and the third
+        # reads every stored batch through its powers, building none
+        squared = []
+        squares = bbp._squares
+        monkeypatch.setattr(bbp, "_squares", lambda *args: squared.append(args) or squares(*args))
+        for read, position in enumerate([*positions, *positions[::-1], *positions]):
+            if read == 2 * len(positions):
+                squared.clear()
             warm = _outcome(extract_hex_digits, f, position, 8)
-            kept = bbp._ENDS, bbp._TABLES
+            kept = bbp._ENDS, bbp._TABLES, bbp._POWERS
             fresh_tables(monkeypatch)
             fresh = _outcome(extract_hex_digits, f, position, 8)
-            bbp._ENDS, bbp._TABLES = kept
+            bbp._ENDS, bbp._TABLES, bbp._POWERS = kept
             assert warm == fresh == _outcome(per_term_hex_digits, f, position, 8), position
+        assert squared == []
+        assert bbp._POWERS[f.degree, 1, 0, 1]
+        assert_stored_powers()
         # the ends reach the bound and no further; the serial tables hold every
         # full batch up to it, and a split's tables here only part 0's
         for k in CLASSES:
@@ -465,9 +490,17 @@ class TestTables:
         assert kept_ends(f, 1) == rule_cuts(f, 1, bound)
         assert full == len(rule_cuts(f, 1, bound))
         assert list(bbp._ENDS) == [(3, 1)]
-        bbp._head_part((3, n, 52, 1, 0, 0, 0, 0, 0, 0, 0), 0, 1)
+        head = bbp._head_part((3, n, 52, 1, 0, 0, 0, 0, 0, 0, 0), 0, 1)
         assert list(bbp._TABLES) == [(3, 1, 0, 1)]
         assert len(bbp._TABLES[3, 1, 0, 1]) == full
+        # the head built every batch itself, so it built no powers; read
+        # back, every stored batch gets its row of ten powers, and the sum
+        # it gives is the same
+        assert bbp._POWERS == {}
+        assert bbp._head_part((3, n, 52, 1, 0, 0, 0, 0, 0, 0, 0), 0, 1) == head
+        assert list(bbp._POWERS) == [(3, 1, 0, 1)]
+        assert len(bbp._POWERS[3, 1, 0, 1]) == full
+        assert {len(row) for row in bbp._POWERS[3, 1, 0, 1]} == {10}
 
     def test_extraction_past_the_bound(self):
         # degree 3's real bound is 65 536: the head sums the stored batches
@@ -513,17 +546,50 @@ class TestTables:
         fresh_tables(monkeypatch)
         f = REGISTRY["eq2.35-sum"]
         snapshots = []
-        for position in (300, 100, 900, 901, 2000):
-            for kept in (bbp._ENDS, bbp._TABLES):
+        for position in (300, 100, 900, 901, 2000, 2000):
+            for kept in (bbp._ENDS, bbp._TABLES, bbp._POWERS):
                 snapshots.append((kept, dict(kept)))
             extract_hex_digits(f, position, 8)
+        latest = bbp._ENDS, bbp._TABLES, bbp._POWERS
         for i, (kept, copy) in enumerate(snapshots):
             assert kept == copy
             for key, table in kept.items():
-                assert (bbp._ENDS, bbp._TABLES)[i % 2][key][: len(table)] == table
-        # position 100 grew nothing
-        assert snapshots[4][0] is snapshots[2][0]
-        assert snapshots[5][0] is snapshots[3][0]
+                assert latest[i % 3][key][: len(table)] == table
+        # position 100 grew no ends and no table, but read stored batches back
+        # and built their powers
+        assert snapshots[6][0] is snapshots[3][0]
+        assert snapshots[7][0] is snapshots[4][0]
+        assert not snapshots[5][0] and snapshots[8][0]
+        assert_stored_powers()
+
+    def test_exponents_past_the_stored_bits_take_pow(self, monkeypatch):
+        # past a bound patched to 900 / degree, with every stored batch's
+        # powers built, a stored batch whose exponent n - j1 has more bits
+        # than its powers cover takes pow, and one whose exponent fits does not
+        monkeypatch.setattr(bbp, "_TABLE_SPAN", 900)
+        monkeypatch.setattr(bbp, "_MIN_PART", 10**9)  # serial, so this process sums every batch
+        monkeypatch.setattr(bbp, "_MIN_WARM_PART", 10**9)
+        powered = []
+        spy = lambda *args: powered.append(args) or pow(*args)  # noqa: E731
+        monkeypatch.setattr(bbp, "pow", spy, raising=False)
+        for name in FORMULAS:
+            f = REGISTRY[name]
+            bound = 900 // f.degree
+            high = bound.bit_length()
+            fresh_tables(monkeypatch)
+            for _ in range(2):
+                extract_hex_digits(f, bound, 8)
+            for position in (2**high + bound // 2, 3 * bound):
+                powered.clear()
+                assert extract_hex_digits(f, position, 8) == per_term_hex_digits(f, position, 8)
+                stored = {den for table in bbp._TABLES.values() for _, den in table}
+                past = [e for _, e, den in powered if den in stored]
+                assert min(past) >= 2**high, (name, position)
+                if position == 3 * bound:  # no stored batch's exponent fits
+                    assert len(past) == len(stored), name
+                else:  # the early batches' exponents do not, the later ones' do
+                    assert 0 < len(past) < len(stored), name
+            assert_stored_powers()
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -6,6 +6,7 @@ Reference values were frozen from independent high-precision evaluation.
 import cmath
 import functools
 import math
+import re
 
 import pytest
 
@@ -271,6 +272,15 @@ def test_corollary3_at_large_c_holds_its_bound():
     assert _mp_error(lhs.value, exact) <= lhs.err_bound
 
 
+@pytest.mark.parametrize("c", [1e-200, 2.0**-511 * (1 - 2.0**-53), 1e155, 1e160, math.inf])
+def test_corollary3_refuses_c_whose_square_leaves_the_normal_range(c):
+    # at 1e-200 (x - c)^2 + kx underflows to 0 and the integrand divided by
+    # it; at 1e155 x^2 overflows, every node's term was 0, and 0 +- 0 came
+    # back against 4.2e-153
+    with pytest.raises(QuadratureError, match=re.escape(f"corollary3: c = {c!r} is out of reach")):
+        corollary3(c, 1.0)
+
+
 def _corollary3_exact(c, t):
     import mpmath
 
@@ -510,6 +520,28 @@ def test_iab_series_branch_meets_tol_or_raises():
 )
 def test_corollary3_known_miss_next_to_t_pi(c, t, ref):
     lhs, _ = corollary3(c, t, 1e-10)
+    assert _mp_error(lhs.value, ref) <= lhs.err_bound
+
+
+# corollary3 at large c, references (ln c / c)(t / sin t) at 40 digits: the
+# tail's map y = c + s/(1 - s) rounds onto c wherever s/(1 - s) < ulp(c)/2, so
+# the far side's nodes there evaluate f(c), and the near side stops at its
+# first node, where f is still 0, and charges nothing
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the tail's unit-scale map (ROADMAP item 21)"
+)
+@pytest.mark.parametrize(
+    "c, ref",
+    [
+        # 6.763e-49 +- 5.28e-50, 13.1x its bound
+        (1e50, "1.368190427575891895586793844074877745964e-48"),
+        # 2.044e-148 +- 1.68e-149, 12.2x its bound
+        (1e150, "4.104571282727676075643481790760710258492e-148"),
+    ],
+    ids=["c1e50", "c1e150"],
+)
+def test_corollary3_known_miss_at_large_c(c, ref):
+    lhs, _ = corollary3(c, 1.0)
     assert _mp_error(lhs.value, ref) <= lhs.err_bound
 
 

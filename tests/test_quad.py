@@ -200,10 +200,11 @@ class TestValidation:
             integrate(QuadProblem(lambda x: 1.0, 0.0, upper))
 
     def test_corollary3_at_subnormal_c_raises(self):
-        # its panel (0, c) is too narrow; the sum once divided by zero
+        # its panel (0, c) would be too narrow, and the sum once divided by
+        # zero; c * c underflows, so corollary3 refuses c by name first
         from tetralog.integrals import corollary3
 
-        with pytest.raises(QuadratureError, match="too narrow"):
+        with pytest.raises(QuadratureError, match="corollary3: c = 1e-310 is out of reach"):
             corollary3(1e-310, 1.0)
 
     def test_nonfinite_integrand_raises(self):

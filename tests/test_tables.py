@@ -107,17 +107,30 @@ def test_a_call_made_while_a_bernoulli_row_is_built_leaves_the_numbers_exact():
     assert _printed_by(code).split() == []
 
 
+# every row of powers left is its batch's, for a prefix of the stored batches
+_POWERS_HOLD = (
+    "for key, powers in b._POWERS.items():\n"
+    "    table = b._TABLES[key]\n"
+    "    high = (b._TABLE_SPAN // key[0]).bit_length()\n"
+    "    assert 0 < len(powers) <= len(table)\n"
+    "    assert all(row == tuple(pow(16, 2**k, den) for k in range(7, high))\n"
+    "               for (_, den), row in zip(table, powers))\n"
+)
+
+
 def test_a_call_made_while_a_bbp_table_grows_leaves_every_table_whole():
     # halfway through growing the eq2.35-sum tables to position 600, an
-    # extraction at 900 grows the same tables further, and one of pi-degree1
-    # grows others; no dict or table seen before a call changes after it, and
-    # each is the start of the next call's
+    # extraction at 900 grows the same tables further and builds the powers
+    # of those it reads back, and one of pi-degree1 grows others; no dict,
+    # table or row of powers seen before a call changes after it, and each is
+    # the start of the next call's.  Which batches have powers depends on the
+    # order of the calls, so only the tables must end as in the clean run
     common = (
         "import tetralog.bbp as b\n"
         "f, pi = b.REGISTRY['eq2.35-sum'], b.REGISTRY['pi-degree1']\n"
         "seen, digits = [], []\n"
         "def extract(g, position):\n"
-        "    seen.append((b._TABLES, dict(b._TABLES)))\n"
+        "    seen.append(((b._TABLES, dict(b._TABLES)), (b._POWERS, dict(b._POWERS))))\n"
         "    digits.append((g.degree, position, b.extract_hex_digits(g, position, 8)))\n"
     )
     hooked = (
@@ -139,9 +152,13 @@ def test_a_call_made_while_a_bbp_table_grows_leaves_every_table_whole():
         "    extract(g, position)\n"
     )
     show = (
-        "for (tables, copy), (later, _) in zip(seen, [*seen[1:], (b._TABLES, None)]):\n"
-        "    assert tables == copy\n"
-        "    assert all(later[key][: len(t)] == t for key, t in tables.items())\n"
+        "last = ((b._TABLES, None), (b._POWERS, None))\n"
+        "for now, after in zip(seen, [*seen[1:], last]):\n"
+        "    for (tables, copy), (later, _) in zip(now, after):\n"
+        "        assert tables == copy\n"
+        "        assert all(later[key][: len(t)] == t for key, t in tables.items())\n"
+        "assert b._POWERS\n"
+        f"{_POWERS_HOLD}"
         "print(sorted(digits))\n"
         "print(sorted((key, hash(t)) for key, t in b._TABLES.items()))\n"
     )
@@ -158,15 +175,17 @@ _EXTRACTIONS = (
 
 
 def test_threads_that_grow_the_bbp_tables_together_get_the_serial_digits():
-    # each thread makes the calls in its own order, so the threads race to
-    # grow the same tables and to publish the dict that holds them
+    # each thread makes the calls in its own order, twice, so the threads race
+    # to grow the same tables and powers and to publish the dicts that hold
+    # them, and the second round reads stored batches through their powers;
+    # every row of powers a thread leaves is its batch's
     threaded = (
         "import sys, threading\n"
         f"{_EXTRACTIONS}"
         "results = {}\n"
         "def work(i):\n"
         "    order = calls[i:] + calls[:i] if i % 2 else calls[::-1]\n"
-        "    results[i] = sorted((c, extract(*c)) for c in order)\n"
+        "    results[i] = sorted((c, extract(*c)) for c in 2 * order)\n"
         "interval = sys.getswitchinterval()\n"
         "sys.setswitchinterval(1e-6)\n"
         "try:\n"
@@ -178,10 +197,11 @@ def test_threads_that_grow_the_bbp_tables_together_get_the_serial_digits():
         "finally:\n"
         "    sys.setswitchinterval(interval)\n"
         "assert not any(t.is_alive() for t in threads)\n"
+        f"{_POWERS_HOLD}"
         "for i in range(4):\n"
         "    print(results[i])\n"
     )
-    serial = f"{_EXTRACTIONS}print(sorted((c, extract(*c)) for c in calls))\n"
+    serial = f"{_EXTRACTIONS}print(sorted((c, extract(*c)) for c in 2 * calls))\n"
     expected = _printed_by(serial).splitlines()
     assert len(expected) == 1
     assert _printed_by(threaded).splitlines() == 4 * expected
